@@ -21,6 +21,7 @@ import pytest
 
 import _benchlib  # noqa: F401  (sys.path bootstrap for direct runs)
 
+from _drivelib import EMPLOYEE_AUDIT_SPEC
 from repro.dispatch import DispatchPolicy, PoolConfig, WorkerPool
 from repro.serve import (
     AdmissionController,
@@ -28,23 +29,6 @@ from repro.serve import (
     TenantPolicy,
 )
 from repro.serve.store import StorePolicy, TenantStore
-
-EMPLOYEE_SPEC = {
-    "relations": {
-        "Employee": {
-            "columns": ["Name", "Salary"],
-            "key": ["Name"],
-            "rows": [
-                ["page", "5K"],
-                ["page", "8K"],
-                ["smith", "3K"],
-                ["stowe", "7K"],
-            ],
-        },
-        "Audit": {"columns": ["K", "V"], "rows": []},
-    },
-    "constraints": {"fd": ["Employee: Name -> Salary"]},
-}
 
 RECORDS_PER_ROUND = 100
 
@@ -63,7 +47,7 @@ def _seed_primary(directory, mutations):
         directory, StorePolicy(fsync="never", compact_every=10**9)
     )
     store.recover()
-    store.append_put_db("emp", EMPLOYEE_SPEC)
+    store.append_put_db("emp", EMPLOYEE_AUDIT_SPEC)
     for i in range(mutations):
         store.append_mutate(
             "emp", insert=[["Audit", f"seed{i:06d}", "v"]], delete=[]
@@ -154,7 +138,7 @@ def test_pull_overhead_vs_serve_p50(scratch_dir):
         ),
     )
     service.recover()
-    service.register_db("emp", EMPLOYEE_SPEC)
+    service.register_db("emp", EMPLOYEE_AUDIT_SPEC)
     for i in range(100):
         service.store.append_mutate(
             "emp", insert=[["Audit", f"seed{i:06d}", "v"]], delete=[]

@@ -11,14 +11,13 @@ admission, executor, pool, dispatch ladder) with deterministic request
 counters for the perf gate.
 """
 
-import asyncio
-import threading
 import time
 
 import pytest
 
 import _benchlib  # noqa: F401  (sys.path bootstrap for direct runs)
 
+from _drivelib import EMPLOYEE_SPEC, Harness
 from repro.dispatch import (
     CQARequest,
     DispatchPolicy,
@@ -28,7 +27,6 @@ from repro.dispatch import (
 )
 from repro.serve import (
     AdmissionController,
-    CQAHTTPServer,
     CQAService,
     ServerConfig,
     TenantPolicy,
@@ -97,51 +95,6 @@ def test_warm_pool_speedup(warm_pool):
     )
 
 
-class _Harness:
-    """A CQAHTTPServer on a private event-loop thread (bench-local)."""
-
-    def __init__(self, service, config):
-        self.server = CQAHTTPServer(service, config)
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(
-            target=self.loop.run_forever, daemon=True
-        )
-
-    def __enter__(self):
-        self.thread.start()
-        asyncio.run_coroutine_threadsafe(
-            self.server.start(), self.loop
-        ).result(timeout=30.0)
-        self._serving = asyncio.run_coroutine_threadsafe(
-            self.server.serve_forever(), self.loop
-        )
-        return self.server
-
-    def __exit__(self, *exc):
-        asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self.loop
-        ).result(timeout=60.0)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=10.0)
-        self.loop.close()
-
-
-EMPLOYEE_SPEC = {
-    "relations": {
-        "Employee": {
-            "columns": ["Name", "Salary"],
-            "key": ["Name"],
-            "rows": [
-                ["page", "5K"],
-                ["page", "8K"],
-                ["smith", "3K"],
-                ["stowe", "7K"],
-            ],
-        }
-    },
-    "constraints": {"fd": ["Employee: Name -> Salary"]},
-}
-
 CERTAIN_NAMES = [["page"], ["smith"], ["stowe"]]
 
 
@@ -155,7 +108,7 @@ def test_http_closed_loop(benchmark):
         admission=AdmissionController(TenantPolicy()),
     )
     service.register_db("emp", EMPLOYEE_SPEC)
-    harness = _Harness(service, ServerConfig(port=0, max_inflight=4))
+    harness = Harness(service, ServerConfig(port=0, max_inflight=4))
     with harness as server:
         payload = {
             "db": "emp",

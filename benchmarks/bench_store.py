@@ -22,6 +22,7 @@ import pytest
 
 import _benchlib  # noqa: F401  (sys.path bootstrap for direct runs)
 
+from _drivelib import EMPLOYEE_AUDIT_SPEC
 from repro.dispatch import DispatchPolicy, PoolConfig, WorkerPool
 from repro.serve import (
     AdmissionController,
@@ -30,23 +31,6 @@ from repro.serve import (
 )
 from repro.serve.store import StorePolicy, TenantStore
 from repro.serve.store.wal import WriteAheadLog
-
-EMPLOYEE_SPEC = {
-    "relations": {
-        "Employee": {
-            "columns": ["Name", "Salary"],
-            "key": ["Name"],
-            "rows": [
-                ["page", "5K"],
-                ["page", "8K"],
-                ["smith", "3K"],
-                ["stowe", "7K"],
-            ],
-        },
-        "Audit": {"columns": ["K", "V"], "rows": []},
-    },
-    "constraints": {"fd": ["Employee: Name -> Salary"]},
-}
 
 APPENDS_PER_ROUND = 100
 
@@ -93,7 +77,7 @@ def test_snapshot_compaction(benchmark, scratch_dir):
         scratch_dir, StorePolicy(fsync="never", compact_every=10**9)
     )
     store.recover()
-    store.append_put_db("emp", EMPLOYEE_SPEC)
+    store.append_put_db("emp", EMPLOYEE_AUDIT_SPEC)
     for i in range(200):
         store.append_mutate(
             "emp", insert=[["Audit", f"seed{i:05d}", "v"]], delete=[]
@@ -109,7 +93,7 @@ def test_recovery_replay(benchmark, scratch_dir):
         scratch_dir, StorePolicy(fsync="never", compact_every=10**9)
     )
     seeder.recover()
-    seeder.append_put_db("emp", EMPLOYEE_SPEC)
+    seeder.append_put_db("emp", EMPLOYEE_AUDIT_SPEC)
     for i in range(500):
         seeder.append_mutate(
             "emp", insert=[["Audit", f"seed{i:05d}", "v"]], delete=[]
@@ -139,7 +123,7 @@ def test_durable_mutation_request(benchmark, scratch_dir):
         ),
     )
     service.recover()
-    service.register_db("emp", EMPLOYEE_SPEC)
+    service.register_db("emp", EMPLOYEE_AUDIT_SPEC)
 
     def mutate_once():
         status, body, _ = service.handle_mutate(
@@ -167,7 +151,7 @@ def test_wal_overhead_vs_serve_p50(scratch_dir):
         ),
     )
     service.recover()
-    service.register_db("emp", EMPLOYEE_SPEC)
+    service.register_db("emp", EMPLOYEE_AUDIT_SPEC)
     payload = {
         "db": "emp",
         "query": "Q(X) :- Employee(X, Y)",

@@ -29,24 +29,23 @@ Run locally::
 """
 
 import argparse
-import http.client
-import json
 import os
-import pathlib
 import random
 import shutil
 import signal
-import socket
-import subprocess
-import sys
 import tempfile
-import time
 
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-_SRC = str(_ROOT / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
-
+from _drivelib import (
+    EMPLOYEE_AUDIT_SPEC,
+    ROOT,
+    fail,
+    free_port,
+    kill,
+    request,
+    spawn,
+    terminate,
+    wait_ready,
+)
 from repro.cli import EXIT_STORE_CORRUPT
 from repro.observability.live.slo import (
     EXIT_SLO_VIOLATION,
@@ -56,23 +55,6 @@ from repro.observability.live.slo import (
 )
 from repro.serve.loadgen import EXIT_UNSOUND
 from repro.serve.store import verify_store
-
-EMPLOYEE_SPEC = {
-    "relations": {
-        "Employee": {
-            "columns": ["Name", "Salary"],
-            "key": ["Name"],
-            "rows": [
-                ["page", "5K"],
-                ["page", "8K"],
-                ["smith", "3K"],
-                ["stowe", "7K"],
-            ],
-        },
-        "Audit": {"columns": ["K", "V"], "rows": []},
-    },
-    "constraints": {"fd": ["Employee: Name -> Salary"]},
-}
 
 #: Seeded storage-fault plans for the CI matrix.  Bit flips are absent
 #: by design: they corrupt *acknowledged* records, which recovery must
@@ -94,86 +76,20 @@ FAULT_PLANS = {
 }
 
 
-def _fail(message: str, code: int = 1) -> int:
-    print(f"FAIL: {message}", file=sys.stderr)
-    return code
-
-
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _spawn(port: int, data_dir: str, extra=(), telemetry=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [_SRC] + env.get("PYTHONPATH", "").split(os.pathsep)
-    )
-    command = [
-        sys.executable, "-m", "repro", "serve",
-        "--port", str(port),
-        "--workers", "0",
-        "--data-dir", data_dir,
-        "--fsync", "always",
-    ]
-    if telemetry:
-        command += ["--telemetry", telemetry]
-    command += list(extra)
-    return subprocess.Popen(command, env=env)
-
-
-def _request(port, method, path, payload=None, timeout=10.0):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    try:
-        body = None if payload is None else json.dumps(payload)
-        conn.request(
-            method, path, body=body,
-            headers={"Content-Type": "application/json"},
-        )
-        response = conn.getresponse()
-        raw = response.read()
-        try:
-            parsed = json.loads(raw) if raw else {}
-        except json.JSONDecodeError:
-            parsed = {}
-        return response.status, parsed
-    finally:
-        conn.close()
-
-
-def _wait_phase(port, deadline_s=60.0):
-    """Poll /healthz until 200; returns (ok, saw_recovering)."""
-    saw_recovering = False
-    start = time.monotonic()
-    while time.monotonic() - start < deadline_s:
-        try:
-            status, body = _request(port, "GET", "/healthz", timeout=2.0)
-        except OSError:
-            time.sleep(0.1)
-            continue
-        if status == 200:
-            return True, saw_recovering
-        if status == 503 and body.get("phase") == "recovering":
-            saw_recovering = True
-        time.sleep(0.05)
-    return False, saw_recovering
-
-
 def phase_storm(port, data_dir, plan, seed):
     """Returns (acked rows list, refused count) after the kill."""
     rng = random.Random(seed)
     extra = list(FAULT_PLANS[plan])
     if extra:
         extra = ["--fault-seed", str(seed)] + extra
-    server = _spawn(port, data_dir, extra=extra)
+    server = spawn(port, data_dir, extra=extra)
     acked, refused = [], 0
     try:
-        ok, _ = _wait_phase(port)
+        ok, _ = wait_ready(port)
         if not ok:
             raise RuntimeError("server never became ready for the storm")
-        status, body = _request(
-            port, "PUT", "/v1/db/emp", EMPLOYEE_SPEC
+        status, body = request(
+            port, "PUT", "/v1/db/emp", EMPLOYEE_AUDIT_SPEC
         )
         if status != 200:
             raise RuntimeError(f"registration refused: {status} {body}")
@@ -181,7 +97,7 @@ def phase_storm(port, data_dir, plan, seed):
         for i in range(1, kill_after + 1):
             row = f"row{seed:04d}x{i:05d}"
             try:
-                status, body = _request(
+                status, body = request(
                     port, "POST", "/v1/db/emp/mutate",
                     {"insert": [["Audit", row, "v"]]},
                 )
@@ -198,9 +114,7 @@ def phase_storm(port, data_dir, plan, seed):
         os.kill(server.pid, signal.SIGKILL)
         server.wait(timeout=15.0)
     finally:
-        if server.poll() is None:
-            server.kill()
-            server.wait(timeout=15.0)
+        kill(server)
     print(
         f"-- storm: {len(acked)} acked, {refused} refused "
         f"(plan {plan}, seed {seed}), then SIGKILL"
@@ -209,29 +123,29 @@ def phase_storm(port, data_dir, plan, seed):
 
 
 def phase_recover(port, data_dir, telemetry, acked, slo_path):
-    server = _spawn(port, data_dir, telemetry=telemetry)
+    server = spawn(port, data_dir, telemetry=telemetry)
     try:
-        ok, saw_recovering = _wait_phase(port)
+        ok, saw_recovering = wait_ready(port)
         if not ok:
-            return _fail("restarted server never reached ready")
-        status, body = _request(
+            return fail("restarted server never reached ready")
+        status, body = request(
             port, "POST", "/v1/cqa",
             {"db": "emp", "query": "Q(K) :- Audit(K, V)"},
             timeout=30.0,
         )
         if status != 200:
-            return _fail(f"post-recovery query failed: {status} {body}")
+            return fail(f"post-recovery query failed: {status} {body}")
         recovered = {row[0] for row in body.get("answers", [])}
         missing = [row for _, row in acked if row not in recovered]
         if missing:
-            return _fail(
+            return fail(
                 f"{len(missing)} acknowledged mutation(s) lost after "
                 f"recovery (first: {missing[:5]})",
                 EXIT_UNSOUND,
             )
-        status, doc = _request(port, "GET", "/status", timeout=10.0)
+        status, doc = request(port, "GET", "/status", timeout=10.0)
         if status != 200 or doc.get("phase") != "ready":
-            return _fail(f"/status not ready: {status} {doc}")
+            return fail(f"/status not ready: {status} {doc}")
         store = doc.get("store") or {}
         print(
             f"-- recovered: {len(recovered)} row(s), last_lsn "
@@ -243,17 +157,11 @@ def phase_recover(port, data_dir, telemetry, acked, slo_path):
         recovery = [r for r in results if r["name"].startswith("store-")]
         print(render_slo(recovery or results))
         if any(not r["ok"] for r in recovery):
-            return _fail(
+            return fail(
                 "recovery-time SLO violated", EXIT_SLO_VIOLATION
             )
     finally:
-        if server.poll() is None:
-            server.send_signal(signal.SIGTERM)
-            try:
-                server.wait(timeout=30.0)
-            except subprocess.TimeoutExpired:
-                server.kill()
-                server.wait(timeout=15.0)
+        terminate(server)
     return 0
 
 
@@ -272,7 +180,7 @@ def main(argv=None) -> int:
         help="durable directory (default: a fresh temp dir)",
     )
     parser.add_argument(
-        "--slo", default=str(_ROOT / "benchmarks" / "slo.json"),
+        "--slo", default=str(ROOT / "benchmarks" / "slo.json"),
         help="SLO config with the store-recovery objective",
     )
     args = parser.parse_args(argv)
@@ -286,18 +194,18 @@ def main(argv=None) -> int:
         scratch or os.path.dirname(data_dir) or ".", "telemetry"
     )
     try:
-        storm_port = _free_port()
+        storm_port = free_port()
         acked, refused = phase_storm(
             storm_port, data_dir, args.fault_plan, args.seed
         )
         if len(acked) < 10:
-            return _fail(
+            return fail(
                 f"storm acked only {len(acked)} mutation(s) — "
                 "nothing meaningful to recover"
             )
         report = verify_store(data_dir)
         if not report["ok"]:
-            return _fail(
+            return fail(
                 f"offline verification refused the store: "
                 f"{report['problems']}",
                 EXIT_STORE_CORRUPT,
@@ -306,13 +214,13 @@ def main(argv=None) -> int:
             print(f"-- repairable: {note}")
         max_acked = max(lsn for lsn, _ in acked)
         if report["last_lsn"] < max_acked:
-            return _fail(
+            return fail(
                 f"on-disk last_lsn {report['last_lsn']} < max acked "
                 f"lsn {max_acked}: acknowledged suffix missing",
                 EXIT_UNSOUND,
             )
         return phase_recover(
-            _free_port(), data_dir, telemetry, acked, args.slo
+            free_port(), data_dir, telemetry, acked, args.slo
         )
     finally:
         if scratch is not None:

@@ -36,24 +36,25 @@ Run locally::
 """
 
 import argparse
-import http.client
-import json
 import os
-import pathlib
 import random
 import shutil
 import signal
-import socket
-import subprocess
 import sys
 import tempfile
 import time
 
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-_SRC = str(_ROOT / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
-
+from _drivelib import (
+    EMPLOYEE_AUDIT_SPEC,
+    ROOT,
+    fail,
+    free_port,
+    kill,
+    request,
+    spawn,
+    terminate,
+    wait_ready,
+)
 from repro.observability.live.slo import (
     EXIT_SLO_VIOLATION,
     evaluate_slos,
@@ -62,109 +63,11 @@ from repro.observability.live.slo import (
 )
 from repro.serve.loadgen import EXIT_UNSOUND
 
-EMPLOYEE_SPEC = {
-    "relations": {
-        "Employee": {
-            "columns": ["Name", "Salary"],
-            "key": ["Name"],
-            "rows": [
-                ["page", "5K"],
-                ["page", "8K"],
-                ["smith", "3K"],
-                ["stowe", "7K"],
-            ],
-        },
-        "Audit": {"columns": ["K", "V"], "rows": []},
-    },
-    "constraints": {"fd": ["Employee: Name -> Salary"]},
-}
-
 READ_QUERY = "Q(K) :- Audit(K, V)"
 
 
-def _fail(message: str, code: int = 1) -> int:
-    print(f"FAIL: {message}", file=sys.stderr)
-    return code
-
-
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _spawn(port: int, data_dir: str, extra=(), telemetry=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [_SRC] + env.get("PYTHONPATH", "").split(os.pathsep)
-    )
-    command = [
-        sys.executable, "-m", "repro", "serve",
-        "--port", str(port),
-        "--workers", "0",
-        "--data-dir", data_dir,
-        "--fsync", "always",
-    ]
-    if telemetry:
-        # The live plane (and with it the replica.promotion_ms
-        # histogram the SLO reads) only exists under --telemetry.
-        command += ["--telemetry", telemetry]
-    command += list(extra)
-    return subprocess.Popen(command, env=env)
-
-
-def _request(port, method, path, payload=None, timeout=10.0):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    try:
-        body = None if payload is None else json.dumps(payload)
-        conn.request(
-            method, path, body=body,
-            headers={"Content-Type": "application/json"},
-        )
-        response = conn.getresponse()
-        raw = response.read()
-        try:
-            parsed = json.loads(raw) if raw else {}
-        except json.JSONDecodeError:
-            parsed = {}
-        return response.status, parsed
-    finally:
-        conn.close()
-
-
-def _wait_ready(port, deadline_s=90.0, label="server"):
-    start = time.monotonic()
-    while time.monotonic() - start < deadline_s:
-        try:
-            status, _ = _request(port, "GET", "/healthz", timeout=2.0)
-        except OSError:
-            time.sleep(0.1)
-            continue
-        if status == 200:
-            return True
-        time.sleep(0.05)
-    print(f"-- {label} never reached ready", file=sys.stderr)
-    return False
-
-
-def _kill(server):
-    if server is not None and server.poll() is None:
-        server.kill()
-        server.wait(timeout=15.0)
-
-
-def _terminate(server):
-    if server is not None and server.poll() is None:
-        server.send_signal(signal.SIGTERM)
-        try:
-            server.wait(timeout=30.0)
-        except subprocess.TimeoutExpired:
-            server.kill()
-            server.wait(timeout=15.0)
-
-
 def _replica_status(port):
-    status, body = _request(
+    status, body = request(
         port, "GET", "/v1/replica/status", timeout=5.0
     )
     if status != 200:
@@ -190,7 +93,7 @@ def phase_storm(primary_port, follower_ports, seed, mutations):
     }
     for i in range(1, mutations + 1):
         row = f"row{seed:04d}x{i:05d}"
-        status, body = _request(
+        status, body = request(
             primary_port, "POST", "/v1/db/emp/mutate",
             {"insert": [["Audit", row, "v"]]},
         )
@@ -205,7 +108,7 @@ def phase_storm(primary_port, follower_ports, seed, mutations):
         follower = rng.choice(follower_ports)
         min_lsn = acked[-1][0]
         stats["ryw_reads"] += 1
-        status, body = _request(
+        status, body = request(
             follower, "POST", "/v1/cqa",
             {"db": "emp", "query": READ_QUERY, "min_lsn": min_lsn},
             timeout=30.0,
@@ -266,15 +169,15 @@ def phase_promote(follower_ports, acked):
         key=lambda port: _replica_status(port).get("last_lsn") or 0,
     )
     winner, loser = by_lsn[-1], by_lsn[0]
-    status, body = _request(
+    status, body = request(
         winner, "POST", "/v1/replica/promote", {}, timeout=30.0
     )
     if status != 200 or body.get("role") != "primary":
-        return _fail(f"promotion refused: {status} {body}"), 0, 0, 0
+        return fail(f"promotion refused: {status} {body}"), 0, 0, 0
     epoch = body.get("epoch")
     if not isinstance(epoch, int) or epoch < 1:
         return (
-            _fail(f"promotion did not bump the epoch: {body}"),
+            fail(f"promotion did not bump the epoch: {body}"),
             0, 0, 0,
         )
     print(
@@ -285,14 +188,14 @@ def phase_promote(follower_ports, acked):
     # Zero acked-then-lost: read *at* the max acked LSN on the new
     # primary and demand every acknowledged row in the answer.
     max_acked = max(lsn for lsn, _ in acked)
-    status, body = _request(
+    status, body = request(
         winner, "POST", "/v1/cqa",
         {"db": "emp", "query": READ_QUERY, "min_lsn": max_acked},
         timeout=30.0,
     )
     if status != 200:
         return (
-            _fail(
+            fail(
                 f"new primary cannot serve min_lsn={max_acked}: "
                 f"{status} {body}",
                 EXIT_UNSOUND,
@@ -303,7 +206,7 @@ def phase_promote(follower_ports, acked):
     missing = [row for _, row in acked if row not in surviving]
     if missing:
         return (
-            _fail(
+            fail(
                 f"{len(missing)} acknowledged mutation(s) lost in "
                 f"failover (first: {missing[:5]})",
                 EXIT_UNSOUND,
@@ -311,13 +214,13 @@ def phase_promote(follower_ports, acked):
             0, 0, 0,
         )
     # And the new primary takes writes, stamped with its epoch.
-    status, body = _request(
+    status, body = request(
         winner, "POST", "/v1/db/emp/mutate",
         {"insert": [["Audit", "post-failover", "v"]]},
     )
     if status != 200 or "lsn" not in body:
         return (
-            _fail(f"new primary refused a write: {status} {body}"),
+            fail(f"new primary refused a write: {status} {body}"),
             0, 0, 0,
         )
     print(
@@ -329,26 +232,26 @@ def phase_promote(follower_ports, acked):
 
 def phase_fence_ghost(port, data_dir, epoch):
     """Restart the dead primary and prove the epoch fences it out."""
-    ghost = _spawn(port, data_dir)
+    ghost = spawn(port, data_dir)
     try:
-        if not _wait_ready(port, label="restarted ex-primary"):
-            return _fail("restarted ex-primary never became ready")
+        if not wait_ready(port)[0]:
+            return fail("restarted ex-primary never became ready")
         doc = _replica_status(port)
         print(
             f"-- ghost: ex-primary back as {doc.get('role')} at "
             f"epoch {doc.get('epoch')} — fencing with epoch {epoch}"
         )
-        status, body = _request(
+        status, body = request(
             port, "POST", "/v1/replica/fence", {"epoch": epoch}
         )
         if status != 200:
-            return _fail(f"fence refused: {status} {body}")
-        status, body = _request(
+            return fail(f"fence refused: {status} {body}")
+        status, body = request(
             port, "POST", "/v1/db/emp/mutate",
             {"insert": [["Audit", "split-brain", "v"]]},
         )
         if status == 200:
-            return _fail(
+            return fail(
                 "fenced ex-primary accepted a mutation — "
                 "split-brain window open",
                 EXIT_UNSOUND,
@@ -358,19 +261,19 @@ def phase_fence_ghost(port, data_dir, epoch):
             f"({status} {body.get('error')})"
         )
     finally:
-        _terminate(ghost)
+        terminate(ghost)
     return 0
 
 
 def phase_slo(port, slo_path):
-    status, doc = _request(port, "GET", "/status", timeout=10.0)
+    status, doc = request(port, "GET", "/status", timeout=10.0)
     if status != 200:
-        return _fail(f"/status refused on new primary: {status}")
+        return fail(f"/status refused on new primary: {status}")
     results = evaluate_slos(load_slo_config(slo_path), doc)
     promotion = [r for r in results if r["name"].startswith("replica-")]
     print(render_slo(promotion or results))
     if any(not r["ok"] for r in promotion):
-        return _fail("promotion-time SLO violated", EXIT_SLO_VIOLATION)
+        return fail("promotion-time SLO violated", EXIT_SLO_VIOLATION)
     return 0
 
 
@@ -385,29 +288,29 @@ def main(argv=None) -> int:
         help="storm size (each mutation is an fsynced append)",
     )
     parser.add_argument(
-        "--slo", default=str(_ROOT / "benchmarks" / "slo.json"),
+        "--slo", default=str(ROOT / "benchmarks" / "slo.json"),
         help="SLO config with the replica-promotion objective",
     )
     args = parser.parse_args(argv)
 
     scratch = tempfile.mkdtemp(prefix="failover_drive_")
-    primary_port = _free_port()
-    follower_ports = [_free_port(), _free_port()]
+    primary_port = free_port()
+    follower_ports = [free_port(), free_port()]
     primary_dir = os.path.join(scratch, "primary")
     primary = None
     followers = []
     try:
-        primary = _spawn(primary_port, primary_dir)
-        if not _wait_ready(primary_port, label="primary"):
-            return _fail("primary never became ready")
-        status, body = _request(
-            primary_port, "PUT", "/v1/db/emp", EMPLOYEE_SPEC
+        primary = spawn(primary_port, primary_dir)
+        if not wait_ready(primary_port)[0]:
+            return fail("primary never became ready")
+        status, body = request(
+            primary_port, "PUT", "/v1/db/emp", EMPLOYEE_AUDIT_SPEC
         )
         if status != 200:
-            return _fail(f"registration refused: {status} {body}")
+            return fail(f"registration refused: {status} {body}")
         for index, port in enumerate(follower_ports, start=1):
             followers.append(
-                _spawn(
+                spawn(
                     port,
                     os.path.join(scratch, f"follower{index}"),
                     extra=[
@@ -422,25 +325,25 @@ def main(argv=None) -> int:
                 )
             )
         for port in follower_ports:
-            if not _wait_ready(port, label=f"follower on {port}"):
-                return _fail("a follower never caught up to ready")
+            if not wait_ready(port)[0]:
+                return fail(f"follower on {port} never caught up to ready")
         acked, stats = phase_storm(
             primary_port, follower_ports, args.seed, args.mutations
         )
         if stats["min_lsn_violations"]:
-            return _fail(
+            return fail(
                 f"{stats['min_lsn_violations']} follower read(s) "
                 f"served below their requested min_lsn",
                 EXIT_UNSOUND,
             )
         if len(acked) < 10:
-            return _fail(
+            return fail(
                 f"storm acked only {len(acked)} mutation(s) — "
                 "nothing meaningful to fail over"
             )
         max_acked = max(lsn for lsn, _ in acked)
         if not phase_quiesce(follower_ports, max_acked):
-            return _fail("followers never caught up to the storm")
+            return fail("followers never caught up to the storm")
         os.kill(primary.pid, signal.SIGKILL)
         primary.wait(timeout=15.0)
         print("-- primary SIGKILLed with no drain")
@@ -454,11 +357,11 @@ def main(argv=None) -> int:
         code = phase_slo(winner, args.slo)
         if code:
             return code
-        return phase_fence_ghost(_free_port(), primary_dir, epoch)
+        return phase_fence_ghost(free_port(), primary_dir, epoch)
     finally:
-        _kill(primary)
+        kill(primary)
         for server in followers:
-            _terminate(server)
+            terminate(server)
         shutil.rmtree(scratch, ignore_errors=True)
 
 

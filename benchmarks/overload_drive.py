@@ -30,16 +30,8 @@ Run locally::
 """
 
 import argparse
-import asyncio
-import os
-import pathlib
-import sys
-import threading
 
-_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
-
+from _drivelib import EMPLOYEE_SPEC, Harness, fail, worker_children
 from repro.dispatch import DispatchPolicy, PoolConfig, WorkerPool
 from repro.observability.flight import (
     FlightRecorder,
@@ -54,7 +46,6 @@ from repro.observability.live import (
 )
 from repro.serve import (
     AdmissionController,
-    CQAHTTPServer,
     CQAService,
     ServerConfig,
     TenantPolicy,
@@ -63,78 +54,7 @@ from repro.serve import (
 )
 from repro.serve.loadgen import EXIT_UNSOUND
 
-EMPLOYEE_SPEC = {
-    "relations": {
-        "Employee": {
-            "columns": ["Name", "Salary"],
-            "key": ["Name"],
-            "rows": [
-                ["page", "5K"],
-                ["page", "8K"],
-                ["smith", "3K"],
-                ["stowe", "7K"],
-            ],
-        }
-    },
-    "constraints": {"fd": ["Employee: Name -> Salary"]},
-}
-
 CERTAIN_NAMES = [["page"], ["smith"], ["stowe"]]
-
-
-class Harness:
-    """A CQAHTTPServer on a private event-loop thread."""
-
-    def __init__(self, service, config):
-        self.server = CQAHTTPServer(service, config)
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(
-            target=self.loop.run_forever, daemon=True
-        )
-
-    def __enter__(self):
-        self.thread.start()
-        asyncio.run_coroutine_threadsafe(
-            self.server.start(), self.loop
-        ).result(timeout=30.0)
-        self._serving = asyncio.run_coroutine_threadsafe(
-            self.server.serve_forever(), self.loop
-        )
-        return self.server
-
-    def __exit__(self, *exc):
-        asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self.loop
-        ).result(timeout=60.0)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=10.0)
-        self.loop.close()
-
-
-def _worker_children() -> list:
-    """Pids of live repro.dispatch.worker children of this process."""
-    me = os.getpid()
-    found = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat") as fh:
-                rest = fh.read().split(") ", 1)[1].split()
-            if int(rest[1]) != me or rest[0] == "Z":
-                continue
-            with open(f"/proc/{entry}/cmdline", "rb") as fh:
-                cmdline = fh.read().replace(b"\0", b" ")
-        except OSError:
-            continue
-        if b"repro.dispatch.worker" in cmdline:
-            found.append(int(entry))
-    return found
-
-
-def _fail(message: str, code: int = 1) -> int:
-    print(f"FAIL: {message}", file=sys.stderr)
-    return code
 
 
 def phase_overload(duration_s: float) -> int:
@@ -169,7 +89,7 @@ def phase_overload(duration_s: float) -> int:
             expect=CERTAIN_NAMES,
         )
         if not calibration.sound:
-            return _fail(
+            return fail(
                 "calibration run unsound:\n" + calibration.render(),
                 EXIT_UNSOUND,
             )
@@ -189,25 +109,25 @@ def phase_overload(duration_s: float) -> int:
         )
         print(report.render())
         if not report.sound:
-            return _fail(
+            return fail(
                 f"{report.wrong} wrong answer(s), "
                 f"{report.malformed} malformed shed(s) under overload",
                 EXIT_UNSOUND,
             )
         if report.shed + report.degraded == 0:
-            return _fail(
+            return fail(
                 "no shed or degraded response at 2x capacity — "
                 "backpressure never engaged"
             )
         if report.ok == 0:
-            return _fail("no exact answer served under overload")
+            return fail("no exact answer served under overload")
         if report.transport_errors:
-            return _fail(
+            return fail(
                 f"{report.transport_errors} transport error(s): "
                 "connections must survive overload"
             )
         if not pool.wait_ready(timeout_s=30.0):
-            return _fail(
+            return fail(
                 f"pool did not return to full strength: {pool.stats()}"
             )
         stats = pool.stats()
@@ -215,9 +135,9 @@ def phase_overload(duration_s: float) -> int:
             f"-- pool after storm: {stats['workers']} worker(s), "
             f"{stats['spawns']} spawn(s), {stats['recycles']} recycle(s)"
         )
-    leftover = _worker_children()
+    leftover = worker_children()
     if leftover:
-        return _fail(f"worker process(es) leaked: {leftover}")
+        return fail(f"worker process(es) leaked: {leftover}")
     print("-- overload phase clean: sound, shedding, leak-free")
     return 0
 
@@ -250,9 +170,9 @@ def phase_record(flight_dir: str, status_out: str, total: int) -> int:
             )
         print(report.render())
         if not report.sound:
-            return _fail("recorded run unsound", EXIT_UNSOUND)
+            return fail("recorded run unsound", EXIT_UNSOUND)
         if report.ok != total:
-            return _fail(
+            return fail(
                 f"recorded run expected {total} exact answers, "
                 f"got {report.ok}"
             )
@@ -260,7 +180,7 @@ def phase_record(flight_dir: str, status_out: str, total: int) -> int:
         uninstall_recorder()
         uninstall_live()
     if len(recorder.written) != total:
-        return _fail(
+        return fail(
             f"flight recorder captured {len(recorder.written)} of "
             f"{total} requests"
         )

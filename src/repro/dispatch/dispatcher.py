@@ -29,6 +29,7 @@ but answers wrongly.
 from __future__ import annotations
 
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -83,6 +84,9 @@ __all__ = [
 ]
 
 _INAPPLICABLE = (NotRewritableError, EngineInapplicableError)
+
+#: Shape-cache sentinel: ``None`` is a cached value (no denial shape).
+_MISS = object()
 
 
 class DispatchError(ReproError):
@@ -228,7 +232,9 @@ class Dispatcher:
         # flight recorder consume them every request, and rebuilding the
         # hypergraph per request is the exact recompute the memoization
         # satellite of PR 7 removes.  Bounded, insertion-ordered.
+        # One lock covers lookup and evict+insert, never the build.
         self._shape_cache: Dict[Tuple, Optional[dict]] = {}
+        self._shape_lock = threading.Lock()
 
     # ------------------------------------------------------------------
 
@@ -251,7 +257,6 @@ class Dispatcher:
         budget = resolve_budget(budget)
         if budget is not None:
             budget.start()
-        add("dispatch.requests")
         live_add("dispatch.requests")
         # Reuse the ambient request id when the serving layer already
         # opened one, so serve.* and dispatch events correlate as one
@@ -332,9 +337,9 @@ class Dispatcher:
         if not live_installed() and not flight_installed():
             return None
         key = (request.db, request.constraints)
-        if key in self._shape_cache:
-            stats = self._shape_cache[key]
-        else:
+        with self._shape_lock:
+            stats = self._shape_cache.get(key, _MISS)
+        if stats is _MISS:
             try:
                 with suspend_budget():
                     graph = ConflictHypergraph.build(
@@ -343,9 +348,10 @@ class Dispatcher:
                 stats = graph.shape_stats()
             except Exception:  # noqa: BLE001 — non-denial constraints
                 stats = None
-            if len(self._shape_cache) >= 16:
-                self._shape_cache.pop(next(iter(self._shape_cache)))
-            self._shape_cache[key] = stats
+            with self._shape_lock:
+                if len(self._shape_cache) >= 16:
+                    self._shape_cache.pop(next(iter(self._shape_cache)))
+                self._shape_cache[key] = stats
         if stats is None:
             return None
         for metric in ("edges", "max_component_size", "max_degree"):
@@ -364,7 +370,6 @@ class Dispatcher:
         the ``request.end`` event, latency and budget-consumption
         histograms, and per-engine breaker introspection gauges."""
         elapsed_ms = (self._clock() - started) * 1000.0
-        add(f"dispatch.requests.{outcome}")
         live_add(f"dispatch.requests.{outcome}")
         live_observe("dispatch.latency_ms", elapsed_ms)
         if budget is not None:
@@ -686,7 +691,6 @@ class Dispatcher:
             return ShadowReport(candidate, None, "incomplete")
         agreed = shadow_answer.answers == answer.answers
         if not agreed:
-            add("dispatch.shadow_disagreements")
             add(f"dispatch.shadow_disagreements.{candidate}")
             live_add("dispatch.shadow_disagreements")
             emit_event(

@@ -24,7 +24,9 @@ The pool is a *supervisor*, not just a free-list:
   child's ``served``/``rss_kb``, so (c) and (d) need no extra syscalls.
   Replacement spawns happen on a background respawner thread so the
   request that discovered the bad worker is not taxed with the ~300ms
-  spawn.
+  spawn.  The planned recycles (c) and (d) keep the old worker serving
+  until its successor is warm, so they never cost warm capacity: the
+  old worker leaves the idle set only once the successor has joined it.
 * **drain** — graceful shutdown: stop admitting, send each idle worker
   an ``exit`` frame, wait, then hard-kill stragglers.  Every retirement
   funnels through one reap path (kill if alive, close pipe fds,
@@ -106,7 +108,9 @@ class PoolConfig:
 
 
 class PoolWorker:
-    """Parent-side handle on one warm worker process.
+    """Parent-side handle on one ``--loop`` worker process: warm in a
+    :class:`WorkerPool`, cold and single-use under
+    :func:`~repro.dispatch.worker.run_isolated`.
 
     Owned by at most one thread at a time (whoever checked it out of
     the pool), so it carries no locks.  All reads go through
@@ -245,6 +249,11 @@ class WorkerPool:
         self._recycles = 0
         self._recycle_reasons: Dict[str, int] = {}
         self._respawners: List[threading.Thread] = []
+        # Planned recycles: worker -> reason while its successor warms
+        # (_retiring), then while it is still checked out after the
+        # successor joined (_superseded; retired at its check-in).
+        self._retiring: Dict[PoolWorker, str] = {}
+        self._superseded: Dict[PoolWorker, str] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -265,7 +274,6 @@ class WorkerPool:
             raise
         with self._lock:
             self._spawns += 1
-        add("pool.spawns")
         live_add("pool.spawns")
         emit_event("pool.spawn", pid=worker.pid, worker_id=worker.worker_id)
         return worker
@@ -279,7 +287,10 @@ class WorkerPool:
         self._idle.put(worker)
 
     def _retire(self, worker: PoolWorker, reason: str) -> None:
-        """Take a worker out of service permanently and backfill it."""
+        """Take a worker out of service permanently and backfill it,
+        unless a successor already warms or serves in its place.  Reaped
+        first, so a worker no longer on the books is already gone."""
+        worker.reap()
         with self._lock:
             if worker in self._workers:
                 self._workers.remove(worker)
@@ -287,9 +298,9 @@ class WorkerPool:
             self._recycle_reasons[reason] = (
                 self._recycle_reasons.get(reason, 0) + 1
             )
-            draining = self._draining
-        worker.reap()
-        add("pool.recycles")
+            succeeded = self._retiring.pop(worker, None) is not None
+            succeeded |= self._superseded.pop(worker, None) is not None
+            backfill = not self._draining and not succeeded
         live_add("pool.recycles")
         live_add(f"pool.recycles.{reason}")
         emit_event(
@@ -300,18 +311,30 @@ class WorkerPool:
             served=worker.served,
             rss_kb=worker.rss_kb,
         )
-        if not draining:
+        if backfill:
             self._respawn_async()
         self._publish_gauges()
 
-    def _respawn_async(self) -> None:
-        """Backfill a retired worker off the request path."""
+    def _respawn_async(
+        self, predecessor: Optional[PoolWorker] = None
+    ) -> None:
+        """Spawn a worker off the request path: a backfill for a retired
+        worker, or the successor of *predecessor*, which is retired only
+        once the successor is in the idle set."""
 
         def _spawn() -> None:
             try:
-                self._admit(self._spawn_warm())
+                worker = self._spawn_warm()
             except WorkerError:
                 live_add("pool.spawn_failures")
+                if predecessor is not None:
+                    # It keeps serving; its next check-in tries again.
+                    with self._lock:
+                        self._retiring.pop(predecessor, None)
+            else:
+                self._admit(worker)
+                if predecessor is not None:
+                    self._hand_over(predecessor)
             self._publish_gauges()
 
         thread = threading.Thread(
@@ -324,15 +347,34 @@ class WorkerPool:
             self._respawners.append(thread)
         thread.start()
 
+    def _hand_over(self, worker: PoolWorker) -> None:
+        """Retire *worker* now that its successor is in the idle set: at
+        once when idle, at its check-in when checked out."""
+        with self._lock:
+            reason = self._retiring.get(worker)
+            if reason is None or self._draining:
+                return  # already retired (crash, timeout) or draining
+            with self._idle.mutex:
+                idle = worker in self._idle.queue
+                if idle:
+                    self._idle.queue.remove(worker)
+            if not idle:
+                self._superseded[worker] = self._retiring.pop(worker)
+        if idle:
+            self._retire(worker, reason)
+
     def wait_ready(self, timeout_s: float = 30.0) -> bool:
         """Block until the pool is back to full idle strength (all
-        respawns caught up and no worker checked out)."""
+        respawns and planned recycles caught up, no worker checked
+        out)."""
         end = time.monotonic() + timeout_s
         while time.monotonic() < end:
             with self._lock:
                 full = (
                     not self._draining
                     and len(self._workers) >= self.config.size
+                    and not self._retiring
+                    and not self._superseded
                 )
             if full and self._idle.qsize() >= self.config.size:
                 return True
@@ -417,7 +459,6 @@ class WorkerPool:
         try:
             worker = self._idle.get(timeout=self.config.grab_timeout_s)
         except Empty:
-            add("pool.saturated")
             live_add("pool.saturated")
             raise PoolSaturatedError(
                 f"no idle worker within {self.config.grab_timeout_s:.2f}s "
@@ -433,7 +474,6 @@ class WorkerPool:
             pad_rss_kb=pad_rss_kb,
         )
         add("dispatch.worker_runs")
-        add("pool.dispatches")
         live_add("pool.dispatches")
         started = time.monotonic()
         try:
@@ -456,19 +496,37 @@ class WorkerPool:
         return unmarshal_answer(result)
 
     def _check_in(self, worker: PoolWorker) -> None:
-        """Return a healthy worker to the idle set — unless the
-        recycling policy says it has done enough."""
+        """Return a healthy worker to the idle set.
+
+        A worker the recycling policy has done with (``max-requests``,
+        ``rss``) goes back too, and a successor starts warming; a dead
+        or superseded worker is retired instead.
+        """
         cfg = self.config
+        reason = None
         if cfg.max_requests is not None and worker.served >= cfg.max_requests:
-            self._retire(worker, "max-requests")
+            reason = "max-requests"
+        elif cfg.max_rss_kb is not None and worker.rss_kb > cfg.max_rss_kb:
+            reason = "rss"
+        with self._lock:
+            superseded = self._superseded.get(worker)
+            keep = (
+                superseded is None
+                and worker.proc.poll() is None
+                and (reason is None or not self._draining)
+            )
+            succeed = (
+                keep and reason is not None and worker not in self._retiring
+            )
+            if succeed:
+                self._retiring[worker] = reason
+            if keep:
+                self._idle.put(worker)
+        if not keep:
+            self._retire(worker, superseded or reason or "crash")
             return
-        if cfg.max_rss_kb is not None and worker.rss_kb > cfg.max_rss_kb:
-            self._retire(worker, "rss")
-            return
-        if worker.proc.poll() is not None:
-            self._retire(worker, "crash")
-            return
-        self._idle.put(worker)
+        if succeed:
+            self._respawn_async(predecessor=worker)
         self._publish_gauges()
 
     # -- health & introspection ---------------------------------------
@@ -494,7 +552,7 @@ class WorkerPool:
                 self._retire(worker, "heartbeat")
                 retired += 1
             else:
-                self._idle.put(worker)
+                self._check_in(worker)
         self._publish_gauges()
         return {"checked": checked, "retired": retired}
 

@@ -8,7 +8,7 @@ the dispatcher can pay for hard isolation: the engine runs in a fresh
 ``subprocess`` (a new interpreter, ``python -m repro.dispatch.worker``)
 with
 
-* the request pickled over stdin and the result pickled over stdout
+* the request pickled into the child and the result pickled back
   (structured marshalling — never a traceback scrape);
 * a cooperative :class:`~repro.runtime.Budget` installed inside the
   child, so well-behaved engines still degrade gracefully there;
@@ -17,20 +17,23 @@ with
   :class:`WorkerTimeoutError` is raised — the dispatcher records a
   ``dispatch.worker_kills`` counter and falls to the next rung.
 
-Two execution modes share one job/result schema:
+Two entry points share one job/result schema:
 
-* **one-shot** (:func:`child_main`, :func:`run_isolated`) — one job on
-  stdin, one result on stdout, process exits.  Pays a full interpreter
-  start-up + import per request; the right tool for a single CLI
-  dispatch, far too slow for serving.
 * **loop** (:func:`serve_loop`, ``python -m repro.dispatch.worker
-  --loop``) — length-prefixed pickle *frames* on the same pipes, served
-  until EOF or an ``exit`` op.  This is the warm-worker protocol behind
-  :class:`repro.dispatch.pool.WorkerPool`: the interpreter and the
-  engine imports are paid once at spawn, then each request is one
-  frame round-trip.  ``ping`` frames double as the supervisor's
-  heartbeat and carry the child's RSS and served-request count, which
-  drive the pool's recycling policy.
+  --loop``) — length-prefixed pickle *frames* on stdin/stdout, served
+  until EOF or an ``exit`` op.  Every parent speaks it through
+  :class:`repro.dispatch.pool.PoolWorker`: the warm
+  :class:`~repro.dispatch.pool.WorkerPool` pays the interpreter and
+  engine imports once at spawn, then each request is one frame
+  round-trip; :func:`run_isolated` spawns one cold worker, runs one
+  job on it, and reaps it — a full start-up per request, the right
+  tool for a single CLI dispatch, far too slow for serving.  ``ping``
+  frames double as the supervisor's heartbeat and carry the child's
+  RSS and served-request count, which drive the pool's recycling
+  policy.
+* **one-shot** (:func:`child_main`, argument-less ``python -m
+  repro.dispatch.worker``) — one job on stdin, one result on stdout,
+  process exits; callable in-process for tests.
 
 The parent's **request id** crosses the boundary: the job carries the
 ambient :func:`~repro.observability.live.current_request_id`, the child
@@ -55,7 +58,6 @@ import contextlib
 import os
 import pickle
 import struct
-import subprocess
 import sys
 from typing import Dict, List, Optional
 
@@ -366,7 +368,7 @@ def serve_loop(stdin=None, stdout=None) -> int:
 
 
 # ----------------------------------------------------------------------
-# Parent side (one-shot).  The warm-pool parent lives in pool.py.
+# Parent side.  The process handle (PoolWorker) lives in pool.py.
 # ----------------------------------------------------------------------
 
 
@@ -402,41 +404,6 @@ def _replay_child_events(records) -> None:
             emit_event(record["kind"], **fields)
         except Exception:  # noqa: BLE001 — telemetry only
             continue
-
-
-def _teardown(proc: subprocess.Popen) -> None:
-    """Leave no trace of a worker child: dead, reaped, pipes closed.
-
-    Safe to call in any state (already exited, already killed, pipes
-    half closed) — the watchdog path, the crash path, and the normal
-    path all funnel through here, so repeated kills cannot accumulate
-    zombies or leak the parent ends of the stdin/stdout pipes.
-    """
-    try:
-        if proc.poll() is None:
-            proc.kill()
-    except OSError:  # pragma: no cover - racing an exiting child
-        pass
-    for stream in (proc.stdin, proc.stdout, proc.stderr):
-        if stream is not None and not stream.closed:
-            try:
-                stream.close()
-            except OSError:  # pragma: no cover - broken pipe on close
-                pass
-    try:
-        proc.wait(timeout=5.0)
-    except Exception:  # pragma: no cover - unkillable child
-        pass
-
-
-def _spawn_one_shot() -> subprocess.Popen:
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.dispatch.worker"],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        env=_child_env(),
-    )
 
 
 def build_job(
@@ -489,55 +456,43 @@ def run_isolated(
     budget_timeout: Optional[float] = None,
     wedge_s: Optional[float] = None,
 ):
-    """Run an engine in a watchdogged subprocess; return its EngineAnswer.
+    """Run an engine on one cold worker; return its EngineAnswer.
 
-    ``watchdog_s`` is the hard kill deadline (floored at
-    :data:`MIN_WATCHDOG_S`); ``budget_timeout`` installs a cooperative
-    budget inside the child so the engine can degrade before the
-    watchdog has to fire.  Raises :class:`WorkerTimeoutError` on kill,
-    :class:`WorkerCrashError` on a dead/garbled worker, and re-raises
-    marshalled engine errors as their typed classes.  Whatever happens,
-    the child is reaped and its pipe fds are closed before this
-    returns or raises.
+    Spawns a bare :class:`~repro.dispatch.pool.PoolWorker`, runs the
+    job with one :meth:`~repro.dispatch.pool.PoolWorker.call` under
+    ``watchdog_s`` — floored at :data:`MIN_WATCHDOG_S`, since the child
+    pays its start-up inside the deadline — and reaps it.
+    ``budget_timeout`` installs a cooperative budget inside the child
+    so the engine can degrade before the watchdog has to fire.  Raises
+    :class:`WorkerTimeoutError` on kill, :class:`WorkerCrashError` on a
+    dead/garbled worker, and re-raises marshalled engine errors as
+    their typed classes.  Whatever happens, the child is reaped and its
+    pipe fds are closed before this returns or raises.
     """
+    from .pool import PoolWorker  # pool.py builds on this module
+
     job = build_job(
         engine_name,
         request,
         budget_timeout=budget_timeout,
         wedge_s=wedge_s,
     )
-    payload = pickle.dumps(job)
     deadline = max(float(watchdog_s), MIN_WATCHDOG_S)
     add("dispatch.worker_runs")
-    proc = _spawn_one_shot()
+    worker = PoolWorker()
     try:
-        try:
-            out, _ = proc.communicate(payload, timeout=deadline)
-        except subprocess.TimeoutExpired:
-            add("dispatch.worker_kills")
-            add(f"dispatch.worker_kills.{engine_name}")
-            emit_event(
-                "worker.kill", engine=engine_name, watchdog_s=deadline
-            )
-            raise WorkerTimeoutError(
-                f"engine {engine_name} exceeded its {deadline:.1f}s "
-                "watchdog and was killed"
-            )
-        if proc.returncode != 0:
-            raise WorkerCrashError(
-                f"engine worker for {engine_name} exited with code "
-                f"{proc.returncode}"
-            )
-        try:
-            result = pickle.loads(out)
-        except Exception as exc:
-            raise WorkerCrashError(
-                f"engine worker for {engine_name} returned unreadable "
-                f"output: {exc}"
-            )
-        return unmarshal_answer(result)
+        result = worker.call(job, deadline)
+    except WorkerTimeoutError:
+        add("dispatch.worker_kills")
+        add(f"dispatch.worker_kills.{engine_name}")
+        emit_event("worker.kill", engine=engine_name, watchdog_s=deadline)
+        raise WorkerTimeoutError(
+            f"engine {engine_name} exceeded its {deadline:.1f}s "
+            "watchdog and was killed"
+        )
     finally:
-        _teardown(proc)
+        worker.reap()
+    return unmarshal_answer(result)
 
 
 if __name__ == "__main__":  # pragma: no cover

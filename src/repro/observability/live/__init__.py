@@ -21,6 +21,12 @@ dispatcher without violating the <5% no-op-overhead guarantee.  Live
 hooks sit at request/rung granularity — never inside per-tuple loops —
 so even the *enabled* cost is a few instrument updates per request.
 
+A serving event is counted once: each ``live_*`` call records on the
+installed live plane *and* on the installed collector, whichever are
+present, so the two planes cannot drift apart.  Engine internals
+(``asp.*``, ``repairs.*``, ``cqa.*``, ...) keep the collector-only
+:func:`repro.observability.add` — the live plane never sees a hot loop.
+
 Install with :func:`install_live` / :func:`uninstall_live` (a stack,
 like the collector), or the :func:`live` context manager::
 
@@ -38,7 +44,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional
 
-from ..metrics import add as _collector_add
+from .. import metrics as _metrics
 from .events import (
     EVENT_KINDS,
     EventLog,
@@ -121,18 +127,6 @@ class LivePlane:
         self.events = EventLog(
             capacity=event_capacity, clock=clock, sink=event_sink
         )
-
-    def emit(self, kind: str, **fields) -> Dict[str, object]:
-        """Record one event and count it on both planes.
-
-        The collector (when installed) gets a ``dispatch.events.<kind>``
-        counter bump, so per-run traces and experiment cost lines see
-        event volume; the live registry counts it in its rolling window.
-        """
-        record = self.events.emit(kind, **fields)
-        self.registry.add(f"dispatch.events.{kind}")
-        _collector_add(f"dispatch.events.{kind}")
-        return record
 
     def status(self) -> Dict[str, object]:
         """The JSON-ready status document (see DESIGN.md for the contract).
@@ -245,37 +239,50 @@ _event_tap = None
 
 
 def live_add(name: str, n: int = 1) -> None:
-    """Count *n* events on rolling counter *name* (no-op when off)."""
+    """Count *n* events as counter *name* on the live plane and on the
+    collector, whichever are installed (no-op when neither is)."""
     plane = _PLANE
     if plane is not None:
         plane.registry.add(name, n)
+    registry = _metrics._ACTIVE
+    if registry is not None:
+        registry.add(name, n)
 
 
 def live_observe(name: str, value: float) -> None:
-    """Record *value* into rolling histogram *name* (no-op when off)."""
+    """Record *value* into histogram *name* on both planes (each only
+    when installed)."""
     plane = _PLANE
     if plane is not None:
         plane.registry.observe(name, value)
+    registry = _metrics._ACTIVE
+    if registry is not None:
+        registry.observe(name, value)
 
 
 def live_gauge(name: str, value) -> None:
-    """Set live gauge *name* (no-op when off)."""
+    """Set gauge *name* on both planes (each only when installed)."""
     plane = _PLANE
     if plane is not None:
         plane.registry.gauge(name, value)
+    registry = _metrics._ACTIVE
+    if registry is not None:
+        registry.gauge(name, value)
 
 
 def emit_event(kind: str, **fields) -> None:
     """Emit a structured event (no-op when off).
 
     Safe to call from any layer — breaker, budget, worker — the
-    ambient :func:`request_scope` supplies the correlation id.  While a
-    flight recorder is installed the event is also mirrored to it,
-    independent of whether a live plane is active.
+    ambient :func:`request_scope` supplies the correlation id.  A
+    logged event is counted as ``dispatch.events.<kind>`` on both
+    planes.  While a flight recorder is installed the event is also
+    mirrored to it, independent of whether a live plane is active.
     """
     plane = _PLANE
     if plane is not None:
-        plane.emit(kind, **fields)
+        plane.events.emit(kind, **fields)
+        live_add(f"dispatch.events.{kind}")
     tap = _event_tap
     if tap is not None:
         tap(kind, fields)

@@ -24,19 +24,9 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
+from ..metrics import percentile as _percentile
+
 __all__ = ["RollingCounter", "RollingHistogram"]
-
-
-def _percentile(ordered: List[float], p: float) -> Optional[float]:
-    """Closest-rank percentile with linear interpolation (``ordered``
-    must be sorted ascending); None when empty."""
-    if not ordered:
-        return None
-    rank = (len(ordered) - 1) * (p / 100.0)
-    lower = int(rank)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = rank - lower
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
 
 
 class _Ring:

@@ -24,7 +24,24 @@ __all__ = [
     "gauge",
     "observe",
     "active_registry",
+    "percentile",
 ]
+
+
+def percentile(ordered: List[float], p: float) -> Optional[float]:
+    """The p-th percentile (0..100) of ascending *ordered* values.
+
+    Linear interpolation between closest ranks; ``None`` when empty.
+    Shared by this module's histograms and the live plane's rolling
+    ones, so both planes report the same figure for the same samples.
+    """
+    if not ordered:
+        return None
+    rank = (len(ordered) - 1) * (p / 100.0)
+    lower = int(rank)
+    upper = min(lower + 1, len(ordered) - 1)
+    fraction = rank - lower
+    return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
 
 
 class Counter:
@@ -96,18 +113,11 @@ class Histogram:
     def percentile(self, p: float) -> Optional[float]:
         """The p-th percentile (0..100) of the retained samples.
 
-        Linear interpolation between closest ranks; ``None`` when the
-        histogram is empty.  Exact up to ``RESERVOIR_SIZE`` observations,
-        a uniform-sample estimate beyond that.
+        ``None`` when the histogram is empty.  Exact up to
+        ``RESERVOIR_SIZE`` observations, a uniform-sample estimate
+        beyond that.
         """
-        if not self._reservoir:
-            return None
-        ordered = sorted(self._reservoir)
-        rank = (len(ordered) - 1) * (p / 100.0)
-        lower = int(rank)
-        upper = min(lower + 1, len(ordered) - 1)
-        fraction = rank - lower
-        return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
+        return percentile(sorted(self._reservoir), p)
 
 
 class MetricsRegistry:

@@ -48,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..observability.live import live_installed, live_plane
+from ..observability.live import live_add, live_installed, live_plane
 from ..observability.live.expo import prometheus_text
 from .service import CQAService
 
@@ -318,11 +318,6 @@ class CQAHTTPServer:
                 # a Retry-After derived from the admission
                 # controller's backlog estimate (echoed verbatim in
                 # the body so clients and proxies agree).
-                from ..observability import add
-                from ..observability.live import live_add
-
-                add("serve.requests")
-                add("serve.requests.shed")
                 live_add("serve.requests")
                 live_add("serve.requests.shed")
                 live_add("serve.shed.server-busy")

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import ReproError
-from ..observability import add
 from ..observability.live import emit_event, live_add, live_gauge
 from ..runtime import faults as _faults
 from .store import StoreCorruptionError, StoreWriteError
@@ -170,7 +169,6 @@ class ReplicaClient:
                 # single bad pull.  Record, count, back off, retry.
                 self.pull_errors += 1
                 self.last_error = f"{type(exc).__name__}: {exc}"
-                add("replica.loop_errors")
                 live_add("replica.loop_errors")
                 emit_event(
                     "replica.loop_error",
@@ -230,7 +228,6 @@ class ReplicaClient:
             self.upstream_lsn = body["last_lsn"]
         if isinstance(body.get("epoch"), int):
             self.upstream_epoch = body["epoch"]
-        add("replica.pulls")
         live_add("replica.pulls")
         applied = 0
         bootstrap = body.get("bootstrap")
@@ -255,7 +252,7 @@ class ReplicaClient:
                     self.duplicates_skipped += 1
             if applied:
                 self.records_applied += applied
-                add("replica.records_applied", applied)
+                live_add("replica.records_applied", applied)
         live_gauge("replica.lag_records", self.lag() or 0)
         self._service.note_replica_progress(self)
         return applied

@@ -210,7 +210,6 @@ class CQAService:
         # balancers stop *routing*, while stragglers complete.
         if self._phase in ("ready", "draining"):
             return None
-        add("serve.requests.not_ready")
         live_add("serve.requests.not_ready")
         return (
             503,
@@ -222,7 +221,6 @@ class CQAService:
         """403 every mutation on a node that may not ack writes."""
         if self._role == "primary":
             return None
-        add("serve.requests.not_primary")
         live_add("serve.requests.not_primary")
         body: Dict[str, object] = {
             "error": "not-primary",
@@ -237,7 +235,6 @@ class CQAService:
             # Race window: the store latched between our role gate and
             # the append.  The epoch check is the authority — refuse
             # like any other demoted primary.
-            add("serve.requests.not_primary")
             live_add("serve.requests.not_primary")
             return (
                 403,
@@ -249,7 +246,6 @@ class CQAService:
                 },
                 _NO_HEADERS,
             )
-        add("serve.store_unavailable")
         live_add("serve.store_unavailable")
         return (
             503,
@@ -395,7 +391,6 @@ class CQAService:
                 except StoreWriteError as exc:
                     return self._store_unavailable(exc)
             self._databases[name] = (new_db, constraints)
-        add("serve.mutations")
         live_add("serve.mutations")
         body.update(
             inserted=len(inserts),
@@ -491,7 +486,6 @@ class CQAService:
         tenant = str(payload.get("tenant") or "default")
         timeout_s = self.admission.clamp_timeout(payload.get("timeout_s"))
         with request_scope() as rid:
-            add("serve.requests")
             live_add("serve.requests")
             emit_event("serve.request", tenant=tenant, timeout_s=timeout_s)
             started = self._clock()
@@ -579,7 +573,6 @@ class CQAService:
         if min_lsn and store.last_lsn < min_lsn:
             wait_budget = min(max(0.0, timeout_s), 2.0)
             if not store.wait_for_lsn(min_lsn, wait_budget):
-                add("replica.stale_reads_shed")
                 live_add("replica.stale_reads_shed")
                 raise StaleReadError(
                     "behind-min-lsn",
@@ -591,7 +584,6 @@ class CQAService:
         if role != "primary" and (
             stale_s is None or stale_s > self._max_stale_s
         ):
-            add("replica.stale_reads_shed")
             live_add("replica.stale_reads_shed")
             raise StaleReadError(
                 "fenced" if role == "fenced" else "replication-stalled",
@@ -649,7 +641,6 @@ class CQAService:
     def _shed_response(
         self, rid: str, started: float, exc: ShedError
     ) -> Handled:
-        add("serve.requests.shed")
         live_add("serve.requests.shed")
         live_observe(
             "serve.latency_ms", (self._clock() - started) * 1000.0
@@ -670,7 +661,6 @@ class CQAService:
         self, rid: str, started: float, outcome: str, handled: Handled
     ) -> Handled:
         elapsed_ms = (self._clock() - started) * 1000.0
-        add(f"serve.requests.{outcome}")
         live_add(f"serve.requests.{outcome}")
         live_observe("serve.latency_ms", elapsed_ms)
         emit_event(
@@ -719,7 +709,6 @@ class CQAService:
             answers, complete = answer.answers, answer.complete
             engine = "certain-core"
             detail = answer.detail
-            add("serve.degraded_fastpath")
             live_add("serve.degraded_fastpath")
             emit_event("serve.degrade", reason=degraded_reason)
         outcome = "ok" if complete else "degraded"
@@ -838,7 +827,6 @@ class CQAService:
             live_gauge("replica.epoch", store.epoch)
         if self._phase == "catching-up" and client.lag() == 0:
             self._phase = "ready"
-            add("replica.catch_ups")
             live_add("replica.catch_ups")
             emit_event(
                 "replica.caught_up",
@@ -931,7 +919,6 @@ class CQAService:
         if req_epoch > store.epoch:
             store.fence(req_epoch)
             self._role = "fenced"
-            add("replica.self_fenced")
             live_add("replica.self_fenced")
             emit_event(
                 "replica.fence", epoch=req_epoch, reason="higher-epoch-pull"
@@ -971,10 +958,8 @@ class CQAService:
         if records is not None and not records and wait_s > 0:
             store.wait_for_lsn(from_lsn + 1, wait_s)
             records = store.records_since(from_lsn)
-        add("replica.pulls_served")
         live_add("replica.pulls_served")
         if records is None:
-            add("replica.bootstraps_served")
             live_add("replica.bootstraps_served")
             body = {
                 "bootstrap": store.state_transfer(),
@@ -982,7 +967,6 @@ class CQAService:
                 "epoch": store.epoch,
             }
         else:
-            add("replica.records_shipped", len(records))
             live_add("replica.records_shipped", len(records))
             body = {
                 "records": records,
@@ -1060,7 +1044,6 @@ class CQAService:
         self._primary_url = None
         self._phase = "ready"
         elapsed_ms = (self._clock() - started) * 1000.0
-        add("replica.promotions")
         live_add("replica.promotions")
         live_observe("replica.promotion_ms", elapsed_ms)
         live_gauge("replica.epoch", epoch)
@@ -1116,7 +1099,6 @@ class CQAService:
             self._replica.stop()
             self._replica = None
         self._role = "fenced"
-        add("replica.fenced")
         live_add("replica.fenced")
         emit_event("replica.fence", epoch=epoch, reason="operator")
         return (
@@ -1170,7 +1152,6 @@ class CQAService:
         if self._phase == "draining":
             return
         self._phase = "draining"
-        add("serve.drains")
         live_add("serve.drains")
         emit_event("serve.drain", role=self._role)
 

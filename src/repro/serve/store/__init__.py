@@ -301,7 +301,7 @@ class TenantStore:
         with self._lock, span("store.recover"):
             started = self._clock()
             os.makedirs(self.data_dir, exist_ok=True)
-            add("store.recoveries")
+            live_add("store.recoveries")
             problems: List[str] = []
             snapshot = load_latest_snapshot(self.data_dir)
             snap_lsn = snapshot.lsn if snapshot else 0
@@ -392,7 +392,6 @@ class TenantStore:
                 problems=problems,
             )
             live_observe("store.recovery_ms", elapsed * 1000.0)
-            live_add("store.recoveries")
             emit_event(
                 "store.recover",
                 databases=len(specs),
@@ -416,7 +415,6 @@ class TenantStore:
                     "store is not recovered; call recover() first"
                 )
             if self._fenced_by is not None:
-                add("replica.fenced_rejects")
                 live_add("replica.fenced_rejects")
                 raise FencedError(
                     f"fenced: epoch {self._fenced_by} supersedes "
@@ -429,7 +427,6 @@ class TenantStore:
             apply_record(self._specs, record)
             self._tail.append(record)
             self._records_since_snapshot += 1
-            live_add("store.appends")
             if (
                 self._records_since_snapshot
                 >= self.policy.compact_every
@@ -500,7 +497,6 @@ class TenantStore:
             self._last_lsn = lsn
             self._tail.append(record)
             self._records_since_snapshot += 1
-            add("store.epoch_bumps")
             live_add("store.epoch_bumps")
             self._applied.notify_all()
             return self._epoch
@@ -589,14 +585,12 @@ class TenantStore:
             # record has reached us from yet).
             floor = max(self._epoch, self._fenced_by or 0)
             if record_epoch < floor:
-                add("replica.fenced_rejects")
                 live_add("replica.fenced_rejects")
                 raise FencedError(
                     f"record lsn {lsn} from stale epoch "
                     f"{record_epoch} < {floor}"
                 )
             if lsn <= self._last_lsn:
-                add("store.duplicate_skipped")
                 live_add("store.duplicate_skipped")
                 return False
             if lsn != self._last_lsn + 1:
@@ -618,8 +612,6 @@ class TenantStore:
                 self._clear_fence_locked()
             self._tail.append(dict(record))
             self._records_since_snapshot += 1
-            live_add("store.appends")
-            live_add("replica.records_applied")
             if (
                 self._records_since_snapshot
                 >= self.policy.compact_every
@@ -647,7 +639,6 @@ class TenantStore:
                     "store is not recovered; call recover() first"
                 )
             if self._fenced_by is not None and epoch < self._fenced_by:
-                add("replica.fenced_rejects")
                 live_add("replica.fenced_rejects")
                 raise FencedError(
                     f"bootstrap from stale epoch {epoch} < "
@@ -678,7 +669,6 @@ class TenantStore:
             self._snapshot_digest = snapshot.digest
             self._snapshot_at = self._clock()
             self._records_since_snapshot = 0
-            add("replica.bootstraps")
             live_add("replica.bootstraps")
             self._applied.notify_all()
 
@@ -731,7 +721,6 @@ class TenantStore:
             "elapsed_ms": round(elapsed * 1000.0, 3),
             "digest": snapshot.digest[:12],
         }
-        add("store.compactions")
         live_add("store.compactions")
         emit_event(
             "store.compact",

@@ -50,6 +50,7 @@ from typing import Dict, List, Optional
 
 from ...errors import ReproError
 from ...observability import add
+from ...observability.live import live_add
 from ...runtime import faults as _faults
 
 __all__ = [
@@ -271,7 +272,7 @@ class WriteAheadLog:
             self.size_bytes += len(frame)
             self.appended += 1
             self._since_sync += 1
-            add("store.appends")
+            live_add("store.appends")
             if self.fsync == "always" or (
                 self.fsync == "interval"
                 and self._since_sync >= self.fsync_interval
