@@ -215,7 +215,9 @@ class Dispatcher:
         # is runtime wiring, not policy: the flight envelope records the
         # same policy either way, and replay always re-executes through
         # run_isolated (a recorded answer does not depend on which
-        # isolation transport produced it).
+        # isolation transport produced it).  The same holds for the
+        # pool's warm instance state: envelopes do not record the
+        # request's instance_key, and replay runs cold.
         self._pool = pool
         self.breakers: Dict[str, CircuitBreaker] = {
             name: CircuitBreaker(
@@ -245,15 +247,20 @@ class Dispatcher:
         query,
         semantics: str = "s",
         budget: Optional[Budget] = None,
+        instance_key: Optional[Tuple[str, int]] = None,
     ) -> DispatchResult:
         """Serve one CQA request through the fallback ladder.
 
         Returns a :class:`DispatchResult`; raises :class:`DispatchError`
         only when every rung (including the salvage rung) is
         inapplicable or failed — never a wrong answer, never a bare
-        backend traceback.
+        backend traceback.  ``instance_key`` names a registered
+        database's version (see :class:`CQARequest`); it reaches only
+        the worker pool, which may then skip shipping the instance.
         """
-        request = CQARequest(db, tuple(constraints), query, semantics)
+        request = CQARequest(
+            db, tuple(constraints), query, semantics, instance_key
+        )
         budget = resolve_budget(budget)
         if budget is not None:
             budget.start()

@@ -74,12 +74,22 @@ class EngineInapplicableError(ReproError):
 
 @dataclass(frozen=True)
 class CQARequest:
-    """One CQA request: instance, constraints, query, repair semantics."""
+    """One CQA request: instance, constraints, query, repair semantics.
+
+    ``instance_key`` names the instance as ``(database name, registry
+    version)`` when it is a registered database's current version
+    (None for inline instances).  It is transport, not content: the
+    worker pool uses it to send a warm worker the key instead of the
+    instance, and requests compare and hash without it.
+    """
 
     db: Database
     constraints: Tuple[IntegrityConstraint, ...]
     query: object
     semantics: str = "s"
+    instance_key: Optional[Tuple[str, int]] = field(
+        default=None, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(

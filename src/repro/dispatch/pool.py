@@ -32,6 +32,22 @@ The pool is a *supervisor*, not just a free-list:
   funnels through one reap path (kill if alive, close pipe fds,
   ``wait``), so the pool can never leak processes or fds.
 
+**Warm instance state.**  A request whose ``instance_key`` names a
+registered database's version (see
+:class:`~repro.dispatch.engines.CQARequest`) carries that key in its
+job's ``instance_key`` field.  Every result frame lists the keys the
+worker holds warm (``warm``: ``(name, version)`` pairs), and the pool
+keeps that list per worker.  Checkout prefers an idle worker holding
+the key, then one holding another version of the same name; it never
+waits for a busy holder.  When the chosen worker listed the key, the
+job is *key-only* (``request.db`` is None) and runs on the worker's
+decoded instance and SQLite connection; otherwise it ships the whole
+instance, which the worker then keeps.  A worker that cannot resolve a
+key-only job answers a ``protocol`` frame, which is a
+:class:`WorkerCrashError`: the worker is retired, never trusted for a
+stale answer.  ``pool.warm.hits`` and ``pool.warm.misses`` count the
+two kinds of keyed jobs.
+
 When every worker is busy (or replacement spawns have not caught up),
 checkout fails *fast* with :class:`PoolSaturatedError` after
 ``grab_timeout_s`` instead of queueing — backpressure is the admission
@@ -55,9 +71,9 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from queue import Empty, Queue
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..observability import add
 from ..observability.live import emit_event, live_add, live_gauge, live_observe
@@ -126,6 +142,8 @@ class PoolWorker:
         self.worker_id = next(self._ids)
         self.served = 0
         self.rss_kb = 0
+        #: The warm keys of its last frame, as ``{name: version}``.
+        self.warm: Dict[str, int] = {}
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro.dispatch.worker", "--loop"],
             stdin=subprocess.PIPE,
@@ -185,7 +203,12 @@ class PoolWorker:
     def call(
         self, job: Dict[str, object], deadline_s: Optional[float]
     ) -> Dict[str, object]:
-        """One request/response round-trip; raises Worker*Error."""
+        """One request/response round-trip; raises Worker*Error.
+
+        A ``protocol`` error frame (a key-only job naming a key the
+        worker does not hold) raises :class:`WorkerCrashError`: the two
+        sides disagree about the worker's state, so it must go.
+        """
         self._send(pickle.dumps(job))
         frame = self._read_frame(deadline_s)
         try:
@@ -196,6 +219,11 @@ class PoolWorker:
             )
         self.served = int(result.get("served", self.served))
         self.rss_kb = int(result.get("rss_kb", self.rss_kb))
+        self.warm = dict(result.get("warm", ()))
+        if result.get("kind") == "protocol":
+            raise WorkerCrashError(
+                f"worker {self.pid} {result.get('message')}"
+            )
         return result
 
     def ping(self, deadline_s: float) -> Dict[str, object]:
@@ -451,13 +479,16 @@ class WorkerPool:
         worker — plus :class:`PoolSaturatedError` when no worker frees
         up within ``grab_timeout_s``.  No ``MIN_WATCHDOG_S`` floor:
         warm workers have already paid start-up, so the caller's
-        deadline is taken literally.
+        deadline is taken literally.  A request with an
+        ``instance_key`` goes to a worker holding it when one is idle,
+        and then ships only the key (see the module docstring).
         """
         with self._lock:
             if self._draining:
                 raise PoolSaturatedError("worker pool is draining")
+        key = request.instance_key
         try:
-            worker = self._idle.get(timeout=self.config.grab_timeout_s)
+            worker = self._checkout(key)
         except Empty:
             live_add("pool.saturated")
             raise PoolSaturatedError(
@@ -465,14 +496,18 @@ class WorkerPool:
                 f"(pool size {self.config.size})"
             )
         self._publish_gauges()
+        hit = key is not None and worker.warm.get(key[0]) == key[1]
         job = build_job(
             engine_name,
-            request,
+            replace(request, db=None) if hit else request,
             budget_timeout=budget_timeout,
             wedge_s=wedge_s,
             crash_code=crash_code,
             pad_rss_kb=pad_rss_kb,
         )
+        if key is not None:
+            job["instance_key"] = key
+            live_add("pool.warm.hits" if hit else "pool.warm.misses")
         add("dispatch.worker_runs")
         live_add("pool.dispatches")
         started = time.monotonic()
@@ -494,6 +529,24 @@ class WorkerPool:
         )
         self._check_in(worker)
         return unmarshal_answer(result)
+
+    def _checkout(self, key: Optional[Tuple[str, int]]) -> PoolWorker:
+        """An idle worker for a job on instance *key*: one holding the
+        key, else one holding another version of its name, else the
+        longest idle.  Never waits for a busy holder; raises ``Empty``
+        after ``grab_timeout_s`` when no worker is idle."""
+        if key is not None:
+            name, version = key
+            with self._idle.mutex:
+                idle = self._idle.queue
+                worker = next(
+                    (w for w in idle if w.warm.get(name) == version),
+                    None,
+                ) or next((w for w in idle if name in w.warm), None)
+                if worker is not None:
+                    idle.remove(worker)
+                    return worker
+        return self._idle.get(timeout=self.config.grab_timeout_s)
 
     def _check_in(self, worker: PoolWorker) -> None:
         """Return a healthy worker to the idle set.

@@ -28,9 +28,13 @@ Two entry points share one job/result schema:
   round-trip; :func:`run_isolated` spawns one cold worker, runs one
   job on it, and reaps it — a full start-up per request, the right
   tool for a single CLI dispatch, far too slow for serving.  ``ping``
-  frames double as the supervisor's heartbeat and carry the child's
-  RSS and served-request count, which drive the pool's recycling
-  policy.
+  frames double as the supervisor's heartbeat.  Every response frame
+  carries the child's RSS and served-request count, which drive the
+  pool's recycling policy, and ``warm``, the ``(name, version)`` keys
+  of the registered-database instances it keeps between jobs.  A pool
+  job may carry such a key as ``instance_key``; when the worker already
+  holds that version, the job's request comes without its instance
+  (see :func:`serve_loop`).
 * **one-shot** (:func:`child_main`, argument-less ``python -m
   repro.dispatch.worker``) — one job on stdin, one result on stdout,
   process exits; callable in-process for tests.
@@ -59,7 +63,8 @@ import os
 import pickle
 import struct
 import sys
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import (
     BudgetExceededError,
@@ -77,6 +82,7 @@ from ..observability.live import (
     request_scope,
     uninstall_live,
 )
+from ..relational.sqlbridge import KeptSqlite, keeping
 from ..runtime import Budget, use_budget
 
 __all__ = [
@@ -102,6 +108,10 @@ _FRAME = struct.Struct(">I")
 #: Refuse absurd frames instead of allocating them (a desynced or
 #: corrupted stream would otherwise ask for gigabytes).
 MAX_FRAME_BYTES = 256 * 1024 * 1024
+
+#: Registered databases a loop worker keeps warm between jobs: at most
+#: this many names, one version of each, least recently used out first.
+WARM_CAPACITY = 16
 
 
 class WorkerError(ReproError):
@@ -278,6 +288,50 @@ def _execute_job(job: Dict[str, object]) -> Dict[str, object]:
     return result
 
 
+class _WarmInstances:
+    """A loop worker's warm state: per registered database name, the
+    latest version a job carried, decoded, with its SQLite
+    materialization (built by the first statement that needs it)."""
+
+    def __init__(self) -> None:
+        # name -> (version, kept); insertion order is recency order.
+        self._entries: Dict[str, Tuple[int, KeptSqlite]] = {}
+
+    def keys(self) -> List[Tuple[str, int]]:
+        return [
+            (name, version)
+            for name, (version, _) in self._entries.items()
+        ]
+
+    def get(self, key: Tuple[str, int]) -> Optional[KeptSqlite]:
+        name, version = key
+        entry = self._entries.get(name)
+        if entry is None or entry[0] != version:
+            return None
+        return entry[1]
+
+    def settle(
+        self, key: Tuple[str, int], kept: KeptSqlite, ok: bool
+    ) -> List[KeptSqlite]:
+        """Record the outcome of a job that ran on *kept*: after a
+        success it becomes the name's entry; after any failure the name
+        has none.  Returns what no longer has an entry, for the caller
+        to close once the result frame is out."""
+        name, version = key
+        displaced = []
+        old = self._entries.pop(name, None)
+        if old is not None and old[1] is not kept:
+            displaced.append(old[1])
+        if not ok:
+            displaced.append(kept)
+            return displaced
+        self._entries[name] = (version, kept)
+        while len(self._entries) > WARM_CAPACITY:
+            oldest = next(iter(self._entries))
+            displaced.append(self._entries.pop(oldest)[1])
+        return displaced
+
+
 def child_main(stdin=None, stdout=None) -> int:
     """One-shot entry point (also callable in-process for tests): read
     one pickled job, run it, write one pickled result."""
@@ -307,12 +361,25 @@ def serve_loop(stdin=None, stdout=None) -> int:
 
     Jobs are pickled dicts with an ``op`` discriminator:
 
-    * ``run`` (default) — the :func:`_execute_job` schema; the result
-      frame additionally carries ``served`` and ``rss_kb`` so every
-      response doubles as a health sample;
-    * ``ping`` — heartbeat; answers ``{"ok": True, "op": "pong", "pid",
-      "served", "rss_kb"}`` without touching any engine;
+    * ``run`` (default) — the :func:`_execute_job` schema;
+    * ``ping`` — heartbeat; answers ``{"ok": True, "op": "pong",
+      "pid"}`` without touching any engine;
     * ``exit`` — acknowledge and leave (the pool's graceful drain).
+
+    Every response frame also carries ``served``, ``rss_kb`` and
+    ``warm``, so each doubles as a health sample and as the worker's
+    current list of warm ``(name, version)`` keys.
+
+    **Warm state.**  A run job may carry an ``instance_key`` naming a
+    registered database's version.  With the instance in the request,
+    the job is a miss: after a successful run the worker keeps that
+    version, decoded, with the SQLite materialization ``run_sql`` built
+    for it, as the name's entry (at most :data:`WARM_CAPACITY` names,
+    one version each).  With ``request.db`` None, the job is key-only
+    and runs on the warm entry; a key the worker does not hold is a
+    protocol error, answered with ``kind: "protocol"``, never guessed.
+    Any failed run drops the name's entry.  Displaced entries are freed
+    only after the result frame is written.
 
     A malformed frame gets a structured error response; a truncated
     stream (parent died) ends the loop.  Never raises: a worker that
@@ -325,6 +392,12 @@ def serve_loop(stdin=None, stdout=None) -> int:
     from . import engines  # noqa: F401
 
     served = 0
+    warm = _WarmInstances()
+
+    def reply(record: Dict[str, object]) -> None:
+        record.update(served=served, rss_kb=_rss_kb(), warm=warm.keys())
+        write_frame(stdout, pickle.dumps(record))
+
     while True:
         try:
             frame = read_frame(stdin)
@@ -335,36 +408,51 @@ def serve_loop(stdin=None, stdout=None) -> int:
         try:
             job = pickle.loads(frame)
         except Exception as exc:
-            write_frame(stdout, pickle.dumps({
+            reply({
                 "ok": False,
                 "kind": "failure",
                 "type": type(exc).__name__,
                 "message": f"cannot read job: {exc}",
-            }))
+            })
             continue
         op = job.get("op", "run")
         if op == "exit":
-            write_frame(stdout, pickle.dumps(
-                {"ok": True, "op": "exit", "served": served}
-            ))
+            reply({"ok": True, "op": "exit"})
             return 0
         if op == "ping":
-            write_frame(stdout, pickle.dumps({
-                "ok": True,
-                "op": "pong",
-                "pid": os.getpid(),
-                "served": served,
-                "rss_kb": _rss_kb(),
-            }))
+            reply({"ok": True, "op": "pong", "pid": os.getpid()})
             continue
-        result = _execute_job(job)
+        key = job.get("instance_key")
+        kept = None
+        if key is not None:
+            request = job["request"]
+            if request.db is None:
+                kept = warm.get(key)
+                if kept is None:
+                    reply({
+                        "ok": False,
+                        "kind": "protocol",
+                        "type": "KeyError",
+                        "message": f"holds no warm instance {key!r}",
+                    })
+                    continue
+                job["request"] = replace(request, db=kept.db)
+            else:
+                kept = KeptSqlite(request.db)
+        with keeping(kept):
+            result = _execute_job(job)
+        displaced = (
+            warm.settle(key, kept, bool(result["ok"]))
+            if key is not None else []
+        )
         served += 1
-        result["served"] = served
-        result["rss_kb"] = _rss_kb()
         try:
-            write_frame(stdout, pickle.dumps(result))
+            reply(result)
         except (BrokenPipeError, OSError):
             return 1
+        for entry in displaced:
+            entry.close()
+        del displaced  # frees replaced instances here, off the read path
 
 
 # ----------------------------------------------------------------------

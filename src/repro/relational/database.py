@@ -11,7 +11,17 @@ repair can be compared tuple-by-tuple with the original.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import SchemaError
 from .nulls import is_null
@@ -62,7 +72,9 @@ class Database:
     tids so symmetric differences and repair distances are well defined.
     """
 
-    __slots__ = ("_schema", "_facts", "_tid_of", "_by_relation", "_next_tid")
+    __slots__ = (
+        "_schema", "_facts", "_tid_of", "_by_relation", "_next_tid", "_hash",
+    )
 
     def __init__(
         self,
@@ -75,21 +87,46 @@ class Database:
         self._tid_of: Dict[Fact, str] = {}
         self._by_relation: Dict[str, Dict[Row, str]] = {}
         for tid, f in self._facts.items():
-            if f.relation not in schema:
-                raise SchemaError(
-                    f"fact {f} uses relation absent from the schema"
-                )
-            if schema.relation(f.relation).arity != len(f.values):
-                raise SchemaError(
-                    f"fact {f} has arity {len(f.values)}, schema says "
-                    f"{schema.relation(f.relation).arity}"
-                )
+            _check_fact(schema, f)
             if f in self._tid_of:
                 raise SchemaError(f"duplicate fact {f} (tids {tid} and "
                                   f"{self._tid_of[f]})")
             self._tid_of[f] = tid
             self._by_relation.setdefault(f.relation, {})[f.values] = tid
         self._next_tid = next_tid
+
+    def _derived(
+        self,
+        facts: Dict[str, Fact],
+        tid_of: Dict[Fact, str],
+        by_relation: Dict[str, Dict[Row, str]],
+        next_tid: int,
+    ) -> "Database":
+        """An instance over this schema from patched copies of this
+        instance's indexes, skipping ``__init__``'s validating loop.
+
+        The caller guarantees the indexes agree with each other and
+        validated every fact they add.  A relation's inner dict may be
+        shared with this instance, since no instance mutates its
+        indexes after construction.
+        """
+        db = Database.__new__(Database)
+        db._schema = self._schema
+        db._facts = facts
+        db._tid_of = tid_of
+        db._by_relation = by_relation
+        db._next_tid = next_tid
+        return db
+
+    def __getstate__(self):
+        # The hash memo stays behind: str hashes differ between
+        # processes unless PYTHONHASHSEED is pinned, so a memo carried
+        # into a pool worker would be wrong there.
+        return None, {
+            slot: getattr(self, slot)
+            for slot in self.__slots__
+            if slot != "_hash"
+        }
 
     # ------------------------------------------------------------------
     # Construction
@@ -209,6 +246,11 @@ class Database:
         rows = self._by_relation.get(name, {})
         return tuple(sorted(rows, key=_sort_key))
 
+    def stored_rows(self, name: str) -> Collection[Row]:
+        """All rows of relation *name*, unsorted, for consumers whose
+        result does not depend on row order (bulk loads)."""
+        return self._by_relation.get(name, {}).keys()
+
     def relation_facts(self, name: str) -> Tuple[Fact, ...]:
         """All facts of relation *name*, in deterministic order."""
         return tuple(Fact(name, row) for row in self.relation(name))
@@ -228,7 +270,12 @@ class Database:
         return self.facts() == other.facts()
 
     def __hash__(self) -> int:
-        return hash(self.facts())
+        # Memoized: the serving path hashes every read's instance.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.facts())
+            return self._hash
 
     def __repr__(self) -> str:
         parts = []
@@ -244,32 +291,63 @@ class Database:
 
     def delete(self, facts: Iterable[Fact]) -> "Database":
         """A new instance without *facts* (absent facts are ignored)."""
-        to_drop = {self._tid_of[f] for f in facts if f in self._tid_of}
-        remaining = {
-            tid: f for tid, f in self._facts.items() if tid not in to_drop
-        }
-        return Database(self._schema, remaining, self._next_tid)
+        tid_of = self._tid_of
+        return self.delete_tids(tid_of[f] for f in facts if f in tid_of)
 
     def delete_tids(self, tids: Iterable[str]) -> "Database":
-        """A new instance without the facts carrying *tids*."""
-        drop = set(tids)
-        remaining = {
-            tid: f for tid, f in self._facts.items() if tid not in drop
-        }
-        return Database(self._schema, remaining, self._next_tid)
+        """A new instance without the facts carrying *tids*.
+
+        Copies this instance's indexes and removes the delta from the
+        copies; a relation the delta does not touch keeps its index.
+        """
+        facts = dict(self._facts)
+        tid_of = dict(self._tid_of)
+        by_relation = dict(self._by_relation)
+        copied = set()
+        for tid in set(tids):
+            f = facts.pop(tid, None)
+            if f is None:
+                continue
+            del tid_of[f]
+            if f.relation not in copied:
+                copied.add(f.relation)
+                by_relation[f.relation] = dict(by_relation[f.relation])
+            rows = by_relation[f.relation]
+            del rows[f.values]
+            if not rows:
+                del by_relation[f.relation]
+        return self._derived(facts, tid_of, by_relation, self._next_tid)
 
     def insert(self, facts: Iterable[Fact]) -> "Database":
-        """A new instance with *facts* added (fresh tids; dups ignored)."""
-        combined = dict(self._facts)
-        present = set(self._tid_of)
+        """A new instance with *facts* added (fresh tids; dups ignored).
+
+        Copies this instance's indexes and adds the delta to the copies,
+        validating only the inserted facts.
+        """
+        all_facts = dict(self._facts)
+        tid_of = dict(self._tid_of)
+        by_relation = dict(self._by_relation)
+        copied = set()
         counter = self._next_tid
         for f in facts:
-            if f in present:
+            if f in tid_of:
                 continue
-            present.add(f)
-            combined[f"t{counter}"] = f
+            _check_fact(self._schema, f)
+            tid = f"t{counter}"
+            if tid in all_facts:
+                raise SchemaError(
+                    f"tid {tid} is taken: next_tid {counter} is stale"
+                )
             counter += 1
-        return Database(self._schema, combined, counter)
+            all_facts[tid] = f
+            tid_of[f] = tid
+            if f.relation not in copied:
+                copied.add(f.relation)
+                by_relation[f.relation] = dict(
+                    by_relation.get(f.relation, {})
+                )
+            by_relation[f.relation][f.values] = tid
+        return self._derived(all_facts, tid_of, by_relation, counter)
 
     def update_value(self, tid: str, position: int, value: Value) -> "Database":
         """A new instance where the fact at *tid* has one value replaced.
@@ -328,6 +406,19 @@ class Database:
             if not rows:
                 lines.append("  (empty)")
         return "\n".join(lines)
+
+
+def _check_fact(schema: Schema, f: Fact) -> None:
+    """Raise :class:`SchemaError` unless *f* fits a relation of *schema*."""
+    if f.relation not in schema:
+        raise SchemaError(
+            f"fact {f} uses relation absent from the schema"
+        )
+    if schema.relation(f.relation).arity != len(f.values):
+        raise SchemaError(
+            f"fact {f} has arity {len(f.values)}, schema says "
+            f"{schema.relation(f.relation).arity}"
+        )
 
 
 def _sort_key(row: Row) -> Tuple:

@@ -11,7 +11,9 @@ Python tuples.  NULL markers map to SQL NULL, so SQLite enforces the same
 from __future__ import annotations
 
 import sqlite3
-from typing import Iterable, List, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..observability import add, span
 from ..runtime.faults import sqlite_attempt
@@ -23,6 +25,42 @@ from .nulls import NULL, is_labeled_null, is_null
 def _quote_identifier(name: str) -> str:
     """Quote an SQL identifier (relation or attribute name)."""
     return '"' + name.replace('"', '""') + '"'
+
+
+class KeptSqlite:
+    """One instance's SQLite materialization, kept across statements.
+
+    Inside :func:`keeping`, :func:`run_sql` on ``db`` runs on ``conn``,
+    materializing it on first use, instead of on a fresh copy per
+    statement.  The owner closes it.
+    """
+
+    __slots__ = ("db", "conn")
+
+    def __init__(self, db: Database) -> None:
+        self.db = db
+        self.conn: Optional[sqlite3.Connection] = None
+
+    def close(self) -> None:
+        if self.conn is not None:
+            self.conn.close()
+            self.conn = None
+
+
+_KEPT: ContextVar[Optional[KeptSqlite]] = ContextVar(
+    "repro_kept_sqlite", default=None
+)
+
+
+@contextmanager
+def keeping(kept: Optional[KeptSqlite]) -> Iterator[None]:
+    """Let :func:`run_sql` reuse *kept* for its instance in this block
+    (``None``: every statement materializes afresh, as outside)."""
+    token = _KEPT.set(kept)
+    try:
+        yield
+    finally:
+        _KEPT.reset(token)
 
 
 def to_sqlite(db: Database) -> sqlite3.Connection:
@@ -39,7 +77,10 @@ def to_sqlite(db: Database) -> sqlite3.Connection:
         rel = db.schema.relation(name)
         columns = ", ".join(_quote_identifier(a) for a in rel.attributes)
         cursor.execute(f"CREATE TABLE {_quote_identifier(name)} ({columns})")
-        rows = db.relation(name)
+        # Unsorted: no statement here reads SQLite's row order, since
+        # the generated SQL has no ORDER BY, LIMIT or rowid and run_sql
+        # sorts what it returns.
+        rows = db.stored_rows(name)
         if not rows:
             continue
         placeholders = ", ".join("?" * rel.arity)
@@ -74,11 +115,18 @@ def run_sql(db: Database, sql: str) -> List[Row]:
     fault harness's injected :class:`~repro.errors.TransientBackendError`)
     are retried with exponential backoff; each attempt rebuilds the
     in-memory materialization from scratch, so a retried statement never
-    observes half-written state.
+    observes half-written state.  Inside :func:`keeping`, statements on
+    the kept instance run on its one materialization instead; they are
+    read-only, so a retry on it is safe.
     """
     with span("sql.run"):
         def attempt() -> List[Tuple]:
             sqlite_attempt()
+            kept = _KEPT.get()
+            if kept is not None and kept.db is db:
+                if kept.conn is None:
+                    kept.conn = to_sqlite(db)
+                return kept.conn.execute(sql).fetchall()
             conn = to_sqlite(db)
             try:
                 return conn.execute(sql).fetchall()

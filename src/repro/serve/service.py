@@ -54,6 +54,7 @@ while in-flight and straggler requests still complete).
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -99,7 +100,27 @@ __all__ = ["CQAService", "PayloadError"]
 
 Handled = Tuple[int, Dict[str, object], Dict[str, str]]
 
+#: A registry entry: instance, constraints, and the version stamped on
+#: the registry write that stored it.
+Entry = Tuple[Database, tuple, int]
+
 _NO_HEADERS: Dict[str, str] = {}
+
+#: Versions come from one process-wide counter, so an ``(name,
+#: version)`` instance key names one instance even across services that
+#: share a worker pool (a pool worker keeps instances warm by that key).
+_VERSIONS = itertools.count(1)
+
+
+def _entry(db: Database, constraints: Sequence) -> Entry:
+    """A registry entry for *db*, stamped with a fresh version."""
+    return db, tuple(constraints), next(_VERSIONS)
+
+
+def _spec_entry(spec: Dict[str, object]) -> Entry:
+    return _entry(
+        _parse_database(spec), _parse_constraints(spec.get("constraints"))
+    )
 
 
 def _serialize_repair(repair) -> Dict[str, List[List[object]]]:
@@ -131,7 +152,7 @@ class CQAService:
         self.store = store
         self._clock = clock
         self._lock = threading.Lock()
-        self._databases: Dict[str, Tuple[Database, tuple]] = {}
+        self._databases: Dict[str, Entry] = {}
         # With a store attached nothing may be served until recover()
         # re-establishes the registry from disk; without one there is
         # nothing to recover and the service is born ready.
@@ -171,12 +192,10 @@ class CQAService:
             self._phase = "ready"
             return {"phase": self._phase, "databases": 0}
         recovered = self.store.recover()
-        databases: Dict[str, Tuple[Database, tuple]] = {}
-        for name, spec in recovered.specs.items():
-            databases[name] = (
-                _parse_database(spec),
-                tuple(_parse_constraints(spec.get("constraints"))),
-            )
+        databases = {
+            name: _spec_entry(spec)
+            for name, spec in recovered.specs.items()
+        }
         with self._lock:
             self._databases = databases
         if recovered.fenced_by is not None:
@@ -266,12 +285,10 @@ class CQAService:
         if not name or "/" in name:
             return self._bad_request(f"invalid database name {name!r}")
         try:
-            db = _parse_database(spec)
-            constraints = tuple(
-                _parse_constraints(spec.get("constraints"))
-            )
+            entry = _spec_entry(spec)
         except ReproError as exc:
             return self._bad_request(str(exc))
+        db, constraints, _ = entry
         body: Dict[str, object] = {
             "db": name,
             "facts": len(db),
@@ -283,7 +300,7 @@ class CQAService:
                     body["lsn"] = self.store.append_put_db(name, spec)
                 except StoreWriteError as exc:
                     return self._store_unavailable(exc)
-            self._databases[name] = (db, constraints)
+            self._databases[name] = entry
         add("serve.db_registered")
         return 200, body, _NO_HEADERS
 
@@ -307,7 +324,7 @@ class CQAService:
                 self.store.append_put_db(
                     name, spec_of_instance(db, constraint_spec)
                 )
-            self._databases[name] = (db, tuple(constraints))
+            self._databases[name] = _entry(db, constraints)
         add("serve.db_registered")
 
     def remove_db(self, name: str) -> Handled:
@@ -363,7 +380,7 @@ class CQAService:
                     {"error": f"no database {name!r}"},
                     _NO_HEADERS,
                 )
-            db, constraints = found
+            db, constraints, _ = found
             try:
                 for relation, values in deletes + inserts:
                     schema_rel = db.schema.relations.get(relation)
@@ -390,7 +407,7 @@ class CQAService:
                     )
                 except StoreWriteError as exc:
                     return self._store_unavailable(exc)
-            self._databases[name] = (new_db, constraints)
+            self._databases[name] = _entry(new_db, constraints)
         live_add("serve.mutations")
         body.update(
             inserted=len(inserts),
@@ -424,7 +441,7 @@ class CQAService:
         with self._lock:
             listing = {
                 name: {"facts": len(db), "constraints": len(constraints)}
-                for name, (db, constraints) in sorted(
+                for name, (db, constraints, _) in sorted(
                     self._databases.items()
                 )
             }
@@ -434,9 +451,10 @@ class CQAService:
         self,
         payload: Dict[str, object],
         view: Optional[Dict[str, object]] = None,
-    ) -> Tuple[Database, Sequence]:
+    ) -> Tuple[Database, Sequence, Optional[Tuple[str, int]]]:
         """The instance a request addresses: a registered name or an
-        inline definition (one-shot, nothing persisted).
+        inline definition (one-shot, nothing persisted), with its
+        instance key ``(name, version)`` (None when inline).
 
         When a *view* doc is passed, the store's ``last_lsn`` is
         captured into it under the same lock that snapshots the
@@ -452,13 +470,15 @@ class CQAService:
                     view["as_of_lsn"] = self.store.last_lsn
             if found is None:
                 raise PayloadError(f"no database {name!r} is registered")
-            return found
+            db, constraints, version = found
+            return db, constraints, (name, version)
         if "relations" in payload:
             if view is not None and self.store is not None:
                 view["as_of_lsn"] = self.store.last_lsn
             return (
                 _parse_database(payload),
                 tuple(_parse_constraints(payload.get("constraints"))),
+                None,
             )
         raise PayloadError("payload needs 'db' or inline 'relations'")
 
@@ -678,7 +698,7 @@ class CQAService:
         rid: str,
         view: Optional[Dict[str, object]] = None,
     ) -> Handled:
-        db, constraints = self._resolve_instance(payload, view)
+        db, constraints, key = self._resolve_instance(payload, view)
         query_text = payload.get("query")
         if not isinstance(query_text, str):
             raise PayloadError("payload needs a 'query' string")
@@ -701,6 +721,7 @@ class CQAService:
                 query,
                 semantics=semantics,
                 budget=Budget(timeout=timeout_s),
+                instance_key=key,
             )
             answers, complete = result.answers, result.complete
             engine = result.provenance.engine
@@ -759,7 +780,7 @@ class CQAService:
         rid: str,
         view: Optional[Dict[str, object]] = None,
     ) -> Handled:
-        db, constraints = self._resolve_instance(payload, view)
+        db, constraints, _ = self._resolve_instance(payload, view)
         semantics = str(payload.get("semantics", "s"))
         limit = payload.get("limit")
         if limit is not None and (
@@ -846,11 +867,7 @@ class CQAService:
         op = record.get("op")
         name = record.get("db")
         if op == "put_db":
-            spec = record["spec"]
-            self._databases[name] = (
-                _parse_database(spec),
-                tuple(_parse_constraints(spec.get("constraints"))),
-            )
+            self._databases[name] = _spec_entry(record["spec"])
         elif op == "del_db":
             self._databases.pop(name, None)
         elif op == "mutate":
@@ -860,13 +877,13 @@ class CQAService:
                     f"replicated mutate against unknown database "
                     f"{name!r} (registry diverged from store)"
                 )
-            db, constraints = found
+            db, constraints, _ = found
             deletes = record.get("delete") or []
             inserts = record.get("insert") or []
             new_db = db.delete(
                 fact(entry[0], *entry[1:]) for entry in deletes
             ).insert(fact(entry[0], *entry[1:]) for entry in inserts)
-            self._databases[name] = (new_db, constraints)
+            self._databases[name] = _entry(new_db, constraints)
         elif op == "epoch":
             pass
         else:
@@ -881,12 +898,7 @@ class CQAService:
         specs = bootstrap.get("databases") or {}
         lsn = int(bootstrap.get("lsn") or 0)
         epoch = int(bootstrap.get("epoch") or 0)
-        databases: Dict[str, Tuple[Database, tuple]] = {}
-        for name, spec in specs.items():
-            databases[name] = (
-                _parse_database(spec),
-                tuple(_parse_constraints(spec.get("constraints"))),
-            )
+        databases = {name: _spec_entry(spec) for name, spec in specs.items()}
         with self._lock:
             self.store.install_state(specs, lsn, epoch)
             self._databases = databases
@@ -1163,7 +1175,7 @@ class CQAService:
             found = self._databases.get(name)
         if found is None:
             return 404, {"error": f"no database {name!r}"}, _NO_HEADERS
-        db, constraints = found
+        db, constraints, _ = found
         report = InconsistencyReport.of(db, constraints)
         ratio = report.violation_ratio
         return (

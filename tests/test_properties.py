@@ -108,6 +108,77 @@ def test_facts_are_set_semantics(db):
     assert doubled == db
 
 
+_RS_FACTS = st.one_of(
+    st.tuples(_VALUES, _VALUES).map(lambda row: Fact("R", row)),
+    _VALUES.map(lambda value: Fact("S", (value,))),
+)
+
+
+def _scratch_delete_tids(db, tids):
+    """``delete_tids`` through the validating constructor."""
+    drop = set(tids)
+    kept = {t: f for t, f in db.facts_with_tids().items() if t not in drop}
+    return Database(db.schema, kept, db._next_tid)  # noqa: SLF001
+
+
+def _scratch_insert(db, facts):
+    """``insert`` through the validating constructor."""
+    combined = db.facts_with_tids()
+    present = set(combined.values())
+    counter = db._next_tid  # noqa: SLF001
+    for f in facts:
+        if f not in present:
+            present.add(f)
+            combined[f"t{counter}"] = f
+            counter += 1
+    return Database(db.schema, combined, counter)
+
+
+def _indexes(db):
+    """Tids, iteration orders and ``next_tid``: what a derived instance
+    must share with one built from scratch.  (No code iterates over
+    the relation names of the row index, so their order is free.)"""
+    return (
+        list(db.facts_with_tids().items()),
+        list(db._tid_of.items()),  # noqa: SLF001
+        {
+            name: list(rows.items())
+            for name, rows in db._by_relation.items()  # noqa: SLF001
+        },
+        db._next_tid,  # noqa: SLF001
+    )
+
+
+@given(
+    rs_databases(),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["delete", "delete_tids", "insert"]),
+            st.lists(_RS_FACTS, max_size=4),
+        ),
+        max_size=6,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_derived_instances_match_from_scratch_construction(db, steps):
+    derived = scratch = db
+    for op, facts in steps:
+        if op == "insert":
+            derived = derived.insert(facts)
+            scratch = _scratch_insert(scratch, facts)
+        else:
+            tids = [scratch.tid_of(f) for f in facts if f in scratch]
+            if op == "delete":
+                derived = derived.delete(facts)
+            else:
+                derived = derived.delete_tids(tids + ["t-absent"])
+            scratch = _scratch_delete_tids(scratch, tids)
+        assert _indexes(derived) == _indexes(scratch)
+        assert derived == scratch and hash(derived) == hash(scratch)
+        for name in db.schema.names():
+            assert derived.relation(name) == scratch.relation(name)
+
+
 # ----------------------------------------------------------------------
 # Repair invariants
 # ----------------------------------------------------------------------

@@ -155,6 +155,24 @@ class TestDatabase:
         assert self.db == other
         assert hash(self.db) == hash(other)
 
+    def test_hash_is_memoized_but_never_pickled(self):
+        # A pool worker runs under its own hash seed, so a hash memo
+        # carried in a pickle would be wrong there.
+        before = pickle.dumps(self.db)
+        derived = self.db.insert([fact("Articles", "I3")]).delete(
+            [fact("Articles", "I3")]
+        )
+        assert hash(derived) == hash(self.db) == hash(self.db)
+        assert pickle.dumps(self.db) == before
+        restored = pickle.loads(before)
+        assert restored == self.db and hash(restored) == hash(self.db)
+
+    def test_insert_validates_the_inserted_facts(self):
+        with pytest.raises(SchemaError, match="arity"):
+            self.db.insert([fact("Articles", "I3", "extra")])
+        with pytest.raises(SchemaError, match="absent"):
+            self.db.insert([fact("Nowhere", "I3")])
+
     def test_active_domain_excludes_null(self):
         db = Database.from_dict({"R": [(1, NULL), (2, 3)]})
         assert db.active_domain() == frozenset({1, 2, 3})
