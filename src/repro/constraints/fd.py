@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from ..errors import ConstraintError
 from ..logic.formulas import Atom, Comparison, Var
-from ..relational.database import Database, Fact
+from ..relational.database import Database, Fact, Row, row_sort_key
 from ..relational.nulls import is_null
 from .base import IntegrityConstraint, Violation
 from .denial import DenialConstraint
@@ -49,18 +50,38 @@ class FunctionalDependency(IntegrityConstraint):
         return rel.positions(self.lhs), rel.positions(self.rhs)
 
     def violations(self, db: Database) -> List[Violation]:
-        """Pairs of facts agreeing on lhs but differing on some rhs value."""
+        """Pairs of facts agreeing on lhs but differing on some rhs value.
+
+        Listed in :meth:`Database.relation` order, from one unsorted
+        pass over the stored rows: only groups of two or more rows are
+        sorted, and ordered by their smallest row, which is where the
+        sorted scan meets each group first.
+        """
         lhs_pos, rhs_pos = self._positions(db)
-        groups: Dict[Tuple, List[Fact]] = {}
-        for values in db.relation(self.relation):
-            key = tuple(values[p] for p in lhs_pos)
-            if any(is_null(v) for v in key):
-                continue  # NULL never joins: no conflict through NULL keys
-            groups.setdefault(key, []).append(Fact(self.relation, values))
+        key_of = itemgetter(*lhs_pos)
+        first: Dict[object, Row] = {}
+        shared: Dict[object, List[Row]] = {}
+        for values in db.stored_rows(self.relation):
+            key = key_of(values)
+            seen = first.setdefault(key, values)
+            if seen is not values:
+                group = shared.get(key)
+                if group is None:
+                    shared[key] = [seen, values]
+                else:
+                    group.append(values)
+        groups = sorted(
+            (
+                sorted(rows, key=row_sort_key)
+                for rows in shared.values()
+                # NULL never joins: no conflict through NULL keys
+                if not any(is_null(rows[0][p]) for p in lhs_pos)
+            ),
+            key=lambda rows: row_sort_key(rows[0]),
+        )
         out: List[Violation] = []
-        for facts in groups.values():
-            if len(facts) < 2:
-                continue
+        for rows in groups:
+            facts = [Fact(self.relation, values) for values in rows]
             for f1, f2 in itertools.combinations(facts, 2):
                 if self._conflicting(f1, f2, rhs_pos):
                     out.append(Violation(self.name, frozenset((f1, f2))))

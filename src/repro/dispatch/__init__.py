@@ -40,6 +40,7 @@ from .engines import (
     Engine,
     EngineAnswer,
     EngineInapplicableError,
+    InstanceKey,
     applicable_engines,
     get_engine,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "CQARequest",
+    "InstanceKey",
     "DEFAULT_LADDER",
     "DispatchError",
     "DispatchPolicy",

@@ -67,6 +67,7 @@ from .engines import (
     DEFAULT_LADDER,
     EngineAnswer,
     EngineInapplicableError,
+    InstanceKey,
     get_engine,
 )
 from .pool import PoolSaturatedError, WorkerPool
@@ -247,7 +248,7 @@ class Dispatcher:
         query,
         semantics: str = "s",
         budget: Optional[Budget] = None,
-        instance_key: Optional[Tuple[str, int]] = None,
+        instance_key: Optional[InstanceKey] = None,
     ) -> DispatchResult:
         """Serve one CQA request through the fallback ladder.
 
@@ -255,8 +256,9 @@ class Dispatcher:
         only when every rung (including the salvage rung) is
         inapplicable or failed — never a wrong answer, never a bare
         backend traceback.  ``instance_key`` names a registered
-        database's version (see :class:`CQARequest`); it reaches only
-        the worker pool, which may then skip shipping the instance.
+        database's version and its last mutation steps (see
+        :class:`CQARequest`); it reaches only the worker pool, which
+        may then skip shipping the instance.
         """
         request = CQARequest(
             db, tuple(constraints), query, semantics, instance_key

@@ -28,7 +28,7 @@ ever returning a wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from ..constraints.base import IntegrityConstraint, denial_class_only
 from ..cqa.approximation import (
@@ -46,11 +46,13 @@ from ..errors import (
     ReproError,
 )
 from ..logic.queries import ConjunctiveQuery, UnionQuery
-from ..relational.database import Database, Row
+from ..relational.database import Database, Fact, Row
 from ..runtime import suspend_budget
 
 __all__ = [
     "CQARequest",
+    "InstanceKey",
+    "Step",
     "EngineAnswer",
     "Engine",
     "EngineInapplicableError",
@@ -72,22 +74,55 @@ class EngineInapplicableError(ReproError):
     """
 
 
+#: One registry write of a mutation: ``(base version, deleted facts,
+#: inserted facts)``, the facts in the order the mutate payload named
+#: them.  Deleting then inserting them turns the base version's
+#: instance into the next version's.
+Step = Tuple[int, Tuple[Fact, ...], Tuple[Fact, ...]]
+
+
+class InstanceKey(NamedTuple):
+    """A registered database's version, with the mutation steps that
+    led to it (oldest first; the registry keeps the last few)."""
+
+    name: str
+    version: int
+    steps: Tuple[Step, ...] = ()
+
+    def steps_since(
+        self, version: Optional[int], limit: int
+    ) -> Optional[Tuple[Step, ...]]:
+        """The steps from *version* to this one, when *version* is the
+        base of one of them and they name fewer than *limit* facts;
+        else None."""
+        for index, (base, _, _) in enumerate(self.steps):
+            if base == version:
+                tail = self.steps[index:]
+                size = sum(
+                    len(deleted) + len(inserted)
+                    for _, deleted, inserted in tail
+                )
+                return tail if size < limit else None
+        return None
+
+
 @dataclass(frozen=True)
 class CQARequest:
     """One CQA request: instance, constraints, query, repair semantics.
 
-    ``instance_key`` names the instance as ``(database name, registry
-    version)`` when it is a registered database's current version
-    (None for inline instances).  It is transport, not content: the
-    worker pool uses it to send a warm worker the key instead of the
-    instance, and requests compare and hash without it.
+    ``instance_key`` names the instance (an :class:`InstanceKey`) when
+    it is a registered database's current version (None for inline
+    instances).  It is transport, not content: the worker pool uses it
+    to send a warm worker the key, or the steps since the version the
+    worker holds, instead of the instance, and requests compare and
+    hash without it.
     """
 
     db: Database
     constraints: Tuple[IntegrityConstraint, ...]
     query: object
     semantics: str = "s"
-    instance_key: Optional[Tuple[str, int]] = field(
+    instance_key: Optional[InstanceKey] = field(
         default=None, compare=False
     )
 

@@ -33,20 +33,30 @@ The pool is a *supervisor*, not just a free-list:
   ``wait``), so the pool can never leak processes or fds.
 
 **Warm instance state.**  A request whose ``instance_key`` names a
-registered database's version (see
-:class:`~repro.dispatch.engines.CQARequest`) carries that key in its
+registered database's version (an
+:class:`~repro.dispatch.engines.InstanceKey`, which also carries the
+registry's last mutation steps) carries ``(name, version)`` in its
 job's ``instance_key`` field.  Every result frame lists the keys the
 worker holds warm (``warm``: ``(name, version)`` pairs), and the pool
 keeps that list per worker.  Checkout prefers an idle worker holding
 the key, then one holding another version of the same name; it never
-waits for a busy holder.  When the chosen worker listed the key, the
-job is *key-only* (``request.db`` is None) and runs on the worker's
-decoded instance and SQLite connection; otherwise it ships the whole
-instance, which the worker then keeps.  A worker that cannot resolve a
-key-only job answers a ``protocol`` frame, which is a
+waits for a busy holder.  The version the chosen worker listed for the
+name decides the job's kind:
+
+* the requested version — a *key-only* job (``request.db`` is None)
+  that runs on the worker's decoded instance and SQLite connection;
+* the base version of one of the key's steps, when the steps from
+  there name fewer facts than the instance holds — a *delta* job: no
+  instance, only those ``steps``, which the worker applies to its
+  instance and connection before it runs the job;
+* anything else — a *miss* that ships the whole instance, which the
+  worker then keeps.
+
+A worker that cannot resolve a job without an instance, or cannot
+advance it, answers a ``protocol`` frame, which is a
 :class:`WorkerCrashError`: the worker is retired, never trusted for a
-stale answer.  ``pool.warm.hits`` and ``pool.warm.misses`` count the
-two kinds of keyed jobs.
+stale answer.  ``pool.warm.hits``, ``pool.warm.deltas`` and
+``pool.warm.misses`` count the three kinds of keyed jobs.
 
 When every worker is busy (or replacement spawns have not caught up),
 checkout fails *fast* with :class:`PoolSaturatedError` after
@@ -73,10 +83,11 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from queue import Empty, Queue
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..observability import add
 from ..observability.live import emit_event, live_add, live_gauge, live_observe
+from .engines import InstanceKey
 from .worker import (
     WorkerCrashError,
     WorkerError,
@@ -480,8 +491,9 @@ class WorkerPool:
         up within ``grab_timeout_s``.  No ``MIN_WATCHDOG_S`` floor:
         warm workers have already paid start-up, so the caller's
         deadline is taken literally.  A request with an
-        ``instance_key`` goes to a worker holding it when one is idle,
-        and then ships only the key (see the module docstring).
+        ``instance_key`` goes to a worker holding it, or an earlier
+        version of it, when one is idle, and then ships only the key,
+        or the steps since that version (see the module docstring).
         """
         with self._lock:
             if self._draining:
@@ -496,18 +508,34 @@ class WorkerPool:
                 f"(pool size {self.config.size})"
             )
         self._publish_gauges()
-        hit = key is not None and worker.warm.get(key[0]) == key[1]
+        kind = steps = None
+        if key is not None:
+            held = worker.warm.get(key.name)
+            if held == key.version:
+                kind = "hits"
+            else:
+                steps = key.steps_since(held, len(request.db))
+                kind = "misses" if steps is None else "deltas"
+            # The job carries the key apart from the request, and the
+            # steps only in a delta job.
+            request = replace(
+                request,
+                db=request.db if kind == "misses" else None,
+                instance_key=None,
+            )
         job = build_job(
             engine_name,
-            replace(request, db=None) if hit else request,
+            request,
             budget_timeout=budget_timeout,
             wedge_s=wedge_s,
             crash_code=crash_code,
             pad_rss_kb=pad_rss_kb,
         )
-        if key is not None:
-            job["instance_key"] = key
-            live_add("pool.warm.hits" if hit else "pool.warm.misses")
+        if kind is not None:
+            job["instance_key"] = (key.name, key.version)
+            if steps is not None:
+                job["steps"] = steps
+            live_add(f"pool.warm.{kind}")
         add("dispatch.worker_runs")
         live_add("pool.dispatches")
         started = time.monotonic()
@@ -530,13 +558,13 @@ class WorkerPool:
         self._check_in(worker)
         return unmarshal_answer(result)
 
-    def _checkout(self, key: Optional[Tuple[str, int]]) -> PoolWorker:
+    def _checkout(self, key: Optional[InstanceKey]) -> PoolWorker:
         """An idle worker for a job on instance *key*: one holding the
         key, else one holding another version of its name, else the
         longest idle.  Never waits for a busy holder; raises ``Empty``
         after ``grab_timeout_s`` when no worker is idle."""
         if key is not None:
-            name, version = key
+            name, version, _ = key
             with self._idle.mutex:
                 idle = self._idle.queue
                 worker = next(

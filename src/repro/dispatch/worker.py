@@ -33,8 +33,11 @@ Two entry points share one job/result schema:
   pool's recycling policy, and ``warm``, the ``(name, version)`` keys
   of the registered-database instances it keeps between jobs.  A pool
   job may carry such a key as ``instance_key``; when the worker already
-  holds that version, the job's request comes without its instance
-  (see :func:`serve_loop`).
+  holds that version, the job's request comes without its instance (a
+  key-only job).  When it holds an earlier version, the request may
+  instead come with the mutation ``steps`` since that version (a
+  *delta* job), and the worker advances its instance and SQLite
+  connection in place (see :func:`serve_loop`).
 * **one-shot** (:func:`child_main`, argument-less ``python -m
   repro.dispatch.worker``) — one job on stdin, one result on stdout,
   process exits; callable in-process for tests.
@@ -64,7 +67,7 @@ import pickle
 import struct
 import sys
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
     BudgetExceededError,
@@ -303,12 +306,31 @@ class _WarmInstances:
             for name, (version, _) in self._entries.items()
         ]
 
-    def get(self, key: Tuple[str, int]) -> Optional[KeptSqlite]:
+    def resolve(self, key: Tuple[str, int], steps: Sequence) -> KeptSqlite:
+        """The entry a job without an instance runs on: *key*'s own,
+        or, given *steps*, the entry at the first step's base, advanced
+        by them (``KeptSqlite.advance``) and re-keyed to *key*.
+
+        Raises ``LookupError`` when no entry matches.  If an advance
+        fails, its SQLite transaction has rolled back; the entry is
+        dropped and closed, and the error propagates.
+        """
         name, version = key
+        base = steps[0][0] if steps else version
         entry = self._entries.get(name)
-        if entry is None or entry[0] != version:
-            return None
-        return entry[1]
+        if entry is None or entry[0] != base:
+            raise LookupError(f"holds no warm instance {(name, base)!r}")
+        kept = entry[1]
+        if steps:
+            del self._entries[name]
+            try:
+                for _, deleted, inserted in steps:
+                    kept.advance(deleted, inserted)
+            except BaseException:
+                kept.close()
+                raise
+            self._entries[name] = (version, kept)
+        return kept
 
     def settle(
         self, key: Tuple[str, int], kept: KeptSqlite, ok: bool
@@ -375,11 +397,15 @@ def serve_loop(stdin=None, stdout=None) -> int:
     the job is a miss: after a successful run the worker keeps that
     version, decoded, with the SQLite materialization ``run_sql`` built
     for it, as the name's entry (at most :data:`WARM_CAPACITY` names,
-    one version each).  With ``request.db`` None, the job is key-only
-    and runs on the warm entry; a key the worker does not hold is a
-    protocol error, answered with ``kind: "protocol"``, never guessed.
-    Any failed run drops the name's entry.  Displaced entries are freed
-    only after the result frame is written.
+    one version each).  With ``request.db`` None, the job runs on the
+    warm entry: as it is for a key-only job, and for a *delta* job
+    (one with ``steps``) after advancing the entry at the first step's
+    base version by each step, decoded instance and connection alike,
+    and re-keying it to the job's key.  A version the worker does not
+    hold is a protocol error, answered with ``kind: "protocol"``, never
+    guessed; so is a failed advance, which rolls back and drops the
+    entry.  Any failed run drops the name's entry.  Displaced entries
+    are freed only after the result frame is written.
 
     A malformed frame gets a structured error response; a truncated
     stream (parent died) ends the loop.  Never raises: a worker that
@@ -427,13 +453,14 @@ def serve_loop(stdin=None, stdout=None) -> int:
         if key is not None:
             request = job["request"]
             if request.db is None:
-                kept = warm.get(key)
-                if kept is None:
+                try:
+                    kept = warm.resolve(key, job.get("steps") or ())
+                except Exception as exc:
                     reply({
                         "ok": False,
                         "kind": "protocol",
-                        "type": "KeyError",
-                        "message": f"holds no warm instance {key!r}",
+                        "type": type(exc).__name__,
+                        "message": f"cannot run on {key!r}: {exc}",
                     })
                     continue
                 job["request"] = replace(request, db=kept.db)

@@ -244,7 +244,7 @@ class Database:
         """All rows of relation *name*, in deterministic (sorted) order."""
         self._schema.relation(name)  # validate the name
         rows = self._by_relation.get(name, {})
-        return tuple(sorted(rows, key=_sort_key))
+        return tuple(sorted(rows, key=row_sort_key))
 
     def stored_rows(self, name: str) -> Collection[Row]:
         """All rows of relation *name*, unsorted, for consumers whose
@@ -421,6 +421,7 @@ def _check_fact(schema: Schema, f: Fact) -> None:
         )
 
 
-def _sort_key(row: Row) -> Tuple:
-    """Deterministic sort key tolerant of mixed value types."""
+def row_sort_key(row: Row) -> Tuple:
+    """Deterministic sort key tolerant of mixed value types: the order
+    of :meth:`Database.relation`."""
     return tuple((type(v).__name__, repr(v)) for v in row)

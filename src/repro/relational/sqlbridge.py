@@ -13,13 +13,14 @@ from __future__ import annotations
 import sqlite3
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..observability import add, span
 from ..runtime.faults import sqlite_attempt
 from ..runtime.retry import retry_transient
-from .database import Database, Row
+from .database import Database, Fact, Row
 from .nulls import NULL, is_labeled_null, is_null
+from .schema import RelationSchema
 
 
 def _quote_identifier(name: str) -> str:
@@ -40,6 +41,19 @@ class KeptSqlite:
     def __init__(self, db: Database) -> None:
         self.db = db
         self.conn: Optional[sqlite3.Connection] = None
+
+    def advance(
+        self, deleted: Sequence[Fact], inserted: Sequence[Fact]
+    ) -> None:
+        """Move to the instance after deleting *deleted*, then inserting
+        *inserted* (``Database.delete`` then ``insert``, so tids and
+        ``next_tid`` follow), and the connection with it when one is
+        built (:func:`apply_step`).  On an exception nothing is
+        advanced."""
+        db = self.db.delete(deleted).insert(inserted)
+        if self.conn is not None:
+            apply_step(self.conn, self.db, deleted, inserted)
+        self.db = db
 
     def close(self) -> None:
         if self.conn is not None:
@@ -83,25 +97,71 @@ def to_sqlite(db: Database) -> sqlite3.Connection:
         rows = db.stored_rows(name)
         if not rows:
             continue
-        placeholders = ", ".join("?" * rel.arity)
-        prepared = []
-        for row in rows:
-            converted = []
-            for value in row:
-                if is_labeled_null(value):
-                    raise ValueError(
-                        "labeled nulls cannot be materialized into SQLite"
-                    )
-                converted.append(None if is_null(value) else value)
-            prepared.append(tuple(converted))
-        cursor.executemany(
-            f"INSERT INTO {_quote_identifier(name)} VALUES ({placeholders})",
-            prepared,
-        )
+        prepared = _sql_rows(rows)
+        cursor.executemany(_insert_sql(rel), prepared)
         materialized += len(prepared)
     conn.commit()
     add("sql.rows_materialized", materialized)
     return conn
+
+
+def _sql_rows(rows: Iterable[Row]) -> List[Tuple]:
+    """*rows* as SQLite parameters: NULL markers become SQL NULL;
+    labeled nulls are rejected."""
+    prepared = []
+    for row in rows:
+        converted = []
+        for value in row:
+            if is_labeled_null(value):
+                raise ValueError(
+                    "labeled nulls cannot be materialized into SQLite"
+                )
+            converted.append(None if is_null(value) else value)
+        prepared.append(tuple(converted))
+    return prepared
+
+
+def _insert_sql(rel: RelationSchema) -> str:
+    placeholders = ", ".join("?" * rel.arity)
+    return f"INSERT INTO {_quote_identifier(rel.name)} VALUES ({placeholders})"
+
+
+def apply_step(
+    conn: sqlite3.Connection,
+    db: Database,
+    deleted: Sequence[Fact],
+    inserted: Sequence[Fact],
+) -> None:
+    """Bring *conn*, a materialization of *db*, to the instance after
+    deleting *deleted*, then inserting *inserted*, in one transaction.
+
+    Set semantics, as in ``Database.delete``/``insert``: only facts
+    that leave *db* lose their row and only facts that join it gain
+    one, so deleting an absent fact or inserting a present one changes
+    nothing.  Values convert as in :func:`to_sqlite`.  On an exception
+    the transaction rolls back.
+    """
+    staying = set(inserted)
+    left = dict.fromkeys(f for f in deleted if f in db and f not in staying)
+    joined = dict.fromkeys(f for f in inserted if f not in db)
+    with conn:  # commits, or rolls back on an exception
+        for f in left:
+            (params,) = _sql_rows([f.values])
+            table = _quote_identifier(f.relation)
+            match = " AND ".join(
+                f"{_quote_identifier(a)} IS ?"
+                for a in db.schema.relation(f.relation).attributes
+            )
+            # One row, even where two facts convert to the same row
+            # (the NULL marker and None both become SQL NULL).
+            conn.execute(
+                f"DELETE FROM {table} WHERE rowid = "
+                f"(SELECT rowid FROM {table} WHERE {match} LIMIT 1)",
+                params,
+            )
+        for f in joined:
+            (params,) = _sql_rows([f.values])
+            conn.execute(_insert_sql(db.schema.relation(f.relation)), params)
 
 
 def run_sql(db: Database, sql: str) -> List[Row]:
@@ -117,7 +177,10 @@ def run_sql(db: Database, sql: str) -> List[Row]:
     in-memory materialization from scratch, so a retried statement never
     observes half-written state.  Inside :func:`keeping`, statements on
     the kept instance run on its one materialization instead; they are
-    read-only, so a retry on it is safe.
+    read-only, so a retry on it is safe.  The kept connection's only
+    writes are :meth:`KeptSqlite.advance`'s, which a pool worker makes
+    between jobs, outside any statement and outside any retry: each is
+    one transaction, and a failed one drops the connection.
     """
     with span("sql.run"):
         def attempt() -> List[Tuple]:

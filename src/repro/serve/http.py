@@ -165,9 +165,18 @@ class CQAHTTPServer:
                         writer, 400, {"error": parse_error}, close=True
                     )
                     break
-                status, payload, extra, keep_alive = await self._route(
-                    method, path, headers, body
-                )
+                try:
+                    status, payload, extra, keep_alive = await self._route(
+                        method, path, headers, body
+                    )
+                except Exception as exc:  # noqa: BLE001 — handler firewall
+                    # An answer, not a dropped connection.
+                    status, payload, extra, keep_alive = (
+                        500,
+                        {"error": f"internal: {type(exc).__name__}: {exc}"},
+                        {},
+                        False,
+                    )
                 await self._respond(
                     writer,
                     status,

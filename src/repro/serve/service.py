@@ -57,15 +57,17 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..dispatch import (
     CQARequest,
     DispatchError,
     DispatchPolicy,
     Dispatcher,
+    InstanceKey,
     get_engine,
 )
+from ..dispatch.engines import Step
 from ..dispatch.pool import WorkerPool
 from ..errors import ReproError
 from ..logic.parser import parse_query
@@ -78,7 +80,8 @@ from ..observability.live import (
     live_observe,
     request_scope,
 )
-from ..relational.database import Database, fact
+from ..relational.database import Database, Fact, fact
+from ..relational.nulls import is_null
 from ..repairs import c_repairs_partial, s_repairs_partial
 from ..runtime import Budget, use_budget
 from .admission import AdmissionController, ShedError
@@ -87,6 +90,7 @@ from .specs import (
     PayloadError,
     parse_constraints as _parse_constraints,
     parse_database as _parse_database,
+    require_json_scalars,
     spec_of_instance,
 )
 from .store import (
@@ -100,9 +104,21 @@ __all__ = ["CQAService", "PayloadError"]
 
 Handled = Tuple[int, Dict[str, object], Dict[str, str]]
 
-#: A registry entry: instance, constraints, and the version stamped on
-#: the registry write that stored it.
-Entry = Tuple[Database, tuple, int]
+#: Mutation steps a registry entry keeps: a worker holding a version at
+#: most this many writes old gets the steps instead of the instance.
+DELTA_STEPS = 16
+
+
+class Entry(NamedTuple):
+    """A registry entry: instance, constraints, the version stamped on
+    the registry write that stored it, and the last (at most
+    :data:`DELTA_STEPS`) mutation steps that led to it, oldest first."""
+
+    db: Database
+    constraints: tuple
+    version: int
+    steps: Tuple[Step, ...] = ()
+
 
 _NO_HEADERS: Dict[str, str] = {}
 
@@ -113,8 +129,9 @@ _VERSIONS = itertools.count(1)
 
 
 def _entry(db: Database, constraints: Sequence) -> Entry:
-    """A registry entry for *db*, stamped with a fresh version."""
-    return db, tuple(constraints), next(_VERSIONS)
+    """A registry entry for *db*, stamped with a fresh version; no
+    steps lead to it."""
+    return Entry(db, tuple(constraints), next(_VERSIONS))
 
 
 def _spec_entry(spec: Dict[str, object]) -> Entry:
@@ -123,10 +140,49 @@ def _spec_entry(spec: Dict[str, object]) -> Entry:
     )
 
 
+def _mutated(
+    entry: Entry, deleted: Tuple[Fact, ...], inserted: Tuple[Fact, ...]
+) -> Entry:
+    """The entry after deleting *deleted*, then inserting *inserted*:
+    a fresh version, with this write as its last step."""
+    step = (entry.version, deleted, inserted)
+    return Entry(
+        entry.db.delete(deleted).insert(inserted),
+        entry.constraints,
+        next(_VERSIONS),
+        (entry.steps + (step,))[-DELTA_STEPS:],
+    )
+
+
+def _value_order(value: object) -> Tuple:
+    """A total order on answer values that agrees with Python's own
+    wherever that is defined: the NULL marker first, then numbers, then
+    strings, then anything else (JSON null included) by type and repr."""
+    if is_null(value):
+        return (0, "", 0)
+    if isinstance(value, (int, float)):
+        return (1, "", value)
+    if isinstance(value, str):
+        return (2, "", value)
+    return (3, type(value).__name__, repr(value))
+
+
+def _sorted_lists(rows) -> List[List[object]]:
+    """*rows* as sorted lists, also when they mix value types: in
+    Python's order where it is defined (the fast path), else by
+    :func:`_value_order`."""
+    lists = [list(row) for row in rows]
+    try:
+        lists.sort()
+    except TypeError:
+        lists.sort(key=lambda row: [_value_order(value) for value in row])
+    return lists
+
+
 def _serialize_repair(repair) -> Dict[str, List[List[object]]]:
     def facts(fact_set) -> List[List[object]]:
-        return sorted(
-            [fact.relation, *fact.values] for fact in fact_set
+        return _sorted_lists(
+            (fact.relation, *fact.values) for fact in fact_set
         )
 
     return {
@@ -288,11 +344,10 @@ class CQAService:
             entry = _spec_entry(spec)
         except ReproError as exc:
             return self._bad_request(str(exc))
-        db, constraints, _ = entry
         body: Dict[str, object] = {
             "db": name,
-            "facts": len(db),
-            "constraints": len(constraints),
+            "facts": len(entry.db),
+            "constraints": len(entry.constraints),
         }
         with self._lock:
             if self.store is not None:
@@ -380,10 +435,9 @@ class CQAService:
                     {"error": f"no database {name!r}"},
                     _NO_HEADERS,
                 )
-            db, constraints, _ = found
             try:
                 for relation, values in deletes + inserts:
-                    schema_rel = db.schema.relations.get(relation)
+                    schema_rel = found.db.schema.relations.get(relation)
                     if schema_rel is None:
                         raise PayloadError(
                             f"no relation {relation!r} in {name!r}"
@@ -393,9 +447,11 @@ class CQAService:
                             f"relation {relation!r} needs "
                             f"{len(schema_rel.attributes)} values"
                         )
-                new_db = db.delete(
-                    fact(rel, *values) for rel, values in deletes
-                ).insert(fact(rel, *values) for rel, values in inserts)
+                entry = _mutated(
+                    found,
+                    tuple(fact(rel, *values) for rel, values in deletes),
+                    tuple(fact(rel, *values) for rel, values in inserts),
+                )
             except ReproError as exc:
                 return self._bad_request(str(exc))
             if self.store is not None:
@@ -407,12 +463,12 @@ class CQAService:
                     )
                 except StoreWriteError as exc:
                     return self._store_unavailable(exc)
-            self._databases[name] = _entry(new_db, constraints)
+            self._databases[name] = entry
         live_add("serve.mutations")
         body.update(
             inserted=len(inserts),
             deleted=len(deletes),
-            facts=len(new_db),
+            facts=len(entry.db),
         )
         return 200, body, _NO_HEADERS
 
@@ -424,7 +480,7 @@ class CQAService:
         if not isinstance(entries, list):
             raise PayloadError(f"'{key}' must be a list of fact lists")
         out: List[Tuple[str, list]] = []
-        for entry in entries:
+        for index, entry in enumerate(entries):
             if (
                 not isinstance(entry, list)
                 or not entry
@@ -434,16 +490,18 @@ class CQAService:
                     f"every '{key}' entry must be "
                     "[\"Relation\", value, ...]"
                 )
+            require_json_scalars(entry[1:], f"'{key}' entry {index}")
             out.append((entry[0], entry[1:]))
         return out
 
     def list_dbs(self) -> Handled:
         with self._lock:
             listing = {
-                name: {"facts": len(db), "constraints": len(constraints)}
-                for name, (db, constraints, _) in sorted(
-                    self._databases.items()
-                )
+                name: {
+                    "facts": len(entry.db),
+                    "constraints": len(entry.constraints),
+                }
+                for name, entry in sorted(self._databases.items())
             }
         return 200, {"databases": listing}, _NO_HEADERS
 
@@ -451,10 +509,11 @@ class CQAService:
         self,
         payload: Dict[str, object],
         view: Optional[Dict[str, object]] = None,
-    ) -> Tuple[Database, Sequence, Optional[Tuple[str, int]]]:
+    ) -> Tuple[Database, Sequence, Optional[InstanceKey]]:
         """The instance a request addresses: a registered name or an
         inline definition (one-shot, nothing persisted), with its
-        instance key ``(name, version)`` (None when inline).
+        instance key (None when inline): name, version and steps, all
+        read from one registry entry under the lock.
 
         When a *view* doc is passed, the store's ``last_lsn`` is
         captured into it under the same lock that snapshots the
@@ -470,8 +529,11 @@ class CQAService:
                     view["as_of_lsn"] = self.store.last_lsn
             if found is None:
                 raise PayloadError(f"no database {name!r} is registered")
-            db, constraints, version = found
-            return db, constraints, (name, version)
+            return (
+                found.db,
+                found.constraints,
+                InstanceKey(name, found.version, found.steps),
+            )
         if "relations" in payload:
             if view is not None and self.store is not None:
                 view["as_of_lsn"] = self.store.last_lsn
@@ -734,7 +796,7 @@ class CQAService:
             emit_event("serve.degrade", reason=degraded_reason)
         outcome = "ok" if complete else "degraded"
         body = {
-            "answers": sorted(list(row) for row in answers),
+            "answers": _sorted_lists(answers),
             "complete": complete,
             "engine": engine,
             "semantics": semantics,
@@ -748,7 +810,7 @@ class CQAService:
             body["degraded_reason"] = degraded_reason
         upper = detail.get("upper_bound") if detail else None
         if upper is not None:
-            body["upper_bound"] = sorted(list(row) for row in upper)
+            body["upper_bound"] = _sorted_lists(upper)
         return self._finish(
             rid, started, outcome, (200, body, _NO_HEADERS)
         )
@@ -877,13 +939,11 @@ class CQAService:
                     f"replicated mutate against unknown database "
                     f"{name!r} (registry diverged from store)"
                 )
-            db, constraints, _ = found
-            deletes = record.get("delete") or []
-            inserts = record.get("insert") or []
-            new_db = db.delete(
-                fact(entry[0], *entry[1:]) for entry in deletes
-            ).insert(fact(entry[0], *entry[1:]) for entry in inserts)
-            self._databases[name] = _entry(new_db, constraints)
+            self._databases[name] = _mutated(
+                found,
+                tuple(fact(*entry) for entry in record.get("delete") or []),
+                tuple(fact(*entry) for entry in record.get("insert") or []),
+            )
         elif op == "epoch":
             pass
         else:
@@ -1175,8 +1235,7 @@ class CQAService:
             found = self._databases.get(name)
         if found is None:
             return 404, {"error": f"no database {name!r}"}, _NO_HEADERS
-        db, constraints, _ = found
-        report = InconsistencyReport.of(db, constraints)
+        report = InconsistencyReport.of(found.db, found.constraints)
         ratio = report.violation_ratio
         return (
             200,

@@ -19,8 +19,10 @@ spec → in-memory translation both layers share:
 (the CLI's ``--csv`` preload) so they can be logged durably too.
 
 Values inside rows must be JSON-native (strings, numbers, booleans,
-None); :func:`spec_of_instance` enforces this rather than letting a
-non-serializable value corrupt a WAL record at append time.
+None); :func:`require_json_scalars` is the one check, which
+:func:`spec_of_instance` and the mutate handler apply rather than let
+a non-serializable value corrupt a WAL record at append time, or an
+unhashable one reach an instance.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "PayloadError",
     "parse_constraints",
     "parse_database",
+    "require_json_scalars",
     "spec_of_instance",
 ]
 
@@ -44,6 +47,17 @@ _JSON_VALUE_TYPES = (str, int, float, bool, type(None))
 
 class PayloadError(ReproError):
     """The request payload is malformed; maps to HTTP 400."""
+
+
+def require_json_scalars(values: Sequence[object], where: str) -> None:
+    """Raise :class:`PayloadError`, naming *where*, unless every value
+    is a JSON scalar: a string, number, boolean or null."""
+    for value in values:
+        if not isinstance(value, _JSON_VALUE_TYPES):
+            raise PayloadError(
+                f"{where} holds non-scalar value {value!r}; values must "
+                "be JSON strings, numbers, booleans or null"
+            )
 
 
 def parse_constraints(spec: Optional[Dict[str, List[str]]]) -> List:
@@ -114,12 +128,7 @@ def spec_of_instance(
     for name, rel in sorted(db.schema.relations.items()):
         rel_rows = sorted(db.relation(name), key=lambda r: tuple(map(repr, r)))
         for row in rel_rows:
-            for value in row:
-                if not isinstance(value, _JSON_VALUE_TYPES):
-                    raise PayloadError(
-                        f"relation {name!r} holds non-JSON value "
-                        f"{value!r}; durable specs need JSON-native rows"
-                    )
+            require_json_scalars(row, f"relation {name!r}")
         relations[name] = {
             "columns": list(rel.attributes),
             "key": list(rel.key) if rel.key else None,

@@ -19,7 +19,9 @@ from repro.constraints import (
 )
 from repro.cqa import consistent_answers, consistent_answers_fm
 from repro.logic import atom, cq, vars_
+from repro.constraints.base import Violation
 from repro.relational import Database, Fact, RelationSchema, Schema
+from repro.relational.nulls import NULL, is_null
 from repro.repairs import (
     c_repairs,
     count_s_repairs,
@@ -320,6 +322,53 @@ def test_mis_are_complements_of_mhs(db):
     assert {graph.nodes - h for h in mhs} == set(mis)
     for independent in mis:
         assert graph.is_independent(independent)
+
+
+# ----------------------------------------------------------------------
+# Key conflicts: the one-pass scan lists what the sorted scan listed
+# ----------------------------------------------------------------------
+
+_MIXED_VALUES = st.one_of(
+    st.sampled_from(["a", "b", ""]),
+    st.integers(min_value=-1, max_value=2),
+    st.floats(min_value=-2, max_value=2, allow_nan=False, width=16),
+    st.booleans(),
+    st.just(NULL),
+)
+
+_ABCD_SCHEMA = Schema.of(RelationSchema("R", ("A", "B", "C", "D")))
+
+
+def _sorted_scan_violations(fd, db):
+    """``FunctionalDependency.violations`` as it was: group every row
+    of ``db.relation``, in its sorted order."""
+    lhs_pos, rhs_pos = fd._positions(db)
+    groups = {}
+    for values in db.relation(fd.relation):
+        key = tuple(values[p] for p in lhs_pos)
+        if any(is_null(v) for v in key):
+            continue
+        groups.setdefault(key, []).append(Fact(fd.relation, values))
+    out = []
+    for facts in groups.values():
+        if len(facts) < 2:
+            continue
+        for f1, f2 in itertools.combinations(facts, 2):
+            if fd._conflicting(f1, f2, rhs_pos):
+                out.append(Violation(fd.name, frozenset((f1, f2))))
+    return out
+
+
+@given(
+    st.lists(st.tuples(*[_MIXED_VALUES] * 4), max_size=14),
+    st.sampled_from([("A",), ("A", "B")]),
+    st.sampled_from([("C",), ("C", "D")]),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_key_conflicts_equal_the_sorted_scan(rows, lhs, rhs):
+    db = Database.from_dict({"R": rows}, schema=_ABCD_SCHEMA)
+    fd = FunctionalDependency("R", lhs, rhs)
+    assert fd.violations(db) == _sorted_scan_violations(fd, db)
 
 
 # ----------------------------------------------------------------------

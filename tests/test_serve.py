@@ -593,3 +593,69 @@ class TestEndToEnd:
         for pid in pids:
             assert not _pid_alive(pid)
         assert pool.stats()["workers"] == 0
+
+
+class TestHttpBoundary:
+    """Payloads and failures the handlers used to drop the connection
+    on: each now gets a JSON answer."""
+
+    MIXED_SPEC = {
+        "relations": {
+            "R": {
+                "columns": ["A", "B"],
+                "key": ["A"],
+                "rows": [["a", "b"], [1, "c"]],
+            }
+        },
+        "constraints": {"fd": ["R: A -> B"]},
+    }
+
+    def _harness(self, service):
+        return _ServerHarness(service, ServerConfig(port=0))
+
+    def test_a_non_scalar_mutate_value_is_400_and_changes_nothing(self):
+        harness = self._harness(CQAService())
+        with harness:
+            assert harness.request("PUT", "/v1/db/d", self.MIXED_SPEC)[0] == 200
+            status, body = harness.request(
+                "POST", "/v1/db/d/mutate",
+                {"insert": [["R", "z", "y"], ["R", ["x"], "y"]]},
+            )
+            assert status == 400
+            assert "'insert' entry 1" in body["error"]
+            assert "['x']" in body["error"]
+            status, body = harness.request(
+                "POST", "/v1/db/d/mutate", {"delete": [["R", "a", {"b": 1}]]}
+            )
+            assert status == 400 and "'delete' entry 0" in body["error"]
+            status, body = harness.request("GET", "/v1/db")
+            assert status == 200 and body["databases"]["d"]["facts"] == 2
+
+    def test_an_unexpected_handler_exception_is_a_500_envelope(
+        self, monkeypatch
+    ):
+        service = CQAService()
+
+        def broken(name, payload):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setattr(service, "handle_mutate", broken)
+        harness = self._harness(service)
+        with harness:
+            status, body = harness.request(
+                "POST", "/v1/db/d/mutate", {"insert": [["R", "z", "y"]]}
+            )
+            assert status == 500
+            assert body["error"] == "internal: RuntimeError: handler bug"
+            assert harness.request("GET", "/healthz")[0] == 200
+
+    def test_answers_that_mix_value_types_are_200(self):
+        harness = self._harness(CQAService())
+        with harness:
+            assert harness.request("PUT", "/v1/db/d", self.MIXED_SPEC)[0] == 200
+            status, body = harness.request(
+                "POST", "/v1/cqa", {"db": "d", "query": "Q(X) :- R(X, Y)"}
+            )
+            assert status == 200, body
+            assert body["complete"] and body["engine"] == "fm-sql"
+            assert body["answers"] == [[1], ["a"]]

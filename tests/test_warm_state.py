@@ -1,19 +1,23 @@
 """Warm instance state in pool workers.
 
 A pooled read of a registered database carries the instance key
-``(name, version)``.  A worker that already holds that version gets a
-key-only job and runs on its decoded instance and SQLite connection;
-any other worker gets the whole instance (a miss) and keeps it.  These
-tests pin that a warm answer is always the consistent answer of the
-registry's current instance, that affinity turns repeat reads into
-hits, and that every disagreement about a worker's state is a crash,
-never a stale answer.
+``(name, version)`` and the registry's last mutation steps.  A worker
+that already holds that version gets a key-only job and runs on its
+decoded instance and SQLite connection; a worker holding the base
+version of one of the steps gets only the steps since then (a delta)
+and advances its instance in place; any other worker gets the whole
+instance (a miss) and keeps it.  These tests pin that a warm answer is
+always the consistent answer of the registry's current instance, that
+affinity turns repeat reads into hits and the first read after a write
+into a delta, and that every disagreement about a worker's state is a
+crash, never a stale answer.
 """
 
 import io
 import pickle
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,6 +27,7 @@ from repro.cqa.certain import consistent_answers
 from repro.dispatch import (
     CQARequest,
     DispatchPolicy,
+    InstanceKey,
     PoolConfig,
     WorkerPool,
 )
@@ -31,13 +36,17 @@ from repro.dispatch.worker import (
     WARM_CAPACITY,
     WorkerCrashError,
     WorkerTimeoutError,
+    _WarmInstances,
     read_frame,
     serve_loop,
     write_frame,
 )
 from repro.logic.parser import parse_query
 from repro.observability import collect
-from repro.serve.service import CQAService
+from repro.relational.database import fact
+from repro.relational.nulls import LabeledNull
+from repro.relational.sqlbridge import KeptSqlite, to_sqlite
+from repro.serve.service import DELTA_STEPS, CQAService
 
 PROJECTION = "Q(X) :- R(X, Y)"
 JOIN = "Q(X, Z) :- R(X, Y), S(Y, Z)"
@@ -83,8 +92,10 @@ def _read(service, name, query=PROJECTION):
 
 
 def _reference(service, name, query=PROJECTION):
-    db, constraints, _ = service._databases[name]  # noqa: SLF001
-    answers = consistent_answers(db, constraints, parse_query(query))
+    entry = service._databases[name]  # noqa: SLF001
+    answers = consistent_answers(
+        entry.db, entry.constraints, parse_query(query)
+    )
     return sorted(list(row) for row in answers)
 
 
@@ -130,11 +141,14 @@ _DELTA = st.lists(
     st.sampled_from(R_FACTS + S_FACTS), max_size=3, unique_by=tuple
 )
 #: (op, name, query, facts to register, inserts, deletes); each op
-#: reads the fields it needs.  Reads are the most frequent op.
+#: reads the fields it needs.  Reads are the most frequent op; half the
+#: mutates read the name straight after, the others leave it to a later
+#: read, which may then find several steps.
 _OPS = st.tuples(
-    st.sampled_from(
-        ["read", "read", "read", "mutate", "mutate", "register", "remove"]
-    ),
+    st.sampled_from([
+        "read", "read", "read", "mutate", "mutate+read", "register",
+        "remove",
+    ]),
     st.sampled_from(["a", "b"]),
     st.sampled_from([PROJECTION, JOIN]),
     _FACTS,
@@ -159,12 +173,16 @@ def test_warm_reads_equal_the_consistent_answers(shared_pool):
         service = _service(shared_pool)
         for name, facts in (("a", facts_a), ("b", facts_b)):
             assert service.register_db(name, _spec(facts))[0] == 200
+            assert _read(service, name)["answers"] == _reference(service, name)
         for op, name, query, facts, inserts, deletes in ops:
             registered = name in service._databases  # noqa: SLF001
             if op == "register":
                 status, _, _ = service.register_db(name, _spec(facts))
                 assert status == 200
-            elif op == "mutate":
+            elif op == "remove":
+                status, _, _ = service.remove_db(name)
+                assert status == (200 if registered else 404)
+            elif op != "read":
                 status, _, _ = service.handle_mutate(
                     name, {"insert": inserts, "delete": deletes}
                 )
@@ -172,22 +190,20 @@ def test_warm_reads_equal_the_consistent_answers(shared_pool):
                     assert status in (400, 404)
                 elif inserts or deletes:
                     assert status == 200
-            elif op == "read" and registered:
+            if op in ("read", "mutate+read") and registered:
                 body = _read(service, name, query)
                 assert body["complete"] and body["engine"] == "fm-sql"
                 assert body["answers"] == _reference(service, name, query)
-            elif op == "read":
+            elif op in ("read", "mutate+read"):
                 status, _, _ = service.handle_cqa(
                     {"db": name, "query": query}
                 )
                 assert status == 400
-            else:
-                status, _, _ = service.remove_db(name)
-                assert status == (200 if registered else 404)
 
     with collect() as collector:
         run()
         assert collector.counter("pool.warm.hits") > 0
+        assert collector.counter("pool.warm.deltas") > 0
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +211,7 @@ def test_warm_reads_equal_the_consistent_answers(shared_pool):
 # ----------------------------------------------------------------------
 
 
-def test_repeat_reads_hit_one_worker_and_a_write_costs_one_miss(
+def test_repeat_reads_hit_one_worker_and_a_write_costs_one_delta(
     shared_pool, sent_frames
 ):
     assert shared_pool.wait_ready(timeout_s=30.0)
@@ -215,10 +231,74 @@ def test_repeat_reads_hit_one_worker_and_a_write_costs_one_miss(
         body = _read(service, "counts")
         assert body["answers"] == _reference(service, "counts")
         assert ["a0"] not in body["answers"]
-        assert collector.counter("pool.warm.misses") == 2
+        assert collector.counter("pool.warm.misses") == 1
+        assert collector.counter("pool.warm.deltas") == 1
         assert collector.counter("pool.warm.hits") == 7
-        # The new version went to the worker holding the old one.
+        # The steps went to the worker holding the old version.
         assert len({worker for worker, _ in sent_frames}) == 1
+
+
+def test_each_block_of_writes_and_reads_costs_one_delta(
+    shared_pool, sent_frames
+):
+    """After one read, every block of 2 writes and 4 reads is 1 delta
+    and 3 hits on the same worker, and every answer is exact."""
+    assert shared_pool.wait_ready(timeout_s=30.0)
+    service = _service(shared_pool)
+    assert service.register_db("blocks", _spec(R_FACTS + S_FACTS))[0] == 200
+    with collect() as collector:
+        _read(service, "blocks")
+        for block in range(4):
+            for fact_list in (R_FACTS[block], S_FACTS[block]):
+                delta = "delete" if block % 2 == 0 else "insert"
+                status, _, _ = service.handle_mutate(
+                    "blocks", {delta: [fact_list]}
+                )
+                assert status == 200
+            for _ in range(4):
+                body = _read(service, "blocks", JOIN)
+                assert body["complete"] and body["engine"] == "fm-sql"
+                assert body["answers"] == _reference(service, "blocks", JOIN)
+            assert collector.counter("pool.warm.misses") == 1
+            assert collector.counter("pool.warm.deltas") == block + 1
+            assert collector.counter("pool.warm.hits") == 3 * (block + 1)
+    assert len({worker for worker, _ in sent_frames}) == 1
+
+
+def test_steps_have_a_bound(shared_pool):
+    """A worker more than DELTA_STEPS writes behind, or one whose steps
+    name more facts than the instance holds, gets the instance."""
+    assert shared_pool.wait_ready(timeout_s=30.0)
+    service = _service(shared_pool)
+    assert service.register_db("far", _spec(R_FACTS + S_FACTS))[0] == 200
+    _read(service, "far")
+    with collect() as collector:
+        for step in range(DELTA_STEPS + 1):
+            status, _, _ = service.handle_mutate(
+                "far", {"insert": [["R", f"x{step}", "b0"]]}
+            )
+            assert status == 200
+        assert len(service._databases["far"].steps) == DELTA_STEPS  # noqa: SLF001
+        body = _read(service, "far")
+        assert body["complete"] and body["engine"] == "fm-sql"
+        assert body["answers"] == _reference(service, "far")
+        assert collector.counter("pool.warm.misses") == 1
+        assert collector.counter("pool.warm.deltas") == 0
+
+    assert service.register_db("wide", _spec(R_FACTS[:4]))[0] == 200
+    _read(service, "wide")
+    with collect() as collector:
+        # Five facts in the step, three in the instance it leads to.
+        status, _, _ = service.handle_mutate("wide", {
+            "delete": R_FACTS[:3],
+            "insert": [R_FACTS[4], ["R", "a0", "b0"]],
+        })
+        assert status == 200
+        assert len(service._databases["wide"].db) == 3  # noqa: SLF001
+        body = _read(service, "wide")
+        assert body["answers"] == _reference(service, "wide")
+        assert collector.counter("pool.warm.misses") == 1
+        assert collector.counter("pool.warm.deltas") == 0
 
 
 def test_a_busy_holder_is_not_waited_for(shared_pool, sent_frames):
@@ -226,7 +306,7 @@ def test_a_busy_holder_is_not_waited_for(shared_pool, sent_frames):
     service = _service(shared_pool)
     assert service.register_db("busy", _spec(R_FACTS + S_FACTS))[0] == 200
     _read(service, "busy")
-    key = ("busy", service._databases["busy"][2])  # noqa: SLF001
+    key = InstanceKey("busy", service._databases["busy"].version)  # noqa: SLF001
     holder = shared_pool._checkout(key)  # noqa: SLF001 — keep it busy
     try:
         assert holder.warm.get("busy") == key[1]
@@ -244,22 +324,34 @@ def test_a_hit_sends_a_key_not_the_instance(shared_pool, sent_frames):
     service = _service(shared_pool)
     spec = _big_spec(2500)
     assert service.register_db("big", spec)[0] == 200
-    assert len(service._databases["big"][0]) >= 5000  # noqa: SLF001
+    assert len(service._databases["big"].db) >= 5000  # noqa: SLF001
     with collect() as collector:
         first = _read(service, "big")
         second = _read(service, "big")
         assert collector.counter("pool.warm.hits") == 1
-    db, constraints, _ = service._databases["big"]  # noqa: SLF001
-    # Repair enumeration cannot take 250 conflicting key groups; the
-    # in-memory rewriting is the reference here.
-    reference = consistent_answers_fm(
-        db, constraints, parse_query(PROJECTION)
-    )
+        status, _, _ = service.handle_mutate(
+            "big", {"delete": [["R", "a1", "b1"]]}
+        )
+        assert status == 200
+        third = _read(service, "big")
+        assert collector.counter("pool.warm.deltas") == 1
+
+    def reference():
+        # Repair enumeration cannot take 250 conflicting key groups;
+        # the in-memory rewriting is the reference here.
+        entry = service._databases["big"]  # noqa: SLF001
+        answers = consistent_answers_fm(
+            entry.db, entry.constraints, parse_query(PROJECTION)
+        )
+        return sorted(list(row) for row in answers)
+
+    assert third["answers"] == reference()
+    assert ["a1"] in second["answers"] and ["a1"] not in third["answers"]
     assert first["answers"] == second["answers"]
-    assert second["answers"] == sorted(list(row) for row in reference)
-    (_, miss_bytes), (_, hit_bytes) = sent_frames
+    (_, miss_bytes), (_, hit_bytes), (_, delta_bytes) = sent_frames
     assert miss_bytes > 100_000
     assert hit_bytes < 4096
+    assert delta_bytes < 4096
 
 
 def test_concurrent_readers_and_writers_stay_exact(shared_pool):
@@ -320,14 +412,14 @@ def test_a_forged_key_is_a_crash_not_a_stale_answer():
         assert service.register_db("f", _spec(R_FACTS + S_FACTS))[0] == 200
         _read(service, "f")  # some worker now holds the first version
         service.handle_mutate("f", {"delete": [["R", "a1", "b0"]]})
-        db, constraints, version = service._databases["f"]  # noqa: SLF001
+        db, constraints, version, _ = service._databases["f"]  # noqa: SLF001
         # The parent believes a worker holds the new version; it holds
         # only the old one.
         (holder,) = [w for w in pool._workers if "f" in w.warm]  # noqa: SLF001
         holder.warm = {"f": version}
         request = CQARequest(
             db, constraints, parse_query(PROJECTION),
-            instance_key=("f", version),
+            instance_key=InstanceKey("f", version),
         )
         with pytest.raises(WorkerCrashError):
             pool.run_engine("fm-sql", request, watchdog_s=30.0)
@@ -341,6 +433,42 @@ def test_a_forged_key_is_a_crash_not_a_stale_answer():
         body = _read(service, "f")
         assert body["complete"] and body["engine"] == "fo-mem"
         assert body["answers"] == _reference(service, "f")
+        assert pool.stats()["recycle_reasons"] == {"crash": 2}
+    finally:
+        pool.drain()
+
+
+def test_a_forged_base_is_a_crash_not_a_stale_answer():
+    pool = WorkerPool(PoolConfig(size=2)).start()
+    try:
+        service = _service(pool)
+        assert service.register_db("g", _spec(R_FACTS + S_FACTS))[0] == 200
+        _read(service, "g")  # some worker now holds the first version
+        service.handle_mutate("g", {"delete": [["R", "a1", "b0"]]})
+        service.handle_mutate("g", {"delete": [["S", "b0", "c0"]]})
+        entry = service._databases["g"]  # noqa: SLF001
+        # The parent believes a worker holds the second version, the
+        # base of the last step; it holds only the first.
+        base = entry.steps[-1][0]
+        (holder,) = [w for w in pool._workers if "g" in w.warm]  # noqa: SLF001
+        holder.warm = {"g": base}
+        request = CQARequest(
+            entry.db, entry.constraints, parse_query(PROJECTION),
+            instance_key=InstanceKey("g", entry.version, entry.steps),
+        )
+        with collect() as collector:
+            with pytest.raises(WorkerCrashError):
+                pool.run_engine("fm-sql", request, watchdog_s=30.0)
+            assert collector.counter("pool.warm.deltas") == 1
+        assert not _pid_alive(holder.pid)
+        assert pool.stats()["recycle_reasons"] == {"crash": 1}
+        # On the serving path the rung fails and the next one answers.
+        assert pool.wait_ready(timeout_s=30.0)
+        for worker in pool._workers:  # noqa: SLF001
+            worker.warm = {"g": base}
+        body = _read(service, "g")
+        assert body["complete"] and body["engine"] == "fo-mem"
+        assert body["answers"] == _reference(service, "g")
         assert pool.stats()["recycle_reasons"] == {"crash": 2}
     finally:
         pool.drain()
@@ -360,7 +488,7 @@ def test_a_successor_starts_cold(retirement):
         first_pid = pool.stats()["pids"][0]
         with collect() as collector:
             assert _read(service, "r")["answers"] == expected
-            db, constraints, _ = service._databases["r"]  # noqa: SLF001
+            db, constraints, _, _ = service._databases["r"]  # noqa: SLF001
             request = CQARequest(db, constraints, parse_query(PROJECTION))
             if retirement == "crash":
                 with pytest.raises(WorkerCrashError):
@@ -398,7 +526,7 @@ def test_worker_keeps_the_latest_sixteen_names_and_reports_them():
     names = [f"n{i}" for i in range(WARM_CAPACITY + 1)]
     for name in names:
         service.register_db(name, _spec(R_FACTS[:2]))
-        db, constraints, version = service._databases[name]  # noqa: SLF001
+        db, constraints, version, _ = service._databases[name]  # noqa: SLF001
         request = CQARequest(db, constraints, parse_query(PROJECTION))
         write_frame(frames, pickle.dumps({
             "engine": "fm-sql", "request": request,
@@ -427,3 +555,73 @@ def test_worker_keeps_the_latest_sixteen_names_and_reports_them():
     assert refused["kind"] == "protocol" and not refused["ok"]
     assert refused["warm"] == runs[-1]["warm"]
     assert refused["served"] == len(runs)
+
+
+def test_a_failed_advance_rolls_back_and_drops_the_entry():
+    service = CQAService()
+    service.register_db("n", _spec(R_FACTS[:2]))
+    first = service._databases["n"]  # noqa: SLF001
+    service.handle_mutate("n", {"insert": [["R", "a2", "b0"]]})
+    second = service._databases["n"]  # noqa: SLF001
+    query = parse_query(PROJECTION)
+    frames = io.BytesIO()
+    # A miss: the worker keeps the first version and its connection.
+    write_frame(frames, pickle.dumps({
+        "engine": "fm-sql",
+        "request": CQARequest(first.db, first.constraints, query),
+        "instance_key": ("n", first.version),
+    }))
+    # A step SQLite cannot take: labeled nulls have no SQL form.
+    unloadable = ((first.version, (), (fact("R", "a2", LabeledNull("y")),)),)
+    for steps in (unloadable, second.steps):
+        write_frame(frames, pickle.dumps({
+            "engine": "fm-sql",
+            "request": CQARequest(None, second.constraints, query),
+            "instance_key": ("n", second.version),
+            "steps": steps,
+        }))
+    frames.seek(0)
+    out = io.BytesIO()
+    assert serve_loop(frames, out) == 0
+    out.seek(0)
+    miss, failed, after = [
+        pickle.loads(frame)
+        for frame in iter(lambda: read_frame(out), None)
+    ]
+    assert miss["ok"] and miss["warm"] == [("n", first.version)]
+    assert failed["kind"] == "protocol" and failed["type"] == "ValueError"
+    assert failed["warm"] == []
+    # The entry is gone, so the good steps find no base either.
+    assert after["kind"] == "protocol" and after["warm"] == []
+
+
+def _rows(conn, table):
+    return Counter(conn.execute(f'SELECT * FROM "{table}"').fetchall())
+
+
+@pytest.mark.parametrize("mutation", [
+    {"delete": [["R", "a0", "b0"]], "insert": [["R", "a0", "b0"]]},
+    {"delete": [["R", "a9", "b0"]], "insert": [["S", "b9", "c0"]]},
+    {"insert": [["R", "a0", "b0"], ["S", "b0", "c0"]]},
+    {"delete": [["R", "a8", None]], "insert": [["R", "a9", None]]},
+], ids=["delete-and-reinsert", "delete-absent", "insert-present", "null"])
+def test_an_advanced_connection_equals_a_fresh_load(mutation):
+    service = CQAService()
+    spec = _spec(R_FACTS + S_FACTS)
+    spec["relations"]["R"]["rows"].append(["a8", None])
+    assert service.register_db("m", spec)[0] == 200
+    before = service._databases["m"]  # noqa: SLF001
+    kept = KeptSqlite(before.db)
+    kept.conn = to_sqlite(before.db)
+    warm = _WarmInstances()
+    warm.settle(("m", before.version), kept, True)
+    assert service.handle_mutate("m", mutation)[0] == 200
+    after = service._databases["m"]  # noqa: SLF001
+    assert [step[0] for step in after.steps] == [before.version]
+    assert warm.resolve(("m", after.version), after.steps) is kept
+    assert warm.keys() == [("m", after.version)]
+    assert kept.db.facts_with_tids() == after.db.facts_with_tids()
+    assert kept.db._next_tid == after.db._next_tid  # noqa: SLF001
+    fresh = to_sqlite(after.db)
+    for table in ("R", "S"):
+        assert _rows(kept.conn, table) == _rows(fresh, table)
