@@ -75,28 +75,15 @@ class ConflictHypergraph:
         """Tids in no conflict: the 'certain core' of the instance."""
         return self.nodes - self.conflicting_tids()
 
-    def shape_stats(self) -> dict:
-        """Structural statistics of the conflict graph.
+    def components(self) -> List[FrozenSet[str]]:
+        """The connected components of the conflicting tids.
 
-        These are the shape parameters that govern CQA tractability
-        (component size bounds repair enumeration; the degree bound
-        controls hitting-set branching), recorded per request by the
-        live telemetry plane and the flight recorder so engine
-        selection can later key on them.
-        Keys: ``nodes``, ``conflicting_nodes``, ``edges``,
-        ``max_edge_arity``, ``max_degree``, ``components``,
-        ``max_component_size`` (component = connected component of the
-        conflicting nodes under shared-edge adjacency).
-
-        Memoized on the instance: the dataclass is frozen and the node/
-        edge sets immutable, so the union-find pass runs once per graph
-        no matter how many requests consult it (invalidation is moot).
-        Callers receive a fresh copy each time.
+        Two tids are adjacent when some edge holds both.  No edge
+        crosses components, so a repair chooses its kept tuples in each
+        component independently of the others (Example 4.1;
+        :mod:`repro.cqa.local`).  Ordered by smallest tid, so the order
+        never depends on set iteration order (``PYTHONHASHSEED``).
         """
-        cached = getattr(self, "_shape_stats_cache", None)
-        if cached is not None:
-            return dict(cached)
-        degree: dict = {}
         parent: dict = {}
 
         def find(x: str) -> str:
@@ -108,23 +95,50 @@ class ConflictHypergraph:
         for edge in self.edges:
             members = list(edge)
             for tid in members:
-                degree[tid] = degree.get(tid, 0) + 1
                 parent.setdefault(tid, tid)
             root = find(members[0])
             for tid in members[1:]:
                 parent[find(tid)] = root
-        components: dict = {}
+        groups: dict = {}
         for tid in parent:
-            root = find(tid)
-            components[root] = components.get(root, 0) + 1
+            groups.setdefault(find(tid), []).append(tid)
+        return sorted(
+            (frozenset(members) for members in groups.values()), key=min
+        )
+
+    def shape_stats(self) -> dict:
+        """Structural statistics of the conflict graph.
+
+        These are the shape parameters that govern CQA tractability
+        (component size bounds repair enumeration; the degree bound
+        controls hitting-set branching), recorded per request by the
+        live telemetry plane and the flight recorder so engine
+        selection can later key on them.
+        Keys: ``nodes``, ``conflicting_nodes``, ``edges``,
+        ``max_edge_arity``, ``max_degree``, ``components``,
+        ``max_component_size`` (see :meth:`components`).
+
+        Memoized on the instance: the dataclass is frozen and the node/
+        edge sets immutable, so the union-find pass runs once per graph
+        no matter how many requests consult it (invalidation is moot).
+        Callers receive a fresh copy each time.
+        """
+        cached = getattr(self, "_shape_stats_cache", None)
+        if cached is not None:
+            return dict(cached)
+        degree: dict = {}
+        for edge in self.edges:
+            for tid in edge:
+                degree[tid] = degree.get(tid, 0) + 1
+        sizes = [len(members) for members in self.components()]
         stats = {
             "nodes": len(self.nodes),
             "conflicting_nodes": len(degree),
             "edges": len(self.edges),
             "max_edge_arity": max((len(e) for e in self.edges), default=0),
             "max_degree": max(degree.values(), default=0),
-            "components": len(components),
-            "max_component_size": max(components.values(), default=0),
+            "components": len(sizes),
+            "max_component_size": max(sizes, default=0),
         }
         # frozen=True blocks plain attribute writes; the cache is not
         # part of the value (equality/hash ignore it), so bypassing the

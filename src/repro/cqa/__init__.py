@@ -25,6 +25,7 @@ from .certain import (
     repairs_for_semantics_partial,
 )
 from .fuxman_miller import consistent_answers_fm, fuxman_miller_rewrite
+from .local import consistent_answers_local
 from .rewriting import (
     atom_residues,
     consistent_answers_by_rewriting,
@@ -54,6 +55,7 @@ __all__ = [
     "repairs_for_semantics_partial",
     "consistent_answers_fm",
     "fuxman_miller_rewrite",
+    "consistent_answers_local",
     "atom_residues",
     "consistent_answers_by_rewriting",
     "constraint_clauses",

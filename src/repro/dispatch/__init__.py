@@ -3,8 +3,9 @@
 ``repro.dispatch`` turns the runtime layer's primitives (budgets,
 cooperative cancellation, fault injection) into graceful degradation
 through redundancy: a fallback ladder of CQA engines — Fuxman–Miller
-SQL rewriting, generic FO rewriting, the ASP repair program, budgeted
-repair enumeration, and the anytime certain-core bracket — guarded by
+SQL rewriting, generic FO rewriting, the component-local repair search,
+budgeted repair enumeration, and the anytime certain-core bracket (the
+ASP repair program stays selectable off the ladder) — guarded by
 typed applicability checks, per-engine circuit breakers, per-rung
 budget slices, and (for engines that can wedge non-cooperatively)
 subprocess isolation with a watchdog kill.

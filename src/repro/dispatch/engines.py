@@ -16,7 +16,11 @@ one evaluation strategy behind a uniform interface:
 
 The default ladder, fastest-and-narrowest first::
 
-    fm-sql  >  fo-mem  >  asp  >  enumerate  >  certain-core
+    fm-sql  >  fo-mem  >  local  >  enumerate  >  certain-core
+
+``asp`` (the repair program of Section 3.3) stays registered off the
+default ladder: a policy or ``--engine asp`` can still name it, and
+recorded envelopes whose ladder holds it replay through it.
 
 Every *exact* rung either returns a complete answer or fails; only the
 final ``certain-core`` rung returns a sound under-approximation
@@ -37,7 +41,8 @@ from ..cqa.approximation import (
 )
 from ..cqa.certain import consistent_answers_partial
 from ..cqa.fuxman_miller import fuxman_miller_rewrite
-from ..cqa.rewriting import constraint_clauses, fo_rewrite
+from ..cqa.local import consistent_answers_local
+from ..cqa.rewriting import Clause, constraint_clauses, fo_rewrite
 from ..cqa.sqlgen import answers_via_sql
 from ..errors import (
     BudgetExceededError,
@@ -46,6 +51,7 @@ from ..errors import (
     ReproError,
 )
 from ..logic.queries import ConjunctiveQuery, UnionQuery
+from ..logic.substitution import apply_to_term, unify_atoms
 from ..relational.database import Database, Fact, Row
 from ..runtime import suspend_budget
 
@@ -69,7 +75,7 @@ class EngineInapplicableError(ReproError):
     """A non-rewriting engine cannot serve this (query, constraints).
 
     The counterpart of :class:`~repro.errors.NotRewritableError` for the
-    ASP / approximation rungs; the dispatcher treats both as a clean
+    non-rewriting rungs; the dispatcher treats both as a clean
     fall-through to the next rung, never as an engine failure.
     """
 
@@ -223,9 +229,10 @@ class FORewriteMemEngine(Engine):
       so when rung 1 died of backend failure (not applicability) this
       rung recovers the same exact answers in memory;
     * the residue-rewriting class of the original PODS'99 method —
-      quantifier-free queries under constraints with a universal clausal
-      form, evaluated under S-repair semantics (equivalently
-      "delete-only" when the constraints are denial-class).
+      quantifier-free queries under universal binary constraints,
+      evaluated under S-repair semantics (equivalently "delete-only"
+      when the constraints are denial-class).  Every clause must pass
+      :func:`_residue_scope`; requests outside it fall through.
     """
 
     name = "fo-mem"
@@ -251,7 +258,9 @@ class FORewriteMemEngine(Engine):
                 "queries only; the query has existential variables"
             )
         for ic in request.constraints:
-            constraint_clauses(ic, request.db)  # may raise NotRewritable
+            # constraint_clauses may raise NotRewritableError itself.
+            for clause in constraint_clauses(ic, request.db):
+                _residue_scope(clause)
         return "residue"
 
     def check(self, request: CQARequest) -> None:
@@ -271,13 +280,98 @@ class FORewriteMemEngine(Engine):
         )
 
 
-class AspEngine(Engine):
-    """Rung 3: the repair program (Section 3.3), cautious reasoning.
+_ORDER_OPS = frozenset(("<", "<=", ">", ">="))
 
-    Applicable to conjunctive queries under denial-class constraints;
-    "c" semantics adds the weak constraints of Example 4.2 and answers
-    cautiously over the *optimal* stable models.  Grounding is
-    worst-case exponential in constraint arity, hence ``isolatable``.
+
+def _residue_scope(clause: Clause) -> None:
+    """Raise :class:`NotRewritableError` unless the residue rewriting
+    is exact for *clause*.
+
+    * At most two database literals: with three, each leftover literal
+      is quantified on its own, ``¬∃W S(Y,W) ∨ ¬∃W R(W,X)`` where
+      ``¬∃W (S(Y,W) ∧ R(W,X))`` is meant.
+    * No single tuple violates a denial clause on its own.  Such a
+      tuple is in no repair, yet the residues still count it as a
+      rival of the tuples it conflicts with.  When the clause's atoms
+      unify, one of its ``=`` literals (a negated ``!=`` condition, as
+      an FD's ``y = z``) must then compare a term with itself.
+    * No order comparison in a denial clause: on values that do not
+      compare (``'b' < 2``) the comparison and its negation are both
+      false.
+    """
+    literals = clause.positive + clause.negative
+    if len(literals) > 2:
+        raise NotRewritableError(
+            "residue rewriting is exact for binary clauses only; "
+            f"{clause!r} has {len(literals)} database literals"
+        )
+    if clause.positive:
+        return
+    if any(c.op in _ORDER_OPS for c in clause.comparisons):
+        raise NotRewritableError(
+            "residue rewriting is not exact under order comparisons "
+            f"in a denial constraint ({clause!r})"
+        )
+    mgu = unify_atoms(*literals) if len(literals) == 2 else {}
+    if mgu is not None and not any(
+        c.op == "="
+        and apply_to_term(c.left, mgu) == apply_to_term(c.right, mgu)
+        for c in clause.comparisons
+    ):
+        raise NotRewritableError(
+            "residue rewriting is not exact when a single tuple can "
+            f"violate a denial constraint ({clause!r})"
+        )
+
+
+class LocalEngine(Engine):
+    """Rung 3: the component-local search (Section 4.1, Example 4.1).
+
+    Applicable to CQs and UCQs under denial-class constraints, for all
+    three semantics: each candidate answer is decided over the repairs
+    of the conflict components its witnesses touch
+    (:mod:`repro.cqa.local`).  Cooperative pure Python, so not
+    ``isolatable``: the rung budget cancels it at a checkpoint, and the
+    rung then fails as enumerate does.
+    """
+
+    name = "local"
+
+    def check(self, request: CQARequest) -> None:
+        # O(1) in the instance: the dispatcher checks every rung on
+        # every request.
+        if not isinstance(request.query, (ConjunctiveQuery, UnionQuery)):
+            raise EngineInapplicableError(
+                "the component-local search handles CQs and UCQs only; "
+                f"got {type(request.query).__name__}"
+            )
+        if not denial_class_only(request.constraints):
+            raise EngineInapplicableError(
+                "the component-local search needs denial-class "
+                "constraints (denial constraints, FDs, keys, CFDs)"
+            )
+
+    def run(self, request: CQARequest) -> EngineAnswer:
+        return EngineAnswer(
+            consistent_answers_local(
+                request.db,
+                request.constraints,
+                request.query,
+                request.semantics,
+            ),
+            True,
+        )
+
+
+class AspEngine(Engine):
+    """The repair program (Section 3.3), cautious reasoning.
+
+    Off the default ladder since ``local`` took rung 3; a policy ladder
+    or ``--engine asp`` still selects it.  Applicable to conjunctive
+    queries under denial-class constraints; "c" semantics adds the weak
+    constraints of Example 4.2 and answers cautiously over the
+    *optimal* stable models.  Grounding is worst-case exponential in
+    constraint arity, hence ``isolatable``.
     """
 
     name = "asp"
@@ -348,9 +442,10 @@ class CertainCoreEngine(Engine):
 
     A sound under-approximation for monotone queries: the core (tuples
     in no conflict) is contained in every repair, so its answers are
-    certain under all three semantics.  When a small repair sample is
-    affordable the answer also carries an ``upper_bound``
-    over-approximation, bracketing the exact set.  Never complete.
+    certain under all three semantics.  Under "s" and "delete-only",
+    when a small repair sample is affordable, the answer also carries
+    an ``upper_bound`` over-approximation, bracketing the exact set.
+    Never complete.
     """
 
     name = "certain-core"
@@ -384,7 +479,9 @@ class CertainCoreEngine(Engine):
                 request.db, request.constraints, request.query
             )
             detail: Dict[str, object] = {"fallback": "certain-core"}
-            if self.sample_size:
+            # The sample holds S-repairs, and an S-repair need not be a
+            # C-repair: under "c" their intersection bounds nothing.
+            if self.sample_size and request.semantics != "c":
                 try:
                     detail["upper_bound"] = overapproximate_answers(
                         request.db,
@@ -401,7 +498,7 @@ class CertainCoreEngine(Engine):
 DEFAULT_LADDER: Tuple[str, ...] = (
     "fm-sql",
     "fo-mem",
-    "asp",
+    "local",
     "enumerate",
     "certain-core",
 )
@@ -411,6 +508,7 @@ ENGINES: Dict[str, Engine] = {
     for engine in (
         FuxmanMillerSqlEngine(),
         FORewriteMemEngine(),
+        LocalEngine(),
         AspEngine(),
         EnumerateEngine(),
         CertainCoreEngine(),

@@ -32,14 +32,17 @@ from repro.errors import (
     ReproError,
     RewritingError,
 )
+from repro.constraints import TupleGeneratingDependency, denial_class_only
 from repro.logic import atom, cq, vars_
+from repro.logic.parser import parse_denial, parse_fd, parse_query
 from repro.observability import collect
+from repro.relational import Database, RelationSchema, Schema
 from repro.runtime import Budget, FaultPlan, inject, use_budget
 from repro.runtime.retry import retry_transient
 from repro.errors import TransientBackendError
 from repro.workloads import employee, employee_key_violations, rs_instance
 
-X, Y = vars_("x y")
+X, Y, Z = vars_("x y z")
 
 
 class FakeClock:
@@ -201,13 +204,13 @@ class TestNotRewritable:
 
     def test_applicability_never_penalizes_breakers(self):
         # A BCQ with existential variables under a denial constraint:
-        # both rewriting rungs are inapplicable, asp serves it.
+        # both rewriting rungs are inapplicable, local serves it.
         scenario = rs_instance()
         d = Dispatcher(DispatchPolicy())
         result = d.dispatch(
             scenario.db, scenario.constraints, scenario.queries["Q"]
         )
-        assert result.provenance.engine == "asp"
+        assert result.provenance.engine == "local"
         statuses = {
             o.engine: o.status for o in result.provenance.rungs
         }
@@ -347,6 +350,203 @@ class TestFallback:
         assert slice_s is not None and slice_s <= 2.1
         tail = d._slice(request, budget, applicable, 3)
         assert tail is not None and slice_s < tail <= 8.0
+
+
+# ----------------------------------------------------------------------
+# Residue scope of fo-mem, the local rung, and certain-core under "c"
+# ----------------------------------------------------------------------
+
+_RS = Schema.of(
+    RelationSchema("R", ("A", "B")),
+    RelationSchema("S", ("B", "C")),
+    RelationSchema("T", ("A", "C")),
+)
+
+
+def _rs(r=(), s=(), t=()):
+    return Database.from_dict(
+        {"R": list(r), "S": list(s), "T": list(t)}, schema=_RS
+    )
+
+
+#: Requests the residue-rewritten query answers wrongly, each with its
+#: Cons(Q, D, Σ).
+RESIDUE_OUT_OF_SCOPE = {
+    # three database literals
+    "ternary-dc": (
+        _rs([("a", 2)], [(2, "a")]),
+        [parse_denial(":- R(X, Y), S(Y, Z), R(Z, X)")],
+        "Q(X, Y, Z) :- R(X, Y), S(Y, Z)",
+        {("a", 2, "a")},
+    ),
+    # one tuple violates the DC on its own
+    "one-tuple-dc": (
+        _rs([(2, 1), (2, 2)]),
+        [parse_fd("R: A -> B"), parse_denial(":- R(X, X)")],
+        "Q(X, Y) :- R(X, Y)",
+        {(2, 1)},
+    ),
+    # the DC's two atoms unify with no disequality to stop them
+    "symmetric-dc": (
+        _rs([(1, "b"), (1, 1)]),
+        [parse_fd("R: A -> B"), parse_denial(":- R(X, Y), R(Y, X)")],
+        "Q(X, Y) :- R(X, Y)",
+        {(1, "b")},
+    ),
+    # an order comparison over values that do not compare
+    "order-dc": (
+        _rs([("b", 2), (2, "b")]),
+        [
+            parse_denial(":- R(X, Y), R(Y, X), X < Y"),
+            parse_fd("S: B -> C"),
+        ],
+        "Q(X, Y) :- R(X, Y)",
+        {("b", 2), (2, "b")},
+    ),
+    # the same, with atoms no single tuple matches both of
+    "order-dc-two-relations": (
+        _rs([("b", 2)], [(2, "a")]),
+        [parse_denial(":- R(X, Y), S(Y, Z), X < Y")],
+        "Q(X, Y) :- R(X, Y)",
+        {("b", 2)},
+    ),
+    # three literals in a tgd: the residue answers [(1, 'a')]
+    "ternary-tgd": (
+        _rs([(1, "a")], [("a", "b")], [(1, 1)]),
+        [
+            TupleGeneratingDependency(
+                (atom("R", X, Y), atom("S", Y, Z)), (atom("T", X, Z),)
+            )
+        ],
+        "Q(X, Y) :- R(X, Y)",
+        set(),
+    ),
+}
+
+
+class TestResidueScope:
+    @pytest.mark.parametrize("case", sorted(RESIDUE_OUT_OF_SCOPE))
+    def test_out_of_scope_falls_through_to_an_exact_answer(self, case):
+        db, constraints, text, expected = RESIDUE_OUT_OF_SCOPE[case]
+        query = parse_query(text)
+        assert consistent_answers(db, constraints, query) == expected
+        with pytest.raises(NotRewritableError):
+            get_engine("fo-mem").check(
+                CQARequest(db, constraints, query)
+            )
+        result = dispatch_cqa(db, constraints, query)
+        assert result.complete
+        assert result.answers == expected
+        assert result.provenance.engine == (
+            "local" if denial_class_only(constraints) else "enumerate"
+        )
+
+    def test_binary_constraints_keep_the_residue_plan(self):
+        db = _rs([("b", 1), ("b", 2), ("a", 1)], [(1, "b")])
+        constraints = [
+            parse_fd("R: A -> B"),
+            parse_denial(":- R(X, Y), S(Y, X)"),
+        ]
+        query = parse_query("Q(X, Y) :- R(X, Y)")
+        request = CQARequest(db, constraints, query)
+        engine = get_engine("fo-mem")
+        assert engine._plan(request) == "residue"
+        assert engine.run(request).answers == consistent_answers(
+            db, constraints, query
+        )
+
+
+class TestCertainCoreUnderC:
+    def test_no_upper_bound_from_s_repairs_under_c(self):
+        # {R('b', 1)} is an S-repair but not a C-repair: deleting
+        # R('b', 1) alone beats deleting R('b', 2) and S(1, 'b').
+        db = _rs([("b", 1), ("b", 2)], [(1, "b")])
+        constraints = [
+            parse_fd("R: A -> B"),
+            parse_fd("S: B -> C"),
+            parse_denial(":- R(X, Y), S(Y, X)"),
+        ]
+        query = parse_query("Q(X, Y) :- R(X, Y)")
+        ref = consistent_answers(db, constraints, query, semantics="c")
+        assert ref == {("b", 2)}
+        request = CQARequest(db, constraints, query, "c")
+        answer = get_engine("certain-core").run(request)
+        assert answer.answers <= ref
+        assert "upper_bound" not in answer.detail
+        for name in ("local", "asp", "enumerate"):
+            assert get_engine(name).run(request).answers == ref, name
+        s_answer = get_engine("certain-core").run(
+            CQARequest(db, constraints, query, "s")
+        )
+        assert s_answer.detail["upper_bound"] >= consistent_answers(
+            db, constraints, query
+        )
+
+
+SELF_JOIN = parse_query("Q(X) :- Employee(X, Y), Employee(Z, Y)")
+
+
+class TestLocalRung:
+    def test_default_ladder_serves_the_self_join_locally(self):
+        scenario = employee_key_violations(3, 3, 2, seed=4)
+        ref = consistent_answers(
+            scenario.db, scenario.constraints, SELF_JOIN
+        )
+        result = dispatch_cqa(scenario.db, scenario.constraints, SELF_JOIN)
+        assert result.complete and result.answers == ref
+        assert result.provenance.engine == "local"
+
+    @pytest.mark.parametrize("semantics", ["s", "c", "delete-only"])
+    def test_matches_asp_and_reference(self, semantics):
+        scenario = rs_instance()
+        query = scenario.queries["Q"]
+        request = CQARequest(
+            scenario.db, scenario.constraints, query, semantics
+        )
+        ref = consistent_answers(
+            scenario.db, scenario.constraints, query, semantics=semantics
+        )
+        assert get_engine("local").run(request).answers == ref
+        assert get_engine("asp").run(request).answers == ref
+
+    def test_check_declines_non_denial_constraints_and_fo_queries(self):
+        from repro.constraints import InclusionDependency
+        from repro.logic.queries import Query
+
+        scenario = employee()
+        ind = InclusionDependency(
+            "Employee", ("Name",), "Employee", ("Salary",), name="ind"
+        )
+        engine = get_engine("local")
+        with pytest.raises(EngineInapplicableError):
+            engine.check(CQARequest(
+                scenario.db, (ind,), scenario.queries["Q1"]
+            ))
+        generic = Query((X,), atom("Employee", X, Y))
+        with pytest.raises(EngineInapplicableError):
+            engine.check(CQARequest(
+                scenario.db, scenario.constraints, generic
+            ))
+
+    def test_starved_request_fails_local_and_salvages_soundly(self):
+        scenario = employee_key_violations(3, 3, 2, seed=4)
+        ref = consistent_answers(
+            scenario.db, scenario.constraints, SELF_JOIN
+        )
+        d = Dispatcher(DispatchPolicy())
+        with inject(FaultPlan(seed=1, starve_steps_after=5)):
+            result = d.dispatch(
+                scenario.db, scenario.constraints, SELF_JOIN
+            )
+        outcomes = {o.engine: o for o in result.provenance.rungs}
+        assert outcomes["local"].status == "failed"
+        assert "BudgetExceededError" in outcomes["local"].reason
+        assert d.breakers["local"].failures == 1
+        assert not result.complete
+        assert result.provenance.engine == "certain-core"
+        assert result.answers <= ref
+        upper = result.detail.get("upper_bound")
+        assert upper is not None and ref <= upper
 
 
 # ----------------------------------------------------------------------

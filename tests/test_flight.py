@@ -10,7 +10,10 @@ discipline as the live plane).
 
 import io
 import json
+import os
 import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -49,6 +52,7 @@ from repro.observability.flight.replay import (
     replay_envelope,
     replay_file,
 )
+from repro.logic.parser import parse_query
 from repro.observability.live import live, request_scope
 from repro.runtime import Budget, FaultPlan, inject
 from repro.workloads import employee, employee_key_violations
@@ -316,6 +320,40 @@ class TestReplay:
         env = recorder.captured[-1]
         report = replay_envelope(env)
         assert report.ok, report.render()
+
+    def test_starved_local_rung_replays_under_another_hash_seed(
+        self, tmp_path
+    ):
+        """The local rung visits components, candidates and kept sets
+        in tid order, so a request it fails on step starvation replays
+        bit-for-bit in a process whose set iteration order differs."""
+        scenario = employee_key_violations(3, 3, 2, seed=4)
+        query = parse_query("Q(X) :- Employee(X, Y), Employee(Z, Y)")
+        recorder = _record_all(
+            scenario, query, plan=FaultPlan(seed=1, starve_steps_after=5)
+        )
+        env = recorder.captured[-1]
+        statuses = {d["engine"]: d["status"] for d in env.decisions}
+        assert statuses["local"] == "failed"
+        assert env.outcome["status"] == "degraded"
+        path = write_envelope(tmp_path, env)
+        child_env = dict(os.environ)
+        child_env["PYTHONHASHSEED"] = (
+            "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        )
+        child_env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + child_env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "obs", "replay", str(path)],
+            env=child_env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "OK" in proc.stdout
 
     def test_replay_restores_open_breaker_decision(self):
         """A request recorded while a breaker was open must replay the

@@ -2,7 +2,11 @@
 
 The dispatcher's fallback ladder is only sound if every engine answers
 identically wherever its applicability check passes.  On random
-FD-constrained instances (the ``random_fd_instance`` workload):
+FD-constrained instances (the ``random_fd_instance`` workload), and on
+random two-relation instances ``R(A, B)``, ``S(B, C)`` with mixed
+``str``/``int`` values under keys and denial constraints (binary,
+ternary, one-tuple, order-comparison, and keys with a DC, where the
+"s" and "c" answers differ), joins, self-joins and UCQs:
 
 * **differential** — every applicable *exact* engine returns exactly
   the reference consistent answers (repair-set intersection);
@@ -11,18 +15,28 @@ FD-constrained instances (the ``random_fd_instance`` workload):
 * **salvage soundness** — the certain-core rung brackets the reference
   from below (and from above via ``upper_bound``) even though it is
   never complete.
+
+With NULL markers the engines do not yet agree with each other (SQLite
+and the in-memory evaluator read NULL differently); the ``local`` rung
+alone is held to the reference there.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cqa import consistent_answers
 from repro.dispatch import (
+    ENGINES,
     CQARequest,
     DispatchPolicy,
+    EngineInapplicableError,
     applicable_engines,
     dispatch_cqa,
     get_engine,
 )
+from repro.errors import NotRewritableError
+from repro.logic.parser import parse_denial, parse_fd, parse_query
+from repro.logic.queries import UnionQuery
+from repro.relational import NULL, Database, RelationSchema, Schema
 from repro.workloads import random_fd_instance
 
 # Small-instance strategy: up to 3 key groups of up to 3 values keeps
@@ -93,3 +107,119 @@ def test_salvage_rung_is_always_sound(params, qname):
     assert result.answers <= ref
     upper = result.detail.get("upper_bound")
     assert upper is not None and ref <= upper
+
+
+# ----------------------------------------------------------------------
+# Two relations, joins and denial constraints
+# ----------------------------------------------------------------------
+
+_TWO = Schema.of(
+    RelationSchema("R", ("A", "B")), RelationSchema("S", ("B", "C"))
+)
+
+_CONSTRAINT_SETS = {
+    "keys": (parse_fd("R: A -> B"), parse_fd("S: B -> C")),
+    "binary-dc": (parse_denial(":- R(X, Y), S(Y, X)"),),
+    "ternary-dc": (parse_denial(":- R(X, Y), S(Y, Z), R(Z, X)"),),
+    "key-one-tuple-dc": (parse_fd("R: A -> B"), parse_denial(":- R(X, X)")),
+    "order-dc": (
+        parse_denial(":- R(X, Y), R(Y, X), X < Y"),
+        parse_fd("S: B -> C"),
+    ),
+    "order-dc-two-relations": (
+        parse_denial(":- R(X, Y), S(Y, Z), X < Y"),
+    ),
+    # Components where a minimal repair is not a minimum one, so the
+    # "s" and "c" answers differ.
+    "keys-binary-dc": (
+        parse_fd("R: A -> B"),
+        parse_fd("S: B -> C"),
+        parse_denial(":- R(X, Y), S(Y, X)"),
+    ),
+}
+
+_TWO_QUERIES = {
+    "join": parse_query("Q(X, Z) :- R(X, Y), S(Y, Z)"),
+    "self-join": parse_query("Q(X) :- R(X, Y), R(Z, Y)"),
+    "projection": parse_query("Q(X) :- R(X, Y)"),
+    "boolean-join": parse_query("Q() :- R(X, Y), S(Y, Z)"),
+    "quantifier-free": parse_query("Q(X, Y) :- R(X, Y)"),
+    "ucq": UnionQuery((
+        parse_query("Q(X) :- R(X, Y)"),
+        parse_query("Q(X) :- S(X, Y)"),
+    )),
+}
+
+
+def _rows(values, max_size):
+    return st.frozensets(st.tuples(values, values), max_size=max_size)
+
+
+_VALUES = st.sampled_from(["a", "b", 1, 2])
+_NULLABLE = st.sampled_from(["a", "b", 1, 2, NULL])
+
+
+def _two(r_rows, s_rows):
+    return Database.from_dict(
+        {"R": sorted(r_rows, key=repr), "S": sorted(s_rows, key=repr)},
+        schema=_TWO,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _rows(_VALUES, 5),
+    _rows(_VALUES, 4),
+    st.sampled_from(sorted(_CONSTRAINT_SETS)),
+    st.sampled_from(sorted(_TWO_QUERIES)),
+    _SEMANTICS,
+)
+def test_two_relation_engines_and_dispatcher_agree(
+    r_rows, s_rows, cname, qname, semantics
+):
+    db = _two(r_rows, s_rows)
+    constraints = _CONSTRAINT_SETS[cname]
+    query = _TWO_QUERIES[qname]
+    ref = consistent_answers(db, constraints, query, semantics=semantics)
+    request = CQARequest(db, constraints, query, semantics)
+    for name, engine in ENGINES.items():
+        try:
+            engine.check(request)
+        except (NotRewritableError, EngineInapplicableError):
+            continue
+        answer = engine.run(request)
+        if engine.exact:
+            assert answer.complete
+            assert answer.answers == ref, (name, cname, qname, semantics)
+        else:
+            assert answer.answers <= ref
+            upper = answer.detail.get("upper_bound")
+            if upper is not None:
+                assert ref <= upper, (cname, qname, semantics)
+    result = dispatch_cqa(db, constraints, query, semantics=semantics)
+    if result.complete:
+        assert result.answers == ref, (
+            result.provenance.engine, cname, qname, semantics
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _rows(_NULLABLE, 5),
+    _rows(_NULLABLE, 4),
+    st.sampled_from(sorted(_CONSTRAINT_SETS)),
+    st.sampled_from(sorted(_TWO_QUERIES)),
+    _SEMANTICS,
+)
+def test_local_rung_is_exact_with_null_markers(
+    r_rows, s_rows, cname, qname, semantics
+):
+    db = _two(r_rows, s_rows)
+    constraints = _CONSTRAINT_SETS[cname]
+    query = _TWO_QUERIES[qname]
+    ref = consistent_answers(db, constraints, query, semantics=semantics)
+    answer = get_engine("local").run(
+        CQARequest(db, constraints, query, semantics)
+    )
+    assert answer.complete
+    assert answer.answers == ref
