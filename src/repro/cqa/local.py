@@ -29,11 +29,11 @@ from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 from ..constraints.base import IntegrityConstraint
 from ..constraints.conflicts import ConflictHypergraph
-from ..errors import BudgetExceededError
-from ..logic.evaluation import witnesses
+from ..logic.evaluation import Evaluator
+from ..logic.formulas import is_var
 from ..logic.queries import UnionQuery
 from ..observability import annotate, span
-from ..relational.database import Database, Row
+from ..relational.database import Database, Fact, Row
 from ..repairs.crepairs import minimum_hitting_sets_branch_and_bound
 from ..runtime import checkpoint as budget_checkpoint
 
@@ -103,14 +103,9 @@ def _kept_sets(
     if semantics == "c":
         hitting = minimum_hitting_sets_branch_and_bound(component)
     else:
-        partial = component.minimal_hitting_sets_partial()
-        if not partial.complete:
-            raise BudgetExceededError(
-                partial.exhausted,
-                "hitting-set search did not finish inside the budget "
-                f"({partial.exhausted})",
-            )
-        hitting = partial.value
+        hitting = component.minimal_hitting_sets_partial().unwrap(
+            strict=True
+        )
     return tuple(component.nodes - deleted for deleted in hitting)
 
 
@@ -118,16 +113,26 @@ def _candidates(
     db: Database, query, component_of: Dict[str, int]
 ) -> Dict[Row, List[FrozenSet[str]]]:
     """Q(D)'s answers, each with the conflicting tids of its witnesses
-    (in discovery order, without repeats)."""
+    (in discovery order, without repeats).
+
+    The evaluator's bindings are consumed lazily, one checkpoint each,
+    so a large join stays cancellable inside its rung's budget.
+    """
     disjuncts = (
         query.disjuncts if isinstance(query, UnionQuery) else (query,)
     )
+    evaluator = Evaluator(db)
     found: Dict[Row, Dict[FrozenSet[str], None]] = {}
     for disjunct in disjuncts:
-        for binding, facts in witnesses(
-            db, disjunct.atoms, disjunct.conditions
-        ):
+        for binding in evaluator.bindings(disjunct.body()):
+            budget_checkpoint()
             row = tuple(binding[v] for v in disjunct.head)
+            facts = (
+                Fact(a.predicate, tuple(
+                    binding[t] if is_var(t) else t for t in a.terms
+                ))
+                for a in disjunct.atoms
+            )
             part = frozenset(
                 tid for tid in map(db.tid_of, facts) if tid in component_of
             )

@@ -473,7 +473,7 @@ class TestCertainCoreUnderC:
         answer = get_engine("certain-core").run(request)
         assert answer.answers <= ref
         assert "upper_bound" not in answer.detail
-        for name in ("local", "asp", "enumerate"):
+        for name in ("local", "enumerate"):
             assert get_engine(name).run(request).answers == ref, name
         s_answer = get_engine("certain-core").run(
             CQARequest(db, constraints, query, "s")
@@ -497,7 +497,7 @@ class TestLocalRung:
         assert result.provenance.engine == "local"
 
     @pytest.mark.parametrize("semantics", ["s", "c", "delete-only"])
-    def test_matches_asp_and_reference(self, semantics):
+    def test_matches_reference(self, semantics):
         scenario = rs_instance()
         query = scenario.queries["Q"]
         request = CQARequest(
@@ -507,7 +507,6 @@ class TestLocalRung:
             scenario.db, scenario.constraints, query, semantics=semantics
         )
         assert get_engine("local").run(request).answers == ref
-        assert get_engine("asp").run(request).answers == ref
 
     def test_check_declines_non_denial_constraints_and_fo_queries(self):
         from repro.constraints import InclusionDependency
@@ -528,16 +527,40 @@ class TestLocalRung:
                 scenario.db, scenario.constraints, generic
             ))
 
-    def test_starved_request_fails_local_and_salvages_soundly(self):
-        scenario = employee_key_violations(3, 3, 2, seed=4)
+    def test_starved_request_fails_local_and_salvages_soundly(
+        self, monkeypatch
+    ):
+        from repro.constraints.conflicts import ConflictHypergraph
+        from repro.cqa import local
+
+        # One conflicting key group among forty clean names: the graph
+        # build takes few checkpoints, the self-join over 42 facts at
+        # least 42 bindings, and the search over the one component
+        # only a few steps, so the budget runs out among the bindings.
+        scenario = employee_key_violations(40, 1, 2, seed=4)
         ref = consistent_answers(
             scenario.db, scenario.constraints, SELF_JOIN
         )
+        with inject(FaultPlan(seed=1)) as counting, use_budget(Budget()):
+            ConflictHypergraph.build(scenario.db, scenario.constraints)
+        assert counting.checkpoints_seen > 0
+        phases = []
+        original = local._candidates
+
+        def candidates(*args):
+            phases.append("witnesses")
+            found = original(*args)
+            phases.append("search")
+            return found
+
+        monkeypatch.setattr(local, "_candidates", candidates)
         d = Dispatcher(DispatchPolicy())
-        with inject(FaultPlan(seed=1, starve_steps_after=5)):
+        starve = counting.checkpoints_seen + 3
+        with inject(FaultPlan(seed=1, starve_steps_after=starve)):
             result = d.dispatch(
                 scenario.db, scenario.constraints, SELF_JOIN
             )
+        assert phases == ["witnesses"]
         outcomes = {o.engine: o for o in result.provenance.rungs}
         assert outcomes["local"].status == "failed"
         assert "BudgetExceededError" in outcomes["local"].reason
