@@ -393,6 +393,41 @@ def _cmd_measure(args) -> int:
 # ----------------------------------------------------------------------
 
 
+class _TelemetryFlusher:
+    """Calls *write* every *interval_s* seconds on the running event
+    loop's default executor, never on the loop thread: the
+    ``os.replace`` behind each status file can block for tens of
+    milliseconds, and every request on the loop would wait it out."""
+
+    def __init__(self, write, interval_s: float) -> None:
+        import asyncio
+
+        self._write = write
+        self._interval_s = interval_s
+        self._writing = None
+        self._task = asyncio.ensure_future(self._run())
+
+    async def _run(self) -> None:
+        import asyncio
+
+        loop = asyncio.get_running_loop()
+        while True:
+            await asyncio.sleep(self._interval_s)
+            self._writing = loop.run_in_executor(None, self._write)
+            # Shielded, so that close() cancelling this task leaves
+            # the write in flight for close() to wait out.
+            await asyncio.shield(self._writing)
+
+    async def close(self) -> None:
+        """Stop flushing, then wait for a write in flight: a final
+        write after this one would share its temp file."""
+        import asyncio
+
+        self._task.cancel()
+        if self._writing is not None:
+            await asyncio.wait([self._writing])
+
+
 def _cmd_serve(args) -> int:
     import asyncio
     import contextlib
@@ -595,19 +630,16 @@ def _cmd_serve(args) -> int:
                 None, _recover_and_preload
             )
 
-        async def _flush_periodically() -> None:
-            while not stop.is_set():
-                await asyncio.sleep(args.status_interval)
-                _write_telemetry()
-
         flusher = None
         if plane is not None:
-            flusher = asyncio.ensure_future(_flush_periodically())
+            flusher = _TelemetryFlusher(
+                _write_telemetry, args.status_interval
+            )
         serving = asyncio.ensure_future(server.serve_forever())
         await stop.wait()
         print("-- draining ...", file=sys.stderr, flush=True)
         if flusher is not None:
-            flusher.cancel()
+            await flusher.close()
         if recovering is not None:
             await recovering
         serving.cancel()

@@ -18,7 +18,7 @@ follows the structure of the conflict graph, not |D| (Hankala et al.
 parameterise CQA by that structure).
 
 Components, candidates and kept sets are visited in an order fixed by
-tids and by the evaluator's sorted scans, never by set iteration order,
+tids and by the evaluator's sorted row order, never by set iteration order,
 so the sequence of budget checkpoints replays identically in another
 process (``obs replay``).
 """
@@ -33,7 +33,7 @@ from ..logic.evaluation import Evaluator
 from ..logic.formulas import is_var
 from ..logic.queries import UnionQuery
 from ..observability import annotate, span
-from ..relational.database import Database, Fact, Row
+from ..relational.database import Database, Row
 from ..repairs.crepairs import minimum_hitting_sets_branch_and_bound
 from ..runtime import checkpoint as budget_checkpoint
 
@@ -127,15 +127,13 @@ def _candidates(
         for binding in evaluator.bindings(disjunct.body()):
             budget_checkpoint()
             row = tuple(binding[v] for v in disjunct.head)
-            facts = (
-                Fact(a.predicate, tuple(
+            tids = (
+                db.tid_of_row(a.predicate, tuple(
                     binding[t] if is_var(t) else t for t in a.terms
                 ))
                 for a in disjunct.atoms
             )
-            part = frozenset(
-                tid for tid in map(db.tid_of, facts) if tid in component_of
-            )
+            part = frozenset(tid for tid in tids if tid in component_of)
             found.setdefault(row, {})[part] = None
     return {row: list(parts) for row, parts in found.items()}
 

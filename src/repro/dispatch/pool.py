@@ -15,7 +15,7 @@ The pool is a *supervisor*, not just a free-list:
   killed and retried by the respawner.
 * **warm → busy → warm** — :meth:`WorkerPool.run_engine` checks a
   worker out, runs exactly one job on it under a deadline-aware framed
-  read (``select`` on the raw pipe fd — no blocking buffered reads in
+  read (``poll`` on the raw pipe fd — no blocking buffered reads in
   the serving path), and checks it back in.
 * **recycle** — a worker is retired and replaced when it (a) blows its
   watchdog (killed, ``WorkerTimeoutError``), (b) crashes or garbles the
@@ -74,6 +74,7 @@ accounting sits behind one lock.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import select
@@ -141,7 +142,7 @@ class PoolWorker:
 
     Owned by at most one thread at a time (whoever checked it out of
     the pool), so it carries no locks.  All reads go through
-    :meth:`_read_frame` — ``select`` plus ``os.read`` on the raw pipe
+    :meth:`_read_frame` — ``poll`` plus ``os.read`` on the raw pipe
     fd under an absolute deadline; the ``Popen`` buffered reader is
     never used, so a timeout can never strand bytes in a buffer we do
     not control.
@@ -164,6 +165,7 @@ class PoolWorker:
         )
         self._fd = self.proc.stdout.fileno()
         self._buf = bytearray()
+        self._poller = None
 
     @property
     def pid(self) -> int:
@@ -172,17 +174,22 @@ class PoolWorker:
     # -- framed I/O under a deadline ----------------------------------
 
     def _recv_exact(self, n: int, end: Optional[float]) -> bytes:
+        if self._poller is None:
+            # poll, not select: select() refuses an fd number past
+            # 1023, which a busy server's pipes reach.
+            self._poller = select.poll()
+            self._poller.register(self._fd, select.POLLIN)
         while len(self._buf) < n:
+            timeout_ms = None
             if end is not None:
                 remaining = end - time.monotonic()
                 if remaining <= 0:
                     raise WorkerTimeoutError(
                         f"worker {self.pid} exceeded its read deadline"
                     )
-                ready, _, _ = select.select([self._fd], [], [], remaining)
-            else:
-                ready, _, _ = select.select([self._fd], [], [], None)
-            if not ready:
+                # Round up: a sub-millisecond wait of 0 would spin.
+                timeout_ms = math.ceil(remaining * 1000)
+            if not self._poller.poll(timeout_ms):
                 continue
             chunk = os.read(self._fd, 65536)
             if not chunk:

@@ -167,7 +167,7 @@ def _unmarshal_error(record: Dict[str, object]) -> BaseException:
 
 # ----------------------------------------------------------------------
 # Frame protocol (loop mode).  Child side uses blocking buffered reads;
-# the parent side (pool.py) reads the raw fd under a select() deadline.
+# the parent side (pool.py) reads the raw fd under a poll() deadline.
 # ----------------------------------------------------------------------
 
 

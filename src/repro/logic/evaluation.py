@@ -154,7 +154,22 @@ class Evaluator:
             raise QueryError(f"cannot evaluate {type(formula).__name__}")
 
     def _eval_atom(self, a: Atom, binding: Binding) -> Iterator[Binding]:
-        for values in self._db.relation(a.predicate):
+        # Probe the rows the bound positions name: constants and bound
+        # variables.  The index keeps the sorted order and joins as
+        # _joinable does, so the bindings come out exactly as a scan of
+        # the sorted relation would yield them; _match_fact still checks
+        # repeated variables and binds the free positions.
+        positions = []
+        key = []
+        for position, term in enumerate(a.terms):
+            if is_var(term):
+                if term not in binding:
+                    continue
+                term = binding[term]
+            positions.append(position)
+            key.append(term)
+        rows = self._db.rows_where(a.predicate, tuple(positions), tuple(key))
+        for values in rows:
             extended = _match_fact(a, values, binding)
             if extended is not None:
                 yield extended

@@ -11,6 +11,7 @@ repair can be compared tuple-by-tuple with the original.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     Collection,
     Dict,
@@ -74,6 +75,7 @@ class Database:
 
     __slots__ = (
         "_schema", "_facts", "_tid_of", "_by_relation", "_next_tid", "_hash",
+        "_memo",
     )
 
     def __init__(
@@ -94,6 +96,7 @@ class Database:
             self._tid_of[f] = tid
             self._by_relation.setdefault(f.relation, {})[f.values] = tid
         self._next_tid = next_tid
+        self._memo: Dict[str, Dict[Tuple[int, ...], _Index]] = {}
 
     def _derived(
         self,
@@ -101,14 +104,20 @@ class Database:
         tid_of: Dict[Fact, str],
         by_relation: Dict[str, Dict[Row, str]],
         next_tid: int,
+        added: Sequence[Fact],
+        removed: Sequence[Fact],
     ) -> "Database":
         """An instance over this schema from patched copies of this
         instance's indexes, skipping ``__init__``'s validating loop.
 
         The caller guarantees the indexes agree with each other and
-        validated every fact they add.  A relation's inner dict may be
-        shared with this instance, since no instance mutates its
-        indexes after construction.
+        validated every fact they add, and names the delta in *added*
+        and *removed*.  A relation's inner dict may be shared with this
+        instance, since no instance mutates its indexes after
+        construction; so may its sorted rows and row indexes
+        (:meth:`rows_where`), for every relation the delta leaves
+        alone.  When this instance's hash is known, the new instance's
+        is carried over by the delta.
         """
         db = Database.__new__(Database)
         db._schema = self._schema
@@ -116,17 +125,38 @@ class Database:
         db._tid_of = tid_of
         db._by_relation = by_relation
         db._next_tid = next_tid
+        # One C-level copy: another thread may be publishing an entry
+        # into this instance's memo while we derive from it.
+        memo = dict(self._memo)
+        for f in (*added, *removed):
+            memo.pop(f.relation, None)
+        db._memo = memo
+        parent_hash = getattr(self, "_hash", None)
+        if parent_hash is not None:
+            db._hash = (
+                parent_hash
+                + sum(map(hash, added))
+                - sum(map(hash, removed))
+            ) & _HASH_MASK
         return db
 
     def __getstate__(self):
-        # The hash memo stays behind: str hashes differ between
-        # processes unless PYTHONHASHSEED is pinned, so a memo carried
-        # into a pool worker would be wrong there.
+        # The hash and the row memo stay behind: str hashes differ
+        # between processes unless PYTHONHASHSEED is pinned, so a hash
+        # carried into a pool worker would be wrong there; and without
+        # the memo a pickle stays byte-identical however much of the
+        # memo has filled.
         return None, {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot != "_hash"
+            if slot not in ("_hash", "_memo")
         }
+
+    def __setstate__(self, state) -> None:
+        _, slots = state
+        for slot, value in slots.items():
+            object.__setattr__(self, slot, value)
+        self._memo = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -242,9 +272,57 @@ class Database:
 
     def relation(self, name: str) -> Tuple[Row, ...]:
         """All rows of relation *name*, in deterministic (sorted) order."""
-        self._schema.relation(name)  # validate the name
-        rows = self._by_relation.get(name, {})
-        return tuple(sorted(rows, key=row_sort_key))
+        return self.rows_where(name, (), ())
+
+    def rows_where(
+        self, name: str, positions: Tuple[int, ...], key: Row
+    ) -> Tuple[Row, ...]:
+        """The rows of relation *name* whose values at *positions* join
+        with *key*, in :meth:`relation`'s order.
+
+        Join equality is ``==`` except that NULL, and a value unequal
+        to itself such as a float NaN, join nothing: a row holding one
+        at an indexed position is in no bucket.  So a *key* holding one
+        finds nothing, even the very object it names.  Empty
+        *positions* name all rows.
+
+        Each (relation, positions) index is built once, from the sorted
+        rows, and kept on the instance.  Building needs no lock: an
+        entry is published with one ``setdefault``, so two threads may
+        build the same entry but none ever sees half of one.
+        """
+        entries = self._memo.get(name)
+        if entries is None:
+            self._schema.relation(name)  # validate the name
+            entries = self._memo.setdefault(name, {})
+        index = entries.get(positions)
+        if index is None:
+            if positions:
+                buckets: Dict[Row, list] = {}
+                pick = itemgetter(*positions)
+                for row in self.rows_where(name, (), ()):
+                    values = pick(row) if len(positions) > 1 else (pick(row),)
+                    for v in values:
+                        if v != v or is_null(v):
+                            break
+                    else:
+                        bucket = buckets.get(values)
+                        if bucket is None:
+                            buckets[values] = [row]
+                        else:
+                            bucket.append(row)
+                index = {k: tuple(rows) for k, rows in buckets.items()}
+            else:
+                index = {(): tuple(sorted(
+                    self._by_relation.get(name, ()), key=row_sort_key
+                ))}
+            index = entries.setdefault(positions, index)
+        return index.get(key, ())
+
+    def tid_of_row(self, name: str, row: Row) -> str:
+        """The tid of relation *name*'s row *row* (KeyError if absent):
+        :meth:`tid_of` without building a :class:`Fact`."""
+        return self._by_relation[name][row]
 
     def stored_rows(self, name: str) -> Collection[Row]:
         """All rows of relation *name*, unsorted, for consumers whose
@@ -270,11 +348,13 @@ class Database:
         return self.facts() == other.facts()
 
     def __hash__(self) -> int:
-        # Memoized: the serving path hashes every read's instance.
+        # Memoized: the serving path hashes every read's instance.  A
+        # sum of the facts' hashes, so that a derived instance carries
+        # it over by its delta (:meth:`_derived`).
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(self.facts())
+            self._hash = sum(map(hash, self._facts.values())) & _HASH_MASK
             return self._hash
 
     def __repr__(self) -> str:
@@ -304,10 +384,12 @@ class Database:
         tid_of = dict(self._tid_of)
         by_relation = dict(self._by_relation)
         copied = set()
+        removed = []
         for tid in set(tids):
             f = facts.pop(tid, None)
             if f is None:
                 continue
+            removed.append(f)
             del tid_of[f]
             if f.relation not in copied:
                 copied.add(f.relation)
@@ -316,7 +398,9 @@ class Database:
             del rows[f.values]
             if not rows:
                 del by_relation[f.relation]
-        return self._derived(facts, tid_of, by_relation, self._next_tid)
+        return self._derived(
+            facts, tid_of, by_relation, self._next_tid, (), removed
+        )
 
     def insert(self, facts: Iterable[Fact]) -> "Database":
         """A new instance with *facts* added (fresh tids; dups ignored).
@@ -328,11 +412,13 @@ class Database:
         tid_of = dict(self._tid_of)
         by_relation = dict(self._by_relation)
         copied = set()
+        added = []
         counter = self._next_tid
         for f in facts:
             if f in tid_of:
                 continue
             _check_fact(self._schema, f)
+            added.append(f)
             tid = f"t{counter}"
             if tid in all_facts:
                 raise SchemaError(
@@ -347,7 +433,9 @@ class Database:
                     by_relation.get(f.relation, {})
                 )
             by_relation[f.relation][f.values] = tid
-        return self._derived(all_facts, tid_of, by_relation, counter)
+        return self._derived(
+            all_facts, tid_of, by_relation, counter, added, ()
+        )
 
     def update_value(self, tid: str, position: int, value: Value) -> "Database":
         """A new instance where the fact at *tid* has one value replaced.
@@ -419,6 +507,12 @@ def _check_fact(schema: Schema, f: Fact) -> None:
             f"fact {f} has arity {len(f.values)}, schema says "
             f"{schema.relation(f.relation).arity}"
         )
+
+
+#: One (relation, positions) index: key values -> rows, sorted.
+_Index = Dict[Row, Tuple[Row, ...]]
+
+_HASH_MASK = (1 << 64) - 1
 
 
 def row_sort_key(row: Row) -> Tuple:

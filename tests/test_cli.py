@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import asyncio
 import pathlib
+import threading
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _TelemetryFlusher, main
 
 
 @pytest.fixture
@@ -264,3 +266,47 @@ class TestBudgetFlags:
                 "check", "--csv", f"Employee={employee_csv}",
                 "--fd", "Employee: Name -> Salary", "--strict",
             ])
+
+
+class TestTelemetryFlusher:
+    def test_loop_keeps_serving_while_a_write_blocks(self):
+        started = threading.Event()
+        release = threading.Event()
+        writes = []
+
+        def write():
+            started.set()
+            release.wait(5.0)
+            writes.append(release.is_set())
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            flusher = _TelemetryFlusher(write, 0.01)
+            assert await loop.run_in_executor(None, started.wait, 5.0)
+            # The write is blocked, and the loop still runs callbacks
+            # and timers.
+            ticks = 0
+            for _ in range(5):
+                await asyncio.sleep(0.001)
+                ticks += 1
+            assert ticks == 5 and writes == []
+            # close() waits the blocked write out and starts no other.
+            closing = asyncio.ensure_future(flusher.close())
+            await asyncio.sleep(0.05)
+            assert not closing.done()
+            release.set()
+            await asyncio.wait_for(closing, 5.0)
+            assert writes == [True]
+
+        asyncio.run(scenario())
+
+    def test_close_before_the_first_write(self):
+        writes = []
+
+        async def scenario():
+            flusher = _TelemetryFlusher(lambda: writes.append(1), 60.0)
+            await asyncio.sleep(0)
+            await flusher.close()
+
+        asyncio.run(scenario())
+        assert writes == []

@@ -8,6 +8,7 @@ overhead stays under the 5% instrumentation budget (the same op-count
 discipline as the live plane).
 """
 
+import gc
 import io
 import json
 import os
@@ -665,6 +666,9 @@ class TestFlightOverhead:
             shape_stats={"edges": 2, "max_component_size": 2},
         )
         loops = 5000
+        # A full collection of the test process's heap must not land
+        # inside the loop and be charged to the recorder.
+        gc.collect()
         start = time.perf_counter()
         for _ in range(loops):
             bench.decision(engine="fm-sql", status="ok", slice_s=None)

@@ -8,6 +8,7 @@ it created are gone when it is done.
 import io
 import os
 import pickle
+import resource
 import threading
 import time
 
@@ -23,6 +24,7 @@ from repro.dispatch import (
     run_isolated,
 )
 from repro.dispatch import worker as worker_mod
+from repro.dispatch.pool import PoolWorker
 from repro.dispatch.worker import (
     WorkerCrashError,
     WorkerTimeoutError,
@@ -199,6 +201,34 @@ def _request():
             scenario.db, scenario.constraints, scenario.queries["Q2"]
         ),
     )
+
+
+class TestHighDescriptor:
+    def test_ping_round_trip_on_a_pipe_fd_past_1023(self):
+        # select() raises "filedescriptor out of range" past 1023; a
+        # busy server's worker pipes get there.
+        soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if soft == resource.RLIM_INFINITY:
+            soft = 4096
+        high = next(
+            (
+                fd for fd in range(1100, min(soft, 4096))
+                if not os.path.exists(f"/proc/self/fd/{fd}")
+            ),
+            None,
+        )
+        if high is None:
+            pytest.skip(f"RLIMIT_NOFILE soft limit {soft} leaves no fd "
+                        "past 1023")
+        worker = PoolWorker()
+        try:
+            os.dup2(worker._fd, high)  # noqa: SLF001
+            worker._fd = high  # noqa: SLF001
+            assert worker.ping(30.0)["op"] == "pong"
+        finally:
+            os.close(high)
+            worker.reap()
+        assert not _pid_alive(worker.pid)
 
 
 class TestWorkerPool:
