@@ -37,8 +37,10 @@ with exit code 6.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import logging
+import os
 import sys
 from typing import Dict, List, Sequence, Tuple
 
@@ -256,16 +258,41 @@ def _cmd_cqa(args) -> int:
     return 0
 
 
-def _cmd_dispatch(args) -> int:
-    import contextlib
-    import os
+# ----------------------------------------------------------------------
+# Observers shared by dispatch and serve
+# ----------------------------------------------------------------------
 
-    from .dispatch import (
-        DEFAULT_LADDER,
-        DispatchError,
-        DispatchPolicy,
-        Dispatcher,
+
+def _add_observer_flags(parser: argparse.ArgumentParser) -> None:
+    """``--telemetry``, and ``--record`` / ``--record-anomalies``."""
+    parser.add_argument(
+        "--telemetry", metavar="DIR",
+        help="install the live telemetry plane and write events.jsonl, "
+             "status.json, and metrics.prom into DIR",
     )
+    record = parser.add_mutually_exclusive_group()
+    record.add_argument(
+        "--record", metavar="DIR",
+        help="flight-record every request into DIR (one replayable "
+             "JSON envelope per request; see 'obs replay')",
+    )
+    record.add_argument(
+        "--record-anomalies", metavar="DIR", dest="record_anomalies",
+        help="flight-record only anomalous requests (breaker trips, "
+             "budget exhaustion, shadow disagreement, worker kills, "
+             "errors) into DIR",
+    )
+
+
+@contextlib.contextmanager
+def _observers(args):
+    """Install the live plane on ``--telemetry`` and the flight recorder
+    on ``--record`` / ``--record-anomalies`` for the block.
+
+    Yields the function that writes status.json and metrics.prom, or
+    None without ``--telemetry``.  On exit uninstalls both, reports the
+    envelopes written and writes the status files a last time.
+    """
     from .observability.flight import (
         FlightRecorder,
         install_recorder,
@@ -277,6 +304,53 @@ def _cmd_dispatch(args) -> int:
         uninstall_live,
         write_prometheus,
         write_status_json,
+    )
+
+    plane = recorder = None
+    record_dir = args.record or args.record_anomalies
+
+    def write_telemetry() -> None:
+        write_status_json(
+            os.path.join(args.telemetry, "status.json"), plane.status()
+        )
+        write_prometheus(
+            os.path.join(args.telemetry, "metrics.prom"), plane.status()
+        )
+
+    try:
+        if args.telemetry:
+            os.makedirs(args.telemetry, exist_ok=True)
+            plane = install_live(LivePlane(
+                event_sink=os.path.join(args.telemetry, "events.jsonl"),
+            ))
+        if record_dir:
+            os.makedirs(record_dir, exist_ok=True)
+            recorder = install_recorder(FlightRecorder(
+                record_dir,
+                mode="all" if args.record else "anomaly",
+            ))
+        yield write_telemetry if plane is not None else None
+    finally:
+        if recorder is not None:
+            uninstall_recorder()
+            print(
+                f"-- recorded {len(recorder.written)} flight "
+                f"envelope(s) to {record_dir}",
+                file=sys.stderr,
+            )
+        if plane is not None:
+            uninstall_live()
+            write_telemetry()
+            plane.close()
+            logger.info("wrote live telemetry to %s", args.telemetry)
+
+
+def _cmd_dispatch(args) -> int:
+    from .dispatch import (
+        DEFAULT_LADDER,
+        DispatchError,
+        DispatchPolicy,
+        Dispatcher,
     )
     from .runtime import FaultPlan, inject
 
@@ -299,56 +373,21 @@ def _cmd_dispatch(args) -> int:
             sqlite_failure_rate=args.fault_sqlite_rate,
             starve_steps_after=args.fault_starve_after,
         ))
-    plane = None
-    if args.telemetry:
-        os.makedirs(args.telemetry, exist_ok=True)
-        plane = install_live(LivePlane(
-            event_sink=os.path.join(args.telemetry, "events.jsonl"),
-        ))
-    recorder = None
-    record_dir = args.record or args.record_anomalies
-    if record_dir:
-        os.makedirs(record_dir, exist_ok=True)
-        recorder = install_recorder(FlightRecorder(
-            record_dir,
-            mode="all" if args.record else "anomaly",
-        ))
     result = None
     errors = 0
-    try:
-        with faults:
-            # --repeat N serves the same request N times through the one
-            # stateful dispatcher — a seeded workload for the live plane
-            # (breaker trips, rolling windows) without a driver script.
-            for _ in range(max(1, args.repeat)):
-                try:
-                    result = dispatcher.dispatch(
-                        db, constraints, query, semantics=args.semantics
-                    )
-                except DispatchError:
-                    if args.repeat <= 1:
-                        raise
-                    errors += 1
-    finally:
-        if recorder is not None:
-            uninstall_recorder()
-            print(
-                f"-- recorded {len(recorder.written)} flight "
-                f"envelope(s) to {record_dir}",
-                file=sys.stderr,
-            )
-        if plane is not None:
-            uninstall_live()
-            write_status_json(
-                os.path.join(args.telemetry, "status.json"),
-                plane.status(),
-            )
-            write_prometheus(
-                os.path.join(args.telemetry, "metrics.prom"),
-                plane.status(),
-            )
-            plane.close()
-            logger.info("wrote live telemetry to %s", args.telemetry)
+    with _observers(args), faults:
+        # --repeat N serves the same request N times through the one
+        # stateful dispatcher — a seeded workload for the live plane
+        # (breaker trips, rolling windows) without a driver script.
+        for _ in range(max(1, args.repeat)):
+            try:
+                result = dispatcher.dispatch(
+                    db, constraints, query, semantics=args.semantics
+                )
+            except DispatchError:
+                if args.repeat <= 1:
+                    raise
+                errors += 1
     if result is None:
         raise DispatchError(
             f"all {args.repeat} repeated request(s) failed"
@@ -429,25 +468,34 @@ class _TelemetryFlusher:
 
 
 def _cmd_serve(args) -> int:
+    if args.follower_of and not args.data_dir:
+        raise SystemExit(
+            "--follower-of requires --data-dir (the follower applies "
+            "the shipped WAL to its own durable store)"
+        )
+    with _observers(args) as write_telemetry:
+        recovery_failure = _serve(args, write_telemetry)
+    if recovery_failure:
+        from .serve.store import StoreCorruptionError
+
+        exc = recovery_failure[0]
+        print(f"error: recovery failed: {exc}", file=sys.stderr)
+        if isinstance(exc, StoreCorruptionError):
+            return EXIT_STORE_CORRUPT
+        return 2
+    print("-- server stopped cleanly", file=sys.stderr)
+    return 0
+
+
+def _serve(args, write_telemetry) -> List[BaseException]:
+    """Serve until SIGINT or SIGTERM, then drain.  *write_telemetry*
+    (None without ``--telemetry``) is flushed every
+    ``--status-interval``.  Returns the recovery failure, if any."""
     import asyncio
-    import contextlib
-    import os
     import signal
 
     from .dispatch import DispatchPolicy, PoolConfig, WorkerPool
     from .runtime.faults import FaultPlan, inject
-    from .observability.flight import (
-        FlightRecorder,
-        install_recorder,
-        uninstall_recorder,
-    )
-    from .observability.live import (
-        LivePlane,
-        install_live,
-        uninstall_live,
-        write_prometheus,
-        write_status_json,
-    )
     from .serve import (
         AdmissionController,
         CQAHTTPServer,
@@ -456,20 +504,6 @@ def _cmd_serve(args) -> int:
         TenantPolicy,
     )
 
-    plane = None
-    if args.telemetry:
-        os.makedirs(args.telemetry, exist_ok=True)
-        plane = install_live(LivePlane(
-            event_sink=os.path.join(args.telemetry, "events.jsonl"),
-        ))
-    recorder = None
-    record_dir = args.record or args.record_anomalies
-    if record_dir:
-        os.makedirs(record_dir, exist_ok=True)
-        recorder = install_recorder(FlightRecorder(
-            record_dir,
-            mode="all" if args.record else "anomaly",
-        ))
     pool = None
     isolate = tuple(args.isolate or ())
     if args.workers > 0:
@@ -491,33 +525,15 @@ def _cmd_serve(args) -> int:
             fsync_interval=args.fsync_interval,
             compact_every=args.compact_every,
         ))
-    if args.follower_of and store is None:
-        raise SystemExit(
-            "--follower-of requires --data-dir (the follower applies "
-            "the shipped WAL to its own durable store)"
-        )
-    # Seeded storage/network chaos (CI crash and failover drives):
-    # installed for the whole server lifetime so WAL appends and
-    # replica pulls fault deterministically.
+    # Seeded storage chaos (the CI crash drive): installed for the
+    # whole server lifetime so WAL appends fault deterministically.
     chaos = contextlib.nullcontext()
-    if (
-        args.fault_storage_short_rate
-        or args.fault_storage_bitflip_rate
-        or args.fault_storage_fsync_rate
-        or args.fault_replica_drop_rate
-        or args.fault_replica_stall_rate
-        or args.fault_replica_dup_rate
-    ):
+    if args.fault_storage_short_rate or args.fault_storage_fsync_rate:
         chaos = inject(FaultPlan(
             seed=args.fault_seed,
             storage_short_write_rate=args.fault_storage_short_rate,
-            storage_bitflip_rate=args.fault_storage_bitflip_rate,
             storage_fsync_fail_rate=args.fault_storage_fsync_rate,
             max_storage_faults=args.fault_storage_max,
-            replica_drop_rate=args.fault_replica_drop_rate,
-            replica_stall_rate=args.fault_replica_stall_rate,
-            replica_dup_rate=args.fault_replica_dup_rate,
-            max_replica_faults=args.fault_replica_max,
         ))
     service = CQAService(
         policy=DispatchPolicy(isolate=isolate),
@@ -559,17 +575,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         max_inflight=args.max_inflight,
     ))
-
-    def _write_telemetry() -> None:
-        if plane is not None:
-            write_status_json(
-                os.path.join(args.telemetry, "status.json"),
-                plane.status(),
-            )
-            write_prometheus(
-                os.path.join(args.telemetry, "metrics.prom"),
-                plane.status(),
-            )
 
     recovery_failure: List[BaseException] = []
 
@@ -631,9 +636,9 @@ def _cmd_serve(args) -> int:
             )
 
         flusher = None
-        if plane is not None:
+        if write_telemetry is not None:
             flusher = _TelemetryFlusher(
-                _write_telemetry, args.status_interval
+                write_telemetry, args.status_interval
             )
         serving = asyncio.ensure_future(server.serve_forever())
         await stop.wait()
@@ -645,31 +650,9 @@ def _cmd_serve(args) -> int:
         serving.cancel()
         await server.stop()
 
-    try:
-        with chaos:
-            asyncio.run(_main())
-    finally:
-        if recorder is not None:
-            uninstall_recorder()
-            print(
-                f"-- recorded {len(recorder.written)} flight "
-                f"envelope(s) to {record_dir}",
-                file=sys.stderr,
-            )
-        if plane is not None:
-            uninstall_live()
-            _write_telemetry()
-            plane.close()
-    if recovery_failure:
-        from .serve.store import StoreCorruptionError
-
-        exc = recovery_failure[0]
-        print(f"error: recovery failed: {exc}", file=sys.stderr)
-        if isinstance(exc, StoreCorruptionError):
-            return EXIT_STORE_CORRUPT
-        return 2
-    print("-- server stopped cleanly", file=sys.stderr)
-    return 0
+    with chaos:
+        asyncio.run(_main())
+    return recovery_failure
 
 
 def _cmd_loadgen(args) -> int:
@@ -1083,27 +1066,11 @@ def build_parser() -> argparse.ArgumentParser:
              "checkpointed steps",
     )
     dispatch.add_argument(
-        "--telemetry", metavar="DIR",
-        help="install the live telemetry plane and write events.jsonl, "
-             "status.json, and metrics.prom into DIR",
-    )
-    dispatch.add_argument(
         "--repeat", type=int, default=1, metavar="N",
         help="serve the request N times through one dispatcher "
              "(a seeded workload for --telemetry; default 1)",
     )
-    record_group = dispatch.add_mutually_exclusive_group()
-    record_group.add_argument(
-        "--record", metavar="DIR",
-        help="flight-record every request into DIR (one replayable "
-             "JSON envelope per request; see 'obs replay')",
-    )
-    record_group.add_argument(
-        "--record-anomalies", metavar="DIR", dest="record_anomalies",
-        help="flight-record only anomalous requests (breaker trips, "
-             "budget exhaustion, shadow disagreement, worker kills, "
-             "errors) into DIR",
-    )
+    _add_observer_flags(dispatch)
     dispatch.set_defaults(func=_cmd_dispatch)
 
     measure = sub.add_parser(
@@ -1216,12 +1183,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(crash-drive chaos; default 0)",
     )
     serve.add_argument(
-        "--fault-storage-bitflip-rate", type=float, default=0.0,
-        dest="fault_storage_bitflip_rate", metavar="RATE",
-        help="per-append probability of a silent injected bit flip "
-             "(default 0)",
-    )
-    serve.add_argument(
         "--fault-storage-fsync-rate", type=float, default=0.0,
         dest="fault_storage_fsync_rate", metavar="RATE",
         help="per-fsync probability of an injected fsync failure "
@@ -1256,47 +1217,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="follower reads shed once the replication feed has been "
              "silent this long (default 5)",
     )
-    serve.add_argument(
-        "--fault-replica-drop-rate", type=float, default=0.0,
-        dest="fault_replica_drop_rate", metavar="RATE",
-        help="per-pull probability the follower drops the pull "
-             "entirely (failover-drill chaos; default 0)",
-    )
-    serve.add_argument(
-        "--fault-replica-stall-rate", type=float, default=0.0,
-        dest="fault_replica_stall_rate", metavar="RATE",
-        help="per-pull probability of an injected stall before the "
-             "pull (default 0)",
-    )
-    serve.add_argument(
-        "--fault-replica-dup-rate", type=float, default=0.0,
-        dest="fault_replica_dup_rate", metavar="RATE",
-        help="per-pull probability the shipped records are applied "
-             "twice (exercises idempotence; default 0)",
-    )
-    serve.add_argument(
-        "--fault-replica-max", type=int, dest="fault_replica_max",
-        metavar="N",
-        help="cap total injected replica faults (default unlimited)",
-    )
-    serve.add_argument(
-        "--telemetry", metavar="DIR",
-        help="install the live plane; periodically write status.json, "
-             "metrics.prom, and events.jsonl into DIR",
-    )
+    _add_observer_flags(serve)
     serve.add_argument(
         "--status-interval", type=float, default=5.0,
         dest="status_interval", metavar="SECONDS",
         help="how often --telemetry flushes status.json (default 5)",
-    )
-    serve_record = serve.add_mutually_exclusive_group()
-    serve_record.add_argument(
-        "--record", metavar="DIR",
-        help="flight-record every served request into DIR",
-    )
-    serve_record.add_argument(
-        "--record-anomalies", metavar="DIR", dest="record_anomalies",
-        help="flight-record only anomalous requests into DIR",
     )
     verbosity = serve.add_mutually_exclusive_group()
     verbosity.add_argument("-v", "--verbose", action="store_true")

@@ -59,6 +59,30 @@ class ConflictHypergraph:
                 frozenset(db.tids()), frozenset(edges)
             )
 
+    @staticmethod
+    def of(
+        db: Database, constraints: Sequence[IntegrityConstraint]
+    ) -> "ConflictHypergraph":
+        """The conflict hypergraph of *db* under *constraints*, built
+        by :meth:`build` at most once per instance and kept on it.
+
+        The graph lives exactly as long as the instance: a derived
+        instance starts without it and a pickle leaves it behind
+        (:class:`~repro.relational.database.Database`).  The build runs
+        under the caller's budget; one cut short publishes nothing.  No
+        lock: the result is published with one ``setdefault``, so two
+        threads may both build, but they build equal graphs.
+        """
+        key = tuple(constraints)
+        graph = db._graphs.get(key)
+        if graph is None:
+            # Looked up on the class at call time, so a wrapped build
+            # (servebench's ``dispatch.shape`` span) sees every build.
+            graph = db._graphs.setdefault(
+                key, ConflictHypergraph.build(db, key)
+            )
+        return graph
+
     def is_independent(self, tids: Iterable[str]) -> bool:
         """True when *tids* contains no complete hyperedge."""
         chosen = set(tids)

@@ -35,7 +35,7 @@ def certain_core(
         raise ConstraintError(
             "the certain core is defined for denial-class constraints"
         )
-    graph = ConflictHypergraph.build(db, constraints)
+    graph = ConflictHypergraph.of(db, constraints)
     return db.restricted_to(graph.conflict_free_tids())
 
 

@@ -60,7 +60,7 @@ def consistent_answers_local(
     if semantics not in ("s", "c", "delete-only"):
         raise ValueError(f"unknown repair semantics {semantics!r}")
     with span("cqa.local", semantics=semantics):
-        graph = ConflictHypergraph.build(db, constraints)
+        graph = ConflictHypergraph.of(db, constraints)
         components = graph.components()
         component_of = {
             tid: index

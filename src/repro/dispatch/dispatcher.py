@@ -29,7 +29,6 @@ but answers wrongly.
 from __future__ import annotations
 
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -85,9 +84,6 @@ __all__ = [
 ]
 
 _INAPPLICABLE = (NotRewritableError, EngineInapplicableError)
-
-#: Shape-cache sentinel: ``None`` is a cached value (no denial shape).
-_MISS = object()
 
 
 class DispatchError(ReproError):
@@ -231,13 +227,6 @@ class Dispatcher:
         }
         self._shadow_rng = random.Random(self.policy.shadow_seed)
         self._clock = clock
-        # Conflict shape stats per (db, constraints): telemetry and the
-        # flight recorder consume them every request, and rebuilding the
-        # hypergraph per request is the exact recompute the memoization
-        # satellite of PR 7 removes.  Bounded, insertion-ordered.
-        # One lock covers lookup and evict+insert, never the build.
-        self._shape_cache: Dict[Tuple, Optional[dict]] = {}
-        self._shape_lock = threading.Lock()
 
     # ------------------------------------------------------------------
 
@@ -336,36 +325,28 @@ class Dispatcher:
         plane or the flight recorder wants them (None otherwise — the
         build is not free).
 
-        Memoized per ``(db, constraints)`` on the dispatcher (and again
-        on the hypergraph itself), so a dispatcher serving many requests
-        against one instance builds the graph once, not per request.
-        Runs with any ambient budget masked: an exhausted or tight
-        request budget must not be charged for telemetry, and telemetry
-        must not raise into the serving path.
+        Reads the instance's own graph (:meth:`ConflictHypergraph.of`),
+        which its first reader builds and every later one shares, the
+        ``local`` and certain-core rungs included; the stats are
+        memoized on the graph.  Runs with any ambient budget masked: an
+        exhausted or tight request budget must not be charged for
+        telemetry, and telemetry must not raise into the serving path.
+        Since this runs before the ladder, the rungs never pay for the
+        build while anything observes, in recording or in replay.
         """
         if not live_installed() and not flight_installed():
             return None
-        key = (request.db, request.constraints)
-        with self._shape_lock:
-            stats = self._shape_cache.get(key, _MISS)
-        if stats is _MISS:
-            try:
-                with suspend_budget():
-                    graph = ConflictHypergraph.build(
-                        request.db, request.constraints
-                    )
-                stats = graph.shape_stats()
-            except Exception:  # noqa: BLE001 — non-denial constraints
-                stats = None
-            with self._shape_lock:
-                if len(self._shape_cache) >= 16:
-                    self._shape_cache.pop(next(iter(self._shape_cache)))
-                self._shape_cache[key] = stats
-        if stats is None:
+        try:
+            with suspend_budget():
+                graph = ConflictHypergraph.of(
+                    request.db, request.constraints
+                )
+        except Exception:  # noqa: BLE001 — non-denial constraints
             return None
+        stats = graph.shape_stats()
         for metric in ("edges", "max_component_size", "max_degree"):
             live_observe(f"dispatch.conflicts.{metric}", stats[metric])
-        return dict(stats)
+        return stats
 
     def _finish_request(
         self,

@@ -75,7 +75,7 @@ class Database:
 
     __slots__ = (
         "_schema", "_facts", "_tid_of", "_by_relation", "_next_tid", "_hash",
-        "_memo",
+        "_memo", "_graphs",
     )
 
     def __init__(
@@ -97,6 +97,9 @@ class Database:
             self._by_relation.setdefault(f.relation, {})[f.values] = tid
         self._next_tid = next_tid
         self._memo: Dict[str, Dict[Tuple[int, ...], _Index]] = {}
+        # Conflict hypergraphs per constraint tuple, filled by
+        # ConflictHypergraph.of: one per version, never inherited.
+        self._graphs: Dict[Tuple, object] = {}
 
     def _derived(
         self,
@@ -116,8 +119,9 @@ class Database:
         instance, since no instance mutates its indexes after
         construction; so may its sorted rows and row indexes
         (:meth:`rows_where`), for every relation the delta leaves
-        alone.  When this instance's hash is known, the new instance's
-        is carried over by the delta.
+        alone.  Its conflict graphs are not shared: the delta may
+        change any of them.  When this instance's hash is known, the
+        new instance's is carried over by the delta.
         """
         db = Database.__new__(Database)
         db._schema = self._schema
@@ -131,6 +135,7 @@ class Database:
         for f in (*added, *removed):
             memo.pop(f.relation, None)
         db._memo = memo
+        db._graphs = {}
         parent_hash = getattr(self, "_hash", None)
         if parent_hash is not None:
             db._hash = (
@@ -141,15 +146,15 @@ class Database:
         return db
 
     def __getstate__(self):
-        # The hash and the row memo stay behind: str hashes differ
-        # between processes unless PYTHONHASHSEED is pinned, so a hash
-        # carried into a pool worker would be wrong there; and without
-        # the memo a pickle stays byte-identical however much of the
-        # memo has filled.
+        # The hash, the row memo and the conflict graphs stay behind:
+        # str hashes differ between processes unless PYTHONHASHSEED is
+        # pinned, so a hash carried into a pool worker would be wrong
+        # there; and without the memo and the graphs a pickle stays
+        # byte-identical however much of either has filled.
         return None, {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot not in ("_hash", "_memo")
+            if slot not in ("_hash", "_memo", "_graphs")
         }
 
     def __setstate__(self, state) -> None:
@@ -157,6 +162,7 @@ class Database:
         for slot, value in slots.items():
             object.__setattr__(self, slot, value)
         self._memo = {}
+        self._graphs = {}
 
     # ------------------------------------------------------------------
     # Construction

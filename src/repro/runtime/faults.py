@@ -16,13 +16,7 @@ layer must degrade gracefully under:
   so a plan can inject short writes (the frame is cut to a prefix and
   the append fails un-acked), silent bit flips (the frame lands whole
   but corrupted — acked, then caught by CRC at recovery), and fsync
-  failures, all on the same seeded schedule;
-* **replica network faults** — the WAL-shipping pull loop
-  (:mod:`repro.serve.replica`) consults :func:`replica_pull` before
-  every pull, so a plan can drop a pull on the floor (a partition the
-  follower rides out by retrying), stall it (a slow link inflating
-  staleness), or duplicate the delivered batch (exercising the
-  idempotent-apply path).
+  failures, all on the same seeded schedule.
 
 Everything is driven by one ``random.Random(seed)``: the same seed and
 the same call sequence inject the same faults, so stress tests assert
@@ -46,7 +40,6 @@ __all__ = [
     "FaultPlan",
     "active_plan",
     "inject",
-    "replica_pull",
     "sqlite_attempt",
     "storage_fsync",
     "storage_write",
@@ -79,11 +72,6 @@ class FaultPlan:
         storage_bitflip_rate: float = 0.0,
         storage_fsync_fail_rate: float = 0.0,
         max_storage_faults: Optional[int] = None,
-        replica_drop_rate: float = 0.0,
-        replica_stall_rate: float = 0.0,
-        replica_stall_s: float = 0.5,
-        replica_dup_rate: float = 0.0,
-        max_replica_faults: Optional[int] = None,
     ) -> None:
         if not 0.0 <= sqlite_failure_rate <= 1.0:
             raise ValueError("sqlite_failure_rate must be in [0, 1]")
@@ -91,9 +79,6 @@ class FaultPlan:
             ("storage_short_write_rate", storage_short_write_rate),
             ("storage_bitflip_rate", storage_bitflip_rate),
             ("storage_fsync_fail_rate", storage_fsync_fail_rate),
-            ("replica_drop_rate", replica_drop_rate),
-            ("replica_stall_rate", replica_stall_rate),
-            ("replica_dup_rate", replica_dup_rate),
         ):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{label} must be in [0, 1]")
@@ -106,11 +91,6 @@ class FaultPlan:
         self.storage_bitflip_rate = storage_bitflip_rate
         self.storage_fsync_fail_rate = storage_fsync_fail_rate
         self.max_storage_faults = max_storage_faults
-        self.replica_drop_rate = replica_drop_rate
-        self.replica_stall_rate = replica_stall_rate
-        self.replica_stall_s = replica_stall_s
-        self.replica_dup_rate = replica_dup_rate
-        self.max_replica_faults = max_replica_faults
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self.checkpoints_seen = 0
@@ -118,8 +98,6 @@ class FaultPlan:
         self.sqlite_failures_injected = 0
         self.storage_writes = 0
         self.storage_faults_injected = 0
-        self.replica_pulls_seen = 0
-        self.replica_faults_injected = 0
 
     # -- flight-recorder snapshot/restore ------------------------------
 
@@ -144,24 +122,22 @@ class FaultPlan:
                 "storage_bitflip_rate": self.storage_bitflip_rate,
                 "storage_fsync_fail_rate": self.storage_fsync_fail_rate,
                 "max_storage_faults": self.max_storage_faults,
-                "replica_drop_rate": self.replica_drop_rate,
-                "replica_stall_rate": self.replica_stall_rate,
-                "replica_stall_s": self.replica_stall_s,
-                "replica_dup_rate": self.replica_dup_rate,
-                "max_replica_faults": self.max_replica_faults,
                 "checkpoints_seen": self.checkpoints_seen,
                 "sqlite_attempts": self.sqlite_attempts,
                 "sqlite_failures_injected": self.sqlite_failures_injected,
                 "storage_writes": self.storage_writes,
                 "storage_faults_injected": self.storage_faults_injected,
-                "replica_pulls_seen": self.replica_pulls_seen,
-                "replica_faults_injected": self.replica_faults_injected,
                 "rng_state": [version, list(internal), gauss_next],
             }
 
     @staticmethod
     def restore(snapshot: dict) -> "FaultPlan":
-        """Rebuild a plan from a :meth:`snapshot` (deterministic replay)."""
+        """Rebuild a plan from a :meth:`snapshot` (deterministic replay).
+
+        Keys this plan no longer knows are ignored, so a snapshot that
+        still carries the removed replica-fault knobs (all zero, since
+        nothing set them) restores the same schedule.
+        """
         plan = FaultPlan(
             seed=int(snapshot.get("seed", 0)),
             expire_deadline_after=snapshot.get("expire_deadline_after"),
@@ -180,19 +156,6 @@ class FaultPlan:
                 snapshot.get("storage_fsync_fail_rate") or 0.0
             ),
             max_storage_faults=snapshot.get("max_storage_faults"),
-            replica_drop_rate=float(
-                snapshot.get("replica_drop_rate") or 0.0
-            ),
-            replica_stall_rate=float(
-                snapshot.get("replica_stall_rate") or 0.0
-            ),
-            replica_stall_s=float(
-                snapshot.get("replica_stall_s") or 0.5
-            ),
-            replica_dup_rate=float(
-                snapshot.get("replica_dup_rate") or 0.0
-            ),
-            max_replica_faults=snapshot.get("max_replica_faults"),
         )
         plan.checkpoints_seen = int(snapshot.get("checkpoints_seen", 0))
         plan.sqlite_attempts = int(snapshot.get("sqlite_attempts", 0))
@@ -202,12 +165,6 @@ class FaultPlan:
         plan.storage_writes = int(snapshot.get("storage_writes", 0))
         plan.storage_faults_injected = int(
             snapshot.get("storage_faults_injected", 0)
-        )
-        plan.replica_pulls_seen = int(
-            snapshot.get("replica_pulls_seen", 0)
-        )
-        plan.replica_faults_injected = int(
-            snapshot.get("replica_faults_injected", 0)
         )
         rng_state = snapshot.get("rng_state")
         if rng_state:
@@ -298,45 +255,6 @@ class FaultPlan:
                 return bytes(flipped)
         return data
 
-    def _on_replica_pull(self) -> Optional[str]:
-        """Pick a network fault for one replication pull, if any.
-
-        Returns ``"drop"`` (lose the request — partition), ``"stall"``
-        (delay it by ``replica_stall_s`` — slow link), ``"dup"``
-        (deliver the batch twice — retried response), or None.  One
-        seeded draw decides all three so the schedule is stable under
-        rate changes of the *other* knobs.
-        """
-        if (
-            self.replica_drop_rate <= 0.0
-            and self.replica_stall_rate <= 0.0
-            and self.replica_dup_rate <= 0.0
-        ):
-            return None
-        with self._lock:
-            self.replica_pulls_seen += 1
-            if (
-                self.max_replica_faults is not None
-                and self.replica_faults_injected
-                >= self.max_replica_faults
-            ):
-                return None
-            draw = self._rng.random()
-            drop_edge = self.replica_drop_rate
-            stall_edge = drop_edge + self.replica_stall_rate
-            dup_edge = stall_edge + self.replica_dup_rate
-            if draw < drop_edge:
-                fault = "drop"
-            elif draw < stall_edge:
-                fault = "stall"
-            elif draw < dup_edge:
-                fault = "dup"
-            else:
-                return None
-            self.replica_faults_injected += 1
-        add(f"runtime.faults.replica_{fault}_injected")
-        return fault
-
     def _on_storage_fsync(self) -> None:
         """Raise an injected fsync failure per the seeded schedule."""
         if self.storage_fsync_fail_rate <= 0.0:
@@ -382,14 +300,6 @@ def storage_fsync() -> None:
     plan = _PLAN
     if plan is not None:
         plan._on_storage_fsync()
-
-
-def replica_pull() -> Optional[str]:
-    """Fault hook for replication pulls (None without a plan)."""
-    plan = _PLAN
-    if plan is not None:
-        return plan._on_replica_pull()
-    return None
 
 
 @contextmanager

@@ -16,9 +16,7 @@ resumes from whatever LSN survived.
 
 The client deliberately has no failure-handling cleverness: a dropped
 or timed-out pull is just retried after ``backoff_s``, because the
-protocol is a pure idempotent fetch.  Seeded network faults
-(:func:`repro.runtime.faults.replica_pull`: drop / stall / duplicate)
-exercise exactly that claim in CI.
+protocol is a pure idempotent fetch.
 
 :class:`StaleReadError` is the staleness contract's refusal: a read
 carrying ``min_lsn`` that the local state cannot satisfy within its
@@ -39,7 +37,6 @@ from typing import Dict, Optional
 
 from ..errors import ReproError
 from ..observability.live import emit_event, live_add, live_gauge
-from ..runtime import faults as _faults
 from .store import StoreCorruptionError, StoreWriteError
 
 __all__ = ["ReplicaClient", "ReplicaConfig", "StaleReadError"]
@@ -189,13 +186,6 @@ class ReplicaClient:
         only on *local* apply failures; transport errors and upstream
         refusals are counted and absorbed (the loop just retries).
         """
-        fault = _faults.replica_pull()
-        if fault == "drop":
-            live_add("replica.pulls_dropped")
-            return 0
-        if fault == "stall":
-            plan = _faults.active_plan()
-            self._stop.wait(plan.replica_stall_s if plan else 0.5)
         store = self._service.store
         payload = {
             "from_lsn": store.last_lsn,
@@ -242,10 +232,7 @@ class ReplicaClient:
                 follower=self.config.follower_id,
             )
         else:
-            records = body.get("records") or []
-            if fault == "dup":
-                records = list(records) + list(records)
-            for record in records:
+            for record in body.get("records") or []:
                 if self._service.apply_replicated(record):
                     applied += 1
                 else:

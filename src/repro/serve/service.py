@@ -3,7 +3,7 @@
 One :class:`CQAService` owns everything the HTTP layer needs but HTTP
 knows nothing about: a registry of named ``(Database, constraints)``
 instances, one shared :class:`~repro.dispatch.Dispatcher` (breaker
-state and shape caches live across requests) over an optional warm
+state lives across requests) over an optional warm
 :class:`~repro.dispatch.WorkerPool`, and the
 :class:`~repro.serve.admission.AdmissionController` front door.
 

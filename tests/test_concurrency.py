@@ -1,14 +1,17 @@
-"""Serving-path races: the dispatcher's shape cache and planned recycles.
+"""Serving-path races: one instance's conflict graph and planned
+recycles.
 
-Each test forces an interleaving the serving path must survive: two
-requests evicting from a full shape cache at once, and a size-1 pool
-retiring its only worker on a planned recycle while requests keep
+Each test forces an interleaving the serving path must survive: eight
+requests taking a fresh version's conflict graph at once, and a size-1
+pool retiring its only worker on a planned recycle while requests keep
 arriving.
 """
 
+import sys
 import threading
 import time
 
+from repro.constraints.conflicts import ConflictHypergraph
 from repro.dispatch import (
     CQARequest,
     Dispatcher,
@@ -16,70 +19,62 @@ from repro.dispatch import (
     PoolSaturatedError,
     WorkerPool,
 )
+from repro.logic.parser import parse_query
 from repro.observability.live import live
+from repro.relational.database import fact
 from repro.workloads import employee, employee_key_violations
 
-
-class _RendezvousCache(dict):
-    """A shape cache whose evictors pick their victim together.
-
-    Iterating (``next(iter(cache))`` picks the oldest key) snapshots the
-    keys, then waits until a second thread has done the same, so two
-    concurrent misses on a full cache choose the same victim.  A cache
-    that serialises eviction never has a second iterator waiting: the
-    barrier then times out and the lone evictor carries on.
-    """
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.rendezvous = threading.Barrier(2, timeout=1.0)
-
-    def __iter__(self):
-        keys = list(super().__iter__())
-        try:
-            self.rendezvous.wait()
-        except threading.BrokenBarrierError:
-            pass
-        return iter(keys)
+SELF_JOIN = parse_query("Q(X) :- Employee(X, Y), Employee(Z, Y)")
 
 
-class TestShapeCacheRace:
-    def test_two_evictors_on_a_full_cache(self):
+class TestOneGraphPerVersion:
+    def test_eight_threads_take_a_fresh_versions_graph(self):
+        """Threads race to build and publish one version's graph while
+        they dispatch on it: each gets a graph equal to a build, and
+        every request is served."""
+        scenario = employee_key_violations(6, 4, 3, seed=5)
+        constraints = scenario.constraints
+        parent = scenario.db
+        ConflictHypergraph.of(parent, constraints)
         dispatcher = Dispatcher()
-        dispatcher._shape_cache = _RendezvousCache(  # noqa: SLF001
-            ((("filler", i), None) for i in range(16))
-        )
-        first = employee()
-        second = employee_key_violations(3, 2, 2, seed=5)
-        requests = [
-            (first, first.queries["Q1"]),
-            (second, second.queries["all"]),
-        ]
-        errors = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(5):
+                fresh = parent.insert([fact("Employee", "dup0", round_)])
+                start = threading.Barrier(8, timeout=30.0)
+                graphs, results, errors = [], [], []
 
-        def serve(scenario, query):
-            try:
-                dispatcher.dispatch(
-                    scenario.db, scenario.constraints, query
-                )
-            except Exception as exc:  # noqa: BLE001 — the regression
-                errors.append(exc)
+                def serve():
+                    try:
+                        start.wait()
+                        graphs.append(
+                            ConflictHypergraph.of(fresh, constraints)
+                        )
+                        results.append(dispatcher.dispatch(
+                            fresh, constraints, SELF_JOIN
+                        ))
+                    except Exception as exc:  # noqa: BLE001
+                        errors.append(exc)
 
-        with live():
-            threads = [
-                threading.Thread(target=serve, args=request)
-                for request in requests
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        cache = dispatcher._shape_cache  # noqa: SLF001
-        assert len(cache) == 16
-        for scenario, _ in requests:
-            assert (scenario.db, tuple(scenario.constraints)) in cache
+                with live():
+                    threads = [
+                        threading.Thread(target=serve) for _ in range(8)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                expected = ConflictHypergraph.build(fresh, constraints)
+                assert len(graphs) == 8
+                assert all(graph == expected for graph in graphs)
+                assert ConflictHypergraph.of(fresh, constraints) == expected
+                assert len(results) == 8
+                assert all(result.complete for result in results)
+        finally:
+            sys.setswitchinterval(old)
 
 
 class TestPlannedRecycle:

@@ -448,9 +448,10 @@ class TestExplain:
 
 
 class TestDispatcherIntegration:
-    def test_shape_stats_cached_per_instance(self, monkeypatch):
-        """Satellite: the dispatcher builds the conflict hypergraph once
-        per (db, constraints), not once per request."""
+    SELF_JOIN = parse_query("Q(X) :- Employee(X, Y), Employee(Z, Y)")
+
+    @staticmethod
+    def _count_builds(monkeypatch):
         calls = {"n": 0}
         real_build = ConflictHypergraph.build
 
@@ -461,17 +462,30 @@ class TestDispatcherIntegration:
         monkeypatch.setattr(
             ConflictHypergraph, "build", staticmethod(counting_build)
         )
+        return calls
+
+    def test_shape_stats_cached_per_instance(self, monkeypatch):
+        """The shape stats, ``local`` and certain-core share the
+        instance's one conflict graph, across dispatchers.  The
+        certain-core-only request asks for C-repairs, so the rung takes
+        no S-repair sample for its upper bound: the sample enumerates
+        repairs, which build a graph of their own."""
+        calls = self._count_builds(monkeypatch)
         scenario = employee()
-        dispatcher = Dispatcher()
-        with recording(FlightRecorder(mode="all")):
+        db, constraints = scenario.db, scenario.constraints
+        with recording(FlightRecorder(mode="all")) as recorder:
             for _ in range(3):
-                dispatcher.dispatch(
-                    scenario.db,
-                    scenario.constraints,
-                    scenario.queries["Q1"],
-                )
+                Dispatcher().dispatch(db, constraints, self.SELF_JOIN)
+            Dispatcher(DispatchPolicy(ladder=("certain-core",))).dispatch(
+                db, constraints, self.SELF_JOIN, semantics="c"
+            )
         assert calls["n"] == 1
-        assert len(dispatcher._shape_cache) == 1
+        engines = [
+            envelope.outcome["engine"] for envelope in recorder.captured
+        ]
+        assert engines == ["local"] * 3 + ["certain-core"]
+        stats = [envelope.shape_stats for envelope in recorder.captured]
+        assert stats == [stats[0]] * 4 and stats[0]["edges"] > 0
 
     def test_shape_stats_memoized_on_hypergraph(self):
         scenario = employee()
@@ -484,13 +498,17 @@ class TestDispatcherIntegration:
         assert second["edges"] != -99
         assert second == graph.shape_stats()
 
-    def test_no_stats_computed_when_nothing_observes(self):
+    def test_no_stats_computed_when_nothing_observes(self, monkeypatch):
+        """With nothing observing, a request fm-sql answers builds no
+        graph at all."""
+        calls = self._count_builds(monkeypatch)
         scenario = employee()
-        dispatcher = Dispatcher()
-        dispatcher.dispatch(
-            scenario.db, scenario.constraints, scenario.queries["Q1"]
-        )
-        assert dispatcher._shape_cache == {}
+        for _ in range(3):
+            result = Dispatcher().dispatch(
+                scenario.db, scenario.constraints, scenario.queries["Q1"]
+            )
+            assert result.provenance.engine == "fm-sql"
+        assert calls["n"] == 0
 
     def test_shadow_sampled_recorded_per_draw(self):
         scenario = employee()

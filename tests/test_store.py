@@ -513,6 +513,27 @@ class TestStorageFaults:
             b"y" * 64
         ) == plan._on_storage_write(b"y" * 64)
 
+    def test_restore_accepts_a_snapshot_with_replica_fault_keys(self):
+        """Envelopes recorded before the replica network faults were
+        removed carry their (all-zero) knobs and counters."""
+        plan = FaultPlan(seed=7, storage_short_write_rate=0.5)
+        plan._on_storage_write(b"x" * 64)
+        snapshot = dict(
+            plan.snapshot(),
+            replica_drop_rate=0.0,
+            replica_stall_rate=0.0,
+            replica_stall_s=0.5,
+            replica_dup_rate=0.0,
+            max_replica_faults=None,
+            replica_pulls_seen=0,
+            replica_faults_injected=0,
+        )
+        restored = FaultPlan.restore(snapshot)
+        assert restored.snapshot() == plan.snapshot()
+        assert restored._on_storage_write(
+            b"y" * 64
+        ) == plan._on_storage_write(b"y" * 64)
+
 
 # ----------------------------------------------------------------------
 # The acknowledged-prefix property, byte by byte
