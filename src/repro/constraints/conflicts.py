@@ -11,11 +11,13 @@ C-repairs are the complements of minimum hitting sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import BudgetExceededError, ConstraintError
+from ..logic.evaluation import Evaluator, _match_fact
+from ..logic.formulas import conj, is_var
 from ..observability import add, annotate, span
-from ..relational.database import Database
+from ..relational.database import Database, Fact, Lineage
 from ..runtime import (
     Budget,
     BudgetExhaustion,
@@ -25,6 +27,9 @@ from ..runtime import (
 )
 from ..runtime import checkpoint as budget_checkpoint
 from .base import IntegrityConstraint, all_violations, denial_class_only
+from .cfd import ConditionalFunctionalDependency
+from .denial import DenialConstraint
+from .fd import FunctionalDependency
 
 
 class _LimitReached(Exception):
@@ -63,25 +68,107 @@ class ConflictHypergraph:
     def of(
         db: Database, constraints: Sequence[IntegrityConstraint]
     ) -> "ConflictHypergraph":
-        """The conflict hypergraph of *db* under *constraints*, built
-        by :meth:`build` at most once per instance and kept on it.
+        """The conflict hypergraph of *db* under *constraints*, made at
+        most once per instance and kept on it.
 
-        The graph lives exactly as long as the instance: a derived
-        instance starts without it and a pickle leaves it behind
-        (:class:`~repro.relational.database.Database`).  The build runs
-        under the caller's budget; one cut short publishes nothing.  No
-        lock: the result is published with one ``setdefault``, so two
-        threads may both build, but they build equal graphs.
+        A derived instance advances the graph of its nearest ancestor
+        that anyone read by the delta between them (its
+        :class:`~repro.relational.database.Lineage`, see
+        :meth:`_advanced`); any other instance, or one whose delta no
+        rule covers, calls :meth:`build`.  The graph lives exactly as
+        long as the instance, and a pickle leaves it behind.  The work
+        runs under the caller's budget; work cut short publishes
+        nothing.  No lock: the result is published with one
+        ``setdefault``, so two threads may both make it, but they make
+        equal graphs.
         """
         key = tuple(constraints)
         graph = db._graphs.get(key)
         if graph is None:
-            # Looked up on the class at call time, so a wrapped build
-            # (servebench's ``dispatch.shape`` span) sees every build.
-            graph = db._graphs.setdefault(
-                key, ConflictHypergraph.build(db, key)
-            )
+            lineage = db._lineage
+            base = None if lineage is None else lineage.graphs.get(key)
+            if base is not None:
+                graph = base._advanced(db, key, lineage)
+            if graph is None:
+                # Looked up on the class at call time, so a wrapped
+                # build (servebench's ``dispatch.shape`` span) sees
+                # every build.
+                graph = ConflictHypergraph.build(db, key)
+            graph = db._graphs.setdefault(key, graph)
+            if lineage is not None and (
+                lineage.graphs.keys() <= db._graphs.keys()
+            ):
+                db._lineage = None  # nothing left to advance from it
         return graph
+
+    @staticmethod
+    def kept(
+        db: Database, constraints: Sequence[IntegrityConstraint]
+    ) -> "Optional[ConflictHypergraph]":
+        """The graph :meth:`of` keeps on *db* for *constraints*, or
+        None if no reader has made it yet."""
+        return db._graphs.get(tuple(constraints))
+
+    def _advanced(
+        self,
+        db: Database,
+        constraints: Tuple[IntegrityConstraint, ...],
+        lineage: Lineage,
+    ) -> "Optional[ConflictHypergraph]":
+        """This graph, of an ancestor of *db* under *constraints*,
+        advanced by the delta in *lineage*: equal to ``build(db,
+        constraints)``, or None where no rule covers the delta.
+
+        Denial-class constraints are monotone under deletion and each
+        violation is a set of facts, so the new edges are the old ones
+        that hold no removed tid, plus the violations that hold an
+        added one.  Per constraint:
+
+        * one that mentions no touched relation keeps its edges;
+        * a key or FD finds an added fact's rivals in its left-hand
+          side group (:meth:`Database.rows_where`, which, like
+          :meth:`FunctionalDependency.violations`, groups no NULL);
+        * any other denial constraint evaluates its body anchored at
+          each atom an added fact matches;
+        * anything else (a CFD gaining facts) has no rule.
+        """
+        removed, added, touched = (
+            lineage.removed, lineage.added, lineage.touched
+        )
+        nodes = self.nodes - removed if removed else self.nodes
+        nodes = nodes | added if added else nodes
+        stale = []
+        for ic in constraints:
+            mentioned = _relations(ic)
+            if mentioned is None:
+                return None
+            if not touched.isdisjoint(mentioned):
+                stale.append((ic, mentioned))
+        if not stale:
+            graph = ConflictHypergraph(nodes, self.edges)
+            stats = getattr(self, "_shape_stats_cache", None)
+            if stats is not None:
+                object.__setattr__(
+                    graph, "_shape_stats_cache",
+                    dict(stats, nodes=len(nodes)),
+                )
+            return graph
+        edges = {e for e in self.edges if removed.isdisjoint(e)}
+        facts = [(tid, db.fact_by_tid(tid)) for tid in sorted(added)]
+        for ic, mentioned in stale:
+            new = [(tid, f) for tid, f in facts if f.relation in mentioned]
+            if not new:
+                continue
+            if isinstance(ic, FunctionalDependency):
+                found = _fd_edges(ic, db, new)
+            elif isinstance(ic, DenialConstraint):
+                found = _dc_edges(ic, db, new)
+            else:
+                return None
+            if found is None:
+                return None
+            edges |= found
+        return ConflictHypergraph(nodes, frozenset(edges))
 
     def is_independent(self, tids: Iterable[str]) -> bool:
         """True when *tids* contains no complete hyperedge."""
@@ -213,8 +300,12 @@ class ConflictHypergraph:
         # minimal ones, in discovery order.
         candidates: Set[FrozenSet[str]] = set()
         found: List[FrozenSet[str]] = []
+        chosen: Set[str] = set()
 
-        def branch(chosen: Set[str], remaining: List[FrozenSet[str]]) -> None:
+        def branch(remaining: List[FrozenSet[str]]) -> Optional[list]:
+            """Enter a branch: emit *chosen* if it covers *remaining*,
+            else return the frame that tries each vertex of its
+            smallest uncovered edge: ``[uncovered, vertices, next]``."""
             add("conflicts.hitting_set_branches")
             budget_checkpoint()
             uncovered = [e for e in remaining if not (e & chosen)]
@@ -228,23 +319,40 @@ class ConflictHypergraph:
                         found.append(hitting)
                         if limit is not None and len(found) >= limit:
                             raise _LimitReached
-                return
-            edge = min(uncovered, key=len)
-            for vertex in sorted(edge):
-                # Skip branches provably yielding supersets of an existing
-                # candidate.
-                chosen.add(vertex)
-                if not any(c <= chosen for c in candidates):
-                    branch(chosen, uncovered)
-                else:
+                return None
+            return [uncovered, sorted(min(uncovered, key=len)), 0]
+
+        def search() -> None:
+            # Depth-first over an explicit stack, one frame per covered
+            # edge, so a graph of many disjoint conflicts cannot exhaust
+            # the interpreter's recursion limit.  A frame's previous
+            # vertex leaves *chosen* once its subtree is done.
+            frame = branch(edges)
+            stack = [] if frame is None else [frame]
+            while stack:
+                frame = stack[-1]
+                uncovered, vertices, i = frame
+                if i:
+                    chosen.remove(vertices[i - 1])
+                if i == len(vertices):
+                    stack.pop()
+                    continue
+                frame[2] = i + 1
+                chosen.add(vertices[i])
+                # Skip branches provably yielding supersets of an
+                # existing candidate.
+                if any(c <= chosen for c in candidates):
                     add("conflicts.superset_pruned")
-                chosen.remove(vertex)
+                    continue
+                frame = branch(uncovered)
+                if frame is not None:
+                    stack.append(frame)
 
         exhausted: Optional[BudgetExhaustion] = None
         with span("conflicts.minimal_hitting_sets"):
             with use_budget(budget):
                 try:
-                    branch(set(), edges)
+                    search()
                 except _LimitReached:
                     exhausted = BudgetExhaustion.COUNT
                 except BudgetExceededError as exc:
@@ -314,6 +422,67 @@ class ConflictHypergraph:
                 "  conflict-free: " + ", ".join(label(t) for t in isolated)
             )
         return "\n".join(lines)
+
+
+def _relations(ic: IntegrityConstraint) -> Optional[FrozenSet[str]]:
+    """The relations whose facts *ic*'s violations hold, or None for a
+    constraint kind this module cannot name them for."""
+    if isinstance(ic, DenialConstraint):
+        return frozenset(ic.predicates())
+    if isinstance(ic, (FunctionalDependency, ConditionalFunctionalDependency)):
+        return frozenset((ic.relation,))
+    return None
+
+
+def _fd_edges(
+    fd: FunctionalDependency, db: Database, new: Sequence[Tuple[str, Fact]]
+) -> Optional[Set[FrozenSet[str]]]:
+    """The conflicts of *fd* in *db* that hold one of the *new* facts:
+    each with a rival in its left-hand-side group.  None when a new
+    fact's left-hand side holds a value unequal to itself (a NaN):
+    :meth:`FunctionalDependency.violations` groups such a value by
+    identity, the row index never."""
+    lhs, rhs = fd._positions(db)
+    out: Set[FrozenSet[str]] = set()
+    for tid, f in new:
+        key = tuple(f.values[p] for p in lhs)
+        if any(v != v for v in key):
+            return None
+        for row in db.rows_where(fd.relation, lhs, key):
+            rival = Fact(fd.relation, row)
+            if rival != f and fd._conflicting(rival, f, rhs):
+                out.add(frozenset((tid, db.tid_of_row(fd.relation, row))))
+    return out
+
+
+def _dc_edges(
+    dc: DenialConstraint, db: Database, new: Sequence[Tuple[str, Fact]]
+) -> Set[FrozenSet[str]]:
+    """The violations of *dc* in *db* that hold one of the *new* facts:
+    the body evaluated with one atom bound to a new fact, for every
+    atom the fact matches.  Each binding names its facts as
+    :func:`~repro.logic.evaluation.witnesses` does."""
+    evaluator = Evaluator(db)
+    out: Set[FrozenSet[str]] = set()
+    for index, anchor in enumerate(dc.atoms):
+        rest = dc.atoms[:index] + dc.atoms[index + 1:]
+        body = conj(rest + dc.conditions)
+        for tid, f in new:
+            if f.relation != anchor.predicate:
+                continue
+            binding = _match_fact(anchor, f.values, {})
+            if binding is None:
+                continue
+            for extended in evaluator.bindings(body, binding):
+                budget_checkpoint()
+                edge = {tid}
+                for a in rest:
+                    values = tuple(
+                        extended[t] if is_var(t) else t for t in a.terms
+                    )
+                    edge.add(db.tid_of(Fact(a.predicate, values)))
+                out.add(frozenset(edge))
+    return out
 
 
 def _is_minimal_hitting_set(

@@ -10,6 +10,7 @@ repair can be compared tuple-by-tuple with the original.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (
@@ -18,7 +19,9 @@ from typing import (
     FrozenSet,
     Iterable,
     Iterator,
+    List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -75,7 +78,7 @@ class Database:
 
     __slots__ = (
         "_schema", "_facts", "_tid_of", "_by_relation", "_next_tid", "_hash",
-        "_memo", "_graphs",
+        "_memo", "_graphs", "_lineage",
     )
 
     def __init__(
@@ -100,6 +103,9 @@ class Database:
         # Conflict hypergraphs per constraint tuple, filled by
         # ConflictHypergraph.of: one per version, never inherited.
         self._graphs: Dict[Tuple, object] = {}
+        # What ConflictHypergraph.of may advance instead of building:
+        # set by _derived only.
+        self._lineage: Optional[Lineage] = None
 
     def _derived(
         self,
@@ -107,20 +113,22 @@ class Database:
         tid_of: Dict[Fact, str],
         by_relation: Dict[str, Dict[Row, str]],
         next_tid: int,
-        added: Sequence[Fact],
-        removed: Sequence[Fact],
+        added: Dict[str, Fact],
+        removed: Dict[str, Fact],
     ) -> "Database":
         """An instance over this schema from patched copies of this
         instance's indexes, skipping ``__init__``'s validating loop.
 
         The caller guarantees the indexes agree with each other and
-        validated every fact they add, and names the delta in *added*
-        and *removed*.  A relation's inner dict may be shared with this
-        instance, since no instance mutates its indexes after
-        construction; so may its sorted rows and row indexes
-        (:meth:`rows_where`), for every relation the delta leaves
-        alone.  Its conflict graphs are not shared: the delta may
-        change any of them.  When this instance's hash is known, the
+        validated every fact they add, and names the delta, tid to
+        fact, in *added* and *removed*.  A relation's inner dict may be
+        shared with this instance, since no instance mutates its
+        indexes after construction; so may its sorted rows and row
+        indexes (:meth:`rows_where`), for every relation the delta
+        leaves alone.  A touched relation's are this instance's with
+        the delta merged in.  Its conflict graphs are not shared: the
+        new instance records where they can be advanced from instead
+        (:class:`Lineage`).  When this instance's hash is known, the
         new instance's is carried over by the delta.
         """
         db = Database.__new__(Database)
@@ -129,32 +137,77 @@ class Database:
         db._tid_of = tid_of
         db._by_relation = by_relation
         db._next_tid = next_tid
+        # Per touched relation: the rows it loses, the rows it gains.
+        touched: Dict[str, Tuple[List[Row], List[Row]]] = {}
+        for f in removed.values():
+            touched.setdefault(f.relation, ([], []))[0].append(f.values)
+        for f in added.values():
+            touched.setdefault(f.relation, ([], []))[1].append(f.values)
         # One C-level copy: another thread may be publishing an entry
         # into this instance's memo while we derive from it.
         memo = dict(self._memo)
-        for f in (*added, *removed):
-            memo.pop(f.relation, None)
+        for name, (gone, new) in touched.items():
+            entries = memo.pop(name, None)
+            if entries and len(gone) + len(new) <= SMALL_DELTA:
+                memo[name] = {
+                    positions: _merged(index, positions, gone, new)
+                    for positions, index in dict(entries).items()
+                }
         db._memo = memo
         db._graphs = {}
+        db._lineage = self._lineage_to(
+            frozenset(removed), frozenset(added), frozenset(touched)
+        )
         parent_hash = getattr(self, "_hash", None)
         if parent_hash is not None:
             db._hash = (
                 parent_hash
-                + sum(map(hash, added))
-                - sum(map(hash, removed))
+                + sum(map(hash, added.values()))
+                - sum(map(hash, removed.values()))
             ) & _HASH_MASK
         return db
 
+    def _lineage_to(
+        self,
+        removed: FrozenSet[str],
+        added: FrozenSet[str],
+        touched: FrozenSet[str],
+    ) -> "Optional[Lineage]":
+        """The lineage of a version one delta past this one.
+
+        It names this instance's graphs when any is filled, or when it
+        has no lineage of its own.  Otherwise nobody has read this
+        version yet, so the delta composes with this version's own
+        lineage, and the new version advances from the same ancestor.
+        A composed delta reads "remove, then add", which also holds for
+        a tid removed and later handed out again.  Past
+        :data:`SMALL_DELTA` tids there is no lineage: building afresh
+        costs less than advancing.
+        """
+        base = self._lineage
+        if self._graphs or base is None:
+            lineage = Lineage(self._graphs, removed, added, touched)
+        else:
+            lineage = Lineage(
+                base.graphs,
+                base.removed | (removed - base.added),
+                (base.added - removed) | added,
+                base.touched | touched,
+            )
+        if len(lineage.removed) + len(lineage.added) > SMALL_DELTA:
+            return None
+        return lineage
+
     def __getstate__(self):
-        # The hash, the row memo and the conflict graphs stay behind:
-        # str hashes differ between processes unless PYTHONHASHSEED is
-        # pinned, so a hash carried into a pool worker would be wrong
-        # there; and without the memo and the graphs a pickle stays
-        # byte-identical however much of either has filled.
+        # The hash, the row memo, the conflict graphs and the lineage
+        # stay behind: str hashes differ between processes unless
+        # PYTHONHASHSEED is pinned, so a hash carried into a pool
+        # worker would be wrong there; and without the rest a pickle
+        # stays byte-identical however much of it has filled.
         return None, {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot not in ("_hash", "_memo", "_graphs")
+            if slot not in ("_hash", "_memo", "_graphs", "_lineage")
         }
 
     def __setstate__(self, state) -> None:
@@ -163,6 +216,7 @@ class Database:
             object.__setattr__(self, slot, value)
         self._memo = {}
         self._graphs = {}
+        self._lineage = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -305,13 +359,10 @@ class Database:
         if index is None:
             if positions:
                 buckets: Dict[Row, list] = {}
-                pick = itemgetter(*positions)
+                key_of = _index_key(positions)
                 for row in self.rows_where(name, (), ()):
-                    values = pick(row) if len(positions) > 1 else (pick(row),)
-                    for v in values:
-                        if v != v or is_null(v):
-                            break
-                    else:
+                    values = key_of(row)
+                    if values is not None:
                         bucket = buckets.get(values)
                         if bucket is None:
                             buckets[values] = [row]
@@ -376,26 +427,30 @@ class Database:
     # ------------------------------------------------------------------
 
     def delete(self, facts: Iterable[Fact]) -> "Database":
-        """A new instance without *facts* (absent facts are ignored)."""
+        """A new instance without *facts* (absent facts are ignored);
+        this instance itself when none of them is present."""
         tid_of = self._tid_of
         return self.delete_tids(tid_of[f] for f in facts if f in tid_of)
 
     def delete_tids(self, tids: Iterable[str]) -> "Database":
-        """A new instance without the facts carrying *tids*.
+        """A new instance without the facts carrying *tids*; this
+        instance itself when no tid is present.
 
         Copies this instance's indexes and removes the delta from the
         copies; a relation the delta does not touch keeps its index.
         """
-        facts = dict(self._facts)
+        present = self._facts
+        removed = {
+            tid: present[tid] for tid in set(tids) if tid in present
+        }
+        if not removed:
+            return self
+        facts = dict(present)
         tid_of = dict(self._tid_of)
         by_relation = dict(self._by_relation)
         copied = set()
-        removed = []
-        for tid in set(tids):
-            f = facts.pop(tid, None)
-            if f is None:
-                continue
-            removed.append(f)
+        for tid, f in removed.items():
+            del facts[tid]
             del tid_of[f]
             if f.relation not in copied:
                 copied.add(f.relation)
@@ -405,32 +460,34 @@ class Database:
             if not rows:
                 del by_relation[f.relation]
         return self._derived(
-            facts, tid_of, by_relation, self._next_tid, (), removed
+            facts, tid_of, by_relation, self._next_tid, {}, removed
         )
 
     def insert(self, facts: Iterable[Fact]) -> "Database":
-        """A new instance with *facts* added (fresh tids; dups ignored).
+        """A new instance with *facts* added (fresh tids; dups ignored);
+        this instance itself when every fact is already present.
 
         Copies this instance's indexes and adds the delta to the copies,
         validating only the inserted facts.
         """
+        fresh = [f for f in dict.fromkeys(facts) if f not in self._tid_of]
+        if not fresh:
+            return self
         all_facts = dict(self._facts)
         tid_of = dict(self._tid_of)
         by_relation = dict(self._by_relation)
         copied = set()
-        added = []
+        added: Dict[str, Fact] = {}
         counter = self._next_tid
-        for f in facts:
-            if f in tid_of:
-                continue
+        for f in fresh:
             _check_fact(self._schema, f)
-            added.append(f)
             tid = f"t{counter}"
             if tid in all_facts:
                 raise SchemaError(
                     f"tid {tid} is taken: next_tid {counter} is stale"
                 )
             counter += 1
+            added[tid] = f
             all_facts[tid] = f
             tid_of[f] = tid
             if f.relation not in copied:
@@ -440,7 +497,7 @@ class Database:
                 )
             by_relation[f.relation][f.values] = tid
         return self._derived(
-            all_facts, tid_of, by_relation, counter, added, ()
+            all_facts, tid_of, by_relation, counter, added, {}
         )
 
     def update_value(self, tid: str, position: int, value: Value) -> "Database":
@@ -519,6 +576,83 @@ def _check_fact(schema: Schema, f: Fact) -> None:
 _Index = Dict[Row, Tuple[Row, ...]]
 
 _HASH_MASK = (1 << 64) - 1
+
+#: The most facts a delta may add and remove, together, for a derived
+#: instance to patch its parent's state rather than start afresh: a
+#: touched relation's sorted rows and row indexes (per derivation), and
+#: the conflict graphs of :class:`Lineage` (composed over the versions
+#: nobody read).  Past it, building once costs less than patching.
+SMALL_DELTA = 64
+
+
+class Lineage(NamedTuple):
+    """Where a derived version's conflict graphs can be advanced from.
+
+    ``graphs`` is the conflict-graph dict of its nearest ancestor that
+    anyone read (the dict, never the instance, so the ancestor is freed
+    with its facts); the rest is the delta from that ancestor: the
+    tids it removed and added, and the relations it touched.
+    :meth:`~repro.constraints.conflicts.ConflictHypergraph.of` reads it.
+    """
+
+    graphs: Dict[Tuple, object]
+    removed: FrozenSet[str]
+    added: FrozenSet[str]
+    touched: FrozenSet[str]
+
+
+def _index_key(positions: Tuple[int, ...]):
+    """A function from a row to its key in the (*positions*) index, or
+    to None when a value there joins nothing: the NULL marker, or a
+    value unequal to itself such as a float NaN."""
+    pick = itemgetter(*positions)
+    single = len(positions) == 1
+
+    def key_of(row: Row) -> Optional[Row]:
+        values = (pick(row),) if single else pick(row)
+        for v in values:
+            if v != v or is_null(v):
+                return None
+        return values
+
+    return key_of
+
+
+def _merged(
+    index: _Index,
+    positions: Tuple[int, ...],
+    gone: Sequence[Row],
+    new: Sequence[Row],
+) -> _Index:
+    """A copy of one (relation, *positions*) index, less the rows in
+    *gone*, plus the rows in *new*, each bucket still sorted.
+
+    A new row goes after the rows whose sort key ties with its own,
+    which is where a stable sort of the derived instance's rows puts
+    it: those keep their relative order, and new rows come last.
+    """
+    index = dict(index)
+    key_of = _index_key(positions) if positions else (lambda row: ())
+    patched: Dict[Row, List[Row]] = {}
+    for drop, rows in ((True, gone), (False, new)):
+        for row in rows:
+            key = key_of(row)
+            if key is None:
+                continue
+            bucket = patched.get(key)
+            if bucket is None:
+                bucket = patched[key] = list(index.get(key, ()))
+            if drop:
+                at = bisect_left(bucket, row_sort_key(row), key=row_sort_key)
+                del bucket[bucket.index(row, at)]
+            else:
+                insort_right(bucket, row, key=row_sort_key)
+    for key, bucket in patched.items():
+        if bucket or not positions:
+            index[key] = tuple(bucket)
+        else:
+            del index[key]
+    return index
 
 
 def row_sort_key(row: Row) -> Tuple:

@@ -2,7 +2,9 @@
 
 "The investigation of repairs and CQA under updates has received little
 attention; [87] just started to scratch the surface."  This module keeps
-a conflict hypergraph up to date across tuple insertions and deletions:
+a conflict hypergraph up to date across tuple insertions and deletions.
+Each update derives the next immutable instance, whose graph
+:meth:`ConflictHypergraph.of` advances from the previous one's:
 
 * deleting tuples only removes hyperedges (denial constraints are
   monotone under deletion);
@@ -15,15 +17,11 @@ without recomputing old conflicts — benchmark B8 measures the gap.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence
 
 from ..constraints.base import IntegrityConstraint, denial_class_only
 from ..constraints.conflicts import ConflictHypergraph
-from ..constraints.denial import DenialConstraint
-from ..constraints.fd import FunctionalDependency
 from ..errors import RepairError
-from ..logic.evaluation import Evaluator, _match_fact
-from ..logic.formulas import conj
 from ..relational.database import Database, Fact
 from .base import Repair, sort_repairs
 from .crepairs import minimum_hitting_sets_branch_and_bound
@@ -43,25 +41,8 @@ class IncrementalRepairer:
                 "constraints (monotone under deletion)"
             )
         self._db = db
-        self._dcs = self._normalize(constraints, db)
-        self._graph = ConflictHypergraph.build(db, constraints)
-
-    @staticmethod
-    def _normalize(
-        constraints: Sequence[IntegrityConstraint], db: Database
-    ) -> List[DenialConstraint]:
-        dcs: List[DenialConstraint] = []
-        for ic in constraints:
-            if isinstance(ic, DenialConstraint):
-                dcs.append(ic)
-            elif isinstance(ic, FunctionalDependency):
-                dcs.extend(ic.to_denial_constraints(db))
-            else:
-                raise RepairError(
-                    "incremental maintenance supports DCs and FDs; got "
-                    f"{type(ic).__name__}"
-                )
-        return dcs
+        self._constraints = tuple(constraints)
+        self._graph = ConflictHypergraph.of(db, self._constraints)
 
     # ------------------------------------------------------------------
 
@@ -77,51 +58,13 @@ class IncrementalRepairer:
 
     def delete(self, facts: Iterable[Fact]) -> None:
         """Apply deletions; conflicts touching them disappear."""
-        facts = [f for f in facts if f in self._db]
-        dropped_tids = {self._db.tid_of(f) for f in facts}
         self._db = self._db.delete(facts)
-        self._graph = ConflictHypergraph(
-            frozenset(self._db.tids()),
-            frozenset(
-                e for e in self._graph.edges if not (e & dropped_tids)
-            ),
-        )
+        self._graph = ConflictHypergraph.of(self._db, self._constraints)
 
     def insert(self, facts: Iterable[Fact]) -> None:
         """Apply insertions; only conflicts anchored at them are found."""
-        fresh = [f for f in facts if f not in self._db]
-        self._db = self._db.insert(fresh)
-        if not fresh:
-            return
-        new_tids = {self._db.tid_of(f) for f in fresh}
-        new_edges: Set[FrozenSet[str]] = set(self._graph.edges)
-        evaluator = Evaluator(self._db)
-        for dc in self._dcs:
-            for anchor_index, anchor_atom in enumerate(dc.atoms):
-                rest = (
-                    dc.atoms[:anchor_index] + dc.atoms[anchor_index + 1:]
-                )
-                for f in fresh:
-                    if f.relation != anchor_atom.predicate:
-                        continue
-                    binding = _match_fact(anchor_atom, f.values, {})
-                    if binding is None:
-                        continue
-                    body = conj(tuple(rest) + tuple(dc.conditions))
-                    for extended in evaluator.bindings(body, dict(binding)):
-                        edge = {self._db.tid_of(f)}
-                        for a in rest:
-                            values = tuple(
-                                extended[t] if t in extended else t
-                                for t in a.terms
-                            )
-                            edge.add(
-                                self._db.tid_of(Fact(a.predicate, values))
-                            )
-                        new_edges.add(frozenset(edge))
-        self._graph = ConflictHypergraph(
-            frozenset(self._db.tids()), frozenset(new_edges)
-        )
+        self._db = self._db.insert(facts)
+        self._graph = ConflictHypergraph.of(self._db, self._constraints)
 
     # ------------------------------------------------------------------
 

@@ -827,12 +827,18 @@ class CQAService:
 
     def _certain_core(self, request: CQARequest):
         """The anytime bracket, or None if it cannot serve this request
-        (then the full ladder runs and takes its chances)."""
+        (then the full ladder runs and takes its chances).  A run that
+        fails on a request the rung accepted is counted as
+        ``serve.degraded_fastpath_failed``."""
         engine = get_engine("certain-core")
         try:
             engine.check(request)
+        except Exception:  # noqa: BLE001 — not this rung's request
+            return None
+        try:
             return engine.run(request)
         except Exception:  # noqa: BLE001 — fall back to the ladder
+            live_add("serve.degraded_fastpath_failed")
             return None
 
     def _run_repairs(

@@ -29,9 +29,9 @@ SELF_JOIN = parse_query("Q(X) :- Employee(X, Y), Employee(Z, Y)")
 
 class TestOneGraphPerVersion:
     def test_eight_threads_take_a_fresh_versions_graph(self):
-        """Threads race to build and publish one version's graph while
-        they dispatch on it: each gets a graph equal to a build, and
-        every request is served."""
+        """Threads race to advance the parent's graph and publish the
+        result as one version's graph while they dispatch on it: each
+        gets a graph equal to a build, and every request is served."""
         scenario = employee_key_violations(6, 4, 3, seed=5)
         constraints = scenario.constraints
         parent = scenario.db

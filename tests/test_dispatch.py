@@ -8,9 +8,13 @@ throughout: the dispatcher may degrade (INCOMPLETE) or refuse
 (DispatchError), but it never returns a wrong answer.
 """
 
+import random
+
 import pytest
 
+from repro.constraints.conflicts import ConflictHypergraph
 from repro.cqa import consistent_answers, fuxman_miller_rewrite
+from repro.cqa.local import consistent_answers_local
 from repro.cqa.rewriting import fo_rewrite
 from repro.dispatch import (
     BreakerState,
@@ -481,6 +485,69 @@ class TestCertainCoreUnderC:
         assert s_answer.detail["upper_bound"] >= consistent_answers(
             db, constraints, query
         )
+
+
+def _keyed_join(keys, violating, seed=1):
+    """``R(A, B)`` and ``S(B, C)``, keyed on their first column, one
+    row per key plus a rival for *violating* keys of each relation: so
+    ``2 * violating`` disjoint conflicts, and ``R.B`` draws from the
+    keys of ``S``, so the join is dense."""
+    rng = random.Random(seed)
+
+    def keyed(prefix, values):
+        first = {f"{prefix}{i}": rng.choice(values) for i in range(keys)}
+        rows = list(first.items())
+        for key in rng.sample(sorted(first), violating):
+            rows.append(
+                (key, rng.choice([v for v in values if v != first[key]]))
+            )
+        return rows
+
+    schema = Schema.of(
+        RelationSchema("R", ("A", "B"), key=("A",)),
+        RelationSchema("S", ("B", "C"), key=("B",)),
+    )
+    db = Database.from_dict({
+        "R": keyed("a", [f"b{i}" for i in range(keys)]),
+        "S": keyed("b", [f"c{i}" for i in range(keys // 4)]),
+    }, schema=schema)
+    return db, (parse_fd("R: A -> B"), parse_fd("S: B -> C"))
+
+
+class TestCertainCoreAtScale:
+    def test_the_salvage_rung_answers_a_thousand_disjoint_conflicts(
+        self, monkeypatch
+    ):
+        """1,100 disjoint conflicts: the S-repair sample's enumerator
+        covers one edge per stack frame, so it used to die of
+        RecursionError under "s" and "delete-only"."""
+        db, constraints = _keyed_join(5500, 550)
+        query = parse_query("Q(X, Z) :- R(X, Y), S(Y, Z)")
+        builds = []
+        real_build = ConflictHypergraph.build
+
+        def counting_build(db, constraints):
+            builds.append(db)
+            return real_build(db, constraints)
+
+        monkeypatch.setattr(
+            ConflictHypergraph, "build", staticmethod(counting_build)
+        )
+        dispatcher = Dispatcher(DispatchPolicy(ladder=("certain-core",)))
+        for semantics in ("s", "c", "delete-only"):
+            result = dispatcher.dispatch(
+                db, constraints, query, semantics=semantics
+            )
+            assert not result.complete
+            cons = consistent_answers_local(
+                db, constraints, query, semantics=semantics
+            )
+            assert result.answers <= cons
+            upper = result.detail.get("upper_bound")
+            assert (upper is None) == (semantics == "c")
+            if upper is not None:
+                assert cons <= upper
+        assert len(builds) == 1  # the version's one graph
 
 
 SELF_JOIN = parse_query("Q(X) :- Employee(X, Y), Employee(Z, Y)")

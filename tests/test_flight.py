@@ -466,26 +466,27 @@ class TestDispatcherIntegration:
 
     def test_shape_stats_cached_per_instance(self, monkeypatch):
         """The shape stats, ``local`` and certain-core share the
-        instance's one conflict graph, across dispatchers.  The
-        certain-core-only request asks for C-repairs, so the rung takes
-        no S-repair sample for its upper bound: the sample enumerates
-        repairs, which build a graph of their own."""
+        instance's one conflict graph, across dispatchers.  Under "s"
+        certain-core also takes an S-repair sample for its upper
+        bound; the sample reuses the graph the rung read."""
         calls = self._count_builds(monkeypatch)
         scenario = employee()
         db, constraints = scenario.db, scenario.constraints
+        salvage = Dispatcher(DispatchPolicy(ladder=("certain-core",)))
         with recording(FlightRecorder(mode="all")) as recorder:
             for _ in range(3):
                 Dispatcher().dispatch(db, constraints, self.SELF_JOIN)
-            Dispatcher(DispatchPolicy(ladder=("certain-core",))).dispatch(
-                db, constraints, self.SELF_JOIN, semantics="c"
-            )
+            for semantics in ("c", "s"):
+                salvage.dispatch(
+                    db, constraints, self.SELF_JOIN, semantics=semantics
+                )
         assert calls["n"] == 1
         engines = [
             envelope.outcome["engine"] for envelope in recorder.captured
         ]
-        assert engines == ["local"] * 3 + ["certain-core"]
+        assert engines == ["local"] * 3 + ["certain-core"] * 2
         stats = [envelope.shape_stats for envelope in recorder.captured]
-        assert stats == [stats[0]] * 4 and stats[0]["edges"] > 0
+        assert stats == [stats[0]] * 5 and stats[0]["edges"] > 0
 
     def test_shape_stats_memoized_on_hypergraph(self):
         scenario = employee()

@@ -144,6 +144,59 @@ def test_derived_instances_evaluate_like_the_scan(
     _assert_same(parent, formula)
 
 
+def _exact_rows(rows):
+    """Rows as comparable data that tells 1, 1.0 and True apart and
+    each NaN object from another."""
+    return [
+        tuple(
+            (type(v).__name__, id(v) if v != v else repr(v)) for v in row
+        )
+        for row in rows
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _facts(),
+    st.lists(
+        st.tuples(
+            _formulas(), st.booleans(), _facts(max_size=3),
+            st.lists(st.integers(0, 12), max_size=3),
+        ),
+        min_size=1, max_size=5,
+    ),
+)
+def test_merged_memo_equals_a_fresh_build(facts, steps):
+    """A delta on a relation whose memo is filled is merged into the
+    parent's sorted rows and buckets: each merged entry must hold what
+    building it afresh on the derived instance holds, in the same
+    order, and probing must still equal the scan."""
+    db = Database.from_facts(facts, _SCHEMA)
+    for warm, insert, inserted, picks in steps:
+        list(Evaluator(db).bindings(warm))  # fill this version's memo
+        db.rows_where("R", (0, 1), ("a", 1))
+        if insert:
+            db = db.insert(inserted)
+        else:
+            tids = sorted(db.tids())
+            db = db.delete_tids(tids[i] for i in picks if i < len(tids))
+        fresh = Database(db.schema, db.facts_with_tids(), len(db) + 1)
+        for name, entries in db._memo.items():  # noqa: SLF001
+            for positions, index in entries.items():
+                fresh.rows_where(name, positions, ())  # builds the index
+                rebuilt = fresh._memo[name][positions]  # noqa: SLF001
+                # Keys compare by ==: a bucket's key may be 1 on one
+                # side and True on the other, one bucket either way.
+                assert index.keys() == rebuilt.keys()
+                for key, rows in index.items():
+                    assert _exact_rows(rows) == _exact_rows(rebuilt[key])
+        for name in ("R", "S"):
+            assert _exact_rows(db.relation(name)) == _exact_rows(
+                sorted(db.stored_rows(name), key=row_sort_key)
+            )
+        _assert_same(db, warm)
+
+
 class TestRowsWhere:
     def _db(self):
         return Database.from_facts([

@@ -324,6 +324,75 @@ def test_mis_are_complements_of_mhs(db):
         assert graph.is_independent(independent)
 
 
+def _recursive_minimal_hitting_sets(graph, limit=None):
+    """``minimal_hitting_sets_partial`` as it was, one recursion level
+    per covered edge, unbudgeted: the reference for the explicit-stack
+    enumerator.  Returns the sets and whether *limit* stopped it."""
+    from repro.constraints.conflicts import _is_minimal_hitting_set
+    from repro.observability import add
+
+    class Stop(Exception):
+        pass
+
+    edges = sorted(graph.edges, key=lambda e: (len(e), sorted(e)))
+    if not edges:
+        return [frozenset()], False
+    candidates, found = set(), []
+
+    def branch(chosen, remaining):
+        add("conflicts.hitting_set_branches")
+        uncovered = [e for e in remaining if not (e & chosen)]
+        if not uncovered:
+            hitting = frozenset(chosen)
+            if hitting not in candidates:
+                candidates.add(hitting)
+                if _is_minimal_hitting_set(hitting, edges):
+                    found.append(hitting)
+                    if limit is not None and len(found) >= limit:
+                        raise Stop
+            return
+        edge = min(uncovered, key=len)
+        for vertex in sorted(edge):
+            chosen.add(vertex)
+            if not any(c <= chosen for c in candidates):
+                branch(chosen, uncovered)
+            else:
+                add("conflicts.superset_pruned")
+            chosen.remove(vertex)
+
+    stopped = False
+    try:
+        branch(set(), edges)
+    except Stop:
+        stopped = True
+    return sorted(found, key=lambda s: (len(s), sorted(s))), stopped
+
+
+_TIDS = st.sampled_from([f"t{i}" for i in range(1, 9)])
+
+
+@given(
+    st.lists(st.frozensets(_TIDS, min_size=1, max_size=3), max_size=9),
+    st.one_of(st.none(), st.integers(1, 6)),
+)
+@settings(max_examples=300, deadline=None)
+def test_explicit_stack_enumerates_like_the_recursion(edges, limit):
+    from repro.observability import collect
+
+    graph = ConflictHypergraph(
+        frozenset(tid for edge in edges for tid in edge), frozenset(edges)
+    )
+    watched = ("conflicts.hitting_set_branches", "conflicts.superset_pruned")
+    with collect() as reference_run:
+        expected, stopped = _recursive_minimal_hitting_sets(graph, limit)
+    with collect() as run:
+        partial = graph.minimal_hitting_sets_partial(limit=limit)
+    assert partial.value == expected
+    assert partial.complete == (not stopped)
+    for name in watched:
+        assert run.counter(name) == reference_run.counter(name)
+
+
 # ----------------------------------------------------------------------
 # Key conflicts: the one-pass scan lists what the sorted scan listed
 # ----------------------------------------------------------------------

@@ -385,6 +385,42 @@ class TestDegradeOnSaturation:
         certain = {tuple(row) for row in CERTAIN_NAMES}
         assert {tuple(row) for row in body["answers"]} <= certain
 
+    def test_a_failing_fastpath_run_is_counted_and_the_ladder_answers(
+        self, monkeypatch
+    ):
+        from repro.dispatch.engines import (
+            CertainCoreEngine,
+            EngineInapplicableError,
+        )
+        from repro.observability.live import live
+
+        def broken(self, request):
+            raise RecursionError("certain-core ran out of stack")
+
+        svc = CQAService(policy=DispatchPolicy(isolate=()))
+        monkeypatch.setattr(svc, "_should_degrade", lambda: True)
+        svc.register_db("emp", EMPLOYEE_SPEC)
+        query = {"db": "emp", "query": "Q(X) :- Employee(X, Y)"}
+        with live() as plane:
+            monkeypatch.setattr(CertainCoreEngine, "run", broken)
+            status, body, _ = svc.handle_cqa(query)
+            assert status == 200
+            assert body["complete"] and body["answers"] == CERTAIN_NAMES
+            assert "degraded_reason" not in body
+            counters = plane.status()["counters"]
+            assert counters["serve.degraded_fastpath_failed"]["total"] == 1
+            assert "serve.degraded_fastpath" not in counters
+
+            # A request the rung declines is no failure of the rung.
+            def declines(self, request):
+                raise EngineInapplicableError("not this rung's request")
+
+            monkeypatch.setattr(CertainCoreEngine, "check", declines)
+            status, body, _ = svc.handle_cqa(query)
+            assert status == 200 and body["complete"]
+            counters = plane.status()["counters"]
+            assert counters["serve.degraded_fastpath_failed"]["total"] == 1
+
     def test_no_degrade_when_isolation_is_off(self):
         # A saturated pool only matters for rungs that would use it.
         svc = CQAService(
