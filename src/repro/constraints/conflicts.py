@@ -95,8 +95,11 @@ class ConflictHypergraph:
                 # every build.
                 graph = ConflictHypergraph.build(db, key)
             graph = db._graphs.setdefault(key, graph)
-            if lineage is not None and (
-                lineage.graphs.keys() <= db._graphs.keys()
+            # tuple() copies the ancestor's keys in C: another thread
+            # may be publishing a graph there, and hashing a key runs
+            # Python code, between whose lines the dict may grow.
+            if lineage is not None and all(
+                k in db._graphs for k in tuple(lineage.graphs)
             ):
                 db._lineage = None  # nothing left to advance from it
         return graph

@@ -126,10 +126,12 @@ class Database:
         indexes after construction; so may its sorted rows and row
         indexes (:meth:`rows_where`), for every relation the delta
         leaves alone.  A touched relation's are this instance's with
-        the delta merged in.  Its conflict graphs are not shared: the
-        new instance records where they can be advanced from instead
-        (:class:`Lineage`).  When this instance's hash is known, the
-        new instance's is carried over by the delta.
+        the delta merged in, while the delta is small against the
+        relation (:data:`MERGE_RATIO`); past that they go, and the
+        next read builds them afresh.  Its conflict graphs are not
+        shared: the new instance records where they can be advanced
+        from instead (:class:`Lineage`).  When this instance's hash is
+        known, the new instance's is carried over by the delta.
         """
         db = Database.__new__(Database)
         db._schema = self._schema
@@ -148,7 +150,8 @@ class Database:
         memo = dict(self._memo)
         for name, (gone, new) in touched.items():
             entries = memo.pop(name, None)
-            if entries and len(gone) + len(new) <= SMALL_DELTA:
+            rows = len(self._by_relation.get(name, ()))
+            if entries and MERGE_RATIO * (len(gone) + len(new)) <= rows:
                 memo[name] = {
                     positions: _merged(index, positions, gone, new)
                     for positions, index in dict(entries).items()
@@ -181,8 +184,8 @@ class Database:
         lineage, and the new version advances from the same ancestor.
         A composed delta reads "remove, then add", which also holds for
         a tid removed and later handed out again.  Past
-        :data:`SMALL_DELTA` tids there is no lineage: building afresh
-        costs less than advancing.
+        :data:`SMALL_DELTA` tids there is no lineage, and the version
+        builds.
         """
         base = self._lineage
         if self._graphs or base is None:
@@ -577,12 +580,24 @@ _Index = Dict[Row, Tuple[Row, ...]]
 
 _HASH_MASK = (1 << 64) - 1
 
-#: The most facts a delta may add and remove, together, for a derived
-#: instance to patch its parent's state rather than start afresh: a
-#: touched relation's sorted rows and row indexes (per derivation), and
-#: the conflict graphs of :class:`Lineage` (composed over the versions
-#: nobody read).  Past it, building once costs less than patching.
+#: The most tids a :class:`Lineage` names as removed plus added.  Each
+#: derivation from a version nobody read copies the composed tid sets,
+#: and the ancestor's graphs stay alive until a read, so past this a
+#: burst of unread writes ends in one build instead of a growing delta.
+#: It is not where advancing stops paying: on 12k-fact instances an
+#: advance over 64 facts cost under 6% of a build (a key, a binary and
+#: a ternary denial constraint), and none up to 2,048 facts cost more
+#: than one (in-process, 2-core host).
 SMALL_DELTA = 64
+
+#: A derivation merges its delta into a touched relation's sorted rows
+#: and row indexes while 1 / MERGE_RATIO of the relation's rows covers
+#: the delta; past that it drops them, and the next read sorts afresh.
+#: Merging costs a bisection per delta row and index, dropping costs
+#: the next read a sort of the whole relation: on relations of 70 to
+#: 6,050 rows the two met at a delta of a seventh to a third of the
+#: rows (in-process, 2-core host).
+MERGE_RATIO = 8
 
 
 class Lineage(NamedTuple):

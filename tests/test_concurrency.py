@@ -2,8 +2,9 @@
 recycles.
 
 Each test forces an interleaving the serving path must survive: eight
-requests taking a fresh version's conflict graph at once, and a size-1
-pool retiring its only worker on a planned recycle while requests keep
+requests taking a fresh version's conflict graph at once, a parent
+gaining graphs while its child advances from it, and a size-1 pool
+retiring its only worker on a planned recycle while requests keep
 arriving.
 """
 
@@ -19,7 +20,7 @@ from repro.dispatch import (
     PoolSaturatedError,
     WorkerPool,
 )
-from repro.logic.parser import parse_query
+from repro.logic.parser import parse_fd, parse_query
 from repro.observability.live import live
 from repro.relational.database import fact
 from repro.workloads import employee, employee_key_violations
@@ -73,6 +74,61 @@ class TestOneGraphPerVersion:
                 assert ConflictHypergraph.of(fresh, constraints) == expected
                 assert len(results) == 8
                 assert all(result.complete for result in results)
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_a_parent_gains_a_graph_while_its_child_advances(self):
+        """Threads publish graphs for new constraint tuples on a parent
+        while others advance its child's graphs under the tuples the
+        parent had, so the child tests what it has left to advance from
+        while the parent's graph dict grows: no thread fails, and every
+        graph equals a build."""
+        scenario = employee_key_violations(6, 4, 3, seed=5)
+        (key,) = scenario.constraints
+        fds = [
+            parse_fd("Employee: Name -> Salary", name=f"fd{i}")
+            for i in range(72)
+        ]
+        advanced = [(key, fd) for fd in fds[:24]]
+        published = [(fd, key) for fd in fds[24:]]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(200):
+                parent = scenario.db.insert([fact("Employee", "p", round_)])
+                for constraints in advanced:
+                    ConflictHypergraph.of(parent, constraints)
+                child = parent.insert([fact("Employee", "c", round_)])
+                start = threading.Barrier(4, timeout=30.0)
+                errors = []
+
+                def take(db, tuples):
+                    try:
+                        start.wait()
+                        for constraints in tuples:
+                            ConflictHypergraph.of(db, constraints)
+                    except Exception as exc:  # noqa: BLE001
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=take, args=args) for args in (
+                        (child, advanced),
+                        (child, advanced[::-1]),
+                        (parent, published[::2]),
+                        (parent, published[1::2]),
+                    )
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                for db, tuples in ((child, advanced), (parent, published)):
+                    for constraints in tuples:
+                        assert ConflictHypergraph.of(
+                            db, constraints
+                        ) == ConflictHypergraph.build(db, constraints)
         finally:
             sys.setswitchinterval(old)
 
