@@ -255,10 +255,6 @@ def answers_via_sql(db: Database, query) -> frozenset:
         rows = run_sql(db, sql)
         add("cqa.sql_statements", 1)
         add("cqa.sql_rows", len(rows))
-        if isinstance(query, ConjunctiveQuery):
-            head = query.head
-        else:
-            head = query.head
-        if not head:
+        if not query.head:
             return frozenset({()} if rows else set())
         return frozenset(rows)

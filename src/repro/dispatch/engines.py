@@ -214,9 +214,7 @@ class FuxmanMillerSqlEngine(Engine):
         rewritten = fuxman_miller_rewrite(
             request.query, request.constraints, request.db
         )
-        return EngineAnswer(
-            frozenset(answers_via_sql(request.db, rewritten)), True
-        )
+        return EngineAnswer(answers_via_sql(request.db, rewritten), True)
 
 
 class FORewriteMemEngine(Engine):

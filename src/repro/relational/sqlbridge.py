@@ -20,7 +20,7 @@ from ..runtime.faults import sqlite_attempt
 from ..runtime.retry import retry_transient
 from .database import Database, Fact, Row
 from .nulls import NULL, is_labeled_null, is_null
-from .schema import RelationSchema
+from .schema import RelationSchema, Schema
 
 
 def _quote_identifier(name: str) -> str:
@@ -80,9 +80,11 @@ def keeping(kept: Optional[KeptSqlite]) -> Iterator[None]:
 def to_sqlite(db: Database) -> sqlite3.Connection:
     """Materialize *db* into a fresh in-memory SQLite connection.
 
-    Every relation becomes a table with the schema's attribute names.
-    NULL markers become SQL NULLs; labeled nulls are rejected because
-    SQLite cannot reproduce their naive-table join semantics.
+    Every relation becomes a table with the schema's attribute names,
+    and every relation whose schema declares a key gets one index on
+    the key's columns (:func:`_key_indexes`).  NULL markers become SQL
+    NULLs; labeled nulls are rejected because SQLite cannot reproduce
+    their naive-table join semantics.
     """
     conn = sqlite3.connect(":memory:")
     cursor = conn.cursor()
@@ -93,16 +95,55 @@ def to_sqlite(db: Database) -> sqlite3.Connection:
         cursor.execute(f"CREATE TABLE {_quote_identifier(name)} ({columns})")
         # Unsorted: no statement here reads SQLite's row order, since
         # the generated SQL has no ORDER BY, LIMIT or rowid and run_sql
-        # sorts what it returns.
+        # promises no order.
         rows = db.stored_rows(name)
         if not rows:
             continue
         prepared = _sql_rows(rows)
         cursor.executemany(_insert_sql(rel), prepared)
         materialized += len(prepared)
+    # After loading, so each index is built once from sorted keys
+    # rather than grown row by row; empty relations get theirs too.
+    for statement in _key_indexes(db.schema):
+        cursor.execute(statement)
     conn.commit()
     add("sql.rows_materialized", materialized)
     return conn
+
+
+def _key_indexes(schema: Schema) -> List[str]:
+    """One ``CREATE INDEX`` per relation whose schema declares a key,
+    on the key's columns in key order.
+
+    The Fuxman–Miller SQL correlates its ``NOT EXISTS`` subqueries on
+    key columns, so they search the index instead of scanning the
+    table per outer row, and :func:`apply_step` finds a deleted
+    fact's row through it; SQLite keeps it current as rows come and
+    go.  The key comes from the schema, not from the constraints a
+    statement is answered under, so :func:`run_sql` needs nothing
+    but the instance.
+
+    Tables and indexes share one namespace, where SQLite compares
+    names without ASCII case, so an index is named ``<relation> key``
+    with ``_`` appended until it equals no relation's name and no
+    earlier index's.
+    """
+    taken = {name.lower() for name in schema.names()}
+    statements = []
+    for name in schema.names():
+        rel = schema.relation(name)
+        if not rel.key:  # None, or an empty key with no column to index
+            continue
+        index = f"{name} key"
+        while index.lower() in taken:
+            index += "_"
+        taken.add(index.lower())
+        columns = ", ".join(_quote_identifier(a) for a in rel.key)
+        statements.append(
+            f"CREATE INDEX {_quote_identifier(index)} "
+            f"ON {_quote_identifier(name)} ({columns})"
+        )
+    return statements
 
 
 def _sql_rows(rows: Iterable[Row]) -> List[Tuple]:
@@ -165,11 +206,10 @@ def apply_step(
 
 
 def run_sql(db: Database, sql: str) -> List[Row]:
-    """Run *sql* against a materialization of *db*; return rows.
+    """Run *sql* against a materialization of *db*; return its rows.
 
-    SQL NULLs in the result are mapped back to the NULL marker.  Rows are
-    returned in sorted order for deterministic comparison with the
-    in-memory evaluator.
+    Each distinct row comes back once, in no promised order, with SQL
+    NULLs mapped back to the NULL marker (:func:`_answer_rows`).
 
     Transient backend failures (``sqlite3.OperationalError`` and the
     fault harness's injected :class:`~repro.errors.TransientBackendError`)
@@ -199,17 +239,14 @@ def run_sql(db: Database, sql: str) -> List[Row]:
         raw = retry_transient(attempt)
         add("sql.statements", 1)
         add("sql.rows_fetched", len(raw))
-        rows = [
-            tuple(NULL if v is None else v for v in row)
-            for row in raw
-        ]
-        return sorted(set(rows), key=repr)
+        return _answer_rows(raw)
 
 
 def run_sql_on_connection(
     conn: sqlite3.Connection, sql: str
 ) -> List[Row]:
-    """Run *sql* on an existing connection (for benchmark reuse).
+    """Run *sql* on an existing connection (for benchmark reuse); rows
+    as :func:`run_sql` returns them.
 
     Read-only statements are safe to retry on the live connection, so
     transient failures get the same backoff treatment as :func:`run_sql`.
@@ -218,11 +255,17 @@ def run_sql_on_connection(
         sqlite_attempt()
         return conn.execute(sql).fetchall()
 
-    rows = [
-        tuple(NULL if v is None else v for v in row)
-        for row in retry_transient(attempt)
+    return _answer_rows(retry_transient(attempt))
+
+
+def _answer_rows(raw: Iterable[Tuple]) -> List[Row]:
+    """Each distinct row of *raw* once, in SQLite's order of first
+    appearance, with SQL NULL mapped back to the NULL marker; only a
+    row that holds a ``None`` is rebuilt."""
+    return [
+        tuple(NULL if v is None else v for v in row) if None in row else row
+        for row in dict.fromkeys(raw)
     ]
-    return sorted(set(rows), key=repr)
 
 
 def table_counts(conn: sqlite3.Connection, names: Iterable[str]) -> Tuple[int, ...]:

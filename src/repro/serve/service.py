@@ -171,12 +171,12 @@ def _sorted_lists(rows) -> List[List[object]]:
     """*rows* as sorted lists, also when they mix value types: in
     Python's order where it is defined (the fast path), else by
     :func:`_value_order`."""
-    lists = [list(row) for row in rows]
+    ordered = list(rows)
     try:
-        lists.sort()
+        ordered.sort()
     except TypeError:
-        lists.sort(key=lambda row: [_value_order(value) for value in row])
-    return lists
+        ordered.sort(key=lambda row: [_value_order(value) for value in row])
+    return [list(row) for row in ordered]
 
 
 def _serialize_repair(repair) -> Dict[str, List[List[object]]]:

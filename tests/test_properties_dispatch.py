@@ -113,8 +113,11 @@ def test_salvage_rung_is_always_sound(params, qname):
 # Two relations, joins and denial constraints
 # ----------------------------------------------------------------------
 
+#: Keys declared as in the "keys" constraint set, so fm-sql's SQLite
+#: statements run through the key indexes.
 _TWO = Schema.of(
-    RelationSchema("R", ("A", "B")), RelationSchema("S", ("B", "C"))
+    RelationSchema("R", ("A", "B"), key=("A",)),
+    RelationSchema("S", ("B", "C"), key=("B",)),
 )
 
 _CONSTRAINT_SETS = {

@@ -271,3 +271,48 @@ class TestSQLBridge:
         db = Database.from_dict({"R": [(LabeledNull("n"),)]})
         with pytest.raises(ValueError):
             to_sqlite(db)
+
+
+def _index_names(conn, table):
+    return [row[1] for row in conn.execute(f'PRAGMA index_list("{table}")')]
+
+
+class TestSQLKeyIndexes:
+    KEYED = RelationSchema("R", ("A", "B"), key=("A",))
+
+    def test_an_empty_keyed_relation_has_its_index_once_filled(self):
+        from repro.relational.sqlbridge import apply_step, to_sqlite
+
+        db = Database.from_dict({}, schema=Schema.of(self.KEYED))
+        conn = to_sqlite(db)
+        apply_step(conn, db, [], [fact("R", f"a{i}", "b") for i in range(3)])
+        assert _index_names(conn, "R") == ["R key"]
+        lookup = 'SELECT "B" FROM "R" WHERE "A" = ?'
+        (step,) = conn.execute("EXPLAIN QUERY PLAN " + lookup, ("a1",))
+        assert step[-1].startswith("SEARCH") and "INDEX R key (A=?)" in step[-1]
+        assert conn.execute(lookup, ("a1",)).fetchall() == [("b",)]
+
+    @pytest.mark.parametrize("name", ["R key", "r KEY"])
+    def test_a_relation_named_like_an_index_still_materializes(self, name):
+        """SQLite keeps tables and indexes in one namespace and compares
+        names without ASCII case."""
+        from repro.relational.sqlbridge import table_counts, to_sqlite
+
+        schema = Schema.of(self.KEYED, RelationSchema(name, ("C",)))
+        db = Database.from_dict(
+            {"R": [("a", "b")], name: [("c",), ("d",)]}, schema=schema
+        )
+        conn = to_sqlite(db)
+        assert table_counts(conn, ("R", name)) == (1, 2)
+        assert _index_names(conn, "R") == ["R key_"]
+        assert _index_names(conn, name) == []
+
+    def test_a_relation_without_a_key_gets_no_index(self):
+        from repro.relational.sqlbridge import to_sqlite
+
+        schema = Schema.of(
+            RelationSchema("R", ("A", "B")), RelationSchema("S", ("C",), key=())
+        )
+        conn = to_sqlite(Database.from_dict({"R": [(1, 2)]}, schema=schema))
+        indexes = "SELECT name FROM sqlite_master WHERE type = 'index'"
+        assert conn.execute(indexes).fetchall() == []

@@ -15,6 +15,7 @@ crash, never a stale answer.
 
 import io
 import pickle
+import sqlite3
 import sys
 import threading
 from collections import Counter
@@ -22,8 +23,9 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cqa import consistent_answers_fm
+from repro.cqa import consistent_answers_fm, fuxman_miller_rewrite
 from repro.cqa.certain import consistent_answers
+from repro.cqa.sqlgen import query_to_sql
 from repro.dispatch import (
     CQARequest,
     DispatchPolicy,
@@ -41,11 +43,12 @@ from repro.dispatch.worker import (
     serve_loop,
     write_frame,
 )
-from repro.logic.parser import parse_query
+from repro.logic.parser import parse_fd, parse_query
 from repro.observability import collect
-from repro.relational.database import fact
-from repro.relational.nulls import LabeledNull
-from repro.relational.sqlbridge import KeptSqlite, to_sqlite
+from repro.relational import RelationSchema, Schema
+from repro.relational.database import Database, fact
+from repro.relational.nulls import NULL, LabeledNull, is_null
+from repro.relational.sqlbridge import KeptSqlite, apply_step, to_sqlite
 from repro.serve.service import DELTA_STEPS, CQAService
 
 PROJECTION = "Q(X) :- R(X, Y)"
@@ -599,6 +602,10 @@ def _rows(conn, table):
     return Counter(conn.execute(f'SELECT * FROM "{table}"').fetchall())
 
 
+def _indexes(conn, table):
+    return conn.execute(f'PRAGMA index_list("{table}")').fetchall()
+
+
 @pytest.mark.parametrize("mutation", [
     {"delete": [["R", "a0", "b0"]], "insert": [["R", "a0", "b0"]]},
     {"delete": [["R", "a9", "b0"]], "insert": [["S", "b9", "c0"]]},
@@ -625,3 +632,78 @@ def test_an_advanced_connection_equals_a_fresh_load(mutation):
     fresh = to_sqlite(after.db)
     for table in ("R", "S"):
         assert _rows(kept.conn, table) == _rows(fresh, table)
+        assert _indexes(kept.conn, table) == _indexes(fresh, table) != []
+    assert kept.conn.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+
+
+# ----------------------------------------------------------------------
+# Differential: an indexed, advanced connection answers as bare tables
+# ----------------------------------------------------------------------
+
+#: 1, 1.0 and True are one value to SQLite and to Python; the NULL
+#: marker and None both load as SQL NULL.
+_MIXED = st.sampled_from([1, 1.0, True, "1", "a", NULL, None])
+_MIXED_FACTS = st.lists(
+    st.tuples(st.sampled_from(["R", "S"]), _MIXED, _MIXED).map(
+        lambda t: fact(*t)
+    ),
+    max_size=8,
+)
+_KEYED = Schema.of(
+    RelationSchema("R", ("A", "B"), key=("A",)),
+    RelationSchema("S", ("B", "C"), key=("B",)),
+)
+_KEYS = (parse_fd("R: A -> B"), parse_fd("S: B -> C"))
+_FM_QUERIES = (
+    JOIN,
+    PROJECTION,
+    "Q(Z) :- R(X, Y), S(Y, Z)",
+    "Q(X, Y) :- R(X, Y)",
+    "Q() :- R(X, Y), S(Y, Z)",
+    "Q() :- S(Y, Z)",
+)
+
+
+def _bare(db):
+    """*db* loaded into key-less tables, without ``to_sqlite``."""
+    conn = sqlite3.connect(":memory:")
+    for name in db.schema.names():
+        columns = db.schema.relation(name).attributes
+        quoted = ", ".join(f'"{c}"' for c in columns)
+        conn.execute(f'CREATE TABLE "{name}" ({quoted})')
+        marks = ", ".join("?" * len(columns))
+        conn.executemany(
+            f'INSERT INTO "{name}" VALUES ({marks})',
+            [
+                tuple(None if is_null(v) else v for v in row)
+                for row in db.stored_rows(name)
+            ],
+        )
+    return conn
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _MIXED_FACTS,
+    st.lists(st.tuples(_MIXED_FACTS, _MIXED_FACTS), max_size=4),
+    st.sampled_from(_FM_QUERIES),
+)
+def test_an_indexed_advanced_connection_answers_as_bare_tables(
+    facts, steps, query
+):
+    """fm-sql's statements return the same rows through the key
+    indexes, also after ``apply_step`` advanced the connection, as on
+    tables with no index: SQLite against SQLite, so the NULL semantics
+    both share are not under test here."""
+    db = Database.from_facts(facts, schema=_KEYED)
+    sql = query_to_sql(
+        fuxman_miller_rewrite(parse_query(query), _KEYS, db), _KEYED
+    )
+    indexed = to_sqlite(db)
+    for deleted, inserted in steps:
+        apply_step(indexed, db, deleted, inserted)
+        db = db.delete(deleted).insert(inserted)
+    reference = _bare(db)
+    assert Counter(indexed.execute(sql).fetchall()) == Counter(
+        reference.execute(sql).fetchall()
+    )
