@@ -56,7 +56,9 @@ A worker that cannot resolve a job without an instance, or cannot
 advance it, answers a ``protocol`` frame, which is a
 :class:`WorkerCrashError`: the worker is retired, never trusted for a
 stale answer.  ``pool.warm.hits``, ``pool.warm.deltas`` and
-``pool.warm.misses`` count the three kinds of keyed jobs.
+``pool.warm.misses`` count the three kinds of keyed jobs, and
+``pool.warm.reused`` the statements that workers answered from their
+warm entry's memo (every result frame says how many, ``reused``).
 
 When every worker is busy (or replacement spawns have not caught up),
 checkout fails *fast* with :class:`PoolSaturatedError` after
@@ -562,6 +564,8 @@ class WorkerPool:
         live_observe(
             "pool.dispatch_ms", (time.monotonic() - started) * 1000.0
         )
+        if result.get("reused"):
+            live_add("pool.warm.reused", int(result["reused"]))
         self._check_in(worker)
         return unmarshal_answer(result)
 

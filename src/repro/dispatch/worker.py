@@ -37,7 +37,9 @@ Two entry points share one job/result schema:
   key-only job).  When it holds an earlier version, the request may
   instead come with the mutation ``steps`` since that version (a
   *delta* job), and the worker advances its instance and SQLite
-  connection in place (see :func:`serve_loop`).
+  connection in place (see :func:`serve_loop`).  A warm entry answers
+  a statement it already ran on its version from memory; ``reused``
+  in the response frame counts those.
 * **one-shot** (:func:`child_main`, argument-less ``python -m
   repro.dispatch.worker``) — one job on stdin, one result on stdout,
   process exits; callable in-process for tests.
@@ -294,7 +296,8 @@ def _execute_job(job: Dict[str, object]) -> Dict[str, object]:
 class _WarmInstances:
     """A loop worker's warm state: per registered database name, the
     latest version a job carried, decoded, with its SQLite
-    materialization (built by the first statement that needs it)."""
+    materialization (built by the first statement that needs it) and
+    the memo of that version's answers."""
 
     def __init__(self) -> None:
         # name -> (version, kept); insertion order is recency order.
@@ -390,7 +393,8 @@ def serve_loop(stdin=None, stdout=None) -> int:
 
     Every response frame also carries ``served``, ``rss_kb`` and
     ``warm``, so each doubles as a health sample and as the worker's
-    current list of warm ``(name, version)`` keys.
+    current list of warm ``(name, version)`` keys, and ``reused``: how
+    many of the job's statements its warm entry answered from memory.
 
     **Warm state.**  A run job may carry an ``instance_key`` naming a
     registered database's version.  With the instance in the request,
@@ -407,6 +411,12 @@ def serve_loop(stdin=None, stdout=None) -> int:
     entry.  Any failed run drops the name's entry.  Displaced entries
     are freed only after the result frame is written.
 
+    An entry also remembers the rows of each SQL statement that
+    succeeded on its version (:class:`~repro.relational.sqlbridge.KeptSqlite`),
+    so a key-only job repeating a statement gets its rows without
+    running SQLite; a delta job's advance empties that memo first.
+    Every job is still sent, run and answered.
+
     A malformed frame gets a structured error response; a truncated
     stream (parent died) ends the loop.  Never raises: a worker that
     dies of its own protocol handling would look like an engine crash
@@ -420,8 +430,10 @@ def serve_loop(stdin=None, stdout=None) -> int:
     served = 0
     warm = _WarmInstances()
 
-    def reply(record: Dict[str, object]) -> None:
-        record.update(served=served, rss_kb=_rss_kb(), warm=warm.keys())
+    def reply(record: Dict[str, object], reused: int = 0) -> None:
+        record.update(
+            served=served, rss_kb=_rss_kb(), warm=warm.keys(), reused=reused
+        )
         write_frame(stdout, pickle.dumps(record))
 
     while True:
@@ -466,15 +478,17 @@ def serve_loop(stdin=None, stdout=None) -> int:
                 job["request"] = replace(request, db=kept.db)
             else:
                 kept = KeptSqlite(request.db)
+        before = kept.reused if kept is not None else 0
         with keeping(kept):
             result = _execute_job(job)
+        reused = kept.reused - before if kept is not None else 0
         displaced = (
             warm.settle(key, kept, bool(result["ok"]))
             if key is not None else []
         )
         served += 1
         try:
-            reply(result)
+            reply(result, reused)
         except (BrokenPipeError, OSError):
             return 1
         for entry in displaced:

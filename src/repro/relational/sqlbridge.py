@@ -13,7 +13,7 @@ from __future__ import annotations
 import sqlite3
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..observability import add, span
 from ..runtime.faults import sqlite_attempt
@@ -29,18 +29,53 @@ def _quote_identifier(name: str) -> str:
 
 
 class KeptSqlite:
-    """One instance's SQLite materialization, kept across statements.
+    """One instance's SQLite materialization, kept across statements,
+    with a memo of the rows its statements returned.
 
     Inside :func:`keeping`, :func:`run_sql` on ``db`` runs on ``conn``,
     materializing it on first use, instead of on a fresh copy per
-    statement.  The owner closes it.
+    statement, and answers a statement it already ran on this version
+    from the memo (:meth:`recall`).  ``reused`` counts those answers.
+    The owner closes it.
     """
 
-    __slots__ = ("db", "conn")
+    __slots__ = ("db", "conn", "reused", "_memo", "_memo_rows")
 
     def __init__(self, db: Database) -> None:
         self.db = db
         self.conn: Optional[sqlite3.Connection] = None
+        self.reused = 0
+        # SQL text -> its rows; insertion order is recency order.
+        self._memo: Dict[str, Tuple[Row, ...]] = {}
+        self._memo_rows = 0
+
+    def recall(self, sql: str) -> Optional[List[Row]]:
+        """The rows *sql* returned on this version, as a new list, or
+        ``None`` when the memo does not hold it."""
+        rows = self._memo.pop(sql, None)
+        if rows is None:
+            return None
+        self._memo[sql] = rows
+        self.reused += 1
+        return list(rows)
+
+    def remember(self, sql: str, rows: Sequence[Row]) -> None:
+        """Keep *rows*, which *sql* returned on this version after
+        :meth:`recall` missed it.
+
+        The memo holds at most as many rows as the instance holds
+        facts, each statement counting at least one: the least
+        recently used statements go first, and a statement over that
+        bound on its own is not kept."""
+        bound = len(self.db)
+        cost = len(rows) or 1
+        if cost > bound:
+            return
+        memo = self._memo
+        memo[sql] = tuple(rows)
+        self._memo_rows += cost
+        while self._memo_rows > bound:
+            self._memo_rows -= len(memo.pop(next(iter(memo)))) or 1
 
     def advance(
         self, deleted: Sequence[Fact], inserted: Sequence[Fact]
@@ -48,12 +83,15 @@ class KeptSqlite:
         """Move to the instance after deleting *deleted*, then inserting
         *inserted* (``Database.delete`` then ``insert``, so tids and
         ``next_tid`` follow), and the connection with it when one is
-        built (:func:`apply_step`).  On an exception nothing is
-        advanced."""
+        built (:func:`apply_step`).  The memo empties, built
+        connection or not, so every statement runs again on the new
+        version.  On an exception nothing is advanced."""
         db = self.db.delete(deleted).insert(inserted)
         if self.conn is not None:
             apply_step(self.conn, self.db, deleted, inserted)
         self.db = db
+        self._memo.clear()
+        self._memo_rows = 0
 
     def close(self) -> None:
         if self.conn is not None:
@@ -68,8 +106,9 @@ _KEPT: ContextVar[Optional[KeptSqlite]] = ContextVar(
 
 @contextmanager
 def keeping(kept: Optional[KeptSqlite]) -> Iterator[None]:
-    """Let :func:`run_sql` reuse *kept* for its instance in this block
-    (``None``: every statement materializes afresh, as outside)."""
+    """Let :func:`run_sql` reuse *kept*, its connection and its memo,
+    for its instance in this block (``None``: every statement
+    materializes and runs afresh, as outside)."""
     token = _KEPT.set(kept)
     try:
         yield
@@ -221,12 +260,25 @@ def run_sql(db: Database, sql: str) -> List[Row]:
     writes are :meth:`KeptSqlite.advance`'s, which a pool worker makes
     between jobs, outside any statement and outside any retry: each is
     one transaction, and a failed one drops the connection.
+
+    A statement that succeeded on the kept instance is remembered
+    with its rows, and the same statement on the same version comes
+    back from that memo as a new list, with no attempt, execution or
+    conversion: on one version the rows cannot change.  Advancing the
+    kept instance empties the memo.
     """
     with span("sql.run"):
+        kept = _KEPT.get()
+        if kept is not None and kept.db is not db:
+            kept = None
+        if kept is not None:
+            rows = kept.recall(sql)
+            if rows is not None:
+                return rows
+
         def attempt() -> List[Tuple]:
             sqlite_attempt()
-            kept = _KEPT.get()
-            if kept is not None and kept.db is db:
+            if kept is not None:
                 if kept.conn is None:
                     kept.conn = to_sqlite(db)
                 return kept.conn.execute(sql).fetchall()
@@ -239,7 +291,10 @@ def run_sql(db: Database, sql: str) -> List[Row]:
         raw = retry_transient(attempt)
         add("sql.statements", 1)
         add("sql.rows_fetched", len(raw))
-        return _answer_rows(raw)
+        rows = _answer_rows(raw)
+        if kept is not None:
+            kept.remember(sql, rows)
+        return rows
 
 
 def run_sql_on_connection(

@@ -55,6 +55,7 @@ while in-flight and straggler requests still complete).
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -67,7 +68,7 @@ from ..dispatch import (
     InstanceKey,
     get_engine,
 )
-from ..dispatch.engines import Step
+from ..dispatch.engines import SEMANTICS, Step
 from ..dispatch.pool import WorkerPool
 from ..errors import ReproError
 from ..logic.parser import parse_query
@@ -152,6 +153,23 @@ def _mutated(
         next(_VERSIONS),
         (entry.steps + (step,))[-DELTA_STEPS:],
     )
+
+
+def _timeout_field(payload: Dict[str, object]) -> Optional[float]:
+    """The payload's ``timeout_s`` in seconds: absent, or a number that
+    a float holds (not NaN, not an integer past float range)."""
+    value = payload.get("timeout_s")
+    if value is None:
+        return None
+    seconds = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            seconds = float(value)
+        except OverflowError:
+            pass
+    if math.isnan(seconds):
+        raise PayloadError("'timeout_s' must be a number")
+    return seconds
 
 
 def _value_order(value: object) -> Tuple:
@@ -566,11 +584,17 @@ class CQAService:
         if gate is not None:
             return gate
         tenant = str(payload.get("tenant") or "default")
-        timeout_s = self.admission.clamp_timeout(payload.get("timeout_s"))
         with request_scope() as rid:
             live_add("serve.requests")
-            emit_event("serve.request", tenant=tenant, timeout_s=timeout_s)
             started = self._clock()
+            try:
+                timeout_s = self.admission.clamp_timeout(
+                    _timeout_field(payload)
+                )
+            except PayloadError as exc:
+                emit_event("serve.request", tenant=tenant)
+                return self._payload_error(rid, started, exc)
+            emit_event("serve.request", tenant=tenant, timeout_s=timeout_s)
             try:
                 ticket = self.admission.admit(tenant, timeout_s)
             except ShedError as exc:
@@ -595,11 +619,7 @@ class CQAService:
                 return self._shed_response(rid, started, exc)
             except PayloadError as exc:
                 outcome = "bad-request"
-                return self._finish(
-                    rid, started, "error",
-                    (400, {"error": str(exc), "request_id": rid},
-                     _NO_HEADERS),
-                )
+                return self._payload_error(rid, started, exc)
             except DispatchError as exc:
                 return self._finish(
                     rid, started, "error",
@@ -739,6 +759,14 @@ class CQAService:
             {"Retry-After": str(max(1, int(round(retry_after))))},
         )
 
+    def _payload_error(
+        self, rid: str, started: float, exc: PayloadError
+    ) -> Handled:
+        return self._finish(
+            rid, started, "error",
+            (400, {"error": str(exc), "request_id": rid}, _NO_HEADERS),
+        )
+
     def _finish(
         self, rid: str, started: float, outcome: str, handled: Handled
     ) -> Handled:
@@ -769,6 +797,11 @@ class CQAService:
         except Exception as exc:
             raise PayloadError(f"cannot parse query: {exc}")
         semantics = str(payload.get("semantics", "s"))
+        if semantics not in SEMANTICS:
+            raise PayloadError(
+                f"unknown repair semantics {semantics!r}; "
+                f"expected one of {', '.join(map(repr, SEMANTICS))}"
+            )
         started = self._clock()
         request = CQARequest(db, tuple(constraints), query, semantics)
         degraded_reason = None

@@ -318,6 +318,39 @@ class TestServiceHandlers:
             svc.handle_repairs({"db": "emp", "limit": "many"})[0] == 400
         )
 
+    def test_cqa_unknown_semantics_is_400(self):
+        svc = CQAService()
+        svc.register_db("emp", EMPLOYEE_SPEC)
+        status, body, _ = svc.handle_cqa({
+            "db": "emp", "query": "Q(X) :- Employee(X, Y)",
+            "semantics": "bogus",
+        })
+        assert status == 400
+        assert body["error"].startswith("unknown repair semantics 'bogus'")
+        assert "request_id" in body
+
+    @pytest.mark.parametrize(
+        "timeout",
+        ["abc", "5", [1], {"s": 1}, True, float("nan"), 10**400],
+        ids=["text", "numeral", "list", "object", "bool", "nan", "huge"],
+    )
+    def test_a_timeout_that_is_not_a_number_is_400(self, timeout):
+        svc = CQAService()
+        svc.register_db("emp", EMPLOYEE_SPEC)
+        payload = {
+            "db": "emp", "query": "Q(X) :- Employee(X, Y)",
+            "timeout_s": timeout,
+        }
+        for handle in (svc.handle_cqa, svc.handle_repairs):
+            status, body, headers = handle(payload)
+            assert status == 400
+            assert body["error"] == "'timeout_s' must be a number"
+            assert "request_id" in body and headers == {}
+        status, body, _ = svc.handle_cqa(
+            {"db": "emp", "query": "Q(X) :- Employee(X, Y)", "timeout_s": 5}
+        )
+        assert status == 200 and body["answers"] == CERTAIN_NAMES
+
     def test_inconsistency_report(self):
         svc = CQAService()
         svc.register_db("emp", EMPLOYEE_SPEC)
@@ -684,6 +717,36 @@ class TestHttpBoundary:
             assert status == 500
             assert body["error"] == "internal: RuntimeError: handler bug"
             assert harness.request("GET", "/healthz")[0] == 200
+
+    def test_bad_cqa_fields_are_400_on_a_connection_that_stays_open(self):
+        harness = self._harness(CQAService())
+        with harness as server:
+            assert harness.request("PUT", "/v1/db/d", self.MIXED_SPEC)[0] == 200
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=30.0
+            )
+            try:
+                conn.connect()
+                sock = conn.sock
+                read = {"db": "d", "query": "Q(X) :- R(X, Y)"}
+                for bad, error in (
+                    ({"semantics": "bogus"}, "unknown repair semantics"),
+                    ({"timeout_s": "abc"}, "'timeout_s' must be a number"),
+                ):
+                    conn.request("POST", "/v1/cqa", json.dumps({**read, **bad}))
+                    response = conn.getresponse()
+                    body = json.loads(response.read())
+                    assert response.status == 400, body
+                    assert body["error"].startswith(error)
+                    assert response.getheader("Connection") == "keep-alive"
+                conn.request("POST", "/v1/cqa", json.dumps(read))
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["answers"] == [[1], ["a"]]
+                # The same socket carried all three requests.
+                assert conn.sock is sock
+            finally:
+                conn.close()
 
     def test_answers_that_mix_value_types_are_200(self):
         harness = self._harness(CQAService())

@@ -10,7 +10,8 @@ instance (a miss) and keeps it.  These tests pin that a warm answer is
 always the consistent answer of the registry's current instance, that
 affinity turns repeat reads into hits and the first read after a write
 into a delta, and that every disagreement about a worker's state is a
-crash, never a stale answer.
+crash, never a stale answer.  A warm entry's memo of its answers must
+equal a fresh load's rows on every version it holds.
 """
 
 import io
@@ -48,7 +49,14 @@ from repro.observability import collect
 from repro.relational import RelationSchema, Schema
 from repro.relational.database import Database, fact
 from repro.relational.nulls import NULL, LabeledNull, is_null
-from repro.relational.sqlbridge import KeptSqlite, apply_step, to_sqlite
+from repro.relational.sqlbridge import (
+    KeptSqlite,
+    apply_step,
+    keeping,
+    run_sql,
+    to_sqlite,
+)
+from repro.runtime import FaultPlan, inject
 from repro.serve.service import DELTA_STEPS, CQAService
 
 PROJECTION = "Q(X) :- R(X, Y)"
@@ -226,6 +234,8 @@ def test_repeat_reads_hit_one_worker_and_a_write_costs_one_delta(
             assert _read(service, "counts")["answers"] == expected
         assert collector.counter("pool.warm.misses") == 1
         assert collector.counter("pool.warm.hits") == 7
+        # Each hit repeats the miss's one statement on the same version.
+        assert collector.counter("pool.warm.reused") == 7
         assert len({worker for worker, _ in sent_frames}) == 1
         status, _, _ = service.handle_mutate(
             "counts", {"delete": [["R", "a0", "b0"], ["R", "a0", "b1"]]}
@@ -237,8 +247,14 @@ def test_repeat_reads_hit_one_worker_and_a_write_costs_one_delta(
         assert collector.counter("pool.warm.misses") == 1
         assert collector.counter("pool.warm.deltas") == 1
         assert collector.counter("pool.warm.hits") == 7
+        # The delta's advance emptied the memo: SQLite ran again.
+        assert collector.counter("pool.warm.reused") == 7
         # The steps went to the worker holding the old version.
         assert len({worker for worker, _ in sent_frames}) == 1
+        # The next hit reuses the new version's rows, not the old ones.
+        assert _read(service, "counts")["answers"] == body["answers"]
+        assert collector.counter("pool.warm.hits") == 8
+        assert collector.counter("pool.warm.reused") == 8
 
 
 def test_each_block_of_writes_and_reads_costs_one_delta(
@@ -707,3 +723,136 @@ def test_an_indexed_advanced_connection_answers_as_bare_tables(
     assert Counter(indexed.execute(sql).fetchall()) == Counter(
         reference.execute(sql).fetchall()
     )
+
+
+# ----------------------------------------------------------------------
+# The answer memo of a kept instance
+# ----------------------------------------------------------------------
+
+
+def _memo_rows(kept):
+    """The rows the memo holds, each statement counting at least one."""
+    return sum(len(rows) or 1 for rows in kept._memo.values())  # noqa: SLF001
+
+
+_SQL = {
+    query: query_to_sql(
+        fuxman_miller_rewrite(
+            parse_query(query), _KEYS, Database.from_facts([], schema=_KEYED)
+        ),
+        _KEYED,
+    )
+    for query in _FM_QUERIES
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _MIXED_FACTS,
+    st.lists(st.sampled_from(_FM_QUERIES), min_size=1, max_size=8),
+    st.lists(
+        st.tuples(
+            _MIXED_FACTS,
+            _MIXED_FACTS,
+            st.lists(st.sampled_from(_FM_QUERIES), min_size=1, max_size=8),
+        ),
+        max_size=4,
+    ),
+)
+def test_a_memoized_answer_equals_a_fresh_load(facts, first, steps):
+    """A kept instance, advanced by random steps, runs fm-sql's
+    statements repeatedly between them: every ``run_sql`` through
+    its memo returns the rows that a fresh, unkept load of the same
+    version returns, and the memo never holds more rows than the
+    instance holds facts."""
+    kept = KeptSqlite(Database.from_facts(facts, schema=_KEYED))
+    try:
+        for deleted, inserted, queries in [((), (), first), *steps]:
+            kept.advance(deleted, inserted)
+            for query in queries:
+                with keeping(kept):
+                    rows = run_sql(kept.db, _SQL[query])
+                with keeping(None):
+                    fresh = run_sql(kept.db, _SQL[query])
+                assert Counter(rows) == Counter(fresh)
+                assert _memo_rows(kept) <= len(kept.db)
+    finally:
+        kept.close()
+
+
+def test_nothing_is_memoized_outside_keeping():
+    db = Database.from_facts(
+        [fact("R", "a", "b"), fact("S", "b", "c")], schema=_KEYED
+    )
+    kept = KeptSqlite(db)
+    sql = _SQL[JOIN]
+    assert run_sql(db, sql) == [("a", "c")]
+    # Under keeping, a statement on another instance, even an equal one,
+    # is not the kept instance's either.
+    with keeping(kept):
+        assert run_sql(Database.from_facts(db, schema=_KEYED), sql) == [
+            ("a", "c")
+        ]
+    assert kept.conn is None and _memo_rows(kept) == 0
+    with keeping(kept):
+        assert run_sql(db, sql) == [("a", "c")]
+        assert kept.reused == 0 and _memo_rows(kept) == 1
+        assert run_sql(db, sql) == [("a", "c")]
+        assert kept.reused == 1
+    kept.close()
+
+
+def test_a_statement_that_raised_is_not_kept():
+    db = Database.from_facts([fact("R", "a", "b")], schema=_KEYED)
+    kept = KeptSqlite(db)
+    sql = _SQL[PROJECTION]
+    with keeping(kept):
+        with inject(FaultPlan(sqlite_failure_rate=1.0)) as plan:
+            with pytest.raises(Exception, match="injected transient"):
+                run_sql(db, sql)
+        assert plan.sqlite_attempts > 0 and _memo_rows(kept) == 0
+        assert run_sql(db, sql) == [("a",)]
+        # The kept rows come back with no attempt, so no fault fires.
+        with inject(FaultPlan(sqlite_failure_rate=1.0)) as plan:
+            assert run_sql(db, sql) == [("a",)]
+        assert plan.sqlite_attempts == 0 and kept.reused == 1
+    kept.close()
+
+
+def test_the_memo_is_bounded_by_its_instance():
+    """Five facts bound the memo to five rows: the least recently used
+    statement goes first, one larger than the bound is not kept, and
+    no list handed out reaches the memo."""
+    db = Database.from_facts(
+        [fact("R", f"a{i}", "b") for i in range(5)], schema=_KEYED
+    )
+    kept = KeptSqlite(db)
+    every = 'SELECT "A" FROM "R"'
+    one = 'SELECT "A" FROM "R" WHERE "A" = \'a0\''
+    none = 'SELECT "A" FROM "R" WHERE "A" = \'z\''
+    pairs = 'SELECT r1."A", r2."A" FROM "R" r1, "R" r2'
+    with keeping(kept):
+        rows = run_sql(db, every)
+        assert len(rows) == 5 and _memo_rows(kept) == 5
+        rows.clear()
+        handed = run_sql(db, every)
+        assert len(handed) == 5 and kept.reused == 1
+        handed.append(("x",))
+        assert len(run_sql(db, every)) == 5 and kept.reused == 2
+        # One more row: the five-row statement, the oldest, goes.
+        assert run_sql(db, one) == [("a0",)]
+        assert list(kept._memo) == [one]  # noqa: SLF001
+        # An empty answer counts one row.
+        assert run_sql(db, none) == []
+        assert list(kept._memo) == [one, none]  # noqa: SLF001
+        # Recalling `one` makes `none` the least recently used.
+        assert run_sql(db, one) == [("a0",)] and kept.reused == 3
+        assert list(kept._memo) == [none, one]  # noqa: SLF001
+        # Twenty-five rows for five facts: not kept, nothing evicted.
+        assert len(run_sql(db, pairs)) == 25
+        assert list(kept._memo) == [none, one]  # noqa: SLF001
+        assert _memo_rows(kept) == 2 <= len(db)
+        # Advancing empties the memo, also with no connection built.
+        kept.close()
+        kept.advance((), ())
+        assert kept.conn is None and _memo_rows(kept) == 0
