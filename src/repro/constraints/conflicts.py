@@ -504,13 +504,3 @@ def _is_minimal_hitting_set(
         if len(covering) == 1:
             needed[next(iter(covering))] = True
     return all(needed.values())
-
-
-def _inclusion_minimal(sets: Iterable[FrozenSet[str]]) -> List[FrozenSet[str]]:
-    """Filter a family of sets to its inclusion-minimal members."""
-    by_size = sorted(set(sets), key=len)
-    minimal: List[FrozenSet[str]] = []
-    for s in by_size:
-        if not any(m <= s for m in minimal):
-            minimal.append(s)
-    return minimal

@@ -38,10 +38,8 @@ from ..errors import NotRewritableError, ReproError
 from ..observability import add, annotate, span
 from ..observability.flight.recorder import (
     flight_begin,
-    flight_decision,
     flight_end,
     flight_installed,
-    flight_shadow,
 )
 from ..observability.live import (
     current_request_id,
@@ -88,17 +86,36 @@ _INAPPLICABLE = (NotRewritableError, EngineInapplicableError)
 
 class DispatchError(ReproError):
     """No engine — not even the sound salvage rung — could serve the
-    request.  The message carries the per-rung outcomes."""
+    request.  The message renders the per-rung outcomes; ``provenance``
+    carries them."""
+
+    def __init__(
+        self, message: str, provenance: Optional[Provenance] = None
+    ) -> None:
+        super().__init__(message)
+        self.provenance = provenance
 
 
 @dataclass(frozen=True)
 class RungOutcome:
-    """What one ladder rung did for one request."""
+    """What one ladder rung did for one request.
+
+    The one record of a rung: the request's provenance, the live
+    ``dispatch.rungs.<status>`` counters and ``rung.*`` events, and the
+    flight envelope's decision trail all read it.  ``ran`` is False for
+    a rung refused before it ran, by its applicability check (then
+    ``reason`` is the check's verdict) or by its open breaker.
+    ``slice_s`` is the budget slice a rung that ran was given, and
+    ``breaker`` the state the rung left its breaker in.
+    """
 
     engine: str
     status: str  # "ok"|"failed"|"inapplicable"|"breaker-open"|"saturated"
     reason: str = ""
     elapsed_s: float = 0.0
+    ran: bool = False
+    slice_s: Optional[float] = None
+    breaker: str = ""
 
     def render(self) -> str:
         note = f": {self.reason}" if self.reason else ""
@@ -287,19 +304,24 @@ class Dispatcher:
                 conflicts=stats,
             )
             try:
-                result = self._walk_ladder(request, budget)
+                result, shadow_sampled = self._walk_ladder(request, budget)
             except Exception as exc:  # noqa: BLE001 — telemetry only
                 error = f"{type(exc).__name__}: {exc}"
                 self._finish_request(
                     "error", None, started, budget, error=error,
                 )
-                flight_end("error", None, error=error)
+                provenance = (
+                    exc.provenance if isinstance(exc, DispatchError) else None
+                )
+                flight_end("error", provenance, error=error)
                 raise
             outcome = "ok" if result.complete else "degraded"
             self._finish_request(
                 outcome, result.provenance.engine, started, budget
             )
-            flight_end(outcome, result.provenance.engine, result=result)
+            flight_end(
+                outcome, result.provenance, shadow_sampled, result=result
+            )
             annotate(
                 engine=result.provenance.engine or "",
                 complete=result.complete,
@@ -383,156 +405,96 @@ class Dispatcher:
 
     def _walk_ladder(
         self, request: CQARequest, budget: Optional[Budget]
-    ) -> DispatchResult:
+    ) -> Tuple[DispatchResult, Optional[bool]]:
+        """Walk the ladder to the first rung that answers; returns the
+        result and the shadow draw (see :meth:`_maybe_shadow`)."""
         applicable = self._applicability(request)
         outcomes: List[RungOutcome] = []
-        winner: Optional[str] = None
         answer: Optional[EngineAnswer] = None
         for index, name in enumerate(self.policy.ladder):
-            verdict = applicable.get(name)
-            if verdict is not None:  # inapplicable, with the typed reason
-                outcomes.append(
-                    RungOutcome(name, "inapplicable", verdict)
-                )
-                live_add("dispatch.rungs.inapplicable")
-                emit_event("rung.skip", engine=name, reason=verdict)
-                flight_decision(
-                    engine=name,
-                    status="inapplicable",
-                    verdict=verdict,
-                    breaker=str(self.breakers[name].state()),
-                )
-                continue
-            breaker = self.breakers[name]
-            if not breaker.allows():
-                reason = (
-                    f"cooldown {breaker.cooldown_s:g}s after "
-                    f"{breaker.failures} consecutive failure(s)"
-                )
-                outcomes.append(
-                    RungOutcome(name, "breaker-open", reason)
-                )
-                live_add("dispatch.rungs.breaker-open")
-                emit_event("rung.skip", engine=name, reason=reason)
-                flight_decision(
-                    engine=name,
-                    status="breaker-open",
-                    reason=reason,
-                    breaker=str(breaker.state()),
-                )
-                continue
-            slice_s = self._slice(request, budget, applicable, index)
-            live_add("dispatch.rungs.attempted")
-            emit_event("rung.attempt", engine=name, slice_s=slice_s)
-            started = self._clock()
-            try:
-                answer = self._run_rung(request, name, slice_s)
-            except _INAPPLICABLE as exc:
-                # check() passed but run() found a deeper class issue;
-                # the engine is healthy, so no breaker penalty.
-                outcomes.append(
-                    RungOutcome(
-                        name,
-                        "inapplicable",
-                        str(exc),
-                        self._clock() - started,
-                    )
-                )
-                live_add("dispatch.rungs.inapplicable")
-                emit_event("rung.skip", engine=name, reason=str(exc))
-                flight_decision(
-                    engine=name,
-                    status="inapplicable",
-                    reason=str(exc),
-                    slice_s=slice_s,
-                    actual_s=self._clock() - started,
-                    breaker=str(breaker.state()),
-                )
-                continue
-            except PoolSaturatedError as exc:
-                # Every warm worker is busy: the engine is healthy, so
-                # no breaker penalty — fall through (typically to the
-                # in-process anytime bracket) and let admission control
-                # relieve the pressure.
-                reason = str(exc)
-                outcomes.append(
-                    RungOutcome(
-                        name,
-                        "saturated",
-                        reason,
-                        self._clock() - started,
-                    )
-                )
-                live_add("dispatch.rungs.saturated")
-                emit_event("rung.skip", engine=name, reason=reason)
-                flight_decision(
-                    engine=name,
-                    status="saturated",
-                    reason=reason,
-                    slice_s=slice_s,
-                    actual_s=self._clock() - started,
-                    breaker=str(breaker.state()),
-                )
-                continue
-            except Exception as exc:  # noqa: BLE001 — rung firewall
-                breaker.record_failure()
-                add("dispatch.rung_failures")
-                add("dispatch.fallbacks")
-                live_add("dispatch.rungs.failed")
-                error = f"{type(exc).__name__}: {exc}"
-                outcomes.append(
-                    RungOutcome(
-                        name,
-                        "failed",
-                        error,
-                        self._clock() - started,
-                    )
-                )
-                emit_event("rung.failure", engine=name, error=error)
-                flight_decision(
-                    engine=name,
-                    status="failed",
-                    reason=error,
-                    slice_s=slice_s,
-                    actual_s=self._clock() - started,
-                    breaker=str(breaker.state()),
-                )
-                continue
-            breaker.record_success()
-            winner = name
-            elapsed = self._clock() - started
-            outcomes.append(RungOutcome(name, "ok", "", elapsed))
-            live_add("dispatch.rungs.ok")
-            emit_event(
-                "rung.ok",
-                engine=name,
-                complete=answer.complete,
-                elapsed_ms=elapsed * 1000.0,
+            outcome, answer = self._try_rung(
+                request, budget, applicable, index, name
             )
-            flight_decision(
-                engine=name,
-                status="ok",
-                slice_s=slice_s,
-                actual_s=elapsed,
-                breaker=str(breaker.state()),
-            )
-            break
+            outcomes.append(outcome)
+            _note_rung(outcome, answer)
+            if answer is not None:
+                break
         if answer is None:
             summary = "; ".join(o.render() for o in outcomes)
             raise DispatchError(
                 "no engine could produce a sound answer "
-                f"(semantics={request.semantics}): {summary}"
+                f"(semantics={request.semantics}): {summary}",
+                Provenance(None, False, tuple(outcomes)),
             )
+        winner = outcomes[-1].engine
         if not answer.complete:
             add("dispatch.incomplete")
-        shadow = self._maybe_shadow(request, winner, answer, applicable)
+        sampled, shadow = self._maybe_shadow(
+            request, winner, answer, applicable
+        )
         provenance = Provenance(
             winner, answer.complete, tuple(outcomes), shadow
         )
         return DispatchResult(
             answer.answers, answer.complete, provenance,
             dict(answer.detail),
-        )
+        ), sampled
+
+    def _try_rung(
+        self,
+        request: CQARequest,
+        budget: Optional[Budget],
+        applicable: Dict[str, Optional[str]],
+        index: int,
+        name: str,
+    ) -> Tuple[RungOutcome, Optional[EngineAnswer]]:
+        """Gate and run the rung at *index*; returns its outcome and,
+        when it answered, its answer."""
+        breaker = self.breakers[name]
+        verdict = applicable.get(name)
+        if verdict is not None:  # inapplicable, with the typed reason
+            return RungOutcome(
+                name, "inapplicable", verdict,
+                breaker=str(breaker.state()),
+            ), None
+        if not breaker.allows():
+            reason = (
+                f"cooldown {breaker.cooldown_s:g}s after "
+                f"{breaker.failures} consecutive failure(s)"
+            )
+            return RungOutcome(
+                name, "breaker-open", reason,
+                breaker=str(breaker.state()),
+            ), None
+        slice_s = self._slice(request, budget, applicable, index)
+        live_add("dispatch.rungs.attempted")
+        emit_event("rung.attempt", engine=name, slice_s=slice_s)
+        started = self._clock()
+        answer: Optional[EngineAnswer] = None
+        try:
+            answer = self._run_rung(request, name, slice_s)
+        except _INAPPLICABLE as exc:
+            # check() passed but run() found a deeper class issue;
+            # the engine is healthy, so no breaker penalty.
+            status, reason = "inapplicable", str(exc)
+        except PoolSaturatedError as exc:
+            # Every warm worker is busy: the engine is healthy, so no
+            # breaker penalty — fall through (typically to the
+            # in-process anytime bracket) and let admission control
+            # relieve the pressure.
+            status, reason = "saturated", str(exc)
+        except Exception as exc:  # noqa: BLE001 — rung firewall
+            breaker.record_failure()
+            add("dispatch.rung_failures")
+            add("dispatch.fallbacks")
+            status, reason = "failed", f"{type(exc).__name__}: {exc}"
+        else:
+            breaker.record_success()
+            status, reason = "ok", ""
+        return RungOutcome(
+            name, status, reason, self._clock() - started,
+            ran=True, slice_s=slice_s, breaker=str(breaker.state()),
+        ), answer
 
     def _applicability(
         self, request: CQARequest
@@ -623,29 +585,23 @@ class Dispatcher:
     def _maybe_shadow(
         self,
         request: CQARequest,
-        winner: Optional[str],
+        winner: str,
         answer: EngineAnswer,
         applicable: Dict[str, Optional[str]],
-    ) -> Optional[ShadowReport]:
+    ) -> Tuple[Optional[bool], Optional[ShadowReport]]:
         """Cross-check a sampled fraction of complete answers on the
         next applicable exact engine; count disagreements.
 
-        The sampling *decision* (not the raw RNG draw) is handed to the
-        flight recorder: replay cannot reconstruct a mid-stream RNG
-        position, so it forces the recorded decision instead.  An
-        ineligible request (no winner / incomplete / rate 0) never
-        draws, so ``shadow_sampled`` stays None for it.
+        Returns the sampling draw with the report.  The draw (not the
+        raw RNG value) is what the flight recorder keeps: replay cannot
+        reconstruct a mid-stream RNG position, so it forces the recorded
+        draw instead.  An ineligible request (incomplete, or rate 0)
+        never draws, so its draw is None.
         """
-        if (
-            winner is None
-            or not answer.complete
-            or self.policy.shadow_rate <= 0.0
-        ):
-            return None
-        sampled = self._shadow_rng.random() < self.policy.shadow_rate
-        flight_shadow(sampled)
-        if not sampled:
-            return None
+        if not answer.complete or self.policy.shadow_rate <= 0.0:
+            return None, None
+        if self._shadow_rng.random() >= self.policy.shadow_rate:
+            return False, None
         candidate = next(
             (
                 name
@@ -657,28 +613,18 @@ class Dispatcher:
             None,
         )
         if candidate is None:
-            return None
+            return True, None
         add("dispatch.shadow_runs")
         try:
             shadow_answer = self._run_rung(
                 request, candidate, self.policy.rung_timeout
             )
         except Exception as exc:  # noqa: BLE001 — shadow is best-effort
-            report = ShadowReport(
+            return True, ShadowReport(
                 candidate, None, f"{type(exc).__name__}: {exc}"
             )
-            flight_shadow(
-                True,
-                engine=report.engine,
-                agreed=report.agreed,
-                reason=report.reason,
-            )
-            return report
         if not shadow_answer.complete:
-            flight_shadow(
-                True, engine=candidate, agreed=None, reason="incomplete"
-            )
-            return ShadowReport(candidate, None, "incomplete")
+            return True, ShadowReport(candidate, None, "incomplete")
         agreed = shadow_answer.answers == answer.answers
         if not agreed:
             add(f"dispatch.shadow_disagreements.{candidate}")
@@ -687,8 +633,26 @@ class Dispatcher:
                 "shadow.disagreement", engine=winner, shadow=candidate
             )
             annotate(shadow_disagreement=candidate)
-        flight_shadow(True, engine=candidate, agreed=agreed)
-        return ShadowReport(candidate, agreed)
+        return True, ShadowReport(candidate, agreed)
+
+
+def _note_rung(
+    outcome: RungOutcome, answer: Optional[EngineAnswer]
+) -> None:
+    """Count a rung's outcome as ``dispatch.rungs.<status>`` and emit
+    its ``rung.ok``, ``rung.failure`` or ``rung.skip`` event."""
+    live_add(f"dispatch.rungs.{outcome.status}")
+    if answer is not None:
+        emit_event(
+            "rung.ok",
+            engine=outcome.engine,
+            complete=answer.complete,
+            elapsed_ms=outcome.elapsed_s * 1000.0,
+        )
+    elif outcome.status == "failed":
+        emit_event("rung.failure", engine=outcome.engine, error=outcome.reason)
+    else:
+        emit_event("rung.skip", engine=outcome.engine, reason=outcome.reason)
 
 
 def dispatch_cqa(

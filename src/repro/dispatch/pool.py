@@ -88,7 +88,6 @@ from dataclasses import dataclass, replace
 from queue import Empty, Queue
 from typing import Dict, List, Optional
 
-from ..observability import add
 from ..observability.live import emit_event, live_add, live_gauge, live_observe
 from .engines import InstanceKey
 from .worker import (
@@ -98,6 +97,7 @@ from .worker import (
     _FRAME,
     _child_env,
     build_job,
+    call_worker,
     unmarshal_answer,
 )
 
@@ -545,17 +545,11 @@ class WorkerPool:
             if steps is not None:
                 job["steps"] = steps
             live_add(f"pool.warm.{kind}")
-        add("dispatch.worker_runs")
         live_add("pool.dispatches")
         started = time.monotonic()
         try:
-            result = worker.call(job, watchdog_s)
+            result = call_worker(worker, job, engine_name, watchdog_s)
         except WorkerTimeoutError:
-            add("dispatch.worker_kills")
-            add(f"dispatch.worker_kills.{engine_name}")
-            emit_event(
-                "worker.kill", engine=engine_name, watchdog_s=watchdog_s
-            )
             self._retire(worker, "timeout")
             raise
         except WorkerCrashError:

@@ -577,6 +577,22 @@ def unmarshal_answer(result: Dict[str, object]):
     )
 
 
+def call_worker(worker, job, engine_name: str, watchdog_s: float):
+    """Run *job* on *worker* under *watchdog_s* and return its result
+    record.  Counts the run as ``dispatch.worker_runs``; a watchdog kill
+    also counts ``dispatch.worker_kills`` and
+    ``dispatch.worker_kills.<engine>``, emits ``worker.kill`` and
+    re-raises the :class:`WorkerTimeoutError`."""
+    add("dispatch.worker_runs")
+    try:
+        return worker.call(job, watchdog_s)
+    except WorkerTimeoutError:
+        add("dispatch.worker_kills")
+        add(f"dispatch.worker_kills.{engine_name}")
+        emit_event("worker.kill", engine=engine_name, watchdog_s=watchdog_s)
+        raise
+
+
 def run_isolated(
     engine_name: str,
     request,
@@ -607,14 +623,10 @@ def run_isolated(
         wedge_s=wedge_s,
     )
     deadline = max(float(watchdog_s), MIN_WATCHDOG_S)
-    add("dispatch.worker_runs")
     worker = PoolWorker()
     try:
-        result = worker.call(job, deadline)
+        result = call_worker(worker, job, engine_name, deadline)
     except WorkerTimeoutError:
-        add("dispatch.worker_kills")
-        add(f"dispatch.worker_kills.{engine_name}")
-        emit_event("worker.kill", engine=engine_name, watchdog_s=deadline)
         raise WorkerTimeoutError(
             f"engine {engine_name} exceeded its {deadline:.1f}s "
             "watchdog and was killed"

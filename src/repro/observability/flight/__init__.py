@@ -8,8 +8,10 @@ Three pieces, mirroring an aircraft black box:
   decision trail with predicted-vs-actual wall time, and the canonical
   answer/provenance projections;
 - :mod:`.recorder` — the capture side: an installable
-  :class:`FlightRecorder` fed by dispatcher hooks and a tap on the live
-  plane's event stream, capturing automatically on anomaly signals
+  :class:`FlightRecorder` fed by the dispatcher's request-start and
+  request-end hooks (the end hook carries the request's provenance, from
+  which the decision trail is derived) and a tap on the live plane's
+  event stream, capturing automatically on anomaly signals
   (budget exhaustion, shadow disagreement, breaker trip, worker kill,
   request error, per-request SLO breach) or on demand;
 - :mod:`.replay` — the consumption side: ``repro obs replay`` re-runs
@@ -42,10 +44,8 @@ from .recorder import (
     FlightRecorder,
     current_recorder,
     flight_begin,
-    flight_decision,
     flight_end,
     flight_installed,
-    flight_shadow,
     install_recorder,
     predict_rung_cost,
     recording,
@@ -63,10 +63,8 @@ __all__ = [
     "constraints_digest",
     "current_recorder",
     "flight_begin",
-    "flight_decision",
     "flight_end",
     "flight_installed",
-    "flight_shadow",
     "install_recorder",
     "instance_digest",
     "normalize_reason",

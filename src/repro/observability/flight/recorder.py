@@ -1,8 +1,8 @@
 """The flight recorder: capture dispatch requests as replayable envelopes.
 
-The live telemetry plane (PR 6) *signals* anomalies — an SLO-busting
-latency, a shadow disagreement, a breaker trip, a worker kill, an
-exhausted budget.  The recorder turns those signals into *evidence*: a
+The live telemetry plane *signals* anomalies — an SLO-busting latency,
+a shadow disagreement, a breaker trip, a worker kill, an exhausted
+budget.  The recorder turns those signals into *evidence*: a
 :class:`~.envelope.FlightEnvelope` capturing the request content, every
 decision input the dispatcher consulted, and the per-rung decision
 trail, written the moment the anomaly fires.  ``repro obs replay`` then
@@ -10,21 +10,26 @@ re-executes the envelope deterministically and ``repro obs explain``
 renders why each rung was attempted or skipped.
 
 Same discipline as the collector and the live plane: a module-global
-install stack, free functions (:func:`flight_begin`,
-:func:`flight_decision`, :func:`flight_shadow`, :func:`flight_end`)
-that early-return when no recorder is installed, and hooks only at
-request/rung granularity so the <5% overhead budget holds (enforced by
-``tests/test_flight.py``).  Event capture rides the live plane's
+install stack and two free functions that early-return when no
+recorder is installed.  :func:`flight_begin` opens a request's flight
+with the decision inputs; :func:`flight_end` closes it with the
+request's :class:`~repro.dispatch.Provenance` (from the result, or from
+the refusing :class:`~repro.dispatch.DispatchError`) and the shadow
+draw.  The envelope's ``decisions`` and shadow section are derived from
+that provenance, one decision per :class:`~repro.dispatch.RungOutcome`,
+and only when an envelope is built; the recorder keeps no per-rung
+state of its own, so its per-request cost is two hooks plus the event
+tap, inside the <5% overhead budget ``tests/test_flight.py`` enforces.
+Event capture rides the live plane's
 :func:`~repro.observability.live.emit_event` via a tap, so breaker,
 budget, and worker events reach the recorder even when no live plane is
 installed.
 
 The per-rung *predicted* wall time comes from
 :func:`predict_rung_cost`, a deliberately coarse closed-form model over
-the conflict-graph shape features.  Its job is not to be right — it is
-to be logged next to the *actual* wall time, building the
-(shape features → rung cost) dataset that structure-aware engine
-selection (ROADMAP item 4) will train against.
+the conflict-graph shape features, logged next to the *actual* wall
+time.  Nothing calibrates against it yet: the ladder order is fixed
+and no engine selection reads the prediction.
 """
 
 from __future__ import annotations
@@ -55,10 +60,8 @@ __all__ = [
     "FlightRecorder",
     "current_recorder",
     "flight_begin",
-    "flight_decision",
     "flight_end",
     "flight_installed",
-    "flight_shadow",
     "install_recorder",
     "predict_rung_cost",
     "recording",
@@ -119,11 +122,8 @@ class _Flight:
         "fault_plan",
         "breakers",
         "shape_stats",
-        "decisions",
         "events",
         "anomalies",
-        "shadow_sampled",
-        "shadow_report",
         "started",
     )
 
@@ -135,11 +135,8 @@ class _Flight:
         self.fault_plan: Optional[Dict[str, object]] = None
         self.breakers: Dict[str, Dict[str, object]] = {}
         self.shape_stats: Optional[Dict[str, object]] = None
-        self.decisions: List[Dict[str, object]] = []
         self.events: List[Dict[str, object]] = []
         self.anomalies: List[str] = []
-        self.shadow_sampled: Optional[bool] = None
-        self.shadow_report: Optional[Dict[str, object]] = None
         self.started: float = 0.0
 
 
@@ -216,40 +213,6 @@ class FlightRecorder:
         self.requests_seen += 1
         self.op_count += 1
 
-    def decision(self, **fields) -> None:
-        """One per-rung decision record (engine, status, reason,
-        verdict, breaker, slice_s, predicted_s, actual_s)."""
-        flight = self._top()
-        if flight is None:
-            return
-        if "predicted_s" not in fields and "engine" in fields:
-            fields["predicted_s"] = predict_rung_cost(
-                fields["engine"],
-                flight.shape_stats,
-                len(flight.request.db) if flight.request else 0,
-            )
-        flight.decisions.append(fields)
-        self.op_count += 1
-
-    def shadow(
-        self,
-        sampled: bool,
-        engine: Optional[str] = None,
-        agreed: Optional[bool] = None,
-        reason: str = "",
-    ) -> None:
-        flight = self._top()
-        if flight is None:
-            return
-        flight.shadow_sampled = sampled
-        if sampled and engine is not None:
-            flight.shadow_report = {
-                "engine": engine,
-                "agreed": agreed,
-                "reason": reason,
-            }
-        self.op_count += 1
-
     def event(self, kind: str, fields: Dict[str, object]) -> None:
         """The live-plane tap: mirror events into the current flight."""
         flight = self._top()
@@ -268,12 +231,19 @@ class FlightRecorder:
     def end(
         self,
         outcome: str,
-        engine: Optional[str],
+        provenance,
+        shadow_sampled: Optional[bool] = None,
         result=None,
         error: Optional[str] = None,
     ) -> Optional[FlightEnvelope]:
         """Close the current flight; capture and return the envelope
-        when the mode and anomaly triggers say so (None otherwise)."""
+        when the mode and anomaly triggers say so (None otherwise).
+
+        *provenance* is the request's :class:`~repro.dispatch.Provenance`
+        (None when the request failed before the ladder produced one);
+        *shadow_sampled* is the shadow draw: None when the request did
+        not draw, else whether it was sampled.
+        """
         stack = self._stack()
         if not stack:
             return None
@@ -289,7 +259,9 @@ class FlightRecorder:
             flight.anomalies.append("slo.breach")
         if self.mode == "anomaly" and not flight.anomalies:
             return None
-        envelope = self._build(flight, outcome, engine, result, error)
+        envelope = self._build(
+            flight, outcome, provenance, shadow_sampled, result, error
+        )
         self.captured.append(envelope)
         collector_add("flight.captures")
         for kind in sorted(set(flight.anomalies)):
@@ -304,11 +276,27 @@ class FlightRecorder:
         self,
         flight: _Flight,
         outcome: str,
-        engine: Optional[str],
+        provenance,
+        shadow_sampled: Optional[bool],
         result,
         error: Optional[str],
     ) -> FlightEnvelope:
         request = flight.request
+        decisions: List[Dict[str, object]] = []
+        engine = shadow_report = None
+        if provenance is not None:
+            engine = provenance.engine
+            decisions = [
+                _decision(rung, flight.shape_stats, len(request.db))
+                for rung in provenance.rungs
+            ]
+            shadow = provenance.shadow
+            if shadow is not None:
+                shadow_report = {
+                    "engine": shadow.engine,
+                    "agreed": shadow.agreed,
+                    "reason": shadow.reason,
+                }
         digests = {
             "instance": instance_digest(request.db),
             "constraints": constraints_digest(request.constraints),
@@ -323,12 +311,8 @@ class FlightRecorder:
             flight.breakers,
         )
         answer = None
-        provenance = None
         if result is not None:
             answer = canonical_answer(result.answers, result.complete)
-        provenance = canonical_provenance(
-            flight.decisions, flight.shadow_report
-        )
         return FlightEnvelope(
             schema=ENVELOPE_SCHEMA,
             envelope_id=envelope_id,
@@ -343,9 +327,9 @@ class FlightRecorder:
             budget=flight.budget,
             fault_plan=flight.fault_plan,
             breakers=flight.breakers,
-            shadow_sampled=flight.shadow_sampled,
+            shadow_sampled=shadow_sampled,
             shape_stats=flight.shape_stats,
-            decisions=flight.decisions,
+            decisions=decisions,
             events=flight.events,
             outcome={
                 "status": outcome,
@@ -355,8 +339,37 @@ class FlightRecorder:
                 ),
             },
             answer=answer,
-            provenance=provenance,
+            provenance=canonical_provenance(decisions, shadow_report),
         )
+
+
+def _decision(
+    rung, shape_stats: Optional[Dict[str, object]], db_size: int
+) -> Dict[str, object]:
+    """The envelope's decision record of one
+    :class:`~repro.dispatch.RungOutcome`.
+
+    A rung refused by its applicability check records the check's
+    message as ``verdict``; every other rung but a winner records a
+    ``reason``.  Only a rung that ran has a budget slice and an actual
+    wall time.
+    """
+    record: Dict[str, object] = {
+        "engine": rung.engine,
+        "status": rung.status,
+    }
+    if rung.status == "inapplicable" and not rung.ran:
+        record["verdict"] = rung.reason
+    elif rung.status != "ok":
+        record["reason"] = rung.reason
+    if rung.ran:
+        record["slice_s"] = rung.slice_s
+        record["actual_s"] = rung.elapsed_s
+    record["breaker"] = rung.breaker
+    record["predicted_s"] = predict_rung_cost(
+        rung.engine, shape_stats, db_size
+    )
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -430,27 +443,17 @@ def flight_begin(request, **kwargs) -> None:
         recorder.begin(request, **kwargs)
 
 
-def flight_decision(**fields) -> None:
-    """Record one per-rung decision (no-op when off)."""
-    recorder = _RECORDER
-    if recorder is not None:
-        recorder.decision(**fields)
-
-
-def flight_shadow(sampled: bool, **fields) -> None:
-    """Record the shadow sampling decision (no-op when off)."""
-    recorder = _RECORDER
-    if recorder is not None:
-        recorder.shadow(sampled, **fields)
-
-
 def flight_end(
     outcome: str,
-    engine: Optional[str],
+    provenance,
+    shadow_sampled: Optional[bool] = None,
     result=None,
     error: Optional[str] = None,
 ) -> None:
-    """Close the current flight (no-op when off)."""
+    """Close the current flight with the request's provenance and
+    shadow draw (no-op when off)."""
     recorder = _RECORDER
     if recorder is not None:
-        recorder.end(outcome, engine, result=result, error=error)
+        recorder.end(
+            outcome, provenance, shadow_sampled, result=result, error=error
+        )

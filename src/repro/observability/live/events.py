@@ -81,11 +81,15 @@ EVENT_KINDS = (
     "store.recover",
     "store.compact",
     "store.truncate",
+    # The epoch fence marker could not be written or read back.
+    "store.fence_persist_failed",
+    "store.fence_marker_unreadable",
     # Replication & failover (PR 10): role transitions and the stream.
     "replica.bootstrap",
     "replica.caught_up",
     "replica.promote",
     "replica.fence",
+    "replica.loop_error",
     "serve.drain",
 )
 

@@ -155,6 +155,35 @@ def _mutated(
     )
 
 
+def _int_field(
+    payload: Dict[str, object], name: str, minimum: int,
+    required: bool = False,
+) -> Optional[int]:
+    """The payload's integer *name*, at least *minimum*; None when it
+    is absent and not *required*.  JSON ``true`` and ``false`` are not
+    integers, though Python's bool is an int."""
+    value = payload.get(name)
+    if value is None and not required:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < minimum
+    ):
+        sign = "positive" if minimum > 0 else "non-negative"
+        raise PayloadError(f"'{name}' must be a {sign} integer")
+    return value
+
+
+def _tenant_field(payload: Dict[str, object]) -> str:
+    """The payload's ``tenant``: a string, ``default`` when absent or
+    empty."""
+    tenant = payload.get("tenant")
+    if tenant is not None and not isinstance(tenant, str):
+        raise PayloadError("'tenant' must be a string")
+    return tenant or "default"
+
+
 def _timeout_field(payload: Dict[str, object]) -> Optional[float]:
     """The payload's ``timeout_s`` in seconds: absent, or a number that
     a float holds (not NaN, not an integer past float range)."""
@@ -583,11 +612,12 @@ class CQAService:
         gate = self._not_ready()
         if gate is not None:
             return gate
-        tenant = str(payload.get("tenant") or "default")
         with request_scope() as rid:
             live_add("serve.requests")
             started = self._clock()
+            tenant = None
             try:
+                tenant = _tenant_field(payload)
                 timeout_s = self.admission.clamp_timeout(
                     _timeout_field(payload)
                 )
@@ -657,11 +687,7 @@ class CQAService:
         store = self.store
         if store is None:
             return None
-        min_lsn = payload.get("min_lsn")
-        if min_lsn is not None and (
-            not isinstance(min_lsn, int) or min_lsn < 0
-        ):
-            raise PayloadError("'min_lsn' must be a non-negative integer")
+        min_lsn = _int_field(payload, "min_lsn", 0)
         role = self._role
         replica = self._replica
         if role == "primary":
@@ -883,11 +909,7 @@ class CQAService:
     ) -> Handled:
         db, constraints, _ = self._resolve_instance(payload, view)
         semantics = str(payload.get("semantics", "s"))
-        limit = payload.get("limit")
-        if limit is not None and (
-            not isinstance(limit, int) or limit < 1
-        ):
-            raise PayloadError("'limit' must be a positive integer")
+        limit = _int_field(payload, "limit", 1)
         started = self._clock()
         budget = Budget(timeout=timeout_s, max_results=limit)
         with use_budget(budget):
@@ -1024,9 +1046,10 @@ class CQAService:
             gate = self._not_ready()
             if gate is not None:
                 return gate
-        req_epoch = payload.get("epoch")
-        if not isinstance(req_epoch, int):
-            req_epoch = 0
+        try:
+            req_epoch = _int_field(payload, "epoch", 0) or 0
+        except PayloadError as exc:
+            return self._bad_request(str(exc))
         if req_epoch > store.epoch:
             store.fence(req_epoch)
             self._role = "fenced"
@@ -1056,11 +1079,10 @@ class CQAService:
                 body,
                 _NO_HEADERS,
             )
-        from_lsn = payload.get("from_lsn")
-        if not isinstance(from_lsn, int) or from_lsn < 0:
-            return self._bad_request(
-                "'from_lsn' must be a non-negative integer"
-            )
+        try:
+            from_lsn = _int_field(payload, "from_lsn", 0, required=True)
+        except PayloadError as exc:
+            return self._bad_request(str(exc))
         try:
             wait_s = min(max(0.0, float(payload.get("wait_s") or 0.0)), 5.0)
         except (TypeError, ValueError):
@@ -1188,11 +1210,10 @@ class CQAService:
                 {"error": "replication requires a durable store"},
                 _NO_HEADERS,
             )
-        epoch = payload.get("epoch")
-        if not isinstance(epoch, int) or epoch < 1:
-            return self._bad_request(
-                "'epoch' must be a positive integer"
-            )
+        try:
+            epoch = _int_field(payload, "epoch", 1, required=True)
+        except PayloadError as exc:
+            return self._bad_request(str(exc))
         if not store.fence(epoch):
             return (
                 409,

@@ -9,6 +9,7 @@ discipline as the live plane).
 """
 
 import gc
+import glob
 import io
 import json
 import os
@@ -35,10 +36,8 @@ from repro.observability.flight import (
     constraints_digest,
     current_recorder,
     flight_begin,
-    flight_decision,
     flight_end,
     flight_installed,
-    flight_shadow,
     instance_digest,
     normalize_reason,
     predict_rung_cost,
@@ -163,9 +162,7 @@ class TestRecorder:
         assert current_recorder() is None
         flight_begin(None, request_id=None, policy={}, budget=None,
                      fault_plan=None, breakers={}, shape_stats=None)
-        flight_decision(engine="x", status="ok")
-        flight_shadow(True)
-        flight_end("ok", "x")  # silent no-ops, nothing raised
+        flight_end("ok", None, True)  # silent no-ops, nothing raised
 
     def test_all_mode_captures_clean_requests(self):
         scenario = employee()
@@ -405,6 +402,66 @@ class TestReplay:
         with inject(FaultPlan(seed=1)):
             with pytest.raises(Exception, match="fault plan"):
                 replay_envelope(env)
+
+
+# ----------------------------------------------------------------------
+# Replay compatibility: envelopes recorded by an earlier tree
+# ----------------------------------------------------------------------
+
+_FIXTURES = sorted(
+    glob.glob(
+        os.path.join(os.path.dirname(__file__), "data", "flight", "*.json")
+    )
+)
+
+
+def _untimed(decisions):
+    """A decision trail without its measured wall times, key order
+    kept."""
+    return [
+        [
+            (key, normalize_reason(value) if isinstance(value, str) else value)
+            for key, value in decision.items()
+            if key != "actual_s"
+        ]
+        for decision in decisions
+    ]
+
+
+class TestReplayCompatibility:
+    """The envelopes under tests/data/flight were recorded by an earlier
+    tree (``tests/data/flight/record.py`` says which and how).  Each
+    must replay with identical answer, provenance and outcome, and the
+    replay must derive the same decision trail, but for wall times."""
+
+    def test_fixtures_cover_every_recorded_case(self):
+        envelopes = [read_envelope(path) for path in _FIXTURES]
+        statuses = {
+            decision["status"]
+            for envelope in envelopes
+            for decision in envelope.decisions
+        }
+        assert statuses == {"ok", "failed", "inapplicable", "breaker-open"}
+        assert {e.outcome["status"] for e in envelopes} == {
+            "ok", "degraded", "error",
+        }
+        assert any(
+            "verdict" in decision
+            for envelope in envelopes
+            for decision in envelope.decisions
+        )
+        assert any(envelope.shadow_sampled for envelope in envelopes)
+
+    @pytest.mark.parametrize("path", _FIXTURES, ids=os.path.basename)
+    def test_recorded_envelope_replays_identically(self, path):
+        recorded = read_envelope(path)
+        report = replay_envelope(recorded)
+        assert report.ok, report.render()
+        replayed = report.replayed
+        assert _untimed(replayed.decisions) == _untimed(recorded.decisions)
+        assert bool(replayed.shadow_sampled) == bool(
+            recorded.shadow_sampled
+        )
 
 
 # ----------------------------------------------------------------------
@@ -650,8 +707,7 @@ class TestFlightOverhead:
         """Op-count budget, mirroring the live plane's overhead test:
         (recorder ops per request x per-op cost) < 5% of the request's
         wall time.  The always-on anomaly mode never builds envelopes
-        for clean requests, so only the begin/decision/event/end dict
-        ops count."""
+        for clean requests, so only the begin/event/end ops count."""
         scenario = employee()
         query = scenario.queries["Q2"]
 
@@ -669,20 +725,12 @@ class TestFlightOverhead:
         ops = recorder.op_count
         assert ops > 0
 
-        # Per-op enabled cost: the costliest hook is decision() with
-        # its predict_rung_cost call; amortise it over a tight loop.
+        # Per-op enabled cost: the costliest hook is begin(), which
+        # opens a flight holding the request's decision inputs;
+        # amortise it over a tight loop.
         bench = FlightRecorder(mode="anomaly")
         request = CQARequest(
             scenario.db, tuple(scenario.constraints), query, "s"
-        )
-        bench.begin(
-            request,
-            request_id="r1",
-            policy={},
-            budget=None,
-            fault_plan=None,
-            breakers={},
-            shape_stats={"edges": 2, "max_component_size": 2},
         )
         loops = 5000
         # A full collection of the test process's heap must not land
@@ -690,7 +738,15 @@ class TestFlightOverhead:
         gc.collect()
         start = time.perf_counter()
         for _ in range(loops):
-            bench.decision(engine="fm-sql", status="ok", slice_s=None)
+            bench.begin(
+                request,
+                request_id="r1",
+                policy={},
+                budget=None,
+                fault_plan=None,
+                breakers={},
+                shape_stats={"edges": 2, "max_component_size": 2},
+            )
         op_cost = (time.perf_counter() - start) / loops
 
         budget = ops * op_cost

@@ -6,14 +6,18 @@ expiry and state transitions are driven by advancing a fake clock, not
 by sleeping.
 """
 
+import ast
 import gc
+import glob
 import json
+import os
 import time
 
 import pytest
 
 from repro.dispatch import DispatchError, DispatchPolicy, Dispatcher
 from repro.errors import BudgetExceededError
+from repro.logic.parser import parse_query
 from repro.observability import collect, installed
 from repro.observability.live import (
     EVENT_KINDS,
@@ -167,6 +171,34 @@ class TestEventLog:
         with pytest.raises(ValueError, match="unknown event kind"):
             log.emit("request.startt")
 
+    def test_every_kind_the_program_emits_is_registered(self):
+        """Each literal kind passed to ``emit_event`` under src/ is in
+        EVENT_KINDS: an unregistered one raises out of the emitting
+        code whenever a live plane is installed."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        emitted = {}
+        for path in glob.glob(
+            os.path.join(src, "**", "*.py"), recursive=True
+        ):
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "emit_event"
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                ):
+                    where = f"{os.path.relpath(path, src)}:{node.lineno}"
+                    emitted.setdefault(node.args[0].value, where)
+        assert len(emitted) > 20  # the scan found the call sites
+        unregistered = {
+            kind: where
+            for kind, where in emitted.items()
+            if kind not in EVENT_KINDS
+        }
+        assert unregistered == {}
+
     def test_ring_is_bounded_but_stats_are_not(self):
         log = EventLog(capacity=3, clock=FakeClock())
         for _ in range(10):
@@ -296,6 +328,43 @@ class TestDispatchCorrelation:
             assert kinds[0] == "request.start"
             assert kinds[-1] == "request.end"
             assert "rung.ok" in kinds
+
+    def test_each_rung_outcome_is_one_counter_and_one_event(self):
+        """Every rung outcome in a request's provenance, served or
+        refused, is one ``dispatch.rungs.<status>`` count and one
+        ``rung.ok``/``rung.failure``/``rung.skip`` event, in ladder
+        order, and nothing more."""
+        scenario = employee()
+        self_join = parse_query("Q(X) :- Employee(X, Y), Employee(Z, Y)")
+        dispatcher = Dispatcher(DispatchPolicy(failure_threshold=1))
+        refuser = Dispatcher(DispatchPolicy(ladder=("fm-sql",)))
+        provenances = []
+        plan = FaultPlan(seed=3, sqlite_failure_rate=1.0)
+        with live() as plane, inject(plan):
+            # fm-sql fails and trips; then its breaker is open; then
+            # the self-join is inapplicable to both rewriting rungs.
+            for query in (scenario.queries["Q1"],) * 2 + (self_join,):
+                result = dispatcher.dispatch(
+                    scenario.db, scenario.constraints, query
+                )
+                provenances.append(result.provenance)
+            with pytest.raises(DispatchError) as refused:
+                refuser.dispatch(scenario.db, scenario.constraints, self_join)
+            provenances.append(refused.value.provenance)
+        outcomes = [o for p in provenances for o in p.rungs]
+        assert {o.status for o in outcomes} == {
+            "ok", "failed", "breaker-open", "inapplicable",
+        }
+        kinds = {"ok": "rung.ok", "failed": "rung.failure"}
+        assert [
+            (r["kind"], r["engine"])
+            for r in plane.events.records()
+            if r["kind"] in ("rung.ok", "rung.failure", "rung.skip")
+        ] == [(kinds.get(o.status, "rung.skip"), o.engine) for o in outcomes]
+        for status in ("ok", "failed", "breaker-open", "inapplicable"):
+            assert plane.registry.counter_total(
+                f"dispatch.rungs.{status}"
+            ) == sum(o.status == status for o in outcomes)
 
     def test_request_start_carries_conflict_shape_stats(self):
         scenario = employee()

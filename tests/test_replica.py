@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.observability.live import LivePlane, live
 from repro.serve import (
     CQAService,
     ReplicaClient,
@@ -118,6 +119,32 @@ class TestStoreEpochs:
         assert st2.fence(1) is False and st2.fenced is None
         st.close()
         st2.close()
+
+    def test_an_unreadable_fence_marker_recovers_under_a_live_plane(
+        self, tmp_path
+    ):
+        """A garbled fence marker is ignored with or without telemetry;
+        under a live plane it is also a ``store.fence_marker_unreadable``
+        event."""
+        for name, plane in (("bare", None), ("live", LivePlane())):
+            st = _store(tmp_path, name)
+            st.recover()
+            st.append_put_db("d", AUDIT_SPEC)
+            st.close()
+            with open(st.fence_path, "w", encoding="utf-8") as handle:
+                handle.write("{not json")
+            st2 = TenantStore(str(tmp_path / name), StorePolicy())
+            if plane is None:
+                st2.recover()
+            else:
+                with live(plane):
+                    st2.recover()
+                (record,) = plane.events.records(
+                    kind="store.fence_marker_unreadable"
+                )
+                assert "JSONDecodeError" in record["error"]
+            assert st2.fenced is None
+            st2.close()
 
     def test_bump_epoch_refused_while_fenced(self, tmp_path):
         st = _store(tmp_path)
@@ -649,6 +676,35 @@ class TestStalenessContract:
         assert status == 400
         svc.close()
 
+    def test_json_booleans_are_not_lsns_or_epochs(self, tmp_path):
+        """``true`` and ``false`` are 400s in every integer field, where
+        they used to be read as 1 and 0."""
+        svc = _recovered_service(tmp_path, "p")
+        svc.register_db("emp", EMPLOYEE_SPEC)
+        for flag in (True, False):
+            status, body, _ = svc.handle_cqa({
+                "db": "emp",
+                "query": "Q(X) :- Employee(X, Y)",
+                "min_lsn": flag,
+            })
+            assert status == 400
+            assert body["error"] == "'min_lsn' must be a non-negative integer"
+            status, body, _ = svc.handle_replica_pull({"from_lsn": flag})
+            assert status == 400
+            assert body["error"] == "'from_lsn' must be a non-negative integer"
+            status, body, _ = svc.handle_replica_pull(
+                {"from_lsn": 0, "epoch": flag}
+            )
+            assert status == 400
+            assert body["error"] == "'epoch' must be a non-negative integer"
+            status, body, _ = svc.handle_replica_fence({"epoch": flag})
+            assert status == 400
+            assert body["error"] == "'epoch' must be a positive integer"
+        # None of them fenced the store or moved its epoch.
+        assert svc.store.fenced is None and svc.store.epoch == 0
+        assert svc.handle_replica_pull({"from_lsn": 0})[0] == 200
+        svc.close()
+
 
 class TestDrain:
     def test_draining_healthz_503s_but_requests_still_serve(
@@ -688,8 +744,19 @@ class TestPullLoopResilience:
     def test_pull_loop_survives_unexpected_errors(self, tmp_path):
         """Any exception in a pull — not just the typed store errors —
         must leave the daemon thread alive and retrying, with the
-        failure recorded, not kill replication silently."""
-        follower = _follower_service(tmp_path)
+        failure recorded, not kill replication silently.  That holds
+        with a live plane installed too, where each failure is also a
+        ``replica.loop_error`` event."""
+        self._survives(tmp_path, "bare")
+        with live(LivePlane()) as plane:
+            self._survives(tmp_path, "live")
+        records = plane.events.records(kind="replica.loop_error")
+        assert len(records) >= 3
+        assert "ValueError" in records[0]["error"]
+
+    @staticmethod
+    def _survives(tmp_path, name):
+        follower = _follower_service(tmp_path, name)
         client = ReplicaClient(
             follower,
             ReplicaConfig(

@@ -351,6 +351,39 @@ class TestServiceHandlers:
         )
         assert status == 200 and body["answers"] == CERTAIN_NAMES
 
+    def test_a_json_boolean_limit_is_400(self):
+        """JSON ``true`` is not the integer 1: it used to answer 200
+        with one repair marked incomplete."""
+        svc = CQAService()
+        svc.register_db("emp", EMPLOYEE_SPEC)
+        for flag in (True, False):
+            status, body, _ = svc.handle_repairs(
+                {"db": "emp", "semantics": "s", "limit": flag}
+            )
+            assert status == 400
+            assert body["error"] == "'limit' must be a positive integer"
+
+    @pytest.mark.parametrize(
+        "tenant", [["a"], {"t": "a"}, 7, True],
+        ids=["list", "object", "number", "bool"],
+    )
+    def test_a_tenant_that_is_not_a_string_is_400(self, tenant):
+        svc = CQAService()
+        svc.register_db("emp", EMPLOYEE_SPEC)
+        payload = {
+            "db": "emp", "query": "Q(X) :- Employee(X, Y)",
+            "tenant": tenant,
+        }
+        for handle in (svc.handle_cqa, svc.handle_repairs):
+            status, body, _ = handle(payload)
+            assert status == 400
+            assert body["error"] == "'tenant' must be a string"
+            assert "request_id" in body
+        assert svc.admission.stats() == {}  # no tenant was admitted
+        status, body, _ = svc.handle_cqa(dict(payload, tenant="a"))
+        assert status == 200 and body["answers"] == CERTAIN_NAMES
+        assert list(svc.admission.stats()) == ["a"]
+
     def test_inconsistency_report(self):
         svc = CQAService()
         svc.register_db("emp", EMPLOYEE_SPEC)
