@@ -3,12 +3,14 @@
 The drive is one cycle of the durability contract, end to end, against
 the real server process:
 
-1. **Storm** — start ``repro serve --data-dir`` (optionally under a
-   seeded storage-fault plan), register a tenant database, and fire a
-   mutation storm over HTTP, recording every *acknowledged* row (a 200
-   carrying an ``lsn``).  Refusals (503 ``store-unavailable`` after an
-   injected fault trips the crash-only latch) are recorded too — they
-   must NOT reappear after recovery as if they had been acked.
+1. **Storm** — start ``repro serve --data-dir --compact-every 16``
+   (optionally under a seeded storage-fault plan), register a tenant
+   database, and fire a mutation storm over HTTP, recording every
+   *acknowledged* row (a 200 carrying an ``lsn``).  Refusals (503
+   ``store-unavailable`` after an injected fault trips the crash-only
+   latch) are recorded too — they must NOT reappear after recovery as
+   if they had been acked.  The storm compacts several times, so
+   recovery loads a snapshot and replays a WAL suffix.
 2. **Kill** — SIGKILL the server at a seeded random point mid-storm.
    No drain, no atexit, no flush: whatever the WAL holds is the state.
 3. **Verify offline** — ``verify_store`` must accept the directory
@@ -82,6 +84,8 @@ def phase_storm(port, data_dir, plan, seed):
     extra = list(FAULT_PLANS[plan])
     if extra:
         extra = ["--fault-seed", str(seed)] + extra
+    # The default period (256 records) would outlast every storm.
+    extra += ["--compact-every", "16"]
     server = spawn(port, data_dir, extra=extra)
     acked, refused = [], 0
     try:

@@ -762,52 +762,24 @@ def _cmd_store_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _replica_request(url: str, method: str, path: str, payload=None):
-    """One JSON request against a server's replica plane."""
-    import http.client
-    import json as _json
-    import urllib.parse
-
-    parsed = urllib.parse.urlsplit(url)
-    if parsed.hostname is None:
-        parsed = urllib.parse.urlsplit(f"//{url}")
-    if parsed.hostname is None:
-        raise SystemExit(f"cannot parse server URL {url!r}")
-    connection = http.client.HTTPConnection(
-        parsed.hostname, parsed.port or 80, timeout=30.0
-    )
-    try:
-        body = _json.dumps(payload) if payload is not None else None
-        connection.request(
-            method, path, body=body,
-            headers={"Content-Type": "application/json"},
-        )
-        response = connection.getresponse()
-        raw = response.read()
-        try:
-            parsed_body = _json.loads(raw) if raw else {}
-        except ValueError:
-            parsed_body = {"raw": raw.decode("utf-8", "replace")}
-        return response.status, parsed_body
-    finally:
-        connection.close()
-
-
 def _cmd_replica(args) -> int:
     import json as _json
 
+    from .serve.replica import json_request, parse_server_url
+
+    try:
+        server = parse_server_url(args.url)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     if args.replica_command == "status":
-        status, body = _replica_request(
-            args.url, "GET", "/v1/replica/status"
-        )
+        status, body = json_request(*server, "GET", "/v1/replica/status")
     elif args.replica_command == "promote":
-        status, body = _replica_request(
-            args.url, "POST", "/v1/replica/promote", {}
+        status, body = json_request(
+            *server, "POST", "/v1/replica/promote", {}
         )
     else:  # fence
-        status, body = _replica_request(
-            args.url, "POST", "/v1/replica/fence",
-            {"epoch": args.epoch},
+        status, body = json_request(
+            *server, "POST", "/v1/replica/fence", {"epoch": args.epoch}
         )
     print(_json.dumps(body, indent=2, sort_keys=True))
     if status >= 400:

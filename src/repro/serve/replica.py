@@ -33,13 +33,48 @@ import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..errors import ReproError
 from ..observability.live import emit_event, live_add, live_gauge
 from .store import StoreCorruptionError, StoreWriteError
 
 __all__ = ["ReplicaClient", "ReplicaConfig", "StaleReadError"]
+
+
+def parse_server_url(url: str) -> Tuple[str, int]:
+    """``(host, port)`` of a server URL, with or without a scheme."""
+    parsed = urllib.parse.urlsplit(url)
+    if parsed.hostname is None:
+        parsed = urllib.parse.urlsplit(f"//{url}")
+    if parsed.hostname is None:
+        raise ValueError(f"cannot parse server URL {url!r}")
+    return parsed.hostname, parsed.port or 80
+
+
+def json_request(
+    host: str, port: int, method: str, path: str, payload=None,
+    timeout_s: float = 30.0,
+) -> Tuple[int, Dict[str, object]]:
+    """One JSON round trip: ``(status, body)``, where a body that is not
+    JSON comes back as ``{"raw": text}``."""
+    connection = http.client.HTTPConnection(host, port, timeout=timeout_s)
+    try:
+        connection.request(
+            method,
+            path,
+            body=json.dumps(payload) if payload is not None else None,
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        raw = response.read()
+        try:
+            body = json.loads(raw) if raw else {}
+        except ValueError:
+            body = {"raw": raw.decode("utf-8", "replace")}
+        return response.status, body
+    finally:
+        connection.close()
 
 
 class StaleReadError(ReproError):
@@ -97,15 +132,7 @@ class ReplicaClient:
         self._service = service
         self.config = config
         self._clock = clock
-        parsed = urllib.parse.urlsplit(config.upstream)
-        if parsed.hostname is None:
-            parsed = urllib.parse.urlsplit(f"//{config.upstream}")
-        if parsed.hostname is None:
-            raise ValueError(
-                f"cannot parse upstream URL {config.upstream!r}"
-            )
-        self._host = parsed.hostname
-        self._port = parsed.port or 80
+        self._server = parse_server_url(config.upstream)
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self.pulls = 0
@@ -194,7 +221,10 @@ class ReplicaClient:
             "wait_s": self.config.wait_s if wait_s is None else wait_s,
         }
         try:
-            status, body = self._post("/v1/replica/pull", payload)
+            status, body = json_request(
+                *self._server, "POST", "/v1/replica/pull", payload,
+                self.config.request_timeout_s,
+            )
         except (OSError, http.client.HTTPException) as exc:
             self.pull_errors += 1
             self.last_error = f"{type(exc).__name__}: {exc}"
@@ -243,27 +273,6 @@ class ReplicaClient:
         live_gauge("replica.lag_records", self.lag() or 0)
         self._service.note_replica_progress(self)
         return applied
-
-    def _post(self, path: str, payload: Dict[str, object]):
-        connection = http.client.HTTPConnection(
-            self._host, self._port, timeout=self.config.request_timeout_s
-        )
-        try:
-            connection.request(
-                "POST",
-                path,
-                body=json.dumps(payload),
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            raw = response.read()
-            try:
-                parsed = json.loads(raw) if raw else {}
-            except json.JSONDecodeError:
-                parsed = {}
-            return response.status, parsed
-        finally:
-            connection.close()
 
     # -- staleness -----------------------------------------------------
 

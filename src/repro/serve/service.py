@@ -352,6 +352,13 @@ class CQAService:
             body["primary_url"] = self._primary_url
         return 403, body, _NO_HEADERS
 
+    def _no_store(self) -> Optional[Handled]:
+        """400 every replica-plane request on a node without a store."""
+        if self.store is not None:
+            return None
+        body = {"error": "replication requires a durable store"}
+        return 400, body, _NO_HEADERS
+
     def _store_unavailable(self, exc: StoreWriteError) -> Handled:
         if isinstance(exc, FencedError):
             # Race window: the store latched between our role gate and
@@ -387,8 +394,9 @@ class CQAService:
             return gate
         if not name or "/" in name:
             return self._bad_request(f"invalid database name {name!r}")
+        record = {"op": "put_db", "db": name, "spec": spec}
         try:
-            entry = _spec_entry(spec)
+            entry = self._entry_after(record)
         except ReproError as exc:
             return self._bad_request(str(exc))
         body: Dict[str, object] = {
@@ -473,6 +481,9 @@ class CQAService:
             return self._bad_request(
                 "payload needs a non-empty 'insert' or 'delete' list"
             )
+        record = {
+            "op": "mutate", "db": name, "insert": inserts, "delete": deletes
+        }
         body: Dict[str, object] = {"db": name}
         with self._lock:
             found = self._databases.get(name)
@@ -483,7 +494,7 @@ class CQAService:
                     _NO_HEADERS,
                 )
             try:
-                for relation, values in deletes + inserts:
+                for relation, *values in deletes + inserts:
                     schema_rel = found.db.schema.relations.get(relation)
                     if schema_rel is None:
                         raise PayloadError(
@@ -494,19 +505,13 @@ class CQAService:
                             f"relation {relation!r} needs "
                             f"{len(schema_rel.attributes)} values"
                         )
-                entry = _mutated(
-                    found,
-                    tuple(fact(rel, *values) for rel, values in deletes),
-                    tuple(fact(rel, *values) for rel, values in inserts),
-                )
+                entry = self._entry_after(record)
             except ReproError as exc:
                 return self._bad_request(str(exc))
             if self.store is not None:
                 try:
                     body["lsn"] = self.store.append_mutate(
-                        name,
-                        insert=[[r, *v] for r, v in inserts],
-                        delete=[[r, *v] for r, v in deletes],
+                        name, insert=inserts, delete=deletes
                     )
                 except StoreWriteError as exc:
                     return self._store_unavailable(exc)
@@ -520,13 +525,13 @@ class CQAService:
         return 200, body, _NO_HEADERS
 
     @staticmethod
-    def _parse_delta(
-        payload: Dict[str, object], key: str
-    ) -> List[Tuple[str, list]]:
+    def _parse_delta(payload: Dict[str, object], key: str) -> List[list]:
+        """The payload's *key* facts as WAL entries, ``[relation,
+        value, ...]`` (copies)."""
         entries = payload.get(key) or []
         if not isinstance(entries, list):
             raise PayloadError(f"'{key}' must be a list of fact lists")
-        out: List[Tuple[str, list]] = []
+        out: List[list] = []
         for index, entry in enumerate(entries):
             if (
                 not isinstance(entry, list)
@@ -538,8 +543,31 @@ class CQAService:
                     "[\"Relation\", value, ...]"
                 )
             require_json_scalars(entry[1:], f"'{key}' entry {index}")
-            out.append((entry[0], entry[1:]))
+            out.append(list(entry))
         return out
+
+    def _entry_after(self, record: Dict[str, object]) -> Optional[Entry]:
+        """The registry entry a WAL-shaped *record* leaves its database
+        with (``del_db`` and ``epoch``: none).  A ``mutate`` reads the
+        current entry, so it needs the lock."""
+        op = record.get("op")
+        if op == "put_db":
+            return _spec_entry(record["spec"])
+        if op == "mutate":
+            found = self._databases.get(record.get("db"))
+            if found is None:
+                raise StoreCorruptionError(
+                    f"mutate against unknown database {record.get('db')!r}"
+                    " (registry diverged from store)"
+                )
+            return _mutated(
+                found,
+                tuple(fact(*entry) for entry in record.get("delete") or []),
+                tuple(fact(*entry) for entry in record.get("insert") or []),
+            )
+        if op in ("del_db", "epoch"):
+            return None
+        raise StoreCorruptionError(f"record with unknown op {op!r}")
 
     def list_dbs(self) -> Handled:
         with self._lock:
@@ -979,38 +1007,17 @@ class CQAService:
             )
 
     def apply_replicated(self, record: Dict[str, object]) -> bool:
-        """Apply one shipped record to the store *and* the registry."""
+        """Apply one shipped record to the store *and* the registry.
+        The store goes first: a duplicate it skips changes nothing."""
         with self._lock:
             applied = self.store.apply_replicated(record)
             if applied:
-                self._apply_to_registry(record)
+                entry = self._entry_after(record)
+                if entry is not None:
+                    self._databases[record.get("db")] = entry
+                elif record.get("op") == "del_db":
+                    self._databases.pop(record.get("db"), None)
         return applied
-
-    def _apply_to_registry(self, record: Dict[str, object]) -> None:
-        op = record.get("op")
-        name = record.get("db")
-        if op == "put_db":
-            self._databases[name] = _spec_entry(record["spec"])
-        elif op == "del_db":
-            self._databases.pop(name, None)
-        elif op == "mutate":
-            found = self._databases.get(name)
-            if found is None:
-                raise StoreCorruptionError(
-                    f"replicated mutate against unknown database "
-                    f"{name!r} (registry diverged from store)"
-                )
-            self._databases[name] = _mutated(
-                found,
-                tuple(fact(*entry) for entry in record.get("delete") or []),
-                tuple(fact(*entry) for entry in record.get("insert") or []),
-            )
-        elif op == "epoch":
-            pass
-        else:
-            raise StoreCorruptionError(
-                f"replicated record with unknown op {op!r}"
-            )
 
     def install_replica_state(
         self, bootstrap: Dict[str, object]
@@ -1031,21 +1038,17 @@ class CQAService:
 
         Long-polls ``wait_s`` when the follower is caught up; answers
         a snapshot ``bootstrap`` when compaction already folded the
-        requested range.  A pull carrying a *higher* epoch than ours
-        is proof a successor was promoted: we fence ourselves before
-        answering (split-brain guard — the 409 is the demotion).
+        requested range, or when the pull carries a *lower* epoch than
+        ours.  A pull carrying a *higher* epoch than ours is proof a
+        successor was promoted: we fence ourselves before answering
+        (split-brain guard — the 409 is the demotion).
         """
+        gate = self._no_store() or (
+            self._not_ready() if self._phase == "recovering" else None
+        )
+        if gate is not None:
+            return gate
         store = self.store
-        if store is None:
-            return (
-                400,
-                {"error": "replication requires a durable store"},
-                _NO_HEADERS,
-            )
-        if self._phase == "recovering":
-            gate = self._not_ready()
-            if gate is not None:
-                return gate
         try:
             req_epoch = _int_field(payload, "epoch", 0) or 0
         except PayloadError as exc:
@@ -1087,7 +1090,10 @@ class CQAService:
             wait_s = min(max(0.0, float(payload.get("wait_s") or 0.0)), 5.0)
         except (TypeError, ValueError):
             return self._bad_request("'wait_s' must be a number")
-        records = store.records_since(from_lsn)
+        # A lower-epoch puller may hold writes this lineage never had (a
+        # fenced ex-primary rejoining): a bootstrap replaces them.
+        same_epoch = req_epoch == store.epoch
+        records = store.records_since(from_lsn) if same_epoch else None
         if records is not None and not records and wait_s > 0:
             store.wait_for_lsn(from_lsn + 1, wait_s)
             records = store.records_since(from_lsn)
@@ -1130,13 +1136,10 @@ class CQAService:
         primary's epoch is stale and every surviving node will fence
         it on contact.
         """
+        gate = self._no_store()
+        if gate is not None:
+            return gate
         store = self.store
-        if store is None:
-            return (
-                400,
-                {"error": "replication requires a durable store"},
-                _NO_HEADERS,
-            )
         if self._role == "primary":
             return (
                 200,
@@ -1203,13 +1206,10 @@ class CQAService:
         self, payload: Dict[str, object]
     ) -> Handled:
         """POST /v1/replica/fence — operator/peer demotion by epoch."""
+        gate = self._no_store()
+        if gate is not None:
+            return gate
         store = self.store
-        if store is None:
-            return (
-                400,
-                {"error": "replication requires a durable store"},
-                _NO_HEADERS,
-            )
         try:
             epoch = _int_field(payload, "epoch", 1, required=True)
         except PayloadError as exc:

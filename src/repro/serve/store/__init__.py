@@ -1,7 +1,7 @@
 """Durable tenant state: WAL + snapshots + crash-only recovery.
 
-PR 8 left every named database in a process-local dict; this package
-makes that dict *survive the process*.  Three pieces:
+This package makes the service's database registry survive the
+process.  Three pieces:
 
 * :mod:`.wal` — a CRC32-framed append-only log of mutations
   (create/delete database, tuple insert/delete) with a configurable
@@ -16,6 +16,11 @@ makes that dict *survive the process*.  Three pieces:
   a torn tail), ``append_*`` per mutation, automatic compaction every
   ``compact_every`` records.
 
+Each change of state has one home: one commit step serves local
+appends, replicated records and epoch bumps; one snapshot step serves
+compaction and a follower's bootstrap; one replay serves ``recover()``
+and :func:`verify_store`.
+
 The recovery contract is *exactly the acknowledged prefix*: after a
 kill -9 at any byte, restart yields the state produced by every
 acknowledged mutation and no unacknowledged one.  A torn tail (the
@@ -23,15 +28,17 @@ frame a dying writer left incomplete) is truncated, never replayed;
 mid-log corruption (a complete frame failing CRC with data behind it —
 bit rot, not a tear) makes ``recover()`` *refuse* with
 :class:`StoreCorruptionError` rather than silently serve a state with
-acknowledged writes missing.
+acknowledged writes missing.  So does a replay whose records past the
+loaded snapshot do not run on from its LSN by ones up to the LSN of
+every snapshot file on disk (a corrupt snapshot's name still carries
+its LSN).
 
 The WAL doubles as the tuple-level delta stream Lopatenko–Bertossi
-incremental repair semantics consume (ROADMAP item 3): every ``mutate``
-record is an ``(insert, delete)`` fact-set pair against a known-good
-base state.
+incremental repair semantics consume: every ``mutate`` record is an
+``(insert, delete)`` fact-set pair against a known-good base state.
 
-PR 10 makes the same log the unit of *replication*: every record and
-snapshot carries a monotonically increasing fencing ``epoch``,
+The same log is the unit of *replication*: every record and snapshot
+carries a monotonically increasing fencing ``epoch``,
 :meth:`TenantStore.records_since` streams the tail to followers (with
 :meth:`TenantStore.state_transfer` as the snapshot-bootstrap fallback
 once compaction has folded the requested range), and
@@ -187,6 +194,54 @@ def apply_record(
         )
 
 
+def _epoch_of(record: Dict[str, object]) -> int:
+    """The fencing epoch *record* carries (0 when absent or not an int)."""
+    epoch = record.get("epoch", 0)
+    return epoch if isinstance(epoch, int) else 0
+
+
+class _Replay:
+    """The newest readable snapshot plus the WAL records past it, which
+    :meth:`TenantStore.recover` and :func:`verify_store` share.
+
+    ``gap`` (None when nothing is missing) says that acknowledged
+    records are in neither a readable snapshot nor the WAL: the records
+    past the snapshot must start at its LSN + 1, rise by one, and reach
+    the LSN of every snapshot file on disk.
+    """
+
+    def __init__(self, data_dir: str) -> None:
+        self.data_dir = data_dir
+        self.snapshot = load_latest_snapshot(data_dir)
+        # Freshly parsed and owned by nobody else: applied in place.
+        self.specs = self.snapshot.specs if self.snapshot else {}
+        self.snapshot_lsn = self.snapshot.lsn if self.snapshot else 0
+        self.last_lsn = self.snapshot_lsn
+        self.epoch = self.snapshot.epoch if self.snapshot else 0
+        self.applied: List[Dict[str, object]] = []
+        self.gap: Optional[str] = None
+
+    def apply(self, records: List[Dict[str, object]]) -> None:
+        for record in records:
+            self.epoch = max(self.epoch, _epoch_of(record))
+            if record["lsn"] <= self.snapshot_lsn:
+                continue  # folded into the snapshot already
+            apply_record(self.specs, record)
+            self.applied.append(record)
+            self.last_lsn = record["lsn"]
+        # The scan keeps LSNs strictly rising, so the applied records
+        # are contiguous exactly when they are as many as they span.
+        on_disk = [lsn for lsn, _ in list_snapshots(self.data_dir)]
+        reach = max([self.last_lsn] + on_disk)
+        if self.snapshot_lsn + len(self.applied) < reach:
+            self.gap = (
+                f"{self.data_dir}: acknowledged records up to lsn {reach} "
+                "are in neither a readable snapshot nor the WAL (the "
+                f"newest readable snapshot is at lsn {self.snapshot_lsn}, "
+                f"and {len(self.applied)} WAL record(s) follow it)"
+            )
+
+
 class TenantStore:
     """Durable mirror of the service's database registry.
 
@@ -260,14 +315,16 @@ class TenantStore:
                 error=f"{type(exc).__name__}: {exc}",
             )
 
-    def _clear_fence_locked(self) -> None:
+    def _release_fence_locked(self) -> None:
+        """Clear the latch once our epoch reached the fencing epoch: the
+        directory adopted the superseding lineage."""
+        if self._fenced_by is None or self._epoch < self._fenced_by:
+            return
         self._fenced_by = None
         try:
             os.unlink(self.fence_path)
-        except FileNotFoundError:
-            pass
         except OSError:
-            pass  # stale marker; recover() ignores it once epoch caught up
+            pass  # absent, or stale: recover() ignores it at this epoch
         else:
             fsync_dir(self.fence_path)
 
@@ -294,31 +351,31 @@ class TenantStore:
     def recover(self) -> RecoveredState:
         """Snapshot → replay → torn-tail truncation → ready.
 
-        Raises :class:`StoreCorruptionError` on mid-log corruption
-        (unless the policy allows it) so acknowledged-write loss is
-        refused, never silent.
+        Raises :class:`StoreCorruptionError` on mid-log corruption or
+        on records neither a snapshot nor the WAL holds (unless the
+        policy allows it), so acknowledged-write loss is refused, never
+        silent, and changes nothing on disk.
         """
         with self._lock, span("store.recover"):
             started = self._clock()
             os.makedirs(self.data_dir, exist_ok=True)
             live_add("store.recoveries")
             problems: List[str] = []
-            snapshot = load_latest_snapshot(self.data_dir)
-            snap_lsn = snapshot.lsn if snapshot else 0
-            specs: Dict[str, Dict[str, object]] = (
-                copy.deepcopy(snapshot.specs) if snapshot else {}
-            )
             scan = scan_wal(self.wal_path)
-            dropped = 0
             if scan.corrupt:
-                detail = (
+                problems.append(
                     f"{self.wal_path}: {scan.detail} — complete frames "
                     "behind the bad one mean acknowledged records would "
                     "be lost"
                 )
-                if not self.policy.allow_corruption:
-                    raise StoreCorruptionError(detail)
-                problems.append(detail)
+            replay = _Replay(self.data_dir)
+            replay.apply(scan.records)
+            if replay.gap is not None:
+                problems.append(replay.gap)
+            if problems and not self.policy.allow_corruption:
+                raise StoreCorruptionError(problems[0])
+            dropped = 0
+            if scan.corrupt:
                 dropped = scan.total_bytes - scan.good_bytes
                 truncate_wal(self.wal_path, scan.good_bytes)
                 emit_event(
@@ -335,41 +392,29 @@ class TenantStore:
                 emit_event(
                     "store.truncate", bytes=torn, reason="torn-tail"
                 )
-            replayed = 0
-            last_lsn = snap_lsn
-            epoch = snapshot.epoch if snapshot else 0
-            tail: List[Dict[str, object]] = []
-            for record in scan.records:
-                record_epoch = record.get("epoch", 0)
-                if isinstance(record_epoch, int):
-                    epoch = max(epoch, record_epoch)
-                if record["lsn"] <= snap_lsn:
-                    continue  # folded into the snapshot already
-                apply_record(specs, record)
-                tail.append(record)
-                replayed += 1
-                last_lsn = record["lsn"]
+            replayed = len(replay.applied)
             add("store.records_replayed", replayed)
             fenced_by = self._read_fence_marker()
-            if fenced_by is not None and fenced_by <= epoch:
+            if fenced_by is not None and fenced_by <= replay.epoch:
                 # The directory's history already adopted the
                 # superseding lineage (rejoined as a follower and
                 # replayed records at/above the fencing epoch): the
                 # latch is spent.
                 fenced_by = None
-            digest, _per_db = state_digest(specs)
+            digest, _per_db = state_digest(replay.specs)
             elapsed = self._clock() - started
-            self._specs = specs
-            self._last_lsn = last_lsn
-            self._epoch = epoch
+            self._specs = replay.specs
+            self._last_lsn = replay.last_lsn
+            self._epoch = replay.epoch
             self._fenced_by = fenced_by
             if fenced_by is None:
                 try:
                     os.unlink(self.fence_path)
                 except OSError:
                     pass
-            self._tail = tail
-            self._snapshot_lsn = snap_lsn
+            self._tail = replay.applied
+            self._snapshot_lsn = replay.snapshot_lsn
+            snapshot = replay.snapshot
             self._snapshot_digest = snapshot.digest if snapshot else None
             self._snapshot_at = self._clock() if snapshot else None
             self._records_since_snapshot = replayed
@@ -379,25 +424,25 @@ class TenantStore:
                 fsync_interval=self.policy.fsync_interval,
             ).open(at_bytes=scan.good_bytes)
             self._recovery = RecoveredState(
-                specs=specs,
-                last_lsn=last_lsn,
-                snapshot_lsn=snap_lsn,
+                specs=replay.specs,
+                last_lsn=replay.last_lsn,
+                snapshot_lsn=replay.snapshot_lsn,
                 records_replayed=replayed,
                 torn_bytes_truncated=torn,
                 corrupt_bytes_dropped=dropped,
                 state_digest=digest,
                 elapsed_s=elapsed,
-                epoch=epoch,
+                epoch=replay.epoch,
                 fenced_by=fenced_by,
                 problems=problems,
             )
             live_observe("store.recovery_ms", elapsed * 1000.0)
             emit_event(
                 "store.recover",
-                databases=len(specs),
+                databases=len(replay.specs),
                 replayed=replayed,
-                last_lsn=last_lsn,
-                snapshot_lsn=snap_lsn,
+                last_lsn=replay.last_lsn,
+                snapshot_lsn=replay.snapshot_lsn,
                 torn_bytes=torn,
                 digest=digest[:12],
             )
@@ -405,15 +450,41 @@ class TenantStore:
 
     # -- durable appends ----------------------------------------------
 
+    def _check_recovered(self) -> None:
+        if self._wal is None:
+            raise StoreWriteError(
+                "store is not recovered; call recover() first"
+            )
+
+    def _commit_locked(self, record: Dict[str, object], sync=False) -> None:
+        """The one commit step, for a record its caller stamped and
+        guarded: WAL append (``sync`` forces the fsync), mirror, LSN and
+        epoch, shipping tail, compaction when due, wake-ups.  A failed
+        append or fsync fails the log (its file may hold the record, so
+        no later record may take that LSN) and raises
+        :class:`StoreWriteError` with nothing changed in memory."""
+        self._wal.append(record)
+        if sync:
+            try:
+                self._wal.sync()
+            except OSError as exc:
+                self._wal.failed = str(exc)
+                raise StoreWriteError(f"fsync of lsn {record['lsn']}: {exc}")
+        apply_record(self._specs, record)
+        self._last_lsn = record["lsn"]
+        self._epoch = max(self._epoch, _epoch_of(record))
+        self._tail.append(record)
+        self._records_since_snapshot += 1
+        if self._records_since_snapshot >= self.policy.compact_every:
+            self._compact_locked()
+        self._applied.notify_all()
+
     def _append(self, record: Dict[str, object]) -> int:
-        """Assign the next LSN, append durably, mirror, maybe compact.
+        """Commit *record* at the next LSN and the current epoch.
         Caller holds no lock; raises :class:`StoreWriteError` (no ack,
         no state change) on any durability failure."""
         with self._lock:
-            if self._wal is None:
-                raise StoreWriteError(
-                    "store is not recovered; call recover() first"
-                )
+            self._check_recovered()
             if self._fenced_by is not None:
                 live_add("replica.fenced_rejects")
                 raise FencedError(
@@ -421,18 +492,7 @@ class TenantStore:
                     f"{self._epoch}; this node may not ack writes"
                 )
             lsn = self._last_lsn + 1
-            record = dict(record, lsn=lsn, epoch=self._epoch)
-            self._wal.append(record)
-            self._last_lsn = lsn
-            apply_record(self._specs, record)
-            self._tail.append(record)
-            self._records_since_snapshot += 1
-            if (
-                self._records_since_snapshot
-                >= self.policy.compact_every
-            ):
-                self._compact_locked()
-            self._applied.notify_all()
+            self._commit_locked(dict(record, lsn=lsn, epoch=self._epoch))
             return lsn
 
     def append_put_db(self, name: str, spec: Dict[str, object]) -> int:
@@ -480,25 +540,18 @@ class TenantStore:
         a successor claimed *e+1* through it.
         """
         with self._lock:
-            if self._wal is None:
-                raise StoreWriteError(
-                    "store is not recovered; call recover() first"
-                )
+            self._check_recovered()
             if self._fenced_by is not None:
                 raise FencedError(
                     f"fenced by epoch {self._fenced_by}; a fenced node "
                     "cannot claim a new epoch without operator intent"
                 )
-            self._epoch += 1
-            lsn = self._last_lsn + 1
-            record = {"op": "epoch", "lsn": lsn, "epoch": self._epoch}
-            self._wal.append(record)
-            self._wal.sync()
-            self._last_lsn = lsn
-            self._tail.append(record)
-            self._records_since_snapshot += 1
+            epoch = self._epoch + 1
+            self._commit_locked(
+                {"op": "epoch", "lsn": self._last_lsn + 1, "epoch": epoch},
+                sync=True,
+            )
             live_add("store.epoch_bumps")
-            self._applied.notify_all()
             return self._epoch
 
     def fence(self, epoch: int) -> bool:
@@ -567,22 +620,17 @@ class TenantStore:
         raises :class:`FencedError`.
         """
         with self._lock:
-            if self._wal is None:
-                raise StoreWriteError(
-                    "store is not recovered; call recover() first"
-                )
+            self._check_recovered()
             lsn = record.get("lsn")
             if not isinstance(lsn, int) or lsn <= 0:
                 raise StoreCorruptionError(
                     f"replicated record without a valid lsn: {record!r}"
                 )
-            record_epoch = record.get("epoch", 0)
-            if not isinstance(record_epoch, int):
-                record_epoch = 0
             # Stale-writer guard, both forms: a record older than what
             # we have already applied, or older than the epoch we were
             # explicitly fenced by (the fence may name an epoch no
             # record has reached us from yet).
+            record_epoch = _epoch_of(record)
             floor = max(self._epoch, self._fenced_by or 0)
             if record_epoch < floor:
                 live_add("replica.fenced_rejects")
@@ -598,26 +646,8 @@ class TenantStore:
                     f"replication gap: expected lsn "
                     f"{self._last_lsn + 1}, got {lsn}"
                 )
-            self._wal.append(record)
-            apply_record(self._specs, record)
-            self._last_lsn = lsn
-            self._epoch = max(self._epoch, record_epoch)
-            if (
-                self._fenced_by is not None
-                and self._epoch >= self._fenced_by
-            ):
-                # We durably adopted the superseding writer's lineage:
-                # the latch did its job and a future append would carry
-                # the new epoch, so it is no longer a stale-ack risk.
-                self._clear_fence_locked()
-            self._tail.append(dict(record))
-            self._records_since_snapshot += 1
-            if (
-                self._records_since_snapshot
-                >= self.policy.compact_every
-            ):
-                self._compact_locked()
-            self._applied.notify_all()
+            self._commit_locked(dict(record))
+            self._release_fence_locked()
             return True
 
     def install_state(
@@ -631,13 +661,11 @@ class TenantStore:
         Crash-safe like compaction: the snapshot is written atomically
         *before* the WAL resets, so a kill between the two replays
         pre-bootstrap records, sees their LSNs folded into the
-        snapshot, and skips them.
+        snapshot, and skips them.  A WAL reaching past *lsn* (a
+        superseded lineage rejoining) is emptied first instead.
         """
         with self._lock:
-            if self._wal is None:
-                raise StoreWriteError(
-                    "store is not recovered; call recover() first"
-                )
+            self._check_recovered()
             if self._fenced_by is not None and epoch < self._fenced_by:
                 live_add("replica.fenced_rejects")
                 raise FencedError(
@@ -645,30 +673,15 @@ class TenantStore:
                     f"{self._fenced_by}"
                 )
             specs = copy.deepcopy(specs)
-            snapshot = write_snapshot(
-                self.data_dir,
-                specs,
-                lsn,
-                compaction={"bootstrap": True, "at_lsn": lsn},
-                epoch=epoch,
-            )
-            self._wal.reset()
-            prune_snapshots(
-                self.data_dir, keep=self.policy.snapshots_kept
+            if self._last_lsn > lsn:
+                self._wal.reset()
+            self._snapshot_locked(
+                specs, lsn, epoch, {"bootstrap": True, "at_lsn": lsn}
             )
             self._specs = specs
             self._last_lsn = lsn
             self._epoch = epoch
-            if (
-                self._fenced_by is not None
-                and epoch >= self._fenced_by
-            ):
-                self._clear_fence_locked()
-            self._tail = []
-            self._snapshot_lsn = lsn
-            self._snapshot_digest = snapshot.digest
-            self._snapshot_at = self._clock()
-            self._records_since_snapshot = 0
+            self._release_fence_locked()
             live_add("replica.bootstraps")
             self._applied.notify_all()
 
@@ -690,31 +703,50 @@ class TenantStore:
         with self._lock:
             return self._compact_locked()
 
+    def _snapshot_locked(
+        self,
+        specs: Dict[str, Dict[str, object]],
+        lsn: int,
+        epoch: int,
+        compaction: Dict[str, object],
+    ) -> Snapshot:
+        """The one snapshot step: write *specs* as the state at *lsn*,
+        reset the WAL, prune, and start a new tail.
+
+        The snapshot is durable before the WAL resets, so a crash
+        between the two replays records the snapshot holds and skips
+        them.  Every other snapshot at or above *lsn* goes before the
+        prune: it belongs to a history a bootstrap replaced.
+        """
+        snapshot = write_snapshot(
+            self.data_dir, specs, lsn, compaction=compaction, epoch=epoch
+        )
+        if self._wal is not None:
+            self._wal.reset()
+        for other_lsn, path in list_snapshots(self.data_dir):
+            if other_lsn >= lsn and path != snapshot.path:
+                os.remove(path)
+        prune_snapshots(self.data_dir, keep=self.policy.snapshots_kept)
+        self._tail = []
+        self._snapshot_lsn = lsn
+        self._snapshot_digest = snapshot.digest
+        self._snapshot_at = self._clock()
+        self._records_since_snapshot = 0
+        return snapshot
+
     def _compact_locked(self) -> Dict[str, object]:
         started = self._clock()
         with span("store.compact"):
             folded = self._records_since_snapshot
-            snapshot = write_snapshot(
-                self.data_dir,
-                copy.deepcopy(self._specs),
+            # No copy: write_snapshot only reads the mirror, under the
+            # lock every change to it takes.
+            snapshot = self._snapshot_locked(
+                self._specs,
                 self._last_lsn,
-                compaction={
-                    "records_folded": folded,
-                    "at_lsn": self._last_lsn,
-                },
-                epoch=self._epoch,
-            )
-            if self._wal is not None:
-                self._wal.reset()
-            prune_snapshots(
-                self.data_dir, keep=self.policy.snapshots_kept
+                self._epoch,
+                {"records_folded": folded, "at_lsn": self._last_lsn},
             )
         elapsed = self._clock() - started
-        self._snapshot_lsn = snapshot.lsn
-        self._snapshot_digest = snapshot.digest
-        self._snapshot_at = self._clock()
-        self._records_since_snapshot = 0
-        self._tail = []
         self._last_compaction = {
             "at_lsn": snapshot.lsn,
             "records_folded": folded,
@@ -842,56 +874,39 @@ def verify_store(data_dir) -> Dict[str, object]:
     """Full verification: CRC chain, snapshot digests, clean replay.
 
     ``ok`` is False exactly when recovery would lose acknowledged
-    records: mid-log corruption, a replay that fails, or every
-    snapshot generation corrupt while the WAL references one.  A torn
-    tail is *repairable* (a crash artifact recovery truncates) and is
-    reported without failing verification.
+    records: mid-log corruption, a replay that fails, or a replay that
+    cannot account for every acknowledged LSN (the rule ``recover()``
+    refuses on).  A torn tail is *repairable* (a crash artifact
+    recovery truncates) and is reported without failing verification.
     """
     data_dir = os.fspath(data_dir)
     problems: List[str] = []
     repairable: List[str] = []
-    wal_path = os.path.join(data_dir, WAL_FILE)
-    scan = scan_wal(wal_path)
+    scan = scan_wal(os.path.join(data_dir, WAL_FILE))
     if scan.corrupt:
         problems.append(f"wal: {scan.detail}")
     elif scan.torn:
         repairable.append(f"wal torn tail: {scan.detail}")
-    snapshot = load_latest_snapshot(data_dir)
-    if snapshot is None and list_snapshots(data_dir):
-        problems.append(
-            "all snapshot generations are corrupt or unreadable"
-        )
-    specs: Dict[str, Dict[str, object]] = (
-        copy.deepcopy(snapshot.specs) if snapshot else {}
-    )
-    snap_lsn = snapshot.lsn if snapshot else 0
-    last_lsn = snap_lsn
-    epoch = snapshot.epoch if snapshot else 0
-    replayed = 0
+    replay = _Replay(data_dir)
     digest = None
     try:
-        for record in scan.records:
-            record_epoch = record.get("epoch", 0)
-            if isinstance(record_epoch, int):
-                epoch = max(epoch, record_epoch)
-            if record["lsn"] <= snap_lsn:
-                continue
-            apply_record(specs, record)
-            replayed += 1
-            last_lsn = record["lsn"]
-        digest, _ = state_digest(specs)
+        replay.apply(scan.records)
+        digest, _ = state_digest(replay.specs)
     except Exception as exc:  # noqa: BLE001 — verification must report
         problems.append(f"replay failed: {exc}")
+    if replay.gap is not None:
+        problems.append(replay.gap)
+    snapshot = replay.snapshot
     return {
         "data_dir": data_dir,
         "ok": not problems,
         "problems": problems,
         "repairable": repairable,
-        "snapshot_lsn": snap_lsn,
+        "snapshot_lsn": replay.snapshot_lsn,
         "snapshot_digest": snapshot.digest if snapshot else None,
-        "records_replayed": replayed,
-        "last_lsn": last_lsn,
-        "epoch": epoch,
+        "records_replayed": len(replay.applied),
+        "last_lsn": replay.last_lsn,
+        "epoch": replay.epoch,
         "state_digest": digest,
         "databases": {
             name: {
@@ -900,6 +915,6 @@ def verify_store(data_dir) -> Dict[str, object]:
                     for rel in spec.get("relations", {}).values()
                 ),
             }
-            for name, spec in sorted(specs.items())
+            for name, spec in sorted(replay.specs.items())
         },
     }

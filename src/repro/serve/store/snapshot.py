@@ -15,9 +15,9 @@ half-snapshot under the final name.  Load path: candidates are tried
 newest (highest LSN) first; a file that fails to parse or whose
 recomputed digest disagrees with its embedded one is *skipped* (counter
 ``store.snapshot_corrupt_skipped``), falling back to the previous
-generation — losing a snapshot costs replay time, never correctness,
-because the WAL still holds everything since the older snapshot only
-when compaction kept it; otherwise recovery refuses loudly upstream.
+generation.  That fallback loses nothing only while the WAL still holds
+every record since the older snapshot, up to the skipped file's LSN
+(which its name carries); otherwise recovery refuses loudly upstream.
 """
 
 from __future__ import annotations

@@ -14,13 +14,21 @@ Two laws Hypothesis searches for counterexamples to:
   stream, for any interleaving of put/mutate/delete/epoch records.
   This is the correctness core of WAL shipping: byte-level replication
   and logical replay agree.
+* **Registry agreement** — the service's live registry and its store's
+  spec mirror hold the same instances after every request, on the
+  primary, on a follower fed the stream, and after a restart, with
+  compactions landing mid-sequence and values that compare equal
+  across types (``1``, ``1.0``, ``True``).
 """
 
 import os
 
 from hypothesis import given, settings, strategies as st
 
+from repro.observability.flight import constraints_digest, instance_digest
+from repro.serve import CQAService
 from repro.serve.store import StorePolicy, TenantStore
+from repro.serve.store.snapshot import state_digest
 from repro.serve.store.wal import scan_wal, truncate_wal
 
 SPEC = {
@@ -163,3 +171,93 @@ def test_follower_replay_matches_primary_recovery(
     assert state.epoch == primary.epoch
     primary.close()
     recovered.close()
+
+
+# ----------------------------------------------------------------------
+# the service's registry == its store's mirror, everywhere
+# ----------------------------------------------------------------------
+
+_FACTS = st.lists(
+    st.tuples(
+        st.sampled_from(["k0", "k1"]),
+        st.sampled_from([1, 1.0, True, None, "1", -0.0]),
+    ).map(lambda kv: ["Audit", *kv]),
+    max_size=2,
+)
+_NAMES = st.sampled_from(["d", "e"])
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), _NAMES, _FACTS),
+        st.tuples(st.just("mutate"), _NAMES, _FACTS, _FACTS),
+        st.tuples(st.just("remove"), _NAMES),
+        st.tuples(st.just("epoch")),
+    ),
+    max_size=14,
+)
+
+
+def _service(directory):
+    svc = CQAService(
+        store=TenantStore(directory, StorePolicy(fsync="never",
+                                                 compact_every=3))
+    )
+    svc.recover()
+    return svc
+
+
+def _digests(svc):
+    """``(registry per-db digests, store per-db digests)``."""
+    with svc._lock:
+        registry = {
+            name: {
+                "instance": instance_digest(entry.db),
+                "constraints": constraints_digest(entry.constraints),
+            }
+            for name, entry in svc._databases.items()
+        }
+    mirror = state_digest(svc.store.state_transfer()["databases"])[1]
+    return registry, mirror
+
+
+def _ship(primary, follower):
+    records = primary.store.records_since(follower.store.last_lsn)
+    if records is None:  # compaction folded the range
+        follower.install_replica_state(primary.store.state_transfer())
+        return
+    for record in records:
+        assert follower.apply_replicated(record) is True
+
+
+@given(steps=_STEPS)
+@settings(max_examples=100, deadline=None)
+def test_registry_and_store_agree_everywhere(tmp_path_factory, steps):
+    root = tmp_path_factory.mktemp("registry")
+    primary = _service(str(root / "primary"))
+    follower = _service(str(root / "follower"))
+    for step in steps:
+        if step[0] == "register":
+            spec = dict(SPEC, relations={"Audit": dict(
+                SPEC["relations"]["Audit"],
+                rows=[values for _, *values in step[2]],
+            )})
+            status = primary.register_db(step[1], spec)[0]
+        elif step[0] == "mutate":
+            status = primary.handle_mutate(
+                step[1], {"insert": step[2], "delete": step[3]}
+            )[0]
+        elif step[0] == "remove":
+            status = primary.remove_db(step[1])[0]
+        else:
+            status = 200
+            primary.store.bump_epoch()
+        assert status in (200, 400, 404)
+        registry, mirror = _digests(primary)
+        assert registry == mirror
+        _ship(primary, follower)
+    expected = _digests(primary)[0]
+    assert _digests(follower) == (expected, expected)
+    primary.close()
+    follower.close()
+    restarted = _service(str(root / "primary"))
+    assert _digests(restarted) == (expected, expected)
+    restarted.close()

@@ -12,12 +12,14 @@ Three layers, mirroring the production split:
   split-brain guard fencing the ex-primary.
 """
 
+import http.server
 import threading
 import time
 
 import pytest
 
 from repro.observability.live import LivePlane, live
+from repro.serve import replica as replica_module, store as store_module
 from repro.serve import (
     CQAService,
     ReplicaClient,
@@ -562,6 +564,115 @@ class TestPromotionAndFencing:
         svc2.close()
 
 
+class TestLowerEpochRejoin:
+    """A fenced ex-primary rejoining the promoted lineage as a follower
+    holds writes that lineage never had: its pull gets a bootstrap."""
+
+    @staticmethod
+    def _diverge(tmp_path, lost, **policy):
+        """A acks LSN 1-3, which B replicates, then LSN 4.. (*lost*
+        writes) that B never sees; B is promoted (epoch record at LSN
+        4), acks b0 at LSN 5, and A is fenced.  Returns B and b0's LSN.
+        """
+        a = _recovered_service(tmp_path, "a", **policy)
+        b = _follower_service(tmp_path, "b")
+        a.register_db("d", AUDIT_SPEC)
+        inserts = [{"insert": [["Audit", f"a{i}", "v"]]} for i in range(9)]
+        for payload in inserts[:2]:
+            a.handle_mutate("d", payload)
+        for record in a.store.records_since(0):
+            assert b.apply_replicated(record)
+        for payload in inserts[2:2 + lost]:
+            a.handle_mutate("d", payload)
+        assert b.handle_replica_promote()[0] == 200
+        status, body, _ = b.handle_mutate(
+            "d", {"insert": [["Audit", "b0", "v"]]}
+        )
+        assert status == 200 and body["lsn"] == 5
+        assert a.handle_replica_fence({"epoch": b.store.epoch})[0] == 200
+        a.close()
+        return b, body["lsn"]
+
+    @staticmethod
+    def _rejoin(tmp_path, b, monkeypatch, **policy):
+        """Restart A from its directory as B's follower (not pulling)."""
+        a = _recovered_service(tmp_path, "a", **policy)
+        assert a.role == "fenced"
+        a._role = "follower"
+        monkeypatch.setattr(
+            replica_module,
+            "json_request",
+            lambda *args: b.handle_replica_pull(args[4])[:2],
+        )
+        a._replica = ReplicaClient(a, ReplicaConfig(upstream="b:1"))
+        return a
+
+    def test_lower_epoch_pull_bootstraps_onto_the_new_lineage(
+        self, tmp_path, monkeypatch
+    ):
+        b, acked = self._diverge(tmp_path, lost=2)
+        a = self._rejoin(tmp_path, b, monkeypatch)
+        a._replica.pull_once(wait_s=0.0)
+        assert a._replica.bootstraps == 1
+        assert a.store.fenced is None and a.store.epoch == 1
+        status, body, _ = a.handle_cqa(
+            {"db": "d", "query": "Q(K) :- Audit(K, V)", "min_lsn": acked}
+        )
+        assert status == 200 and body["as_of_lsn"] == acked
+        assert body["answers"] == [["a"], ["a0"], ["a1"], ["b0"]]
+        # Caught up on the same epoch, the next pull ships the tail.
+        assert a._replica.pull_once(wait_s=0.0) == 0
+        assert a._replica.bootstraps == 1
+        a.close()
+        b.close()
+
+    def test_bootstrap_replaces_history_past_its_lsn_durably(
+        self, tmp_path, monkeypatch
+    ):
+        """A compacted at LSN 4 and 8 and logged 9; B's state is at LSN
+        5.  After the bootstrap and a restart A holds B's state: no
+        snapshot or WAL record of its own history survives past 5."""
+        b, _ = self._diverge(tmp_path, lost=6, compact_every=4)
+        a = self._rejoin(tmp_path, b, monkeypatch, compact_every=4)
+        a._replica.pull_once(wait_s=0.0)
+        a.close()
+        again = _recovered_service(tmp_path, "a", compact_every=4)
+        assert again.store.last_lsn == 5 and again.store.epoch == 1
+        assert (
+            again.store.current_state_digest()
+            == b.store.current_state_digest()
+        )
+        again.close()
+        b.close()
+
+    def test_a_crash_inside_the_bootstrap_never_mixes_lineages(
+        self, tmp_path, monkeypatch
+    ):
+        """A logged LSN 6-7 past B's LSN 5 and holds no snapshot: a kill
+        right after the bootstrap's snapshot is written must not replay
+        A's 6-7 on top of B's state."""
+        b, _ = self._diverge(tmp_path, lost=4)
+        write_snapshot = store_module.write_snapshot
+
+        def killed(*args, **kwargs):
+            write_snapshot(*args, **kwargs)
+            raise KeyboardInterrupt("killed after the snapshot write")
+
+        monkeypatch.setattr(store_module, "write_snapshot", killed)
+        a = self._rejoin(tmp_path, b, monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            a._replica.pull_once(wait_s=0.0)
+        a.close()
+        again = _recovered_service(tmp_path, "a")
+        assert again.store.last_lsn == 5
+        assert (
+            again.store.current_state_digest()
+            == b.store.current_state_digest()
+        )
+        again.close()
+        b.close()
+
+
 class TestStalenessContract:
     def test_reads_stamp_as_of_lsn(self, tmp_path):
         svc = _recovered_service(tmp_path, "p")
@@ -780,6 +891,43 @@ class TestPullLoopResilience:
         assert client.pull_errors > before
         client.stop()
         follower.close()
+
+    def test_a_body_that_is_not_json_comes_back_raw(self, tmp_path):
+        """The replica plane's one request helper, which the pull loop
+        and ``repro replica`` share, hands back a non-JSON body as
+        ``{"raw": text}``; the pull counts it as a refusal."""
+
+        class Teapot(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.send_response(418)
+                self.end_headers()
+                self.wfile.write(b"not json")
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Teapot)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        follower = _follower_service(tmp_path)
+        try:
+            url = f"http://127.0.0.1:{server.server_port}"
+            assert replica_module.json_request(
+                *replica_module.parse_server_url(url), "POST", "/x", {}
+            ) == (418, {"raw": "not json"})
+            client = ReplicaClient(
+                follower, ReplicaConfig(upstream=url, backoff_s=0.0)
+            )
+            assert client.pull_once(wait_s=0.0) == 0
+            assert client.last_error == "pull refused: 418 {'raw': 'not json'}"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10.0)
+            follower.close()
+        assert not thread.is_alive()
+        with pytest.raises(ValueError, match="cannot parse server URL"):
+            replica_module.parse_server_url("/v1")
 
 
 class TestEndToEndReplication:

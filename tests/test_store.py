@@ -335,6 +335,66 @@ class TestTenantStore:
         assert recovered.records_replayed == 0  # all folded
         st2.close()
 
+    @staticmethod
+    def _two_generations(tmp_path, mutations):
+        """LSN 1 registers, the rest insert one Audit row each; with
+        compact_every=4 the snapshots sit at LSN 4 and 8."""
+        st = TenantStore(
+            str(tmp_path), StorePolicy(fsync="never", compact_every=4)
+        )
+        st.recover()
+        st.append_put_db("emp", EMPLOYEE_SPEC)
+        for i in range(mutations):
+            st.append_mutate("emp", insert=[["Audit", f"k{i}", "v"]],
+                             delete=[])
+        st.close()
+        return dict(list_snapshots(tmp_path))[8]
+
+    @staticmethod
+    def _break_digest(path):
+        with open(path, "r+", encoding="utf-8") as handle:
+            document = json.load(handle)
+            document["databases"]["emp"]["relations"]["Audit"][
+                "rows"
+            ].append(["mallory", "v"])
+            handle.seek(0)
+            json.dump(document, handle)
+            handle.truncate()
+
+    @pytest.mark.parametrize("damage", ["corrupt", "deleted"])
+    def test_fallback_past_acknowledged_writes_is_refused(
+        self, tmp_path, damage
+    ):
+        newest = self._two_generations(tmp_path, 9)  # WAL holds 9-10
+        if damage == "corrupt":
+            self._break_digest(newest)
+        else:
+            os.remove(newest)
+        with pytest.raises(StoreCorruptionError, match=r"lsn 4"):
+            _store(tmp_path).recover()
+        report = verify_store(tmp_path)
+        assert not report["ok"] and report["problems"]
+        # Forensics mode proceeds from LSN 4, and says what it lost.
+        st = TenantStore(str(tmp_path), StorePolicy(allow_corruption=True))
+        recovered = st.recover()
+        assert recovered.last_lsn == 10 and recovered.snapshot_lsn == 4
+        rows = recovered.specs["emp"]["relations"]["Audit"]["rows"]
+        assert len(rows) == 5  # of 9 acknowledged
+        assert any("neither a readable snapshot" in problem
+                   for problem in recovered.problems)
+        st.close()
+
+    def test_empty_wal_behind_a_corrupt_snapshot_is_refused(
+        self, tmp_path
+    ):
+        newest = self._two_generations(tmp_path, 7)  # LSN 8 compacted
+        assert scan_wal(tmp_path / "wal.log").records == []
+        self._break_digest(newest)
+        with pytest.raises(StoreCorruptionError, match=r"up to lsn 8"):
+            _store(tmp_path).recover()
+        report = verify_store(tmp_path)
+        assert not report["ok"] and report["last_lsn"] == 4
+
     def test_mid_log_corruption_is_refused(self, tmp_path):
         st = _store(tmp_path)
         st.recover()
@@ -458,6 +518,27 @@ class TestStorageFaults:
                 st.append_put_db("a", EMPLOYEE_SPEC)
         assert st.failed is not None
         st.close()
+
+    def test_failed_epoch_fsync_fails_the_log(self, tmp_path):
+        """The epoch record is written before its forced fsync fails:
+        no later record may reuse its LSN, or recovery would drop that
+        record as a torn tail."""
+        st = _store(tmp_path, fsync="never")
+        st.recover()
+        st.append_put_db("a", EMPLOYEE_SPEC)
+        with inject(
+            FaultPlan(
+                seed=1, storage_fsync_fail_rate=1.0, max_storage_faults=1
+            )
+        ):
+            with pytest.raises(StoreWriteError):
+                st.bump_epoch()
+        assert st.epoch == 0 and st.last_lsn == 1
+        with pytest.raises(StoreWriteError):
+            st.append_mutate("a", [["Audit", "k", "v"]], [])
+        st.close()
+        report = verify_store(tmp_path)
+        assert report["ok"] and not report["repairable"]
 
     def test_same_seed_same_fault_schedule(self, tmp_path):
         def drive(seed):
