@@ -31,15 +31,11 @@ from . import metrics as _metrics_mod
 from . import spans as _spans_mod
 from .export import (
     build_trees,
-    flat_snapshot,
     read_trace,
     summary_table,
     write_trace,
 )
 from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     active_registry,
     add,
@@ -68,20 +64,17 @@ __all__ = [
     "active_registry",
     "Span",
     "Tracer",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "write_trace",
     "read_trace",
     "build_trees",
-    "flat_snapshot",
     "summary_table",
 ]
 
 
 class Collector:
-    """A tracer plus a metrics registry, installed as one unit."""
+    """A tracer plus a metrics registry (over the infinite window),
+    installed as one unit."""
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
@@ -104,7 +97,7 @@ class Collector:
 
     def counter(self, name: str, default=0):
         """One counter's current value."""
-        return self.registry.counter_values().get(name, default)
+        return self.registry.counter_total(name, default)
 
     # -- export --------------------------------------------------------
 

@@ -1,10 +1,15 @@
-"""Trace and metrics export: JSONL traces, flat snapshots, summary tables.
+"""Trace and metrics export: JSONL traces, summary tables, file I/O.
 
 The JSONL format is one JSON object per line, one line per span, with
 ``span_id`` / ``parent_id`` linking so a consumer can rebuild the trees
 (``read_trace`` + ``build_trees`` round-trip them).  Counter deltas ride
 on each span under ``"metrics"`` — this is the machine-readable record
 behind the harness cost tables and the ``BENCH_*.json`` trajectory.
+
+The program's file output goes through the two helpers here:
+:func:`write_atomic` (traces, status files, flight envelopes, and the
+tenant store's snapshots and fencing latch) and :func:`read_jsonl`
+(traces and event logs).
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ import io
 import json
 import logging
 import os
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO
 
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, add
 from .spans import Span
 
 logger = logging.getLogger("repro.observability")
@@ -24,10 +29,65 @@ __all__ = [
     "span_to_record",
     "write_trace",
     "read_trace",
+    "read_jsonl",
+    "write_atomic",
+    "fsync_dir",
     "build_trees",
-    "flat_snapshot",
     "summary_table",
 ]
+
+
+def fsync_dir(path) -> None:
+    """fsync the directory containing *path* so a rename/create is
+    durable, not merely ordered (best-effort on filesystems that
+    refuse directory fds)."""
+    directory = os.path.dirname(os.fspath(path)) or "."
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def _tmp_path(final: str) -> str:
+    # pid-unique: concurrent writers never clobber each other's file
+    return f"{final}.{os.getpid()}.tmp"
+
+
+def write_atomic(path, write: Callable[[TextIO], object], durable=False):
+    """Write the text file at *path* in one step; returns what *write*
+    returned.
+
+    *write* fills a temp sibling that then replaces *path* with an
+    atomic ``os.replace``, so a reader sees the old file or the new
+    one, never a half-written one.  A write that fails removes its temp
+    file and leaves *path* as it was.  *durable* fsyncs the file before
+    the rename and its directory after it, for the files recovery
+    reads.
+    """
+    final = os.fspath(path)
+    tmp = _tmp_path(final)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            result = write(handle)
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(tmp, final)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+    if durable:
+        fsync_dir(final)
+    return result
 
 
 def span_to_record(
@@ -66,27 +126,16 @@ def write_trace(
     carries the full registry snapshot.  Returns the number of lines
     written.
 
-    Paths are written via a temporary sibling file and an atomic
-    ``os.replace``, so rerunning ``--trace FILE`` always yields exactly
-    one run's lines — a crash mid-write can never leave a shorter new
-    trace interleaved with the stale tail of an older, longer one.  The
-    temp name is pid-unique (concurrent writers never clobber each
-    other's in-flight file), and temp files orphaned by a process that
-    died between write and rename are swept on the next write to the
-    same path.
+    Paths are written with :func:`write_atomic`, so rerunning ``--trace
+    FILE`` always yields exactly one run's lines — a crash mid-write can
+    never leave a shorter new trace interleaved with the stale tail of
+    an older, longer one.  Temp files orphaned by a process that died
+    between write and rename are swept on the next write to the same
+    path.
     """
-    own = isinstance(destination, (str, bytes)) or hasattr(
-        destination, "__fspath__"
-    )
-    if own:
-        final = os.fspath(destination)
-        tmp = f"{final}.{os.getpid()}.tmp"
-        _sweep_orphaned_tmp(final, keep=tmp)
-        handle = open(tmp, "w", encoding="utf-8")
-    else:
-        handle = destination
-    lines = 0
-    try:
+
+    def emit(handle) -> int:
+        lines = 0
         for record in _records(roots):
             handle.write(json.dumps(record, default=repr) + "\n")
             lines += 1
@@ -99,19 +148,16 @@ def write_trace(
                 + "\n"
             )
             lines += 1
-    except BaseException:
-        if own:
-            handle.close()
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-        raise
-    else:
-        if own:
-            handle.close()
-            os.replace(tmp, final)
-    return lines
+        return lines
+
+    if not (
+        isinstance(destination, (str, bytes))
+        or hasattr(destination, "__fspath__")
+    ):
+        return emit(destination)
+    final = os.fspath(destination)
+    _sweep_orphaned_tmp(final, keep=_tmp_path(final))
+    return write_atomic(final, emit)
 
 
 def _sweep_orphaned_tmp(final: str, keep: str) -> None:
@@ -143,12 +189,16 @@ def _sweep_orphaned_tmp(final: str, keep: str) -> None:
             pass
 
 
-def read_trace(source) -> List[Dict[str, object]]:
-    """Parse a JSONL trace (path or file object) back into records.
+def read_jsonl(
+    source, skipped_counter: Optional[str] = None
+) -> List[Dict[str, object]]:
+    """Parse a JSONL file (path or file object) into its object records.
 
     Blank lines are skipped silently; lines that fail to parse (a
-    truncated write, an editor artifact) are skipped with a warning so
-    one bad line never discards the rest of the trace.
+    truncated write, an editor artifact) or that are not JSON objects
+    are skipped with a warning, so one bad line never discards the
+    rest.  Each skip also bumps *skipped_counter*, when given, so silent
+    decay is visible in exported metrics.
     """
     own = not isinstance(source, io.IOBase) and not hasattr(source, "read")
     handle = open(source, "r", encoding="utf-8") if own else source
@@ -161,20 +211,27 @@ def read_trace(source) -> List[Dict[str, object]]:
             try:
                 record = json.loads(line)
             except ValueError:
-                logger.warning(
-                    "skipping corrupt trace line %d: %.60r", lineno, line
-                )
-                continue
-            if not isinstance(record, dict):
-                logger.warning(
-                    "skipping non-object trace line %d: %.60r", lineno, line
-                )
-                continue
-            records.append(record)
+                problem = "corrupt"
+            else:
+                if isinstance(record, dict):
+                    records.append(record)
+                    continue
+                problem = "non-object"
+            if skipped_counter is not None:
+                add(skipped_counter)
+            logger.warning(
+                "skipping %s line %d: %.60r", problem, lineno, line
+            )
         return records
     finally:
         if own:
             handle.close()
+
+
+def read_trace(source) -> List[Dict[str, object]]:
+    """Parse a JSONL trace (path or file object) back into records,
+    skipping bad lines (see :func:`read_jsonl`)."""
+    return read_jsonl(source)
 
 
 def build_trees(records: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
@@ -194,11 +251,6 @@ def build_trees(records: Sequence[Dict[str, object]]) -> List[Dict[str, object]]
         else:
             by_id[parent]["children"].append(node)
     return roots
-
-
-def flat_snapshot(registry: MetricsRegistry) -> Dict[str, object]:
-    """The registry's flat dict snapshot (alias for symmetry)."""
-    return registry.snapshot()
 
 
 def summary_table(

@@ -42,6 +42,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..export import write_atomic
+
 __all__ = [
     "ENVELOPE_SCHEMA",
     "FlightEnvelope",
@@ -306,11 +308,12 @@ def write_envelope(path, envelope: FlightEnvelope) -> str:
     final = os.fspath(path)
     if os.path.isdir(final):
         final = os.path.join(final, envelope.filename())
-    tmp = f"{final}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
+
+    def write(handle) -> None:
         json.dump(envelope.to_dict(), handle, indent=2, default=repr)
         handle.write("\n")
-    os.replace(tmp, final)
+
+    write_atomic(final, write)
     return final
 
 

@@ -4,9 +4,10 @@ The collector stack (:mod:`repro.observability`) is *post-mortem*: it is
 installed around one run and analyzed offline.  This package is the
 complementary *live* plane for a long-running CQA service —
 
-- :class:`LiveRegistry` — rolling-window counters/histograms and gauges
-  (:mod:`.rolling`, :mod:`.registry`): requests per second *now*, p99
-  latency over the last minute, current breaker state;
+- a :class:`~repro.observability.metrics.MetricsRegistry` over a
+  rolling window — the collector's registry class, with a 60-s ring
+  instead of the collector's infinite window: requests per second
+  *now*, p99 latency over the last minute, current breaker state;
 - :class:`EventLog` — request-correlated structured JSONL events
   (:mod:`.events`): what happened to request ``r000042``, in order;
 - :mod:`.slo` — declared availability/latency objectives evaluated over
@@ -22,10 +23,11 @@ hooks sit at request/rung granularity — never inside per-tuple loops —
 so even the *enabled* cost is a few instrument updates per request.
 
 A serving event is counted once: each ``live_*`` call records on the
-installed live plane *and* on the installed collector, whichever are
-present, so the two planes cannot drift apart.  Engine internals
-(``asp.*``, ``repairs.*``, ``cqa.*``, ...) keep the collector-only
-:func:`repro.observability.add` — the live plane never sees a hot loop.
+installed live plane's registry *and* on the installed collector's,
+whichever are present, so the two planes cannot drift apart.  Engine
+internals (``asp.*``, ``repairs.*``, ``cqa.*``, ...) keep the
+collector-only :func:`repro.observability.add` — the live plane never
+sees a hot loop.
 
 Install with :func:`install_live` / :func:`uninstall_live` (a stack,
 like the collector), or the :func:`live` context manager::
@@ -60,8 +62,6 @@ from .expo import (
     write_prometheus,
     write_status_json,
 )
-from .registry import LiveRegistry
-from .rolling import RollingCounter, RollingHistogram
 from .slo import (
     EXIT_SLO_VIOLATION,
     evaluate_slos,
@@ -74,9 +74,6 @@ __all__ = [
     "EXIT_SLO_VIOLATION",
     "EventLog",
     "LivePlane",
-    "LiveRegistry",
-    "RollingCounter",
-    "RollingHistogram",
     "current_request_id",
     "emit_event",
     "evaluate_slos",
@@ -105,7 +102,8 @@ STATUS_SCHEMA = 1
 
 
 class LivePlane:
-    """One live registry plus one event log, installed as a unit.
+    """One rolling-window registry plus one event log, installed as a
+    unit.
 
     Shares a single injectable clock across both so a test driving a
     fake clock sees consistent window expiry and event timestamps.
@@ -121,7 +119,7 @@ class LivePlane:
         event_sink=None,
     ) -> None:
         self.clock = clock
-        self.registry = LiveRegistry(
+        self.registry = _metrics.MetricsRegistry(
             window_s=window_s, buckets=buckets, clock=clock
         )
         self.events = EventLog(
@@ -135,7 +133,7 @@ class LivePlane:
         ok, degraded, error, availability}, "breakers": {engine: state},
         "counters", "histograms", "gauges", "events"}``.
         """
-        snapshot = self.registry.snapshot()
+        snapshot = self.registry.window_snapshot()
         requests = {
             "total": self.registry.counter_total("dispatch.requests"),
             "ok": self.registry.counter_total("dispatch.requests.ok"),

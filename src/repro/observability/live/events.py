@@ -31,10 +31,8 @@ without limit.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
-import logging
 import os
 import threading
 import time
@@ -42,10 +40,8 @@ from collections import Counter as _TallyCounter
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
-from ..metrics import add
+from ..export import fsync_dir, read_jsonl
 from ..spans import current_span
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "EVENT_KINDS",
@@ -242,22 +238,9 @@ class EventLog:
         self._sink_handle.close()
         os.replace(self._sink_path, self._sink_path + ".1")
         self._sink_handle = open(self._sink_path, "a", encoding="utf-8")
-        self._fsync_sink_dir()
+        fsync_dir(self._sink_path)
         self._sink_bytes = 0
         self.rotations += 1
-
-    def _fsync_sink_dir(self) -> None:
-        directory = os.path.dirname(self._sink_path) or "."
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
 
     # -- queries -------------------------------------------------------
 
@@ -302,41 +285,11 @@ class EventLog:
 def read_events(source) -> List[Dict[str, object]]:
     """Parse a JSONL event file (path or file object) into records.
 
-    Blank lines are skipped silently; lines that fail to parse (the
-    truncated trailing line of a crashed process, an editor artifact)
-    are skipped with a warning so one bad line never discards the rest
-    of the log — the same contract as
-    :func:`repro.observability.export.read_trace`.  Every skip also
-    bumps the ``events.corrupt_lines_skipped`` counter so silent decay
-    of an event log is visible in exported metrics, not only in
-    warnings someone has to be watching for.
+    Bad lines (the truncated trailing line of a crashed process, an
+    editor artifact) are skipped with a warning, as for traces (see
+    :func:`~repro.observability.export.read_jsonl`), and each skip bumps
+    the ``events.corrupt_lines_skipped`` counter so silent decay of an
+    event log is visible in exported metrics, not only in warnings
+    someone has to be watching for.
     """
-    own = not isinstance(source, io.IOBase) and not hasattr(source, "read")
-    handle = open(source, "r", encoding="utf-8") if own else source
-    try:
-        records = []
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                add("events.corrupt_lines_skipped")
-                logger.warning(
-                    "skipping corrupt event line %d: %.60r", lineno, line
-                )
-                continue
-            if not isinstance(record, dict):
-                add("events.corrupt_lines_skipped")
-                logger.warning(
-                    "skipping non-object event line %d: %.60r",
-                    lineno,
-                    line,
-                )
-                continue
-            records.append(record)
-        return records
-    finally:
-        if own:
-            handle.close()
+    return read_jsonl(source, "events.corrupt_lines_skipped")

@@ -17,9 +17,10 @@ line-by-line grammar check the tests and CI gate on.
 from __future__ import annotations
 
 import json
-import os
 import re
 from typing import Dict, List, Sequence, Tuple
+
+from ..export import write_atomic
 
 __all__ = [
     "prometheus_text",
@@ -236,21 +237,14 @@ def render_status(status: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _write_atomic(path, text: str) -> None:
-    """Write *text* to *path* via a temp sibling + atomic rename, so a
-    concurrent ``obs watch`` never reads a half-written file."""
-    final = os.fspath(path)
-    tmp = f"{final}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, final)
-
-
 def write_status_json(path, status: Dict[str, object]) -> None:
-    """Write the status document as JSON (atomically)."""
-    _write_atomic(path, json.dumps(status, indent=2, default=repr) + "\n")
+    """Write the status document as JSON (atomically, so a concurrent
+    ``obs watch`` never reads a half-written file)."""
+    text = json.dumps(status, indent=2, default=repr) + "\n"
+    write_atomic(path, lambda handle: handle.write(text))
 
 
 def write_prometheus(path, status: Dict[str, object]) -> None:
     """Write the Prometheus text exposition (atomically)."""
-    _write_atomic(path, prometheus_text(status))
+    text = prometheus_text(status)
+    write_atomic(path, lambda handle: handle.write(text))

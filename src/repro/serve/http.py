@@ -266,12 +266,13 @@ class CQAHTTPServer:
                     self.service.handle_report, name
                 )
                 return status, payload, extra, keep_alive
+            # Offloaded: an append may block on fsync, and a PUT also
+            # parses the whole spec and may compact the store.
             if method == "POST" and rest.endswith("/mutate"):
                 name = rest[: -len("/mutate")]
                 payload_obj, error = self._parse_json(body)
                 if error:
                     return 400, {"error": error}, {}, keep_alive
-                # Offloaded: an append may block on fsync.
                 status, payload, extra = await self._offload(
                     self.service.handle_mutate, name, payload_obj
                 )
@@ -280,12 +281,14 @@ class CQAHTTPServer:
                 payload_obj, error = self._parse_json(body)
                 if error:
                     return 400, {"error": error}, {}, keep_alive
-                status, payload, extra = self.service.register_db(
-                    rest, payload_obj
+                status, payload, extra = await self._offload(
+                    self.service.register_db, rest, payload_obj
                 )
                 return status, payload, extra, keep_alive
             if method == "DELETE":
-                status, payload, extra = self.service.remove_db(rest)
+                status, payload, extra = await self._offload(
+                    self.service.remove_db, rest
+                )
                 return status, payload, extra, keep_alive
             return 405, {"error": f"{method} not allowed"}, {}, keep_alive
         if path.startswith("/v1/replica/"):

@@ -22,9 +22,8 @@ certain-answer set when one is supplied:
 
 Anything else — a wrong answer, an unsound superset, a malformed shed —
 counts in ``wrong``/``malformed``, and the CI overload gate fails the
-build on a single occurrence (exit :data:`EXIT_UNSOUND`).  Latency
-quantiles come from the same fixed-seed reservoir
-:class:`~repro.observability.metrics.Histogram` the benchmarks use.
+build on a single occurrence (exit :data:`EXIT_UNSOUND`).  Every
+latency is kept, so the reported p50/p90/p99 and mean are exact.
 
 With ``mutation_rate > 0`` the workload is mixed read/write: a seeded
 coin decides per request between the query and a unique-row insert via
@@ -55,9 +54,9 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..observability.metrics import Histogram
+from ..observability.metrics import percentile
 
 __all__ = [
     "EXIT_UNSOUND",
@@ -97,7 +96,7 @@ class LoadReport:
     #: Typed ``stale-read`` 503s — the honest refusal, never unsound.
     stale_rejected: int = 0
     elapsed_s: float = 0.0
-    latency: Histogram = field(default_factory=Histogram)
+    latencies_ms: List[float] = field(default_factory=list)
     status_counts: Dict[int, int] = field(default_factory=dict)
 
     @property
@@ -110,6 +109,7 @@ class LoadReport:
 
     def to_dict(self) -> Dict[str, object]:
         completed = max(1e-9, self.elapsed_s)
+        ordered = sorted(self.latencies_ms)
         return {
             "sent": self.sent,
             "ok": self.ok,
@@ -129,10 +129,10 @@ class LoadReport:
             "elapsed_s": round(self.elapsed_s, 3),
             "throughput_rps": round(self.sent / completed, 2),
             "latency_ms": {
-                "p50": self.latency.percentile(50),
-                "p90": self.latency.percentile(90),
-                "p99": self.latency.percentile(99),
-                "mean": self.latency.mean,
+                "p50": percentile(ordered, 50),
+                "p90": percentile(ordered, 90),
+                "p99": percentile(ordered, 99),
+                "mean": sum(ordered) / len(ordered) if ordered else 0.0,
             },
             "status_counts": {
                 str(k): v for k, v in sorted(self.status_counts.items())
@@ -399,20 +399,71 @@ def _classify_mutation(
     report.errors += 1
 
 
+@dataclass
+class _Exchange:
+    """What every request of one run shares, and the one exchange."""
+
+    report: LoadReport
+    payload: Dict[str, object]
+    expect: Optional[List[List[object]]]
+    request_timeout_s: float
+    mutations: Optional[_MutationMix]
+    read_your_writes: bool
+
+    async def __call__(
+        self,
+        checkout: Callable[[bool], _Connection],
+        checkin: Callable[[bool, _Connection], None],
+    ) -> None:
+        """One request: choose a read or a mutation, post it on the
+        connection *checkout* gives for that choice, time it, and tally
+        the response.  The connection goes back through *checkin*
+        unless the transport failed, which closes it."""
+        report = self.report
+        mutating = self.mutations is not None and self.mutations.take_turn()
+        conn = checkout(mutating)
+        report.sent += 1
+        min_lsn: Optional[int] = None
+        if mutating:
+            report.mutations_sent += 1
+            path, body_out = self.mutations.path, self.mutations.next_payload()
+        else:
+            path, body_out = "/v1/cqa", self.payload
+            if self.read_your_writes and report.last_lsn is not None:
+                min_lsn = report.last_lsn
+                body_out = dict(self.payload, min_lsn=min_lsn)
+                report.min_lsn_reads += 1
+        t0 = time.monotonic()
+        try:
+            status, headers, body = await conn.post(
+                path, body_out, self.request_timeout_s
+            )
+        except (
+            OSError,
+            asyncio.TimeoutError,
+            asyncio.IncompleteReadError,
+            ConnectionResetError,
+        ):
+            report.transport_errors += 1
+            conn.close()
+            return
+        report.latencies_ms.append((time.monotonic() - t0) * 1000.0)
+        if mutating:
+            _classify_mutation(status, headers, body, report)
+        else:
+            _classify(status, headers, body, self.expect, report, min_lsn)
+        checkin(mutating, conn)
+
+
 async def _run_closed_loop(
+    exchange: _Exchange,
     host: str,
     port: int,
-    payload: Dict[str, object],
     total: int,
     concurrency: int,
-    expect: Optional[List[List[object]]],
-    request_timeout_s: float,
-    mutations: Optional[_MutationMix],
-    read_your_writes: bool = False,
-    read_port: Optional[int] = None,
+    read_port: Optional[int],
 ) -> LoadReport:
-    report = LoadReport()
-    counter = {"next": 0}
+    report = exchange.report
     started = time.monotonic()
 
     async def worker() -> None:
@@ -426,52 +477,11 @@ async def _run_closed_loop(
             else conn
         )
         try:
-            while True:
-                if counter["next"] >= total:
-                    return
-                counter["next"] += 1
-                report.sent += 1
-                mutating = (
-                    mutations is not None and mutations.take_turn()
+            while report.sent < total:
+                await exchange(
+                    lambda mutating: conn if mutating else read_conn,
+                    lambda mutating, used: None,
                 )
-                min_lsn: Optional[int] = None
-                if mutating:
-                    use = conn
-                    path, body_out = (
-                        mutations.path,
-                        mutations.next_payload(),
-                    )
-                    report.mutations_sent += 1
-                else:
-                    use = read_conn
-                    path, body_out = "/v1/cqa", payload
-                    if read_your_writes and report.last_lsn is not None:
-                        min_lsn = report.last_lsn
-                        body_out = dict(payload, min_lsn=min_lsn)
-                        report.min_lsn_reads += 1
-                t0 = time.monotonic()
-                try:
-                    status, headers, body = await use.post(
-                        path, body_out, request_timeout_s
-                    )
-                except (
-                    OSError,
-                    asyncio.TimeoutError,
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                ):
-                    report.transport_errors += 1
-                    use.close()
-                    continue
-                report.latency.observe(
-                    (time.monotonic() - t0) * 1000.0
-                )
-                if mutating:
-                    _classify_mutation(status, headers, body, report)
-                else:
-                    _classify(
-                        status, headers, body, expect, report, min_lsn
-                    )
         finally:
             conn.close()
             if read_conn is not conn:
@@ -485,67 +495,34 @@ async def _run_closed_loop(
 
 
 async def _run_open_loop(
+    exchange: _Exchange,
     host: str,
     port: int,
-    payload: Dict[str, object],
     rate_per_s: float,
     duration_s: float,
-    expect: Optional[List[List[object]]],
-    request_timeout_s: float,
-    mutations: Optional[_MutationMix],
-    read_your_writes: bool = False,
-    read_port: Optional[int] = None,
+    read_port: Optional[int],
 ) -> LoadReport:
-    report = LoadReport()
+    report = exchange.report
     started = time.monotonic()
     interval = 1.0 / max(0.001, rate_per_s)
     tasks: List[asyncio.Task] = []
+    # Idle keep-alive connections: reads to read_port when set use
+    # their own pool, so writes keep going to the primary.
     pool: List[_Connection] = []
     read_pool: List[_Connection] = []
     split_reads = read_port is not None and read_port != port
 
-    async def fire() -> None:
-        mutating = mutations is not None and mutations.take_turn()
-        use_read_pool = split_reads and not mutating
-        if use_read_pool:
-            conn = (
-                read_pool.pop()
-                if read_pool
-                else _Connection(host, read_port)
-            )
-        else:
-            conn = pool.pop() if pool else _Connection(host, port)
-        report.sent += 1
-        min_lsn: Optional[int] = None
-        if mutating:
-            report.mutations_sent += 1
-            path, body_out = mutations.path, mutations.next_payload()
-        else:
-            path, body_out = "/v1/cqa", payload
-            if read_your_writes and report.last_lsn is not None:
-                min_lsn = report.last_lsn
-                body_out = dict(payload, min_lsn=min_lsn)
-                report.min_lsn_reads += 1
-        t0 = time.monotonic()
-        try:
-            status, headers, body = await conn.post(
-                path, body_out, request_timeout_s
-            )
-        except (
-            OSError,
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-        ):
-            report.transport_errors += 1
-            conn.close()
-            return
-        report.latency.observe((time.monotonic() - t0) * 1000.0)
-        if mutating:
-            _classify_mutation(status, headers, body, report)
-        else:
-            _classify(status, headers, body, expect, report, min_lsn)
-        (read_pool if use_read_pool else pool).append(conn)
+    def idle(mutating: bool) -> List[_Connection]:
+        return read_pool if split_reads and not mutating else pool
+
+    def checkout(mutating: bool) -> _Connection:
+        conns = idle(mutating)
+        if conns:
+            return conns.pop()
+        return _Connection(host, port if conns is pool else read_port)
+
+    def checkin(mutating: bool, conn: _Connection) -> None:
+        idle(mutating).append(conn)
 
     tick = 0
     while True:
@@ -556,7 +533,7 @@ async def _run_open_loop(
         delay = target - now
         if delay > 0:
             await asyncio.sleep(delay)
-        tasks.append(asyncio.ensure_future(fire()))
+        tasks.append(asyncio.ensure_future(exchange(checkout, checkin)))
         tick += 1
     if tasks:
         await asyncio.wait(tasks)
@@ -601,16 +578,16 @@ def run_closed_loop(
 ) -> LoadReport:
     """Drive ``total`` requests with ``concurrency`` workers; validate
     each response against ``expect`` when given."""
+    exchange = _Exchange(
+        LoadReport(), payload, expect, request_timeout_s,
+        _build_mix(
+            payload, mutation_rate, mutate_relation, mutate_width, seed
+        ),
+        read_your_writes,
+    )
     return asyncio.run(
         _run_closed_loop(
-            host, port, payload, total, concurrency, expect,
-            request_timeout_s,
-            _build_mix(
-                payload, mutation_rate, mutate_relation, mutate_width,
-                seed,
-            ),
-            read_your_writes=read_your_writes,
-            read_port=read_port,
+            exchange, host, port, total, concurrency, read_port
         )
     )
 
@@ -632,15 +609,15 @@ def run_open_loop(
 ) -> LoadReport:
     """Fire at a fixed arrival rate for ``duration_s`` seconds — the
     overload instrument; see the module docstring."""
+    exchange = _Exchange(
+        LoadReport(), payload, expect, request_timeout_s,
+        _build_mix(
+            payload, mutation_rate, mutate_relation, mutate_width, seed
+        ),
+        read_your_writes,
+    )
     return asyncio.run(
         _run_open_loop(
-            host, port, payload, rate_per_s, duration_s, expect,
-            request_timeout_s,
-            _build_mix(
-                payload, mutation_rate, mutate_relation, mutate_width,
-                seed,
-            ),
-            read_your_writes=read_your_writes,
-            read_port=read_port,
+            exchange, host, port, rate_per_s, duration_s, read_port
         )
     )

@@ -243,7 +243,6 @@ class ReplicaClient:
         self.pulls += 1
         self.upstream_fenced = False
         self.last_error = None
-        self.last_pull_at = self._clock()
         if isinstance(body.get("last_lsn"), int):
             self.upstream_lsn = body["last_lsn"]
         if isinstance(body.get("epoch"), int):
@@ -270,6 +269,9 @@ class ReplicaClient:
             if applied:
                 self.records_applied += applied
                 live_add("replica.records_applied", applied)
+        # Fresh only once the pull's records (or bootstrap) are applied:
+        # a pull whose apply raised proves nothing about this replica.
+        self.last_pull_at = self._clock()
         live_gauge("replica.lag_records", self.lag() or 0)
         self._service.note_replica_progress(self)
         return applied

@@ -67,6 +67,7 @@ from typing import Dict, List, Optional
 
 from ...errors import ReproError
 from ...observability import add, span
+from ...observability.export import fsync_dir, write_atomic
 from ...observability.live import emit_event, live_add, live_observe
 from .snapshot import (
     Snapshot,
@@ -80,7 +81,6 @@ from .wal import (
     FSYNC_POLICIES,
     WalWriteError,
     WriteAheadLog,
-    fsync_dir,
     scan_wal,
     truncate_wal,
 )
@@ -149,15 +149,48 @@ class RecoveredState:
     problems: List[str] = field(default_factory=list)
 
 
+def _check_record(
+    specs: Dict[str, Dict[str, object]], record: Dict[str, object]
+) -> None:
+    """Raise :class:`StoreCorruptionError` unless *record* applies to
+    *specs*: a known op, a ``mutate`` against a known database, every
+    inserted row into one of its relations.  Changes nothing."""
+    op = record.get("op")
+    name = record.get("db")
+    # "epoch" is the fencing marker: durable but state-neutral.
+    if op not in ("put_db", "del_db", "mutate", "epoch"):
+        raise StoreCorruptionError(
+            f"lsn {record.get('lsn')}: unknown op {op!r}"
+        )
+    if op != "mutate":
+        return
+    spec = specs.get(name)
+    if spec is None:
+        raise StoreCorruptionError(
+            f"lsn {record.get('lsn')}: mutate against unknown "
+            f"database {name!r}"
+        )
+    relations = spec.get("relations", {})
+    for rel_name, *_values in record.get("insert") or ():
+        if rel_name not in relations:
+            raise StoreCorruptionError(
+                f"lsn {record.get('lsn')}: insert into unknown "
+                f"relation {rel_name!r} of {name!r}"
+            )
+
+
 def apply_record(
     specs: Dict[str, Dict[str, object]], record: Dict[str, object]
 ) -> None:
     """Apply one WAL record to a spec map, in place.
 
-    Set semantics mirror :class:`~repro.relational.database.Database`:
-    inserting a present row is a no-op, deleting an absent one too —
-    so replaying an acknowledged prefix is idempotent per record.
+    A record :func:`_check_record` refuses raises before anything
+    changes.  Set semantics mirror
+    :class:`~repro.relational.database.Database`: inserting a present
+    row is a no-op, deleting an absent one too — so replaying an
+    acknowledged prefix is idempotent per record.
     """
+    _check_record(specs, record)
     op = record.get("op")
     name = record.get("db")
     if op == "put_db":
@@ -165,33 +198,16 @@ def apply_record(
     elif op == "del_db":
         specs.pop(name, None)
     elif op == "mutate":
-        spec = specs.get(name)
-        if spec is None:
-            raise StoreCorruptionError(
-                f"lsn {record.get('lsn')}: mutate against unknown "
-                f"database {name!r}"
-            )
-        relations = spec.get("relations", {})
+        relations = specs[name].get("relations", {})
         for rel_name, *values in record.get("delete") or ():
             rel = relations.get(rel_name)
             if rel is None:
                 continue
             rel["rows"] = [row for row in rel["rows"] if row != values]
         for rel_name, *values in record.get("insert") or ():
-            rel = relations.get(rel_name)
-            if rel is None:
-                raise StoreCorruptionError(
-                    f"lsn {record.get('lsn')}: insert into unknown "
-                    f"relation {rel_name!r} of {name!r}"
-                )
-            if values not in rel["rows"]:
-                rel["rows"].append(values)
-    elif op == "epoch":
-        pass  # fencing marker: durable but state-neutral
-    else:
-        raise StoreCorruptionError(
-            f"lsn {record.get('lsn')}: unknown op {op!r}"
-        )
+            rows = relations[rel_name]["rows"]
+            if values not in rows:
+                rows.append(values)
 
 
 def _epoch_of(record: Dict[str, object]) -> int:
@@ -295,18 +311,13 @@ class TenantStore:
         not be written degrades durability of the *restart* guarantee
         only — loudly, via the event log.
         """
-        tmp = f"{self.fence_path}.{os.getpid()}.tmp"
+        marker = {"fenced_by": self._fenced_by, "epoch": self._epoch}
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(
-                    {"fenced_by": self._fenced_by, "epoch": self._epoch},
-                    handle,
-                )
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.fence_path)
-            fsync_dir(self.fence_path)
+            write_atomic(
+                self.fence_path,
+                lambda handle: handle.write(json.dumps(marker) + "\n"),
+                durable=True,
+            )
         except OSError as exc:
             add("store.fence_persist_failures")
             emit_event(
@@ -458,11 +469,15 @@ class TenantStore:
 
     def _commit_locked(self, record: Dict[str, object], sync=False) -> None:
         """The one commit step, for a record its caller stamped and
-        guarded: WAL append (``sync`` forces the fsync), mirror, LSN and
-        epoch, shipping tail, compaction when due, wake-ups.  A failed
-        append or fsync fails the log (its file may hold the record, so
-        no later record may take that LSN) and raises
-        :class:`StoreWriteError` with nothing changed in memory."""
+        guarded: check against the mirror, WAL append (``sync`` forces
+        the fsync), mirror, LSN and epoch, shipping tail, compaction
+        when due, wake-ups.  A record the mirror refuses raises
+        :class:`StoreCorruptionError` before the append, so it writes
+        nothing.  A failed append or fsync fails the log (its file may
+        hold the record, so no later record may take that LSN) and
+        raises :class:`StoreWriteError` with nothing changed in
+        memory."""
+        _check_record(self._specs, record)
         self._wal.append(record)
         if sync:
             try:

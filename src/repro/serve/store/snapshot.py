@@ -8,14 +8,13 @@ derive from the per-database instance/constraint digests of
 recorder stamps on envelopes, so a recovered state can be compared
 bit-for-bit against what a request saw before the crash.
 
-Write path: the same atomic tmp-file + rename + directory-fsync
-pattern as :func:`repro.observability.export.write_trace` — a crash
-mid-write leaves at most an orphaned ``.tmp`` sibling, never a
-half-snapshot under the final name.  Load path: candidates are tried
-newest (highest LSN) first; a file that fails to parse or whose
-recomputed digest disagrees with its embedded one is *skipped* (counter
-``store.snapshot_corrupt_skipped``), falling back to the previous
-generation.  That fallback loses nothing only while the WAL still holds
+Write path: :func:`repro.observability.export.write_atomic` with its
+file and directory fsyncs — a crash mid-write leaves at most an
+orphaned ``.tmp`` sibling, never a half-snapshot under the final name.
+Load path: candidates are tried newest (highest LSN) first; a file
+that fails to parse or whose recomputed digest disagrees with its
+embedded one is *skipped* (counter ``store.snapshot_corrupt_skipped``),
+falling back to the previous generation.  That fallback loses nothing only while the WAL still holds
 every record since the older snapshot, up to the skipped file's LSN
 (which its name carries); otherwise recovery refuses loudly upstream.
 """
@@ -31,13 +30,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ...observability import add
+from ...observability.export import write_atomic
 from ...observability.flight import (
     canonical_json,
     constraints_digest,
     instance_digest,
 )
 from ..specs import parse_constraints, parse_database
-from .wal import fsync_dir
 
 logger = logging.getLogger(__name__)
 
@@ -117,14 +116,12 @@ def write_snapshot(
     final = os.path.join(
         os.fspath(directory), f"snap_{lsn:012d}_{digest[:12]}.json"
     )
-    tmp = f"{final}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
+
+    def write(handle) -> None:
         json.dump(document, handle, sort_keys=True)
         handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, final)
-    fsync_dir(final)
+
+    write_atomic(final, write, durable=True)
     add("store.snapshots_written")
     return Snapshot(
         path=final,

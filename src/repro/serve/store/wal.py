@@ -50,6 +50,7 @@ from typing import Dict, List, Optional
 
 from ...errors import ReproError
 from ...observability import add
+from ...observability.export import fsync_dir
 from ...observability.live import live_add
 from ...runtime import faults as _faults
 
@@ -58,7 +59,6 @@ __all__ = [
     "WalScan",
     "WalWriteError",
     "WriteAheadLog",
-    "fsync_dir",
     "scan_wal",
     "truncate_wal",
 ]
@@ -70,23 +70,6 @@ FSYNC_POLICIES = ("always", "interval", "never")
 
 class WalWriteError(ReproError):
     """An append could not be made durable; the record is NOT acked."""
-
-
-def fsync_dir(path: str) -> None:
-    """fsync the directory containing *path* so a rename/create is
-    durable, not merely ordered (best-effort on filesystems that
-    refuse directory fds)."""
-    directory = os.path.dirname(os.fspath(path)) or "."
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 def _encode_frame(record: Dict[str, object]) -> bytes:

@@ -496,29 +496,53 @@ class TestHistogramPercentiles:
         assert snap["latency.p99"] == pytest.approx(99.01)
 
     def test_empty_histogram_percentile_is_none(self):
-        from repro.observability import Histogram
+        from repro.observability.metrics import RollingHistogram
 
-        assert Histogram().percentile(50) is None
+        assert RollingHistogram().percentile(50) is None
 
-    def test_reservoir_bounds_memory_and_stays_deterministic(self):
-        from repro.observability import Histogram
+    def test_retention_bounds_memory_and_stays_deterministic(self):
+        from repro.observability.metrics import (
+            RETAINED_SAMPLES,
+            RollingHistogram,
+        )
 
         def fill():
-            histogram = Histogram()
-            for value in range(10_000):
+            histogram = RollingHistogram()
+            for value in range(RETAINED_SAMPLES + 5_000):
                 histogram.observe(float(value))
             return histogram
 
         first, second = fill(), fill()
-        assert len(first._reservoir) == Histogram.RESERVOIR_SIZE
-        assert first._reservoir == second._reservoir
-        # The estimate stays in the right ballpark on a uniform stream.
-        assert first.percentile(50) == pytest.approx(5000, rel=0.15)
+        # The one bucket of the infinite window keeps the head samples.
+        assert first._samples == second._samples
+        assert first._samples == [
+            [float(v) for v in range(RETAINED_SAMPLES)]
+        ]
+        # Lifetime totals count every observation, retained or not.
+        assert first.count == RETAINED_SAMPLES + 5_000
+        assert first.max == float(RETAINED_SAMPLES + 4_999)
+
+    def test_collector_percentiles_exact_up_to_retention(self):
+        from repro.observability.metrics import (
+            RETAINED_SAMPLES,
+            MetricsRegistry,
+        )
+
+        registry = MetricsRegistry()
+        for value in range(RETAINED_SAMPLES, 0, -1):
+            registry.observe("latency", float(value))
+        snap = registry.snapshot()
+        assert snap["latency.p50"] == pytest.approx(
+            (RETAINED_SAMPLES + 1) / 2
+        )
+        assert snap["latency.p99"] == pytest.approx(
+            1 + 0.99 * (RETAINED_SAMPLES - 1)
+        )
 
     def test_single_observation(self):
-        from repro.observability import Histogram
+        from repro.observability.metrics import RollingHistogram
 
-        histogram = Histogram()
+        histogram = RollingHistogram()
         histogram.observe(3.5)
         for p in (50, 90, 99):
             assert histogram.percentile(p) == 3.5

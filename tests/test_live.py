@@ -24,9 +24,6 @@ from repro.observability.live import (
     EXIT_SLO_VIOLATION,
     EventLog,
     LivePlane,
-    LiveRegistry,
-    RollingCounter,
-    RollingHistogram,
     current_request_id,
     emit_event,
     evaluate_slos,
@@ -41,6 +38,11 @@ from repro.observability.live import (
     validate_prometheus,
     write_prometheus,
     write_status_json,
+)
+from repro.observability.metrics import (
+    MetricsRegistry,
+    RollingCounter,
+    RollingHistogram,
 )
 from repro.runtime import Budget, FaultPlan, inject, use_budget
 from repro.workloads import employee, employee_key_violations
@@ -93,7 +95,7 @@ class TestRollingCounter:
         assert c.lifetime == 100
 
     def test_summary_shape(self):
-        c = RollingCounter(clock=FakeClock())
+        c = RollingCounter(window_s=60.0, buckets=60, clock=FakeClock())
         c.add(4)
         assert c.summary() == {
             "total": 4,
@@ -126,6 +128,15 @@ class TestRollingHistogram:
         assert h.max == 1000.0
         assert h.min == 1.0
 
+    def test_a_full_bucket_keeps_its_head_samples(self):
+        h = RollingHistogram(window_s=60.0, buckets=60, clock=FakeClock())
+        for v in range(300):
+            h.observe(float(v))
+        assert h.window_count() == 300
+        # 256 samples per 1-s bucket: the first 256 arrivals.
+        assert h.percentile(100) == 255.0
+        assert h.max == 299.0
+
     def test_empty_percentile_is_none(self):
         h = RollingHistogram(clock=FakeClock())
         assert h.percentile(50) is None
@@ -135,19 +146,19 @@ class TestRollingHistogram:
 class TestLiveRegistry:
     def test_snapshot_shape(self):
         clock = FakeClock()
-        r = LiveRegistry(clock=clock)
+        r = MetricsRegistry(window_s=60.0, buckets=60, clock=clock)
         r.add("reqs", 2)
         r.observe("lat", 5.0)
         r.gauge("state", "closed")
         clock.advance(3)
-        snap = r.snapshot()
+        snap = r.window_snapshot()
         assert snap["uptime_s"] == pytest.approx(3.0)
         assert snap["counters"]["reqs"]["total"] == 2
         assert snap["histograms"]["lat"]["p50"] == pytest.approx(5.0)
         assert snap["gauges"] == {"state": "closed"}
         assert r.op_count == 3
         assert r.counter_total("reqs") == 2
-        assert r.counter_window("missing") == 0
+        assert r.counter_total("missing") == 0
         assert r.percentile("lat", 90) == pytest.approx(5.0)
 
 
@@ -814,7 +825,7 @@ class TestLiveOverhead:
 
         # Per-op enabled costs, amortised over tight loops.
         loops = 5000
-        bench = LiveRegistry()
+        bench = MetricsRegistry(window_s=60.0, buckets=60)
         # A full collection of the test process's heap must not land
         # inside a loop and be charged to the plane.
         gc.collect()

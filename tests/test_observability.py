@@ -15,7 +15,6 @@ from repro.observability import (
     build_trees,
     collect,
     current_span,
-    flat_snapshot,
     gauge,
     install,
     installed,
@@ -113,6 +112,23 @@ class TestMetrics:
         assert snap["latency.sum"] == pytest.approx(1.0)
         assert snap["latency.min"] == pytest.approx(0.25)
         assert snap["latency.max"] == pytest.approx(0.75)
+
+    def test_collector_updates_read_no_clock(self):
+        """The collector's window is infinite: one bucket that never
+        expires, so neither an update nor its snapshot reads the clock."""
+        reads = []
+
+        def clock():
+            reads.append(1)
+            return 0.0
+
+        registry = MetricsRegistry(clock=clock)
+        reads.clear()
+        registry.add("hits")
+        registry.observe("latency", 1.0)
+        registry.gauge("depth", 3)
+        assert registry.snapshot()["latency.p50"] == 1.0
+        assert reads == []
 
     def test_counter_thread_safety(self):
         with collect() as c:
@@ -227,17 +243,17 @@ class TestExport:
 
     def test_flat_snapshot(self):
         c = self._collected()
-        assert flat_snapshot(c.registry)["outer.work"] == 4
+        assert c.registry.snapshot()["outer.work"] == 4
 
     def test_gauges_appear_in_every_export_path(self, tmp_path):
         """Regression guard: gauges ride alongside counters/histograms
-        in flat_snapshot, summary_table, and the JSONL metrics line."""
+        in the flat snapshot, summary_table, and the JSONL metrics line."""
         with collect() as c:
             with span("outer"):
                 add("outer.work", 2)
                 gauge("outer.depth", 7)
                 observe("outer.size", 3.0)
-        snap = flat_snapshot(c.registry)
+        snap = c.registry.snapshot()
         assert snap["outer.depth"] == 7
         assert snap["outer.work"] == 2
         assert snap["outer.size.count"] == 1
@@ -280,6 +296,75 @@ class TestExport:
             p for p in tmp_path.iterdir() if p.name.endswith(".tmp")
         ]
         assert leftovers == []
+
+
+class _Unwritable:
+    """A value whose serialization fails partway through a file."""
+
+    def __repr__(self):
+        raise RuntimeError("cannot serialize")
+
+
+class TestAtomicWrites:
+    """A write that fails midway leaves no temp file and the previous
+    file as it was: traces, status files, envelopes and snapshots all
+    go through one writer."""
+
+    @staticmethod
+    def _assert_clean(tmp_path, final, before):
+        assert [p.name for p in tmp_path.iterdir()
+                if p.name.endswith(".tmp")] == []
+        assert final.read_text() == before
+
+    def test_trace(self, tmp_path):
+        final = tmp_path / "t.jsonl"
+        final.write_text("old\n")
+        with collect() as c:
+            with span("ok"):
+                pass
+            with span("bad", payload=_Unwritable()):
+                pass
+        with pytest.raises(RuntimeError, match="cannot serialize"):
+            c.write_trace(final)
+        self._assert_clean(tmp_path, final, "old\n")
+
+    def test_status_file(self, tmp_path):
+        from repro.observability.live import write_prometheus
+
+        final = tmp_path / "metrics.prom"
+        final.write_text("old\n")
+        # A lone surrogate (valid in a JSON string, e.g. a tenant name)
+        # cannot be encoded as UTF-8: the write fails partway.
+        status = {
+            "uptime_s": 1.0,
+            "counters": {"tenant.\ud800": {"total": 1, "rate_per_s": 0.0}},
+        }
+        with pytest.raises(UnicodeEncodeError):
+            write_prometheus(final, status)
+        self._assert_clean(tmp_path, final, "old\n")
+
+    def test_envelope(self, tmp_path):
+        from repro.observability.flight import FlightEnvelope, write_envelope
+
+        envelope = FlightEnvelope(
+            schema=1, envelope_id="e" * 64, request_id="r1", trigger=(),
+            semantics="s", digests={}, payload={}, policy={}, budget=None,
+            fault_plan=None, breakers={}, shadow_sampled=None,
+            shape_stats=None, events=[{"kind": "x", "v": _Unwritable()}],
+        )
+        final = tmp_path / envelope.filename()
+        final.write_text("old\n")
+        with pytest.raises(RuntimeError, match="cannot serialize"):
+            write_envelope(tmp_path, envelope)
+        self._assert_clean(tmp_path, final, "old\n")
+
+    def test_snapshot(self, tmp_path):
+        from repro.serve.store.snapshot import list_snapshots, write_snapshot
+
+        with pytest.raises(TypeError):
+            write_snapshot(tmp_path, {}, 1, compaction={"x": object()})
+        assert [p.name for p in tmp_path.iterdir()] == []
+        assert list_snapshots(tmp_path) == []
 
 
 class TestDisabledOverhead:

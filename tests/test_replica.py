@@ -758,6 +758,49 @@ class TestStalenessContract:
         follower.close()
         primary.close()
 
+    def test_a_pull_whose_apply_fails_proves_no_freshness(
+        self, tmp_path, monkeypatch
+    ):
+        """An upstream that keeps answering with a record past a gap:
+        every pull's apply raises, so the feed proves nothing, and
+        once ``max_stale_s`` has passed the reads shed
+        ``replication-stalled`` instead of serving ``stale_s: 0.0``."""
+        primary = _recovered_service(tmp_path, "p")
+        primary.register_db("emp", EMPLOYEE_SPEC)
+        bodies = [{"records": primary.store.records_since(0),
+                   "last_lsn": 1, "epoch": 0}]
+        gapped = {"op": "mutate", "db": "emp", "insert": [],
+                  "delete": [], "lsn": 99, "epoch": 0}
+        monkeypatch.setattr(
+            replica_module, "json_request",
+            lambda *args: (200, bodies.pop(0) if bodies else {
+                "records": [dict(gapped)], "last_lsn": 99, "epoch": 0,
+            }),
+        )
+        now = [0.0]
+        follower = _follower_service(tmp_path)
+        follower._max_stale_s = 1.0
+        client = ReplicaClient(
+            follower, ReplicaConfig(upstream="http://primary:1"),
+            clock=lambda: now[0],
+        )
+        follower._replica = client
+        read = {"db": "emp", "query": "Q(X) :- Employee(X, Y)"}
+        assert client.pull_once() == 1
+        status, body, _ = follower.handle_cqa(read)
+        assert status == 200 and body["stale_s"] == 0.0
+        for _ in range(3):
+            now[0] += 0.6
+            with pytest.raises(StoreCorruptionError, match="gap"):
+                client.pull_once()
+        status, body, _ = follower.handle_cqa(read)
+        assert status == 503
+        assert body["reason"] == "replication-stalled"
+        assert body["as_of_lsn"] == 1
+        follower._replica = None
+        follower.close()
+        primary.close()
+
     def test_fenced_node_sheds_reads(self, tmp_path):
         """Fencing stops the pull client, so freshness is unknowable:
         every read sheds (typed 'fenced') instead of aging forever

@@ -733,6 +733,49 @@ class TestHttpBoundary:
             status, body = harness.request("GET", "/v1/db")
             assert status == 200 and body["databases"]["d"]["facts"] == 2
 
+    def test_put_and_delete_leave_the_event_loop_free(self, tmp_path):
+        """Both run on the handler executor: while either's append is
+        held, /healthz on a second connection answers."""
+        from repro.serve.store import StorePolicy, TenantStore
+
+        service = CQAService(store=TenantStore(str(tmp_path), StorePolicy()))
+        service.recover()
+        store = service.store
+        harness = self._harness(service)
+        with harness as server:
+            for method, append in (
+                ("PUT", "append_put_db"), ("DELETE", "append_del_db")
+            ):
+                entered, release = threading.Event(), threading.Event()
+                real = getattr(store, append)
+
+                def held(*args, real=real, entered=entered,
+                         release=release):
+                    entered.set()
+                    release.wait(30.0)
+                    return real(*args)
+
+                setattr(store, append, held)
+                results = []
+                request = threading.Thread(target=lambda: results.append(
+                    harness.request(method, "/v1/db/d", self.MIXED_SPEC)
+                ))
+                request.start()
+                try:
+                    assert entered.wait(30.0)
+                    conn = http.client.HTTPConnection(
+                        "127.0.0.1", server.port, timeout=5.0
+                    )
+                    try:
+                        conn.request("GET", "/healthz")
+                        assert conn.getresponse().status == 200
+                    finally:
+                        conn.close()
+                finally:
+                    release.set()
+                    request.join(30.0)
+                assert results[0][0] == 200, (method, results)
+
     def test_an_unexpected_handler_exception_is_a_500_envelope(
         self, monkeypatch
     ):

@@ -459,6 +459,59 @@ class TestTenantStore:
                 {}, {"lsn": 1, "op": "mutate", "db": "ghost", "insert": []}
             )
 
+    def test_a_mutate_against_an_unknown_database_writes_nothing(
+        self, tmp_path
+    ):
+        """Refused before the append: the next record takes the same
+        LSN and the directory recovers cleanly."""
+        st = _store(tmp_path)
+        st.recover()
+        with pytest.raises(StoreCorruptionError, match="unknown database"):
+            st.apply_replicated({
+                "op": "mutate", "db": "ghost", "insert": [], "delete": [],
+                "lsn": 1, "epoch": 0,
+            })
+        assert st.last_lsn == 0
+        assert st.append_put_db("emp", EMPLOYEE_SPEC) == 1
+        live = st.current_state_digest()
+        st.close()
+        assert verify_store(tmp_path)["ok"]
+        st = _store(tmp_path)
+        recovered = st.recover()
+        assert recovered.last_lsn == 1 and recovered.records_replayed == 1
+        assert recovered.state_digest == live
+        st.close()
+
+    def test_an_insert_into_an_unknown_relation_changes_nothing(
+        self, tmp_path
+    ):
+        """Refused whole: the record's deletes do not leave the mirror
+        first, and nothing reaches the WAL."""
+        st = _store(tmp_path)
+        st.recover()
+        st.append_put_db("emp", EMPLOYEE_SPEC)
+        before = st.current_state_digest()
+        with pytest.raises(StoreCorruptionError, match="unknown relation"):
+            st.apply_replicated({
+                "op": "mutate", "db": "emp", "insert": [["Ghost", "x"]],
+                "delete": [["Employee", "smith", "3K"]],
+                "lsn": 2, "epoch": 0,
+            })
+        assert st.current_state_digest() == before
+        assert st.last_lsn == 1
+        assert st.append_mutate(
+            "emp", insert=[["Audit", "k", "v"]], delete=[]
+        ) == 2
+        live = st.current_state_digest()
+        st.close()
+        assert verify_store(tmp_path)["ok"]
+        st = _store(tmp_path)
+        recovered = st.recover()
+        assert recovered.last_lsn == 2 and recovered.state_digest == live
+        rows = recovered.specs["emp"]["relations"]["Employee"]["rows"]
+        assert ["smith", "3K"] in rows
+        st.close()
+
 
 # ----------------------------------------------------------------------
 # Seeded storage faults (FaultPlan)
