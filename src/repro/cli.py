@@ -40,6 +40,7 @@ import argparse
 import contextlib
 import csv
 import logging
+import math
 import os
 import sys
 from typing import Dict, List, Sequence, Tuple
@@ -93,15 +94,17 @@ def _load_csv(spec: str) -> Tuple[str, RelationSchema, List[Tuple]]:
 
 
 def _coerce(value: str):
-    """Numbers become numbers; everything else stays a string."""
+    """Finite numerals become numbers; everything else stays a string,
+    also ``nan`` or ``inf`` (a surname, say), which JSON cannot carry."""
     try:
         return int(value)
     except ValueError:
         pass
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         return value
+    return number if math.isfinite(number) else value
 
 
 def _build_database(csv_specs: Sequence[str]) -> Database:

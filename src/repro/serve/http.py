@@ -13,7 +13,10 @@ unbounded memory.
 Protocol support is deliberately narrow — HTTP/1.1, JSON bodies,
 ``Content-Length`` framing (no chunked encoding), keep-alive — exactly
 what the load generator and a curl-wielding operator need, and nothing
-that would drag in a dependency.
+that would drag in a dependency.  A CQA answer arrives already encoded
+(:class:`~repro.serve.specs.RenderedRows`) and is spliced into its body
+verbatim; a body that cannot be encoded is a 500 that closes the
+connection, never a dropped one.
 
 Endpoints (see README "Serving"):
 
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -51,6 +55,7 @@ from typing import Dict, Optional, Tuple
 from ..observability.live import live_add, live_installed, live_plane
 from ..observability.live.expo import prometheus_text
 from .service import CQAService
+from .specs import RenderedRows
 
 __all__ = ["CQAHTTPServer", "ServerConfig"]
 
@@ -66,6 +71,35 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+def _json_text(payload: Dict[str, object]) -> str:
+    """``json.dumps(payload, sort_keys=True, allow_nan=False)`` of a body
+    with string keys, with the JSON text of each :class:`RenderedRows`
+    value spliced in verbatim."""
+    return "{" + ", ".join(
+        json.dumps(name) + ": " + (
+            value.json
+            if isinstance(value, RenderedRows)
+            else json.dumps(value, sort_keys=True, allow_nan=False)
+        )
+        for name, value in sorted(payload.items())
+    ) + "}"
+
+
+def _internal(exc: Exception) -> Dict[str, object]:
+    return {"error": f"internal: {type(exc).__name__}: {exc}"}
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"{text} is out of a float's range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -172,19 +206,15 @@ class CQAHTTPServer:
                 except Exception as exc:  # noqa: BLE001 — handler firewall
                     # An answer, not a dropped connection.
                     status, payload, extra, keep_alive = (
-                        500,
-                        {"error": f"internal: {type(exc).__name__}: {exc}"},
-                        {},
-                        False,
+                        500, _internal(exc), {}, False
                     )
-                await self._respond(
+                if await self._respond(
                     writer,
                     status,
                     payload,
                     extra_headers=extra,
                     close=not keep_alive,
-                )
-                if not keep_alive:
+                ):
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -384,8 +414,13 @@ class CQAHTTPServer:
         if not body:
             return {}, None
         try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            # No NaN or infinity: the server could never send one back.
+            payload = json.loads(
+                body.decode("utf-8"),
+                parse_constant=_reject_constant,
+                parse_float=_finite_float,
+            )
+        except (UnicodeDecodeError, ValueError) as exc:
             return None, f"invalid JSON body: {exc}"
         if not isinstance(payload, dict):
             return None, "JSON body must be an object"
@@ -398,16 +433,22 @@ class CQAHTTPServer:
         payload: Dict[str, object],
         extra_headers: Optional[Dict[str, str]] = None,
         close: bool = False,
-    ) -> None:
+    ) -> bool:
+        """Write one response; True when the connection must close.  A
+        body that cannot be encoded gets the handler firewall's 500 and
+        closes the connection."""
         if "__raw__" in payload:
             body = str(payload["__raw__"]).encode("utf-8")
             content_type = str(
                 payload.get("__content_type__", "text/plain")
             )
         else:
-            body = json.dumps(
-                payload, sort_keys=True, allow_nan=False
-            ).encode("utf-8")
+            try:
+                text = _json_text(payload)
+            except Exception as exc:  # noqa: BLE001 — an answer, not a drop
+                status, extra_headers, close = 500, None, True
+                text = _json_text(_internal(exc))
+            body = text.encode("utf-8")
             content_type = "application/json"
         reason = _REASONS.get(status, "Unknown")
         lines = [
@@ -421,3 +462,4 @@ class CQAHTTPServer:
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         writer.write(head + body)
         await writer.drain()
+        return close

@@ -89,9 +89,13 @@ from .admission import AdmissionController, ShedError
 from .replica import ReplicaClient, ReplicaConfig, StaleReadError
 from .specs import (
     PayloadError,
+    RenderedRows,
+    json_stable,
     parse_constraints as _parse_constraints,
     parse_database as _parse_database,
+    render_rows,
     require_json_scalars,
+    sorted_rows,
     spec_of_instance,
 )
 from .store import (
@@ -155,6 +159,53 @@ def _mutated(
     )
 
 
+class _Renderings:
+    """One registered name's kept answer renderings, keyed by the answer
+    set, whatever version answered it.
+
+    They hold at most *bound* rows, the fact count of the instance a
+    read resolved, each answer counting at least one: the least
+    recently used goes first, and an answer over the bound on its own
+    is not kept.  This is the rule of the worker's answer memo
+    (``KeptSqlite``).  Not thread-safe: the service locks around it.
+    """
+
+    __slots__ = ("_kept", "_rows")
+
+    def __init__(self) -> None:
+        # answer set -> (that set, its rendering), least recently used
+        # first.  A hit re-inserts the kept set, not the equal one the
+        # read brought, so the kept objects stay put.
+        self._kept: Dict[frozenset, Tuple[frozenset, RenderedRows]] = {}
+        self._rows = 0
+
+    def recall(
+        self, answers: frozenset, bound: int
+    ) -> Optional[RenderedRows]:
+        found = self._kept.pop(answers, None)
+        if found is None:
+            return None
+        self._kept[found[0]] = found
+        self._trim(bound)
+        return found[1]
+
+    def keep(
+        self, answers: frozenset, rendering: RenderedRows, bound: int
+    ) -> None:
+        cost = len(rendering) or 1
+        if cost > bound or answers in self._kept:
+            return
+        self._kept[answers] = (answers, rendering)
+        self._rows += cost
+        self._trim(bound)
+
+    def _trim(self, bound: int) -> None:
+        kept = self._kept
+        while self._rows > bound:
+            _, rendering = kept.pop(next(iter(kept)))
+            self._rows -= len(rendering) or 1
+
+
 def _int_field(
     payload: Dict[str, object], name: str, minimum: int,
     required: bool = False,
@@ -201,36 +252,16 @@ def _timeout_field(payload: Dict[str, object]) -> Optional[float]:
     return seconds
 
 
-def _value_order(value: object) -> Tuple:
-    """A total order on answer values that agrees with Python's own
-    wherever that is defined: the NULL marker first, then numbers, then
-    strings, then anything else (JSON null included) by type and repr."""
-    if is_null(value):
-        return (0, "", 0)
-    if isinstance(value, (int, float)):
-        return (1, "", value)
-    if isinstance(value, str):
-        return (2, "", value)
-    return (3, type(value).__name__, repr(value))
-
-
-def _sorted_lists(rows) -> List[List[object]]:
-    """*rows* as sorted lists, also when they mix value types: in
-    Python's order where it is defined (the fast path), else by
-    :func:`_value_order`."""
-    ordered = list(rows)
-    try:
-        ordered.sort()
-    except TypeError:
-        ordered.sort(key=lambda row: [_value_order(value) for value in row])
-    return [list(row) for row in ordered]
-
-
 def _serialize_repair(repair) -> Dict[str, List[List[object]]]:
     def facts(fact_set) -> List[List[object]]:
-        return _sorted_lists(
-            (fact.relation, *fact.values) for fact in fact_set
-        )
+        # A repair may insert NULL (an inclusion dependency's witness):
+        # JSON writes it as null, as it does in an answer.
+        return [
+            [None if is_null(value) else value for value in row]
+            for row in sorted_rows(
+                (fact.relation, *fact.values) for fact in fact_set
+            )
+        ]
 
     return {
         "deleted": facts(repair.deleted),
@@ -256,6 +287,10 @@ class CQAService:
         self._clock = clock
         self._lock = threading.Lock()
         self._databases: Dict[str, Entry] = {}
+        # Apart from the registry lock, which a write holds through its
+        # fsync: a read that renders must not wait on that.
+        self._render_lock = threading.Lock()
+        self._renderings: Dict[str, _Renderings] = {}
         # With a store attached nothing may be served until recover()
         # re-establishes the registry from disk; without one there is
         # nothing to recover and the service is born ready.
@@ -300,7 +335,7 @@ class CQAService:
             for name, spec in recovered.specs.items()
         }
         with self._lock:
-            self._databases = databases
+            self._replace_registry(databases)
         if recovered.fenced_by is not None:
             # The durable latch survived the restart: a fenced
             # ex-primary reboots fenced, not back into acking at its
@@ -454,8 +489,22 @@ class CQAService:
                     body["lsn"] = self.store.append_del_db(name)
                 except StoreWriteError as exc:
                     return self._store_unavailable(exc)
-            del self._databases[name]
+            self._forget(name)
         return 200, body, _NO_HEADERS
+
+    def _forget(self, name: str) -> None:
+        """Remove *name* from the registry, with its kept renderings
+        (under the registry lock)."""
+        self._databases.pop(name, None)
+        with self._render_lock:
+            self._renderings.pop(name, None)
+
+    def _replace_registry(self, databases: Dict[str, Entry]) -> None:
+        """Make *databases* the whole registry; every kept rendering
+        goes with the names it replaces (under the registry lock)."""
+        self._databases = databases
+        with self._render_lock:
+            self._renderings.clear()
 
     def handle_mutate(
         self, name: str, payload: Dict[str, object]
@@ -883,7 +932,7 @@ class CQAService:
             emit_event("serve.degrade", reason=degraded_reason)
         outcome = "ok" if complete else "degraded"
         body = {
-            "answers": _sorted_lists(answers),
+            "answers": self._rendered(key, len(db), answers),
             "complete": complete,
             "engine": engine,
             "semantics": semantics,
@@ -897,10 +946,38 @@ class CQAService:
             body["degraded_reason"] = degraded_reason
         upper = detail.get("upper_bound") if detail else None
         if upper is not None:
-            body["upper_bound"] = _sorted_lists(upper)
+            body["upper_bound"] = render_rows(upper)
         return self._finish(
             rid, started, outcome, (200, body, _NO_HEADERS)
         )
+
+    def _rendered(
+        self, key: Optional[InstanceKey], bound: int, answers: frozenset
+    ) -> RenderedRows:
+        """The rendering of a read's answer set: the one its registered
+        name keeps for an equal set, else a new one, which the name
+        keeps (within *bound* rows) when its values are
+        :func:`json_stable`.  Inline instances keep nothing."""
+        if key is None:
+            return render_rows(answers)
+        with self._render_lock:
+            kept = self._renderings.get(key.name)
+            rendering = (
+                kept.recall(answers, bound) if kept is not None else None
+            )
+        if rendering is not None:
+            live_add("serve.answers.reused")
+            return rendering
+        rendering = render_rows(answers)
+        if json_stable(answers):
+            with self._render_lock:
+                # A name removed since this read resolved it keeps
+                # nothing: its renderings went with it.
+                if key.name in self._databases:
+                    self._renderings.setdefault(
+                        key.name, _Renderings()
+                    ).keep(answers, rendering, bound)
+        return rendering
 
     def _should_degrade(self) -> bool:
         """Degrade rather than queue when the pool has no idle worker
@@ -1016,7 +1093,7 @@ class CQAService:
                 if entry is not None:
                     self._databases[record.get("db")] = entry
                 elif record.get("op") == "del_db":
-                    self._databases.pop(record.get("db"), None)
+                    self._forget(record.get("db"))
         return applied
 
     def install_replica_state(
@@ -1029,7 +1106,7 @@ class CQAService:
         databases = {name: _spec_entry(spec) for name, spec in specs.items()}
         with self._lock:
             self.store.install_state(specs, lsn, epoch)
-            self._databases = databases
+            self._replace_registry(databases)
 
     def handle_replica_pull(
         self, payload: Dict[str, object]

@@ -23,22 +23,34 @@ None); :func:`require_json_scalars` is the one check, which
 :func:`spec_of_instance` and the mutate handler apply rather than let
 a non-serializable value corrupt a WAL record at append time, or an
 unhashable one reach an instance.
+
+The way back out is here too: :func:`render_rows` sorts a set of
+answer rows (:func:`sorted_rows`) and encodes them once, the NULL
+marker as ``null``, into a :class:`RenderedRows` that the HTTP layer
+splices into a response verbatim.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import json
+from collections.abc import Sequence as SequenceABC
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 from ..logic.parser import parse_denial, parse_fd, parse_inclusion
 from ..relational.database import Database
+from ..relational.nulls import NullType, is_null
 from ..relational.schema import RelationSchema, Schema
 
 __all__ = [
     "PayloadError",
+    "RenderedRows",
+    "json_stable",
     "parse_constraints",
     "parse_database",
+    "render_rows",
     "require_json_scalars",
+    "sorted_rows",
     "spec_of_instance",
 ]
 
@@ -142,3 +154,106 @@ def spec_of_instance(
             if texts
         }
     return spec
+
+
+def _value_order(value: object) -> Tuple:
+    """A total order on answer values that agrees with Python's own
+    wherever that is defined: the NULL marker first, then numbers, then
+    strings, then anything else (JSON null included) by type and repr."""
+    if is_null(value):
+        return (0, "", 0)
+    if isinstance(value, (int, float)):
+        return (1, "", value)
+    if isinstance(value, str):
+        return (2, "", value)
+    return (3, type(value).__name__, repr(value))
+
+
+def sorted_rows(rows: Iterable[tuple]) -> List[tuple]:
+    """*rows* sorted, also when they mix value types: in Python's order
+    where it is defined (the fast path), else by :func:`_value_order`."""
+    ordered = list(rows)
+    try:
+        ordered.sort()
+    except TypeError:
+        ordered.sort(key=lambda row: [_value_order(value) for value in row])
+    return ordered
+
+
+def _null_as_none(value: object) -> None:
+    if is_null(value):
+        return None
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
+class RenderedRows(SequenceABC):
+    """Rows in the order a response lists them, with their JSON text.
+
+    ``json`` is what the HTTP layer sends for them.  In-process callers
+    see the sorted list of row lists: it compares, iterates, indexes
+    and tests membership as that list would, but it cannot be changed,
+    since every row it hands out is a new list.
+    """
+
+    __slots__ = ("rows", "json")
+
+    def __init__(self, rows: Tuple[tuple, ...], json_text: str) -> None:
+        self.rows = rows
+        self.json = json_text
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [list(row) for row in self.rows[index]]
+        return list(self.rows[index])
+
+    def __iter__(self):
+        return (list(row) for row in self.rows)
+
+    def __contains__(self, item: object) -> bool:
+        return isinstance(item, list) and tuple(item) in self.rows
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RenderedRows):
+            return self.rows == other.rows
+        if isinstance(other, list):
+            return len(other) == len(self.rows) and all(
+                list(row) == item for row, item in zip(self.rows, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def render_rows(rows: Iterable[tuple]) -> RenderedRows:
+    """*rows* sorted by :func:`sorted_rows` and encoded as the JSON
+    array of arrays ``json.dumps(..., sort_keys=True, allow_nan=False)``
+    writes, the NULL marker as ``null``.  Raises ``ValueError`` on a
+    NaN or infinite float, which JSON cannot carry, and ``TypeError``
+    on a value it cannot encode."""
+    ordered = tuple(sorted_rows(rows))
+    return RenderedRows(
+        ordered,
+        json.dumps(
+            ordered, sort_keys=True, allow_nan=False, default=_null_as_none
+        ),
+    )
+
+
+def json_stable(rows: Iterable[tuple]) -> bool:
+    """Whether equal row sets of these values always render alike: every
+    value is a string, None or the NULL marker.  Numbers are not, since
+    ``1 == 1.0 == True`` and ``0.0 == -0.0`` but each encodes its own
+    way."""
+    return all(
+        value is None or isinstance(value, (str, NullType))
+        for row in rows
+        for value in row
+    )

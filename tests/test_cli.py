@@ -225,6 +225,23 @@ class TestErrors:
         assert "2.5" in out
 
 
+    def test_non_finite_numerals_stay_strings(self, tmp_path, capsys):
+        from repro.cli import _coerce
+
+        assert [_coerce(v) for v in ("Nan", "nan", "inf", "Infinity",
+                                     "-inf", "1e999", "2.5", "7")] == [
+            "Nan", "nan", "inf", "Infinity", "-inf", "1e999", 2.5, 7,
+        ]
+        # Two salaries for the surname Nan violate the key, as they
+        # would for any other name (a float NaN equals nothing).
+        path = tmp_path / "emp.csv"
+        path.write_text("Name,Salary\nNan,5K\nNan,8K\n")
+        rc = main(["check", "--csv", f"Employee={path}",
+                   "--fd", "Employee: Name -> Salary"])
+        capsys.readouterr()
+        assert rc == 1
+
+
 class TestBudgetFlags:
     def test_budget_flags_parse_and_complete_run_is_unmarked(
         self, employee_csv, capsys

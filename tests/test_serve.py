@@ -824,6 +824,132 @@ class TestHttpBoundary:
             finally:
                 conn.close()
 
+    def test_an_answer_holding_the_null_marker_is_served_with_null(self):
+        # fm-sql maps the SQL NULL of a JSON null back to the NULL marker.
+        spec = {
+            "relations": {
+                "R": {
+                    "columns": ["A", "B"],
+                    "key": ["A"],
+                    "rows": [[None, "x"], ["b", "c"]],
+                }
+            },
+            "constraints": {"fd": ["R: A -> B"]},
+        }
+        harness = self._harness(CQAService())
+        with harness as server:
+            assert harness.request("PUT", "/v1/db/n", spec)[0] == 200
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=30.0
+            )
+            try:
+                conn.request("POST", "/v1/cqa", json.dumps(
+                    {"db": "n", "query": "Q(X) :- R(X, Y)"}
+                ))
+                response = conn.getresponse()
+                raw = response.read()
+            finally:
+                conn.close()
+            assert response.status == 200, raw
+            assert raw.startswith(b'{"answers": [[null], ["b"]], ')
+            assert json.loads(raw)["engine"] == "fm-sql"
+
+    def test_a_repair_that_inserts_null_is_served_with_null(self):
+        # Repairing R[B] <= S[B] inserts S(b, NULL).
+        spec = {
+            "relations": {
+                "R": {"columns": ["A", "B"], "rows": [["a", "b"]]},
+                "S": {"columns": ["B", "C"], "rows": [["x", "y"]]},
+            },
+            "constraints": {"ind": ["R[B] <= S[B]"]},
+        }
+        harness = self._harness(CQAService())
+        with harness:
+            assert harness.request("PUT", "/v1/db/i", spec)[0] == 200
+            status, body = harness.request(
+                "POST", "/v1/repairs", {"db": "i", "semantics": "s"}
+            )
+            assert status == 200, body
+            inserted = [r["inserted"] for r in body["repairs"]]
+            assert [["S", "b", None]] in inserted
+
+    @staticmethod
+    def _nan_instance():
+        from repro.logic.parser import parse_fd
+        from repro.relational import RelationSchema, Schema
+        from repro.relational.database import Database
+
+        schema = Schema.of(RelationSchema("R", ("A", "B"), ("A",)))
+        nan = float("nan")
+        rows = [(nan, "x"), ("a", nan), ("a", "z")]
+        return (
+            Database.from_dict({"R": rows}, schema=schema),
+            [parse_fd("R: A -> B")],
+        )
+
+    def test_an_answer_json_cannot_carry_is_a_500_not_a_dropped_connection(
+        self,
+    ):
+        service = CQAService()
+        service.register_instance("nan", *self._nan_instance())
+        harness = self._harness(service)
+        with harness:
+            # The self-join is answered in memory, with the NaN itself.
+            status, body = harness.request("POST", "/v1/cqa", {
+                "db": "nan", "query": "Q(X) :- R(X, Y), R(Z, Y)",
+            })
+            assert status == 500
+            assert "Out of range float values" in body["error"]
+            assert body["request_id"]
+            assert harness.request("GET", "/healthz")[0] == 200
+
+    def test_a_body_the_server_cannot_encode_is_a_500_that_closes(self):
+        service = CQAService()
+        service.register_instance("nan", *self._nan_instance())
+        harness = self._harness(service)
+        with harness as server:
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=30.0
+            )
+            try:
+                # One repair deletes R(a, NaN), which JSON cannot carry.
+                conn.request("POST", "/v1/repairs", json.dumps(
+                    {"db": "nan", "semantics": "s", "limit": 2}
+                ))
+                response = conn.getresponse()
+                body = json.loads(response.read())
+            finally:
+                conn.close()
+            assert response.status == 500
+            assert body["error"].startswith("internal: ValueError: ")
+            assert response.getheader("Connection") == "close"
+            assert harness.request("GET", "/healthz")[0] == 200
+
+    def test_non_finite_json_numbers_are_400(self):
+        harness = self._harness(CQAService())
+        with harness as server:
+            for number in ("NaN", "Infinity", "-Infinity", "1e999"):
+                for method, path, text in (
+                    ("POST", "/v1/cqa",
+                     '{"db": "d", "query": "Q(X) :- R(X, Y)", '
+                     f'"timeout_s": {number}}}'),
+                    ("PUT", "/v1/db/d",
+                     '{"relations": {"R": {"columns": ["A"], '
+                     f'"rows": [[{number}]]}}}}}}'),
+                ):
+                    conn = http.client.HTTPConnection(
+                        "127.0.0.1", server.port, timeout=30.0
+                    )
+                    try:
+                        conn.request(method, path, text)
+                        response = conn.getresponse()
+                        body = json.loads(response.read())
+                    finally:
+                        conn.close()
+                    assert response.status == 400, (number, body)
+                    assert body["error"].startswith("invalid JSON body: ")
+            assert harness.request("GET", "/v1/db")[1]["databases"] == {}
+
     def test_answers_that_mix_value_types_are_200(self):
         harness = self._harness(CQAService())
         with harness:
