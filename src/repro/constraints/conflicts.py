@@ -11,7 +11,16 @@ C-repairs are the complements of minimum hitting sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import BudgetExceededError, ConstraintError
 from ..logic.evaluation import Evaluator, _match_fact
@@ -306,9 +315,13 @@ class ConflictHypergraph:
         chosen: Set[str] = set()
 
         def branch(remaining: List[FrozenSet[str]]) -> Optional[list]:
-            """Enter a branch: emit *chosen* if it covers *remaining*,
-            else return the frame that tries each vertex of its
-            smallest uncovered edge: ``[uncovered, vertices, next]``."""
+            """Enter a branch: skip it when *chosen* holds a candidate
+            (it could yield only supersets), emit *chosen* if it covers
+            *remaining*, else return the frame that tries each vertex of
+            its smallest uncovered edge: ``[uncovered, vertices, next]``."""
+            if any(c <= chosen for c in candidates):
+                add("conflicts.superset_pruned")
+                return None
             add("conflicts.hitting_set_branches")
             budget_checkpoint()
             uncovered = [e for e in remaining if not (e & chosen)]
@@ -325,37 +338,11 @@ class ConflictHypergraph:
                 return None
             return [uncovered, sorted(min(uncovered, key=len)), 0]
 
-        def search() -> None:
-            # Depth-first over an explicit stack, one frame per covered
-            # edge, so a graph of many disjoint conflicts cannot exhaust
-            # the interpreter's recursion limit.  A frame's previous
-            # vertex leaves *chosen* once its subtree is done.
-            frame = branch(edges)
-            stack = [] if frame is None else [frame]
-            while stack:
-                frame = stack[-1]
-                uncovered, vertices, i = frame
-                if i:
-                    chosen.remove(vertices[i - 1])
-                if i == len(vertices):
-                    stack.pop()
-                    continue
-                frame[2] = i + 1
-                chosen.add(vertices[i])
-                # Skip branches provably yielding supersets of an
-                # existing candidate.
-                if any(c <= chosen for c in candidates):
-                    add("conflicts.superset_pruned")
-                    continue
-                frame = branch(uncovered)
-                if frame is not None:
-                    stack.append(frame)
-
         exhausted: Optional[BudgetExhaustion] = None
         with span("conflicts.minimal_hitting_sets"):
             with use_budget(budget):
                 try:
-                    search()
+                    hitting_set_search(branch, edges, chosen)
                 except _LimitReached:
                     exhausted = BudgetExhaustion.COUNT
                 except BudgetExceededError as exc:
@@ -425,6 +412,38 @@ class ConflictHypergraph:
                 "  conflict-free: " + ", ".join(label(t) for t in isolated)
             )
         return "\n".join(lines)
+
+
+def hitting_set_search(
+    branch: Callable[[List[FrozenSet[str]]], Optional[list]],
+    edges: List[FrozenSet[str]],
+    chosen: Set[str],
+) -> None:
+    """Depth-first search for hitting sets of *edges* over an explicit
+    stack, one frame per covered edge, so a graph of many disjoint
+    conflicts cannot exhaust the interpreter's recursion limit.
+
+    ``branch(remaining)`` enters the branch of the vertices in *chosen*,
+    with *remaining* the edges its parent left uncovered.  It returns
+    None for a leaf or a pruned branch, else the frame ``[uncovered,
+    vertices, 0]`` whose vertices are tried in turn: each joins *chosen*
+    for its subtree and leaves it once the subtree is done.
+    """
+    frame = branch(edges)
+    stack = [] if frame is None else [frame]
+    while stack:
+        frame = stack[-1]
+        uncovered, vertices, i = frame
+        if i:
+            chosen.remove(vertices[i - 1])
+        if i == len(vertices):
+            stack.pop()
+            continue
+        frame[2] = i + 1
+        chosen.add(vertices[i])
+        frame = branch(uncovered)
+        if frame is not None:
+            stack.append(frame)
 
 
 def _relations(ic: IntegrityConstraint) -> Optional[FrozenSet[str]]:

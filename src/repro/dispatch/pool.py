@@ -60,6 +60,17 @@ stale answer.  ``pool.warm.hits``, ``pool.warm.deltas`` and
 ``pool.warm.reused`` the statements that workers answered from their
 warm entry's memo (every result frame says how many, ``reused``).
 
+**Repeated answers.**  Each :class:`PoolWorker` keeps, per warm name,
+the answer set of the last keyed reply marked ``answers_kept: "new"``,
+as its worker does (see :func:`~repro.dispatch.worker.serve_loop`).  A
+reply marked ``"same"`` carries no rows, and ``run_engine`` answers
+with the handle's kept set: the same object on every repeat, so the
+server finds its rendering by identity.  A reply marked None drops the
+name's set, and so does a frame whose ``warm`` no longer lists the
+name.  A reply that refers to a set the handle does not hold is a
+:class:`WorkerCrashError`, like a protocol frame.  ``pool.answers.repeated``
+counts the replies answered by reference.
+
 When every worker is busy (or replacement spawns have not caught up),
 checkout fails *fast* with :class:`PoolSaturatedError` after
 ``grab_timeout_s`` instead of queueing — backpressure is the admission
@@ -158,6 +169,9 @@ class PoolWorker:
         self.rss_kb = 0
         #: The warm keys of its last frame, as ``{name: version}``.
         self.warm: Dict[str, int] = {}
+        #: Per warm name, the answer set its worker keeps too: the one
+        #: its last ``answers_kept: "new"`` reply carried.
+        self.answers: Dict[str, frozenset] = {}
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro.dispatch.worker", "--loop"],
             stdin=subprocess.PIPE,
@@ -227,7 +241,10 @@ class PoolWorker:
 
         A ``protocol`` error frame (a key-only job naming a key the
         worker does not hold) raises :class:`WorkerCrashError`: the two
-        sides disagree about the worker's state, so it must go.
+        sides disagree about the worker's state, so it must go.  So
+        does a reply that refers to an answer set this handle does not
+        hold.  A keyed reply's ``answers_kept`` settles the name's kept
+        answer set; one by reference gets it as its ``answers``.
         """
         self._send(pickle.dumps(job))
         frame = self._read_frame(deadline_s)
@@ -240,10 +257,27 @@ class PoolWorker:
         self.served = int(result.get("served", self.served))
         self.rss_kb = int(result.get("rss_kb", self.rss_kb))
         self.warm = dict(result.get("warm", ()))
+        for name in [n for n in self.answers if n not in self.warm]:
+            del self.answers[name]
         if result.get("kind") == "protocol":
             raise WorkerCrashError(
                 f"worker {self.pid} {result.get('message')}"
             )
+        key = job.get("instance_key")
+        if key is not None and result.get("ok"):
+            name = key[0]
+            mark = result.get("answers_kept")
+            if mark == "same":
+                if name not in self.answers:
+                    raise WorkerCrashError(
+                        f"worker {self.pid} referred to an answer set "
+                        f"of {name!r} it never sent"
+                    )
+                result["answers"] = self.answers[name]
+            elif mark == "new":
+                self.answers[name] = result["answers"]
+            else:
+                self.answers.pop(name, None)
         return result
 
     def ping(self, deadline_s: float) -> Dict[str, object]:
@@ -560,6 +594,8 @@ class WorkerPool:
         )
         if result.get("reused"):
             live_add("pool.warm.reused", int(result["reused"]))
+        if result.get("answers_kept") == "same":
+            live_add("pool.answers.repeated")
         self._check_in(worker)
         return unmarshal_answer(result)
 

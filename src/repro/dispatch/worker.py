@@ -39,7 +39,9 @@ Two entry points share one job/result schema:
   *delta* job), and the worker advances its instance and SQLite
   connection in place (see :func:`serve_loop`).  A warm entry answers
   a statement it already ran on its version from memory; ``reused``
-  in the response frame counts those.
+  in the response frame counts those.  A keyed reply whose answer set
+  equals the one the name's previous reply kept carries no rows, only
+  ``answers_kept: "same"``, and the parent answers with its own copy.
 * **one-shot** (:func:`child_main`, argument-less ``python -m
   repro.dispatch.worker``) — one job on stdin, one result on stdout,
   process exits; callable in-process for tests.
@@ -87,6 +89,7 @@ from ..observability.live import (
     request_scope,
     uninstall_live,
 )
+from ..relational.nulls import json_stable
 from ..relational.sqlbridge import KeptSqlite, keeping
 from ..runtime import Budget, use_budget
 
@@ -296,17 +299,22 @@ def _execute_job(job: Dict[str, object]) -> Dict[str, object]:
 class _WarmInstances:
     """A loop worker's warm state: per registered database name, the
     latest version a job carried, decoded, with its SQLite
-    materialization (built by the first statement that needs it) and
-    the memo of that version's answers."""
+    materialization (built by the first statement that needs it), the
+    memo of that version's answers, and the answer set of the name's
+    last successful reply when a repeat of it may go by reference
+    (:meth:`keep_answers`)."""
 
     def __init__(self) -> None:
-        # name -> (version, kept); insertion order is recency order.
-        self._entries: Dict[str, Tuple[int, KeptSqlite]] = {}
+        # name -> (version, kept, answer set or None); insertion order
+        # is recency order.
+        self._entries: Dict[
+            str, Tuple[int, KeptSqlite, Optional[frozenset]]
+        ] = {}
 
     def keys(self) -> List[Tuple[str, int]]:
         return [
             (name, version)
-            for name, (version, _) in self._entries.items()
+            for name, (version, _, _) in self._entries.items()
         ]
 
     def resolve(self, key: Tuple[str, int], steps: Sequence) -> KeptSqlite:
@@ -314,14 +322,18 @@ class _WarmInstances:
         or, given *steps*, the entry at the first step's base, advanced
         by them (``KeptSqlite.advance``) and re-keyed to *key*.
 
-        Raises ``LookupError`` when no entry matches.  If an advance
-        fails, its SQLite transaction has rolled back; the entry is
-        dropped and closed, and the error propagates.
+        Raises ``LookupError`` when no entry matches, and the name then
+        has none.  If an advance fails, its SQLite transaction has
+        rolled back; the entry is dropped and closed, and the error
+        propagates.
         """
         name, version = key
         base = steps[0][0] if steps else version
         entry = self._entries.get(name)
         if entry is None or entry[0] != base:
+            if entry is not None:
+                del self._entries[name]
+                entry[1].close()
             raise LookupError(f"holds no warm instance {(name, base)!r}")
         kept = entry[1]
         if steps:
@@ -332,16 +344,17 @@ class _WarmInstances:
             except BaseException:
                 kept.close()
                 raise
-            self._entries[name] = (version, kept)
+            self._entries[name] = (version, kept, entry[2])
         return kept
 
     def settle(
         self, key: Tuple[str, int], kept: KeptSqlite, ok: bool
     ) -> List[KeptSqlite]:
         """Record the outcome of a job that ran on *kept*: after a
-        success it becomes the name's entry; after any failure the name
-        has none.  Returns what no longer has an entry, for the caller
-        to close once the result frame is out."""
+        success it becomes the name's entry, with the name's answer
+        set; after any failure the name has none.  Returns what no
+        longer has an entry, for the caller to close once the result
+        frame is out."""
         name, version = key
         displaced = []
         old = self._entries.pop(name, None)
@@ -350,11 +363,33 @@ class _WarmInstances:
         if not ok:
             displaced.append(kept)
             return displaced
-        self._entries[name] = (version, kept)
+        self._entries[name] = (
+            version, kept, old[2] if old is not None else None
+        )
         while len(self._entries) > WARM_CAPACITY:
             oldest = next(iter(self._entries))
             displaced.append(self._entries.pop(oldest)[1])
         return displaced
+
+    def keep_answers(self, name: str, answers: frozenset) -> Optional[str]:
+        """Settle *name*'s answer set after a successful reply with
+        *answers*.  Returns ``"same"`` when they equal the set the name
+        keeps, which then goes by reference; ``"new"`` when the name
+        keeps them now; None when it keeps none.  A set is kept only if
+        it has no more rows than the entry's instance has facts and all
+        its values are :func:`json_stable`, for which equal means the
+        same values."""
+        version, kept, previous = self._entries[name]
+        if len(answers) > len(kept.db):
+            answers, mark = None, None
+        elif previous is not None and previous == answers:
+            answers, mark = previous, "same"
+        elif json_stable(answers):
+            mark = "new"
+        else:
+            answers, mark = None, None
+        self._entries[name] = (version, kept, answers)
+        return mark
 
 
 def child_main(stdin=None, stdout=None) -> int:
@@ -416,6 +451,17 @@ def serve_loop(stdin=None, stdout=None) -> int:
     so a key-only job repeating a statement gets its rows without
     running SQLite; a delta job's advance empties that memo first.
     Every job is still sent, run and answered.
+
+    **Repeated answers.**  An entry also keeps the answer set of the
+    name's last successful reply, when it has no more rows than the
+    entry's instance has facts and only :func:`json_stable` values.
+    Every successful keyed reply says in ``answers_kept`` what became of
+    its set: ``"new"``, the name keeps it now; ``"same"``, it equals the
+    kept one, and the reply's ``answers`` is None: the parent, which
+    keeps the set of the name's last ``"new"`` reply, answers with that
+    set; None, the name keeps no set.  The set lives as long as the
+    name's entry: a failed run, a failed resolve or an eviction drops
+    it with the entry, and the name leaves ``warm``.
 
     A malformed frame gets a structured error response; a truncated
     stream (parent died) ends the loop.  Never raises: a worker that
@@ -482,10 +528,14 @@ def serve_loop(stdin=None, stdout=None) -> int:
         with keeping(kept):
             result = _execute_job(job)
         reused = kept.reused - before if kept is not None else 0
-        displaced = (
-            warm.settle(key, kept, bool(result["ok"]))
-            if key is not None else []
-        )
+        displaced = []
+        if key is not None:
+            displaced = warm.settle(key, kept, bool(result["ok"]))
+            if result["ok"]:
+                mark = warm.keep_answers(key[0], result["answers"])
+                result["answers_kept"] = mark
+                if mark == "same":
+                    result["answers"] = None
         served += 1
         try:
             reply(result, reused)

@@ -7,9 +7,15 @@ comparison, or an equality — not even with another NULL.  This module
 provides the singleton marker; the *semantics* live in the query evaluator
 (:mod:`repro.logic.evaluation`) and the constraint checker, which both refuse
 to unify NULL with anything.
+
+:func:`json_stable` is the one home of the value rule under which equal
+answer sets hold the same values: the pool worker and the server both
+apply it before they let an answer set stand for an equal one.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 
 class NullType:
@@ -50,6 +56,19 @@ NULL = NullType()
 def is_null(value: object) -> bool:
     """Return True when *value* is the SQL null marker."""
     return isinstance(value, NullType)
+
+
+def json_stable(rows: Iterable[tuple]) -> bool:
+    """Whether equal row sets of these values are always the same values:
+    every value is a string, None or the NULL marker, so a set equal to
+    one of them holds the same types and renders alike.  Numbers are
+    not, since ``1 == 1.0 == True`` and ``0.0 == -0.0`` but each is its
+    own type and encodes its own way."""
+    return all(
+        value is None or isinstance(value, (str, NullType))
+        for row in rows
+        for value in row
+    )
 
 
 class LabeledNull:

@@ -13,10 +13,11 @@ pair of benchmark B3).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+import heapq
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..constraints.base import IntegrityConstraint, denial_class_only
-from ..constraints.conflicts import ConflictHypergraph
+from ..constraints.conflicts import ConflictHypergraph, hitting_set_search
 from ..errors import BudgetExceededError
 from ..observability import add, annotate, span
 from ..relational.database import Database
@@ -60,6 +61,7 @@ def c_repairs_partial(
     max_steps: Optional[int] = None,
     engine: str = "auto",
     budget: Optional[Budget] = None,
+    limit: Optional[int] = None,
 ) -> "Partial[List[Repair]]":
     """Anytime C-repair computation.
 
@@ -68,6 +70,11 @@ def c_repairs_partial(
     cardinality ``detail["distance_bound"]``, an upper bound on the true
     C-repair distance that a longer run might still undercut.  Only
     ``complete=True`` results are certified minimum.
+
+    *limit* bounds the repairs returned.  The branch-and-bound keeps at
+    most that many, the first it finds, and still runs to the end, so a
+    result truncated only by it (``exhausted`` is ``count``) holds
+    certified C-repairs.
     """
     if engine not in ("auto", "filter"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -77,10 +84,8 @@ def c_repairs_partial(
             with use_budget(budget):
                 try:
                     graph = ConflictHypergraph.build(db, constraints)
-                    hitting_sets = minimum_hitting_sets_branch_and_bound(
-                        graph
-                    )
-                    exhausted = None
+                    hitting_sets, more = _branch_and_bound(graph, limit)
+                    exhausted = BudgetExhaustion.COUNT if more else None
                 except BudgetExceededError as exc:
                     if budget is not None and budget.strict:
                         raise
@@ -103,13 +108,17 @@ def c_repairs_partial(
             db, constraints, max_steps=max_steps, budget=budget
         )
         repairs = sort_repairs(cardinality_minimal(all_s.value))
+        exhausted = all_s.exhausted
+        if limit is not None and len(repairs) > limit:
+            del repairs[limit:]
+            exhausted = exhausted or BudgetExhaustion.COUNT
         add("repairs.c_emitted", len(repairs))
-        if all_s.complete:
+        if exhausted is None:
             return Partial.done(repairs, budget)
         add("repairs.c_truncated")
         bound = min((r.size for r in repairs), default=None)
         return Partial.truncated(
-            repairs, all_s.exhausted, budget, distance_bound=bound
+            repairs, exhausted, budget, distance_bound=bound
         )
 
 
@@ -137,15 +146,28 @@ def minimum_hitting_sets_branch_and_bound(
     edge, prune branches whose size reaches the best complete solution
     found so far.  A greedy pass seeds the initial bound.
     """
+    return _branch_and_bound(graph, None)[0]
+
+
+def _branch_and_bound(
+    graph: ConflictHypergraph, limit: Optional[int]
+) -> Tuple[List[frozenset], bool]:
+    """The minimum hitting sets, at most *limit* of them (the first
+    found), and whether there were more."""
     edges = sorted(graph.edges, key=lambda e: (len(e), sorted(e)))
     if not edges:
-        return [frozenset()]
+        return [frozenset()], False
 
     best_size = _greedy_hitting_size(edges)
     solutions: Set[frozenset] = set()
+    more = False
+    chosen: Set[str] = set()
 
-    def branch(chosen: Set[str], remaining: List[frozenset]) -> None:
-        nonlocal best_size
+    def branch(remaining: List[frozenset]) -> Optional[list]:
+        """Enter a branch: record *chosen* if it covers *remaining*, or
+        prune it, else return the frame that tries each vertex of its
+        smallest uncovered edge: ``[uncovered, vertices, next]``."""
+        nonlocal best_size, more
         add("repairs.bb_branches")
         budget_checkpoint()
         uncovered = [e for e in remaining if not (e & chosen)]
@@ -154,39 +176,60 @@ def minimum_hitting_sets_branch_and_bound(
             if size < best_size:
                 best_size = size
                 solutions.clear()
+                more = False
             if size == best_size:
-                solutions.add(frozenset(chosen))
-            return
+                hitting = frozenset(chosen)
+                if limit is None or len(solutions) < limit:
+                    solutions.add(hitting)
+                elif hitting not in solutions:
+                    more = True
+            return None
         if len(chosen) + 1 > best_size:
             add("repairs.bb_pruned")
-            return
-        edge = min(uncovered, key=len)
-        for vertex in sorted(edge):
-            chosen.add(vertex)
-            branch(chosen, uncovered)
-            chosen.remove(vertex)
+            return None
+        return [uncovered, sorted(min(uncovered, key=len)), 0]
 
     try:
-        branch(set(), edges)
+        hitting_set_search(branch, edges, chosen)
     except BudgetExceededError as exc:
         # Anytime hand-off: the solutions found so far (all of size
         # ``best_size``, an upper bound on the optimum) ride along on
-        # the exception for c_repairs_partial to salvage.
-        exc.best_so_far = sorted(solutions, key=sorted)
+        # the exception for c_repairs_partial to salvage, unsorted:
+        # it orders the repairs, and a strict budget wants none.
+        exc.best_so_far = list(solutions)
         raise
-    return sorted(solutions, key=sorted)
+    return sorted(solutions, key=sorted), more
 
 
 def _greedy_hitting_size(edges: List[frozenset]) -> int:
-    """Size of a greedy (max-degree) hitting set: an upper bound."""
-    uncovered = list(edges)
-    chosen: Set[str] = set()
-    while uncovered:
-        degree: dict = {}
-        for e in uncovered:
-            for v in e:
-                degree[v] = degree.get(v, 0) + 1
-        vertex = max(sorted(degree), key=lambda v: degree[v])
-        chosen.add(vertex)
-        uncovered = [e for e in uncovered if vertex not in e]
-    return len(chosen)
+    """Size of a greedy (max-degree) hitting set: an upper bound.
+
+    Each step takes the vertex on the most uncovered edges, the least
+    such in sorted order.  Degrees only fall, so a heap of ``(-degree,
+    vertex)`` entries finds it: an entry whose degree is out of date is
+    skipped.  Each edge is covered once and costs a heap push per
+    vertex, where a recount per step passed over every uncovered edge:
+    quadratic in the number of disjoint conflicts."""
+    edges_of: Dict[str, List[int]] = {}
+    for index, edge in enumerate(edges):
+        for vertex in edge:
+            edges_of.setdefault(vertex, []).append(index)
+    degree = {vertex: len(ix) for vertex, ix in edges_of.items()}
+    heap = [(-d, vertex) for vertex, d in degree.items()]
+    heapq.heapify(heap)
+    covered = [False] * len(edges)
+    size = 0
+    while heap:
+        d, vertex = heapq.heappop(heap)
+        if -d != degree[vertex]:
+            continue
+        size += 1
+        for index in edges_of[vertex]:
+            if covered[index]:
+                continue
+            covered[index] = True
+            for other in edges[index]:
+                degree[other] -= 1
+                if degree[other]:
+                    heapq.heappush(heap, (-degree[other], other))
+    return size

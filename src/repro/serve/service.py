@@ -70,7 +70,7 @@ from ..dispatch import (
 )
 from ..dispatch.engines import SEMANTICS, Step
 from ..dispatch.pool import WorkerPool
-from ..errors import ReproError
+from ..errors import BudgetExceededError, ReproError
 from ..logic.parser import parse_query
 from ..measures.inconsistency import InconsistencyReport
 from ..observability import add
@@ -82,7 +82,7 @@ from ..observability.live import (
     request_scope,
 )
 from ..relational.database import Database, Fact, fact
-from ..relational.nulls import is_null
+from ..relational.nulls import is_null, json_stable
 from ..repairs import c_repairs_partial, s_repairs_partial
 from ..runtime import Budget, use_budget
 from .admission import AdmissionController, ShedError
@@ -90,7 +90,6 @@ from .replica import ReplicaClient, ReplicaConfig, StaleReadError
 from .specs import (
     PayloadError,
     RenderedRows,
-    json_stable,
     parse_constraints as _parse_constraints,
     parse_database as _parse_database,
     render_rows,
@@ -173,10 +172,12 @@ class _Renderings:
     __slots__ = ("_kept", "_rows")
 
     def __init__(self) -> None:
-        # answer set -> (that set, its rendering), least recently used
-        # first.  A hit re-inserts the kept set, not the equal one the
-        # read brought, so the kept objects stay put.
-        self._kept: Dict[frozenset, Tuple[frozenset, RenderedRows]] = {}
+        # answer set -> its rendering, least recently used first.  A hit
+        # re-inserts the rendering under the set the read brought: a
+        # pool worker's handle hands back one set object for every
+        # repeat of its answer (``PoolWorker.answers``), so the next
+        # repeat finds its key by identity, without comparing rows.
+        self._kept: Dict[frozenset, RenderedRows] = {}
         self._rows = 0
 
     def recall(
@@ -185,9 +186,9 @@ class _Renderings:
         found = self._kept.pop(answers, None)
         if found is None:
             return None
-        self._kept[found[0]] = found
+        self._kept[answers] = found
         self._trim(bound)
-        return found[1]
+        return found
 
     def keep(
         self, answers: frozenset, rendering: RenderedRows, bound: int
@@ -195,14 +196,14 @@ class _Renderings:
         cost = len(rendering) or 1
         if cost > bound or answers in self._kept:
             return
-        self._kept[answers] = (answers, rendering)
+        self._kept[answers] = rendering
         self._rows += cost
         self._trim(bound)
 
     def _trim(self, bound: int) -> None:
         kept = self._kept
         while self._rows > bound:
-            _, rendering = kept.pop(next(iter(kept)))
+            rendering = kept.pop(next(iter(kept)))
             self._rows -= len(rendering) or 1
 
 
@@ -1024,7 +1025,7 @@ class CQAService:
                 )
             elif semantics == "c":
                 partial = c_repairs_partial(
-                    db, constraints, budget=budget
+                    db, constraints, budget=budget, limit=limit
                 )
             else:
                 raise PayloadError(
@@ -1364,15 +1365,32 @@ class CQAService:
         live_add("serve.drains")
         emit_event("serve.drain", role=self._role)
 
-    # -- unbudgeted introspection endpoints ---------------------------
+    # -- introspection endpoints, outside admission -------------------
 
     def handle_report(self, name: str) -> Handled:
-        """GET /v1/db/<name>/report — inconsistency measures."""
+        """GET /v1/db/<name>/report — inconsistency measures, computed
+        under the admission policy's ``default_timeout_s``: a report
+        that runs out of it answers 503 ``budget-exhausted``."""
         with self._lock:
             found = self._databases.get(name)
         if found is None:
             return 404, {"error": f"no database {name!r}"}, _NO_HEADERS
-        report = InconsistencyReport.of(found.db, found.constraints)
+        timeout_s = self.admission.policy.default_timeout_s
+        try:
+            with use_budget(Budget(timeout=timeout_s, strict=True)):
+                report = InconsistencyReport.of(
+                    found.db, found.constraints
+                )
+        except BudgetExceededError as exc:
+            return 503, {
+                "error": "budget-exhausted",
+                "reason": str(exc.reason),
+                "budget_s": timeout_s,
+                "detail": (
+                    f"the report on {name!r} did not finish within "
+                    f"its {timeout_s:g}s budget"
+                ),
+            }, _NO_HEADERS
         ratio = report.violation_ratio
         return (
             200,

@@ -39,13 +39,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..errors import ReproError
 from ..logic.parser import parse_denial, parse_fd, parse_inclusion
 from ..relational.database import Database
-from ..relational.nulls import NullType, is_null
+from ..relational.nulls import is_null
 from ..relational.schema import RelationSchema, Schema
 
 __all__ = [
     "PayloadError",
     "RenderedRows",
-    "json_stable",
     "parse_constraints",
     "parse_database",
     "render_rows",
@@ -244,16 +243,4 @@ def render_rows(rows: Iterable[tuple]) -> RenderedRows:
         json.dumps(
             ordered, sort_keys=True, allow_nan=False, default=_null_as_none
         ),
-    )
-
-
-def json_stable(rows: Iterable[tuple]) -> bool:
-    """Whether equal row sets of these values always render alike: every
-    value is a string, None or the NULL marker.  Numbers are not, since
-    ``1 == 1.0 == True`` and ``0.0 == -0.0`` but each encodes its own
-    way."""
-    return all(
-        value is None or isinstance(value, (str, NullType))
-        for row in rows
-        for value in row
     )

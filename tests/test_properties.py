@@ -393,6 +393,110 @@ def test_explicit_stack_enumerates_like_the_recursion(edges, limit):
         assert run.counter(name) == reference_run.counter(name)
 
 
+def _rescanned_greedy_size(edges):
+    """``_greedy_hitting_size`` as it was: every step recounts the
+    degrees of all uncovered edges."""
+    uncovered = list(edges)
+    chosen = set()
+    while uncovered:
+        degree = {}
+        for e in uncovered:
+            for v in e:
+                degree[v] = degree.get(v, 0) + 1
+        vertex = max(sorted(degree), key=lambda v: degree[v])
+        chosen.add(vertex)
+        uncovered = [e for e in uncovered if vertex not in e]
+    return len(chosen)
+
+
+def _recursive_minimum_hitting_sets(graph):
+    """``minimum_hitting_sets_branch_and_bound`` as it was, one
+    recursion level per covered edge: the reference for the
+    explicit-stack search.  Raises the budget's error with the
+    solutions found so far as ``best_so_far``."""
+    from repro.errors import BudgetExceededError
+    from repro.observability import add
+    from repro.runtime import checkpoint
+
+    edges = sorted(graph.edges, key=lambda e: (len(e), sorted(e)))
+    if not edges:
+        return [frozenset()]
+    best_size = _rescanned_greedy_size(edges)
+    solutions = set()
+
+    def branch(chosen, remaining):
+        nonlocal best_size
+        add("repairs.bb_branches")
+        checkpoint()
+        uncovered = [e for e in remaining if not (e & chosen)]
+        if not uncovered:
+            size = len(chosen)
+            if size < best_size:
+                best_size = size
+                solutions.clear()
+            if size == best_size:
+                solutions.add(frozenset(chosen))
+            return
+        if len(chosen) + 1 > best_size:
+            add("repairs.bb_pruned")
+            return
+        edge = min(uncovered, key=len)
+        for vertex in sorted(edge):
+            chosen.add(vertex)
+            branch(chosen, uncovered)
+            chosen.remove(vertex)
+
+    try:
+        branch(set(), edges)
+    except BudgetExceededError as exc:
+        exc.best_so_far = sorted(solutions, key=sorted)
+        raise
+    return sorted(solutions, key=sorted)
+
+
+@given(
+    st.lists(st.frozensets(_TIDS, min_size=1, max_size=3), max_size=9),
+    st.one_of(st.none(), st.integers(1, 80)),
+)
+@settings(max_examples=300, deadline=None)
+def test_branch_and_bound_searches_like_the_recursion(edges, steps):
+    """Same minimum hitting sets in the same order, the same branch
+    and prune counts, and, under a step budget, the same checkpoint
+    that stops it with the same solutions found so far."""
+    from repro.errors import BudgetExceededError
+    from repro.observability import collect
+    from repro.repairs import minimum_hitting_sets_branch_and_bound
+    from repro.runtime import Budget, use_budget
+
+    graph = ConflictHypergraph(
+        frozenset(tid for edge in edges for tid in edge), frozenset(edges)
+    )
+
+    def run(search):
+        with collect() as collector:
+            with use_budget(Budget(max_steps=steps) if steps else None):
+                try:
+                    outcome = search(graph)
+                except BudgetExceededError as exc:
+                    outcome = ("stopped", set(exc.best_so_far))
+            return outcome, [
+                collector.counter(name)
+                for name in ("repairs.bb_branches", "repairs.bb_pruned")
+            ]
+
+    expected = run(_recursive_minimum_hitting_sets)
+    assert run(minimum_hitting_sets_branch_and_bound) == expected
+
+
+@given(st.lists(st.frozensets(_TIDS, min_size=1, max_size=4), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_greedy_bound_is_the_rescanned_one(edges):
+    from repro.repairs.crepairs import _greedy_hitting_size
+
+    edges = sorted(set(edges), key=lambda e: (len(e), sorted(e)))
+    assert _greedy_hitting_size(edges) == _rescanned_greedy_size(edges)
+
+
 # ----------------------------------------------------------------------
 # Key conflicts: the one-pass scan lists what the sorted scan listed
 # ----------------------------------------------------------------------

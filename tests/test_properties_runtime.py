@@ -134,6 +134,19 @@ def test_c_repairs_complete_results_are_exact(db, steps):
             assert repair.size == bound
 
 
+@settings(max_examples=40, deadline=None)
+@given(kv_databases(), st.integers(min_value=1, max_value=4))
+def test_c_repairs_limit_keeps_certified_repairs(db, limit):
+    full = _diffs(c_repairs(db, (FD,)))
+    for engine in ("auto", "filter"):
+        partial = c_repairs_partial(db, (FD,), engine=engine, limit=limit)
+        assert len(partial.value) == min(limit, len(full))
+        assert _diffs(partial.value) <= full
+        assert partial.complete == (len(full) <= limit)
+        if not partial.complete:
+            assert partial.exhausted == BudgetExhaustion.COUNT
+
+
 # ----------------------------------------------------------------------
 # Conflict hypergraph hitting sets
 # ----------------------------------------------------------------------

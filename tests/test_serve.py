@@ -960,3 +960,93 @@ class TestHttpBoundary:
             assert status == 200, body
             assert body["complete"] and body["engine"] == "fm-sql"
             assert body["answers"] == [[1], ["a"]]
+
+
+class TestConflictsAtScale:
+    """1,100 disjoint key conflicts, so 2^1100 C-repairs: more than any
+    budget enumerates, and deeper than the interpreter's recursion
+    limit."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        from .test_dispatch import _keyed_join
+
+        return _keyed_join(5500, 550)
+
+    def test_c_repairs_answer_certified_repairs_within_the_timeout(
+        self, big
+    ):
+        from repro.constraints import ConflictHypergraph
+        from repro.relational import Database, fact
+        from repro.repairs import is_c_repair
+
+        db, constraints = big
+        service = CQAService()
+        service.register_instance("big", db, constraints)
+        status, body, _ = service.handle_repairs({
+            "db": "big", "semantics": "c", "timeout_s": 0.5, "limit": 2,
+        })
+        assert status == 200, body
+        assert body["complete"] is False and body["outcome"] == "degraded"
+        assert 1 <= len(body["repairs"]) <= 2
+        # No edge crosses a conflict component, so a subinstance is a
+        # C-repair when it keeps every fact outside the components and
+        # its part of each component is a C-repair of that component.
+        # is_c_repair on the whole instance would enumerate all 2^1100
+        # C-repairs to learn the distance.
+        components = [
+            [db.fact_by_tid(tid) for tid in sorted(component)]
+            for component in ConflictHypergraph.build(
+                db, constraints
+            ).components()
+        ]
+        assert len(components) == 1100
+        conflicting = {f for component in components for f in component}
+        for repair in body["repairs"]:
+            assert repair["inserted"] == []
+            deleted = {fact(*row) for row in repair["deleted"]}
+            assert deleted <= conflicting
+            for component in components:
+                assert is_c_repair(
+                    Database.from_facts(component, db.schema),
+                    Database.from_facts(
+                        [f for f in component if f not in deleted],
+                        db.schema,
+                    ),
+                    constraints,
+                )
+
+    def test_a_report_past_its_budget_is_a_typed_503(self, big):
+        service = CQAService(
+            admission=AdmissionController(
+                TenantPolicy(default_timeout_s=0.5)
+            )
+        )
+        service.register_instance("big", *big)
+        service.register_db("emp", EMPLOYEE_SPEC)
+        with _ServerHarness(service, ServerConfig(port=0)) as server:
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=60.0
+            )
+            try:
+                conn.request("GET", "/v1/db/big/report")
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                assert response.status == 503, body
+                assert body == {
+                    "error": "budget-exhausted",
+                    "reason": "deadline",
+                    "budget_s": 0.5,
+                    "detail": "the report on 'big' did not finish "
+                    "within its 0.5s budget",
+                }
+                assert response.getheader("Connection") != "close"
+                # The connection stays open, and a small report is as
+                # it was.
+                conn.request("GET", "/v1/db/emp/report")
+                response = conn.getresponse()
+                body = json.loads(response.read())
+            finally:
+                conn.close()
+        assert response.status == 200
+        assert body["size"] == 4 and body["repair_distance"] == 1

@@ -236,6 +236,8 @@ def test_repeat_reads_hit_one_worker_and_a_write_costs_one_delta(
         assert collector.counter("pool.warm.hits") == 7
         # Each hit repeats the miss's one statement on the same version.
         assert collector.counter("pool.warm.reused") == 7
+        # And its answer set, which crossed the pipe as a reference.
+        assert collector.counter("pool.answers.repeated") == 7
         assert len({worker for worker, _ in sent_frames}) == 1
         status, _, _ = service.handle_mutate(
             "counts", {"delete": [["R", "a0", "b0"], ["R", "a0", "b1"]]}
@@ -249,12 +251,15 @@ def test_repeat_reads_hit_one_worker_and_a_write_costs_one_delta(
         assert collector.counter("pool.warm.hits") == 7
         # The delta's advance emptied the memo: SQLite ran again.
         assert collector.counter("pool.warm.reused") == 7
+        # Its answer set is new: it crossed with its rows.
+        assert collector.counter("pool.answers.repeated") == 7
         # The steps went to the worker holding the old version.
         assert len({worker for worker, _ in sent_frames}) == 1
         # The next hit reuses the new version's rows, not the old ones.
         assert _read(service, "counts")["answers"] == body["answers"]
         assert collector.counter("pool.warm.hits") == 8
         assert collector.counter("pool.warm.reused") == 8
+        assert collector.counter("pool.answers.repeated") == 8
 
 
 def test_each_block_of_writes_and_reads_costs_one_delta(
