@@ -20,10 +20,11 @@ empty head is a hard constraint; ``:~ body. [w@l]`` is a weak constraint.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import GroundingError
-from ..logic.formulas import Atom, Comparison, Var
+from ..logic.formulas import Atom, Comparison
+from ..logic.parser import TokenCursor
 from .syntax import AspProgram, AspRule, WeakConstraint
 
 _TOKEN = re.compile(
@@ -42,80 +43,17 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
-_COMPARISON_OPS = {"=", "!=", "<>", "<", "<=", ">", ">="}
 
-
-def _tokenize(text: str) -> List[str]:
-    # Strip % comments line by line.
-    lines = [line.split("%", 1)[0] for line in text.splitlines()]
-    text = "\n".join(lines)
-    tokens: List[str] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN.match(text, position)
-        if match is None:
-            if text[position:].strip():
-                raise GroundingError(
-                    f"cannot tokenize {text[position:position + 20]!r}"
-                )
-            break
-        tokens.append(match.group(1))
-        position = match.end()
-    return tokens
-
-
-class _AspParser:
+class _AspParser(TokenCursor):
     def __init__(self, text: str) -> None:
-        self._tokens = _tokenize(text)
-        self._index = 0
-
-    def peek(self) -> Optional[str]:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
-
-    def take(self, expected: Optional[str] = None) -> str:
-        token = self.peek()
-        if token is None:
-            raise GroundingError("unexpected end of program text")
-        if expected is not None and token != expected:
-            raise GroundingError(
-                f"expected {expected!r}, found {token!r}"
-            )
-        self._index += 1
-        return token
-
-    def done(self) -> bool:
-        return self._index >= len(self._tokens)
-
-    # ------------------------------------------------------------------
-
-    def term(self) -> object:
-        token = self.take()
-        if token.startswith(("'", '"')):
-            return token[1:-1]
-        if re.fullmatch(r"-?\d+", token):
-            return int(token)
-        if re.fullmatch(r"-?\d+\.\d+", token):
-            return float(token)
-        if token[0].isupper() or token[0] == "_":
-            return Var(token)
-        return token
+        # Strip % comments line by line.
+        lines = [line.split("%", 1)[0] for line in text.splitlines()]
+        super().__init__("\n".join(lines), _TOKEN, GroundingError)
 
     def atom(self) -> Atom:
-        name = self.take()
-        if not re.fullmatch(r"[a-zA-Z_][A-Za-z_0-9]*", name):
-            raise GroundingError(f"bad predicate name {name!r}")
-        terms: List[object] = []
-        if self.peek() == "(":
-            self.take("(")
-            if self.peek() != ")":
-                terms.append(self.term())
-                while self.peek() == ",":
-                    self.take(",")
-                    terms.append(self.term())
-            self.take(")")
-        return Atom(name, tuple(terms))
+        """An atom; a propositional one has no argument list."""
+        name = self.predicate()
+        return Atom(name, self.arguments() if self.peek() == "(" else ())
 
     def body(self) -> Tuple[Tuple[Atom, ...], Tuple[Atom, ...],
                             Tuple[Comparison, ...]]:
@@ -126,28 +64,10 @@ class _AspParser:
             if self.peek() == "not":
                 self.take("not")
                 negative.append(self.atom())
+            elif self.at_identifier(("(", ",", ".", None)):
+                positive.append(self.atom())
             else:
-                saved = self._index
-                first = self.take()
-                nxt = self.peek()
-                self._index = saved
-                is_atom = (
-                    re.fullmatch(r"[a-zA-Z_][A-Za-z_0-9]*", first)
-                    and nxt in ("(", ",", ".", None)
-                    and not (nxt in _COMPARISON_OPS)
-                )
-                if is_atom:
-                    positive.append(self.atom())
-                else:
-                    left = self.term()
-                    op = self.take()
-                    if op not in _COMPARISON_OPS:
-                        raise GroundingError(
-                            f"expected comparison operator, got {op!r}"
-                        )
-                    if op == "<>":
-                        op = "!="
-                    builtins.append(Comparison(op, left, self.term()))
+                builtins.append(self.comparison())
             if self.peek() == ",":
                 self.take(",")
                 continue

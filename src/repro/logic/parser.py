@@ -42,30 +42,36 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
 _COMPARISON_OPS = {"=", "!=", "<>", "<", "<=", ">", ">="}
 
 
-def _tokenize(text: str) -> List[str]:
-    tokens: List[str] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN.match(text, position)
-        if match is None:
-            if text[position:].strip():
-                raise QueryError(
-                    f"cannot tokenize {text[position:position + 20]!r}"
-                )
-            break
-        tokens.append(match.group(1))
-        position = match.end()
-    return tokens
+class TokenCursor:
+    """A recursive-descent parser's place in *text*, cut into tokens by
+    *pattern*, whose first group is the token; every syntax error is
+    raised as *error*.  Both text syntaxes read through it: this
+    module's, and the answer-set programs of :mod:`repro.asp.parser`,
+    which keep their own tokens, error class and statement rules."""
 
-
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self._tokens = _tokenize(text)
-        self._index = 0
+    def __init__(
+        self, text: str, pattern: re.Pattern = _TOKEN, error=QueryError
+    ) -> None:
         self._text = text
+        self._error = error
+        self._tokens: List[str] = []
+        self._index = 0
+        position = 0
+        while position < len(text):
+            match = pattern.match(text, position)
+            if match is None:
+                if text[position:].strip():
+                    raise error(
+                        f"cannot tokenize {text[position:position + 20]!r}"
+                    )
+                break
+            self._tokens.append(match.group(1))
+            position = match.end()
 
     def peek(self) -> Optional[str]:
         if self._index < len(self._tokens):
@@ -75,11 +81,11 @@ class _Parser:
     def take(self, expected: Optional[str] = None) -> str:
         token = self.peek()
         if token is None:
-            raise QueryError(
+            raise self._error(
                 f"unexpected end of input in {self._text!r}"
             )
         if expected is not None and token != expected:
-            raise QueryError(
+            raise self._error(
                 f"expected {expected!r}, found {token!r} in {self._text!r}"
             )
         self._index += 1
@@ -87,8 +93,6 @@ class _Parser:
 
     def done(self) -> bool:
         return self._index >= len(self._tokens)
-
-    # ------------------------------------------------------------------
 
     def term(self) -> object:
         token = self.take()
@@ -103,10 +107,14 @@ class _Parser:
         # Bare lowercase identifiers are string constants (Datalog style).
         return token
 
-    def atom(self) -> Atom:
+    def predicate(self) -> str:
         name = self.take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
-            raise QueryError(f"bad predicate name {name!r}")
+        if not _IDENTIFIER.fullmatch(name):
+            raise self._error(f"bad predicate name {name!r}")
+        return name
+
+    def arguments(self) -> Tuple[object, ...]:
+        """``(term, ...)``, possibly empty."""
         self.take("(")
         terms: List[object] = []
         if self.peek() != ")":
@@ -115,38 +123,50 @@ class _Parser:
                 self.take(",")
                 terms.append(self.term())
         self.take(")")
-        return Atom(name, tuple(terms))
+        return tuple(terms)
+
+    def comparison(self) -> Comparison:
+        """``term op term``, with ``<>`` read as ``!=``."""
+        left = self.term()
+        op = self.take()
+        if op not in _COMPARISON_OPS:
+            raise self._error(
+                f"expected a comparison operator, found {op!r}"
+            )
+        if op == "<>":
+            op = "!="
+        return Comparison(op, left, self.term())
+
+    def at_identifier(self, followers) -> bool:
+        """Whether the next token is an identifier and the one after it
+        is among *followers* (None: the end of input)."""
+        token = self.peek()
+        index = self._index + 1
+        after = self._tokens[index] if index < len(self._tokens) else None
+        return (
+            token is not None
+            and _IDENTIFIER.fullmatch(token) is not None
+            and after in followers
+        )
+
+
+class _Parser(TokenCursor):
+    def atom(self) -> Atom:
+        return Atom(self.predicate(), self.arguments())
 
     def body(self) -> Tuple[Tuple[Atom, ...], Tuple[Comparison, ...]]:
         atoms: List[Atom] = []
         comparisons: List[Comparison] = []
         while True:
-            self._body_item(atoms, comparisons)
-            if self.peek() == ",":
-                self.take(",")
-                continue
-            break
+            # Lookahead: ``ident (`` is an atom, otherwise a comparison.
+            if self.at_identifier(("(",)):
+                atoms.append(self.atom())
+            else:
+                comparisons.append(self.comparison())
+            if self.peek() != ",":
+                break
+            self.take(",")
         return tuple(atoms), tuple(comparisons)
-
-    def _body_item(self, atoms, comparisons) -> None:
-        # Lookahead: ``ident (`` is an atom, otherwise a comparison.
-        saved = self._index
-        first = self.take()
-        nxt = self.peek()
-        self._index = saved
-        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", first) and nxt == "(":
-            atoms.append(self.atom())
-            return
-        left = self.term()
-        op = self.take()
-        if op not in _COMPARISON_OPS:
-            raise QueryError(
-                f"expected a comparison operator, found {op!r}"
-            )
-        if op == "<>":
-            op = "!="
-        right = self.term()
-        comparisons.append(Comparison(op, left, right))
 
 
 def parse_query(text: str) -> ConjunctiveQuery:

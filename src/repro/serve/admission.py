@@ -21,11 +21,12 @@ controller here takes the first option, per tenant:
   working) is cut off for a cooldown, so one poisonous workload cannot
   grind the shared pool.
 
-Every rejection raises :class:`ShedError` with the HTTP status (429 for
-backpressure, 503 for the breaker) and a ``retry_after_s`` hint; the
-HTTP layer turns it into a well-formed shed response.  Admission
-decisions are deliberately cheap — one lock, no I/O — so the door stays
-fast exactly when the house is full.
+Every rejection raises :class:`ShedError`, a
+:class:`~repro.serve.specs.Refusal` that carries its well-formed shed
+response: the HTTP status (429 for backpressure, 503 for the breaker)
+and a ``retry_after_s`` hint.  Admission decisions are deliberately
+cheap — one lock, no I/O — so the door stays fast exactly when the
+house is full.
 """
 
 from __future__ import annotations
@@ -36,28 +37,39 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..dispatch.breaker import CircuitBreaker
-from ..errors import BudgetExceededError, ReproError
+from ..errors import BudgetExceededError
 from ..observability.live import emit_event, live_add, live_gauge
 from ..runtime import Budget
+from .specs import Refusal
 
 __all__ = ["AdmissionController", "ShedError", "Ticket", "TenantPolicy"]
 
 
-class ShedError(ReproError):
+class ShedError(Refusal):
     """The front door rejected a request (backpressure, not failure).
 
-    Carries everything the HTTP layer needs for a well-formed shed
-    response: the status code, a machine-readable reason, and the
-    Retry-After hint.
+    Its response is a well-formed shed: the status code, a
+    machine-readable reason, and the Retry-After hint (at least 0.1 s)
+    in the body and, in whole seconds, as the header.
     """
+
+    outcome = "shed"
 
     def __init__(
         self, reason: str, retry_after_s: float = 1.0, status: int = 429
     ) -> None:
-        super().__init__(reason)
         self.reason = reason
         self.retry_after_s = max(0.0, retry_after_s)
-        self.status = status
+        retry_after = max(0.1, self.retry_after_s)
+        super().__init__(
+            status,
+            {
+                "error": "shed",
+                "reason": reason,
+                "retry_after_s": round(retry_after, 3),
+            },
+            {"Retry-After": str(max(1, int(round(retry_after))))},
+        )
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ that would drag in a dependency.  A CQA answer arrives already encoded
 verbatim; a body that cannot be encoded is a 500 that closes the
 connection, never a dropped one.
 
-Endpoints (see README "Serving"):
+Endpoints (see README "Serving"), one entry each in the route table
+:data:`_ROUTES`:
 
 ====== ============================ =====================================
 GET    /healthz                     readiness (503 while recovering)
@@ -50,12 +51,12 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
-from ..observability.live import live_add, live_installed, live_plane
-from ..observability.live.expo import prometheus_text
+from ..observability.live import live_add
+from .admission import ShedError
 from .service import CQAService
-from .specs import RenderedRows
+from .specs import PayloadError, Refusal, RenderedRows
 
 __all__ = ["CQAHTTPServer", "ServerConfig"]
 
@@ -100,6 +101,96 @@ def _finite_float(text: str) -> float:
     if math.isinf(value):
         raise ValueError(f"{text} is out of a float's range")
     return value
+
+
+def _json_body(body: bytes) -> Dict[str, object]:
+    """The request body's JSON object; ``{}`` when it is empty."""
+    if not body:
+        return {}
+    try:
+        # No NaN or infinity: the server could never send one back.
+        payload = json.loads(
+            body.decode("utf-8"),
+            parse_constant=_reject_constant,
+            parse_float=_finite_float,
+        )
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        raise PayloadError(f"invalid JSON body: {exc}") from None
+    if not isinstance(payload, dict):
+        raise PayloadError("JSON body must be an object")
+    return payload
+
+
+@dataclass(frozen=True)
+class _Route:
+    """One route: the name of the service handler it calls, looked up
+    on the service at each call (so a handler patched on its class is
+    the one called), and how the server calls it."""
+
+    handler: str
+    #: Read the body as a JSON object: the handler's last argument.
+    body: bool = False
+    #: Run on the handler executor: the handler may block on
+    #: admission, a pipe, SQLite, a long poll, an fsync or a compaction.
+    offload: bool = False
+    #: Shed with 429 ``server-busy`` while every handler thread is busy.
+    valve: bool = False
+
+
+#: Method and path shape -> route.  A ``*`` in a shape stands for a
+#: database name, the handler's first argument: whatever the path holds
+#: between the shape's text before and after it.
+_ROUTES: Dict[Tuple[str, str], _Route] = {
+    ("POST", "/v1/cqa"): _Route(
+        "handle_cqa", body=True, offload=True, valve=True
+    ),
+    ("POST", "/v1/repairs"): _Route(
+        "handle_repairs", body=True, offload=True, valve=True
+    ),
+    ("GET", "/healthz"): _Route("health"),
+    ("GET", "/status"): _Route("handle_status"),
+    ("GET", "/metrics"): _Route("handle_metrics"),
+    ("GET", "/v1/db"): _Route("list_dbs"),
+    ("GET", "/v1/db/*/report"): _Route("handle_report", offload=True),
+    ("POST", "/v1/db/*/mutate"): _Route(
+        "handle_mutate", body=True, offload=True
+    ),
+    ("PUT", "/v1/db/*"): _Route("register_db", body=True, offload=True),
+    ("DELETE", "/v1/db/*"): _Route("remove_db", offload=True),
+    ("GET", "/v1/replica/status"): _Route("handle_replica_status"),
+    ("POST", "/v1/replica/pull"): _Route(
+        "handle_replica_pull", body=True, offload=True
+    ),
+    ("POST", "/v1/replica/promote"): _Route(
+        "handle_replica_promote", body=True, offload=True
+    ),
+    ("POST", "/v1/replica/fence"): _Route(
+        "handle_replica_fence", body=True, offload=True
+    ),
+}
+
+
+def _route_of(method: str, path: str) -> Tuple[_Route, Tuple[str, ...]]:
+    """The route of *method* on *path*, with the database name the
+    path gives its shape's ``*``.  A path under ``/v1/db/`` or
+    ``/v1/replica/`` that no route of *method* takes is refused with
+    405, any other with 404."""
+    for (route_method, shape), route in _ROUTES.items():
+        if route_method != method:
+            continue
+        head, star, tail = shape.partition("*")
+        if not star:
+            if path == shape:
+                return route, ()
+        elif (
+            path.startswith(head)
+            and path.endswith(tail)
+            and len(path) >= len(head) + len(tail)
+        ):
+            return route, (path[len(head):len(path) - len(tail)],)
+    if path.startswith(("/v1/db/", "/v1/replica/")):
+        raise Refusal(405, {"error": f"{method} not allowed"})
+    raise Refusal(404, {"error": f"no route {method} {path}"})
 
 
 @dataclass(frozen=True)
@@ -191,14 +282,14 @@ class CQAHTTPServer:
                     )
                 except asyncio.TimeoutError:
                     break
-                if request is None:  # clean EOF between requests
-                    break
-                method, path, headers, body, parse_error = request
-                if parse_error is not None:
+                except PayloadError as refusal:
                     await self._respond(
-                        writer, 400, {"error": parse_error}, close=True
+                        writer, refusal.status, refusal.body, close=True
                     )
                     break
+                if request is None:  # clean EOF between requests
+                    break
+                method, path, headers, body = request
                 try:
                     status, payload, extra, keep_alive = await self._route(
                         method, path, headers, body
@@ -226,8 +317,9 @@ class CQAHTTPServer:
                 pass
 
     async def _read_request(self, reader):
-        """Parse one request; None on EOF, or a tuple whose last slot
-        carries a parse-error message for a 400."""
+        """Parse one request: ``(method, path, headers, body)``, None on
+        EOF; a request that cannot be read is a :class:`PayloadError`,
+        answered with a 400 that closes the connection."""
         line = await reader.readline()
         if not line:
             return None
@@ -236,12 +328,12 @@ class CQAHTTPServer:
                 line.decode("latin-1").strip().split(" ", 2)
             )
         except ValueError:
-            return "", "", {}, b"", "malformed request line"
+            raise PayloadError("malformed request line") from None
         headers: Dict[str, str] = {}
         while True:
             line = await reader.readline()
             if not line:
-                return "", "", {}, b"", "truncated headers"
+                raise PayloadError("truncated headers")
             text = line.decode("latin-1").strip()
             if not text:
                 break
@@ -251,138 +343,50 @@ class CQAHTTPServer:
         try:
             length = int(length_text)
         except ValueError:
-            return method, path, headers, b"", "bad Content-Length"
+            raise PayloadError("bad Content-Length") from None
         if length > self.config.max_body_bytes:
-            return method, path, headers, b"", "body too large"
+            raise PayloadError("body too large")
         body = b""
         if length:
             try:
                 body = await reader.readexactly(length)
             except asyncio.IncompleteReadError:
-                return method, path, headers, b"", "truncated body"
-        return method, path, headers, body, None
+                raise PayloadError("truncated body") from None
+        return method, path, headers, body
 
     # -- routing -------------------------------------------------------
 
     async def _route(
         self, method: str, path: str, headers, body: bytes
-    ) -> Tuple[int, Dict[str, object], Dict[str, str], bool]:
+    ) -> Tuple[int, Union[Dict[str, object], str], Dict[str, str], bool]:
         keep_alive = (
             headers.get("connection", "keep-alive").lower() != "close"
             and not self._stopping
         )
-        path = path.split("?", 1)[0]
-        if method == "GET" and path == "/healthz":
-            status, payload, extra = self.service.health()
-            return status, payload, extra, keep_alive
-        if method == "GET" and path == "/status":
-            return 200, self._status_doc(), {}, keep_alive
-        if method == "GET" and path == "/metrics":
-            doc = prometheus_text(self._status_doc())
-            return (
-                200,
-                {"__raw__": doc, "__content_type__": "text/plain"},
-                {},
-                keep_alive,
-            )
-        if method == "GET" and path == "/v1/db":
-            status, payload, extra = self.service.list_dbs()
-            return status, payload, extra, keep_alive
-        if path.startswith("/v1/db/"):
-            rest = path[len("/v1/db/"):]
-            if method == "GET" and rest.endswith("/report"):
-                name = rest[: -len("/report")]
-                status, payload, extra = await self._offload(
-                    self.service.handle_report, name
-                )
-                return status, payload, extra, keep_alive
-            # Offloaded: an append may block on fsync, and a PUT also
-            # parses the whole spec and may compact the store.
-            if method == "POST" and rest.endswith("/mutate"):
-                name = rest[: -len("/mutate")]
-                payload_obj, error = self._parse_json(body)
-                if error:
-                    return 400, {"error": error}, {}, keep_alive
-                status, payload, extra = await self._offload(
-                    self.service.handle_mutate, name, payload_obj
-                )
-                return status, payload, extra, keep_alive
-            if method == "PUT":
-                payload_obj, error = self._parse_json(body)
-                if error:
-                    return 400, {"error": error}, {}, keep_alive
-                status, payload, extra = await self._offload(
-                    self.service.register_db, rest, payload_obj
-                )
-                return status, payload, extra, keep_alive
-            if method == "DELETE":
-                status, payload, extra = await self._offload(
-                    self.service.remove_db, rest
-                )
-                return status, payload, extra, keep_alive
-            return 405, {"error": f"{method} not allowed"}, {}, keep_alive
-        if path.startswith("/v1/replica/"):
-            action = path[len("/v1/replica/"):]
-            if method == "GET" and action == "status":
-                status, payload, extra = (
-                    self.service.handle_replica_status()
-                )
-                return status, payload, extra, keep_alive
-            if method == "POST" and action in (
-                "pull", "promote", "fence"
-            ):
-                payload_obj, error = self._parse_json(body)
-                if error:
-                    return 400, {"error": error}, {}, keep_alive
-                handler = {
-                    # Offloaded: pull long-polls, promote fsyncs.
-                    "pull": self.service.handle_replica_pull,
-                    "promote": self.service.handle_replica_promote,
-                    "fence": self.service.handle_replica_fence,
-                }[action]
-                status, payload, extra = await self._offload(
-                    handler, payload_obj
-                )
-                return status, payload, extra, keep_alive
-            return 405, {"error": f"{method} not allowed"}, {}, keep_alive
-        if method == "POST" and path in ("/v1/cqa", "/v1/repairs"):
-            payload_obj, error = self._parse_json(body)
-            if error:
-                return 400, {"error": error}, {}, keep_alive
-            handler = (
-                self.service.handle_cqa
-                if path == "/v1/cqa"
-                else self.service.handle_repairs
-            )
-            if self._inflight >= self.config.max_inflight:
+        try:
+            route, args = _route_of(method, path.split("?", 1)[0])
+            if route.body:
+                args += (_json_body(body),)
+            if route.valve and self._inflight >= self.config.max_inflight:
                 # Server-level valve: all handler threads busy.  Shed
-                # with the same well-formed shape admission uses, and
-                # a Retry-After derived from the admission
-                # controller's backlog estimate (echoed verbatim in
-                # the body so clients and proxies agree).
+                # with admission's shape and a Retry-After from the
+                # admission controller's backlog estimate.
                 live_add("serve.requests")
                 live_add("serve.requests.shed")
                 live_add("serve.shed.server-busy")
-                retry_after = self.service.admission.retry_after_hint()
-                return (
-                    429,
-                    {
-                        "error": "shed",
-                        "reason": "server-busy",
-                        "retry_after_s": round(retry_after, 3),
-                    },
-                    {
-                        "Retry-After": str(
-                            max(1, int(round(retry_after)))
-                        ),
-                    },
-                    keep_alive,
+                raise ShedError(
+                    "server-busy", self.service.admission.retry_after_hint()
                 )
-            status, payload, extra = await self._offload(
-                handler, payload_obj
+            handler = getattr(self.service, route.handler)
+            if route.offload:
+                status, payload, extra = await self._offload(handler, *args)
+            else:
+                status, payload, extra = handler(*args)
+        except Refusal as refusal:
+            status, payload, extra = (
+                refusal.status, refusal.body, refusal.headers
             )
-            return status, payload, extra, keep_alive
-        return 404, {"error": f"no route {method} {path}"}, {}, keep_alive
+        return status, payload, extra, keep_alive
 
     async def _offload(self, handler, *args):
         """Run a blocking handler on the executor, tracking in-flight."""
@@ -395,53 +399,20 @@ class CQAHTTPServer:
         finally:
             self._inflight -= 1
 
-    def _status_doc(self) -> Dict[str, object]:
-        if live_installed():
-            doc = dict(live_plane().status())
-        else:
-            doc = {"schema": None, "note": "live telemetry not installed"}
-        doc["phase"] = self.service.phase
-        doc["role"] = self.service.role
-        if self.service.store is not None:
-            # Snapshot age, WAL length, last-compaction stats — the
-            # operator's durability dashboard.
-            doc["store"] = self.service.store.stats()
-            doc["replication"] = self.service.replication()
-        return doc
-
-    @staticmethod
-    def _parse_json(body: bytes):
-        if not body:
-            return {}, None
-        try:
-            # No NaN or infinity: the server could never send one back.
-            payload = json.loads(
-                body.decode("utf-8"),
-                parse_constant=_reject_constant,
-                parse_float=_finite_float,
-            )
-        except (UnicodeDecodeError, ValueError) as exc:
-            return None, f"invalid JSON body: {exc}"
-        if not isinstance(payload, dict):
-            return None, "JSON body must be an object"
-        return payload, None
-
     async def _respond(
         self,
         writer,
         status: int,
-        payload: Dict[str, object],
+        payload: Union[Dict[str, object], str],
         extra_headers: Optional[Dict[str, str]] = None,
         close: bool = False,
     ) -> bool:
-        """Write one response; True when the connection must close.  A
-        body that cannot be encoded gets the handler firewall's 500 and
-        closes the connection."""
-        if "__raw__" in payload:
-            body = str(payload["__raw__"]).encode("utf-8")
-            content_type = str(
-                payload.get("__content_type__", "text/plain")
-            )
+        """Write one response, a JSON object or text; True when the
+        connection must close.  A body that cannot be encoded gets the
+        handler firewall's 500 and closes the connection."""
+        if isinstance(payload, str):
+            body = payload.encode("utf-8")
+            content_type = "text/plain"
         else:
             try:
                 text = _json_text(payload)

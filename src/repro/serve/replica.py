@@ -22,7 +22,8 @@ protocol is a pure idempotent fetch.
 carrying ``min_lsn`` that the local state cannot satisfy within its
 wait budget, or a replica whose feed has been silent past
 ``max_stale_s``, sheds with a typed 503 pointing at the primary rather
-than serving an answer it knows may be stale.
+than serving an answer it knows may be stale.  It is a
+:class:`~repro.serve.specs.Refusal` that carries that response.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..errors import ReproError
 from ..observability.live import emit_event, live_add, live_gauge
+from .specs import Refusal
 from .store import StoreCorruptionError, StoreWriteError
 
 __all__ = ["ReplicaClient", "ReplicaConfig", "StaleReadError"]
@@ -77,8 +78,12 @@ def json_request(
         connection.close()
 
 
-class StaleReadError(ReproError):
-    """A lag-bounded read the local replica state cannot honour."""
+class StaleReadError(Refusal):
+    """A lag-bounded read the local replica state cannot honour: a
+    503 whose body says why, how far this replica got and where the
+    primary is."""
+
+    outcome = "stale"
 
     def __init__(
         self,
@@ -90,13 +95,24 @@ class StaleReadError(ReproError):
         primary_url: Optional[str] = None,
         retry_after_s: float = 1.0,
     ) -> None:
-        super().__init__(reason)
-        self.reason = reason
-        self.min_lsn = min_lsn
-        self.as_of_lsn = as_of_lsn
-        self.stale_s = stale_s
-        self.primary_url = primary_url
-        self.retry_after_s = max(0.1, retry_after_s)
+        retry_after_s = max(0.1, retry_after_s)
+        body: Dict[str, object] = {
+            "error": "stale-read",
+            "reason": reason,
+            "as_of_lsn": as_of_lsn,
+            "retry_after_s": round(retry_after_s, 3),
+        }
+        if min_lsn is not None:
+            body["min_lsn"] = min_lsn
+        if stale_s is not None:
+            body["stale_s"] = round(stale_s, 3)
+        if primary_url:
+            body["primary_url"] = primary_url
+        super().__init__(
+            503,
+            body,
+            {"Retry-After": str(max(1, int(round(retry_after_s))))},
+        )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,13 @@ state lives across requests) over an optional warm
 Handlers take a parsed JSON payload and return ``(status, body,
 headers)`` — plain data, callable from the asyncio server's executor
 threads, from tests, or from a future transport.  All are thread-safe.
+Each declares its gates once (:func:`_handler`), and refuses a request
+by raising a :class:`~repro.serve.specs.Refusal` (a store write that
+fails raises :class:`StoreWriteError`, which the declaration maps to
+one).  A refusal becomes ``(status, body, headers)`` in one place per
+kind of handler: the declaration for the plain handlers, and
+:meth:`CQAService._serve_request` for the budgeted ones, which also
+stamp the request id and count it.
 
 The soundness contract under overload mirrors the ladder's: when the
 worker pool reports no idle capacity, the CQA path does not queue
@@ -54,11 +61,11 @@ while in-flight and straggler requests still complete).
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 import threading
 import time
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..dispatch import (
     CQARequest,
@@ -78,9 +85,12 @@ from ..observability.live import (
     emit_event,
     live_add,
     live_gauge,
+    live_installed,
     live_observe,
+    live_plane,
     request_scope,
 )
+from ..observability.live.expo import prometheus_text
 from ..relational.database import Database, Fact, fact
 from ..relational.nulls import is_null, json_stable
 from ..repairs import c_repairs_partial, s_repairs_partial
@@ -89,13 +99,17 @@ from .admission import AdmissionController, ShedError
 from .replica import ReplicaClient, ReplicaConfig, StaleReadError
 from .specs import (
     PayloadError,
+    Refusal,
     RenderedRows,
+    delta_field,
+    int_field,
+    number_field,
     parse_constraints as _parse_constraints,
     parse_database as _parse_database,
     render_rows,
-    require_json_scalars,
     sorted_rows,
     spec_of_instance,
+    string_field,
 )
 from .store import (
     FencedError,
@@ -106,7 +120,9 @@ from .store import (
 
 __all__ = ["CQAService", "PayloadError"]
 
-Handled = Tuple[int, Dict[str, object], Dict[str, str]]
+#: A handler's answer: status, body (a JSON object, or the text of
+#: ``/metrics``) and headers.
+Handled = Tuple[int, Union[Dict[str, object], str], Dict[str, str]]
 
 #: Mutation steps a registry entry keeps: a worker holding a version at
 #: most this many writes old gets the steps instead of the instance.
@@ -207,52 +223,6 @@ class _Renderings:
             self._rows -= len(rendering) or 1
 
 
-def _int_field(
-    payload: Dict[str, object], name: str, minimum: int,
-    required: bool = False,
-) -> Optional[int]:
-    """The payload's integer *name*, at least *minimum*; None when it
-    is absent and not *required*.  JSON ``true`` and ``false`` are not
-    integers, though Python's bool is an int."""
-    value = payload.get(name)
-    if value is None and not required:
-        return None
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or value < minimum
-    ):
-        sign = "positive" if minimum > 0 else "non-negative"
-        raise PayloadError(f"'{name}' must be a {sign} integer")
-    return value
-
-
-def _tenant_field(payload: Dict[str, object]) -> str:
-    """The payload's ``tenant``: a string, ``default`` when absent or
-    empty."""
-    tenant = payload.get("tenant")
-    if tenant is not None and not isinstance(tenant, str):
-        raise PayloadError("'tenant' must be a string")
-    return tenant or "default"
-
-
-def _timeout_field(payload: Dict[str, object]) -> Optional[float]:
-    """The payload's ``timeout_s`` in seconds: absent, or a number that
-    a float holds (not NaN, not an integer past float range)."""
-    value = payload.get("timeout_s")
-    if value is None:
-        return None
-    seconds = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            seconds = float(value)
-        except OverflowError:
-            pass
-    if math.isnan(seconds):
-        raise PayloadError("'timeout_s' must be a number")
-    return seconds
-
-
 def _serialize_repair(repair) -> Dict[str, List[List[object]]]:
     def facts(fact_set) -> List[List[object]]:
         # A repair may insert NULL (an inclusion dependency's witness):
@@ -268,6 +238,33 @@ def _serialize_repair(repair) -> Dict[str, List[List[object]]]:
         "deleted": facts(repair.deleted),
         "inserted": facts(repair.inserted),
     }
+
+
+def _handler(*gates: str):
+    """Declare a public handler and the gates it takes, checked in the
+    order given before it runs (:meth:`CQAService._gate`).  Every
+    :class:`Refusal` the gates or the handler raise, and every store
+    write it could not make durable, is answered as its ``(status,
+    body, headers)``."""
+
+    assert set(gates) <= {"store", "recovered", "ready", "primary"}, gates
+
+    def declare(method):
+        @functools.wraps(method)
+        def handle(self, *args, **kwargs) -> Handled:
+            try:
+                for gate in gates:
+                    self._gate(gate)
+                return method(self, *args, **kwargs)
+            except StoreWriteError as exc:
+                refusal = self._store_refusal(exc)
+            except Refusal as exc:
+                refusal = exc
+            return refusal.status, refusal.body, refusal.headers
+
+        return handle
+
+    return declare
 
 
 class CQAService:
@@ -363,78 +360,77 @@ class CQAService:
             "elapsed_s": recovered.elapsed_s,
         }
 
-    def _not_ready(self) -> Optional[Handled]:
-        # Draining still serves: the 503 lives on /healthz so load
-        # balancers stop *routing*, while stragglers complete.
-        if self._phase in ("ready", "draining"):
-            return None
-        live_add("serve.requests.not_ready")
-        return (
-            503,
-            {"error": "not ready", "phase": self._phase},
-            {"Retry-After": "1"},
-        )
+    def _gate(self, gate: str) -> None:
+        """Raise the refusal of *gate* while it is shut.
 
-    def _not_primary(self) -> Optional[Handled]:
-        """403 every mutation on a node that may not ack writes."""
-        if self._role == "primary":
-            return None
-        live_add("serve.requests.not_primary")
-        body: Dict[str, object] = {
-            "error": "not-primary",
-            "role": self._role,
-        }
-        if self._primary_url:
-            body["primary_url"] = self._primary_url
-        return 403, body, _NO_HEADERS
+        * ``store`` — shut without a durable store (400);
+        * ``recovered`` — shut while the registry is being recovered
+          (503 ``not ready``, ``Retry-After: 1``);
+        * ``ready`` — shut while recovering or catching up: draining
+          still serves, since its 503 lives on ``/healthz`` so load
+          balancers stop *routing* while stragglers complete;
+        * ``primary`` — shut on a node that may not ack writes (403
+          ``not-primary``, with the primary's URL when known).
+        """
+        phase = self._phase
+        if gate == "store" and self.store is None:
+            raise Refusal(
+                400, {"error": "replication requires a durable store"}
+            )
+        if phase == "recovering" and gate in ("recovered", "ready") or (
+            phase == "catching-up" and gate == "ready"
+        ):
+            live_add("serve.requests.not_ready")
+            raise Refusal(
+                503,
+                {"error": "not ready", "phase": phase},
+                {"Retry-After": "1"},
+            )
+        if gate == "primary" and self._role != "primary":
+            live_add("serve.requests.not_primary")
+            body: Dict[str, object] = {
+                "error": "not-primary",
+                "role": self._role,
+            }
+            if self._primary_url:
+                body["primary_url"] = self._primary_url
+            raise Refusal(403, body)
 
-    def _no_store(self) -> Optional[Handled]:
-        """400 every replica-plane request on a node without a store."""
-        if self.store is not None:
-            return None
-        body = {"error": "replication requires a durable store"}
-        return 400, body, _NO_HEADERS
-
-    def _store_unavailable(self, exc: StoreWriteError) -> Handled:
+    def _store_refusal(self, exc: StoreWriteError) -> Refusal:
+        """The refusal of a write the store could not make durable."""
         if isinstance(exc, FencedError):
             # Race window: the store latched between our role gate and
             # the append.  The epoch check is the authority — refuse
             # like any other demoted primary.
             live_add("serve.requests.not_primary")
-            return (
-                403,
-                {
-                    "error": "not-primary",
-                    "role": self._role,
-                    "reason": "fenced",
-                    "detail": str(exc),
-                },
-                _NO_HEADERS,
-            )
-        live_add("serve.store_unavailable")
-        return (
-            503,
-            {
-                "error": "store-unavailable",
+            return Refusal(403, {
+                "error": "not-primary",
+                "role": self._role,
+                "reason": "fenced",
                 "detail": str(exc),
-                "phase": self._phase,
-            },
-            _NO_HEADERS,
-        )
+            })
+        live_add("serve.store_unavailable")
+        return Refusal(503, {
+            "error": "store-unavailable",
+            "detail": str(exc),
+            "phase": self._phase,
+        })
+
+    def _registered(self, name: str) -> Entry:
+        """The registry entry of *name*, or a 404 (under the registry
+        lock)."""
+        found = self._databases.get(name)
+        if found is None:
+            raise Refusal(404, {"error": f"no database {name!r}"})
+        return found
 
     # -- database registry --------------------------------------------
 
+    @_handler("ready", "primary")
     def register_db(self, name: str, spec: Dict[str, object]) -> Handled:
-        gate = self._not_ready() or self._not_primary()
-        if gate is not None:
-            return gate
         if not name or "/" in name:
-            return self._bad_request(f"invalid database name {name!r}")
-        record = {"op": "put_db", "db": name, "spec": spec}
-        try:
-            entry = self._entry_after(record)
-        except ReproError as exc:
-            return self._bad_request(str(exc))
+            raise PayloadError(f"invalid database name {name!r}")
+        entry = _spec_entry(spec)
         body: Dict[str, object] = {
             "db": name,
             "facts": len(entry.db),
@@ -442,10 +438,7 @@ class CQAService:
         }
         with self._lock:
             if self.store is not None:
-                try:
-                    body["lsn"] = self.store.append_put_db(name, spec)
-                except StoreWriteError as exc:
-                    return self._store_unavailable(exc)
+                body["lsn"] = self.store.append_put_db(name, spec)
             self._databases[name] = entry
         add("serve.db_registered")
         return 200, body, _NO_HEADERS
@@ -473,23 +466,13 @@ class CQAService:
             self._databases[name] = _entry(db, constraints)
         add("serve.db_registered")
 
+    @_handler("ready", "primary")
     def remove_db(self, name: str) -> Handled:
-        gate = self._not_ready() or self._not_primary()
-        if gate is not None:
-            return gate
         body: Dict[str, object] = {"db": name, "removed": True}
         with self._lock:
-            if name not in self._databases:
-                return (
-                    404,
-                    {"error": f"no database {name!r}"},
-                    _NO_HEADERS,
-                )
+            self._registered(name)
             if self.store is not None:
-                try:
-                    body["lsn"] = self.store.append_del_db(name)
-                except StoreWriteError as exc:
-                    return self._store_unavailable(exc)
+                body["lsn"] = self.store.append_del_db(name)
             self._forget(name)
         return 200, body, _NO_HEADERS
 
@@ -507,6 +490,7 @@ class CQAService:
         with self._render_lock:
             self._renderings.clear()
 
+    @_handler("ready", "primary")
     def handle_mutate(
         self, name: str, payload: Dict[str, object]
     ) -> Handled:
@@ -519,16 +503,10 @@ class CQAService:
         assigned ``lsn``: a client that saw it is entitled to find the
         delta present after any crash.
         """
-        gate = self._not_ready() or self._not_primary()
-        if gate is not None:
-            return gate
-        try:
-            deletes = self._parse_delta(payload, "delete")
-            inserts = self._parse_delta(payload, "insert")
-        except PayloadError as exc:
-            return self._bad_request(str(exc))
+        deletes = delta_field(payload, "delete")
+        inserts = delta_field(payload, "insert")
         if not deletes and not inserts:
-            return self._bad_request(
+            raise PayloadError(
                 "payload needs a non-empty 'insert' or 'delete' list"
             )
         record = {
@@ -536,35 +514,23 @@ class CQAService:
         }
         body: Dict[str, object] = {"db": name}
         with self._lock:
-            found = self._databases.get(name)
-            if found is None:
-                return (
-                    404,
-                    {"error": f"no database {name!r}"},
-                    _NO_HEADERS,
-                )
-            try:
-                for relation, *values in deletes + inserts:
-                    schema_rel = found.db.schema.relations.get(relation)
-                    if schema_rel is None:
-                        raise PayloadError(
-                            f"no relation {relation!r} in {name!r}"
-                        )
-                    if len(values) != len(schema_rel.attributes):
-                        raise PayloadError(
-                            f"relation {relation!r} needs "
-                            f"{len(schema_rel.attributes)} values"
-                        )
-                entry = self._entry_after(record)
-            except ReproError as exc:
-                return self._bad_request(str(exc))
-            if self.store is not None:
-                try:
-                    body["lsn"] = self.store.append_mutate(
-                        name, insert=inserts, delete=deletes
+            found = self._registered(name)
+            for relation, *values in deletes + inserts:
+                schema_rel = found.db.schema.relations.get(relation)
+                if schema_rel is None:
+                    raise PayloadError(
+                        f"no relation {relation!r} in {name!r}"
                     )
-                except StoreWriteError as exc:
-                    return self._store_unavailable(exc)
+                if len(values) != len(schema_rel.attributes):
+                    raise PayloadError(
+                        f"relation {relation!r} needs "
+                        f"{len(schema_rel.attributes)} values"
+                    )
+            entry = self._entry_after(record)
+            if self.store is not None:
+                body["lsn"] = self.store.append_mutate(
+                    name, insert=inserts, delete=deletes
+                )
             self._databases[name] = entry
         live_add("serve.mutations")
         body.update(
@@ -573,28 +539,6 @@ class CQAService:
             facts=len(entry.db),
         )
         return 200, body, _NO_HEADERS
-
-    @staticmethod
-    def _parse_delta(payload: Dict[str, object], key: str) -> List[list]:
-        """The payload's *key* facts as WAL entries, ``[relation,
-        value, ...]`` (copies)."""
-        entries = payload.get(key) or []
-        if not isinstance(entries, list):
-            raise PayloadError(f"'{key}' must be a list of fact lists")
-        out: List[list] = []
-        for index, entry in enumerate(entries):
-            if (
-                not isinstance(entry, list)
-                or not entry
-                or not isinstance(entry[0], str)
-            ):
-                raise PayloadError(
-                    f"every '{key}' entry must be "
-                    "[\"Relation\", value, ...]"
-                )
-            require_json_scalars(entry[1:], f"'{key}' entry {index}")
-            out.append(list(entry))
-        return out
 
     def _entry_after(self, record: Dict[str, object]) -> Optional[Entry]:
         """The registry entry a WAL-shaped *record* leaves its database
@@ -619,6 +563,7 @@ class CQAService:
             return None
         raise StoreCorruptionError(f"record with unknown op {op!r}")
 
+    @_handler("ready")
     def list_dbs(self) -> Handled:
         with self._lock:
             listing = {
@@ -646,7 +591,7 @@ class CQAService:
         served instance reflects — a write landing while the query
         runs cannot inflate it.
         """
-        name = payload.get("db")
+        name = string_field(payload, "db")
         if name is not None:
             with self._lock:
                 found = self._databases.get(name)
@@ -671,6 +616,7 @@ class CQAService:
 
     # -- the CQA endpoint ---------------------------------------------
 
+    @_handler("ready")
     def handle_cqa(self, payload: Dict[str, object]) -> Handled:
         """POST /v1/cqa — consistent answers through the ladder.
 
@@ -680,33 +626,33 @@ class CQAService:
         """
         return self._serve_request(payload, self._run_cqa)
 
+    @_handler("ready")
     def handle_repairs(self, payload: Dict[str, object]) -> Handled:
         """POST /v1/repairs — budgeted repair enumeration."""
         return self._serve_request(payload, self._run_repairs)
 
     def _serve_request(self, payload, runner) -> Handled:
         """Admission, accounting, and the error firewall shared by the
-        budgeted endpoints."""
-        gate = self._not_ready()
-        if gate is not None:
-            return gate
+        budgeted endpoints: a refusal is answered with the request id
+        and counted under its outcome.  Only a failure to answer, not a
+        refusal, counts against the tenant's breaker."""
         with request_scope() as rid:
             live_add("serve.requests")
             started = self._clock()
             tenant = None
             try:
-                tenant = _tenant_field(payload)
+                tenant = string_field(payload, "tenant") or "default"
                 timeout_s = self.admission.clamp_timeout(
-                    _timeout_field(payload)
+                    number_field(payload, "timeout_s")
                 )
             except PayloadError as exc:
                 emit_event("serve.request", tenant=tenant)
-                return self._payload_error(rid, started, exc)
+                return self._refused(rid, started, exc)
             emit_event("serve.request", tenant=tenant, timeout_s=timeout_s)
             try:
                 ticket = self.admission.admit(tenant, timeout_s)
             except ShedError as exc:
-                return self._shed_response(rid, started, exc)
+                return self._refused(rid, started, exc)
             outcome = "error"
             try:
                 view = self._read_view(payload, timeout_s)
@@ -717,31 +663,17 @@ class CQAService:
                 if view is not None and status == 200:
                     body, headers = self._stamp_view(body, headers, view)
                 return status, body, headers
-            except StaleReadError as exc:
-                outcome = "stale"
-                return self._finish(
-                    rid, started, "stale", self._stale_response(rid, exc)
-                )
-            except ShedError as exc:
-                outcome = "shed"
-                return self._shed_response(rid, started, exc)
-            except PayloadError as exc:
-                outcome = "bad-request"
-                return self._payload_error(rid, started, exc)
+            except Refusal as exc:
+                outcome = "refused"
+                return self._refused(rid, started, exc)
             except DispatchError as exc:
-                return self._finish(
-                    rid, started, "error",
-                    (503, {"error": "unavailable", "detail": str(exc),
-                           "request_id": rid}, _NO_HEADERS),
-                )
+                return self._refused(rid, started, Refusal(
+                    503, {"error": "unavailable", "detail": str(exc)}
+                ))
             except Exception as exc:  # noqa: BLE001 — handler firewall
-                return self._finish(
-                    rid, started, "error",
-                    (500,
-                     {"error": f"{type(exc).__name__}: {exc}",
-                      "request_id": rid},
-                     _NO_HEADERS),
-                )
+                return self._refused(rid, started, Refusal(
+                    500, {"error": f"{type(exc).__name__}: {exc}"}
+                ))
             finally:
                 ticket.finish(outcome, self._clock() - started)
 
@@ -765,7 +697,7 @@ class CQAService:
         store = self.store
         if store is None:
             return None
-        min_lsn = _int_field(payload, "min_lsn", 0)
+        min_lsn = int_field(payload, "min_lsn", 0)
         role = self._role
         replica = self._replica
         if role == "primary":
@@ -776,23 +708,19 @@ class CQAService:
             stale_s = (
                 replica.staleness_s() if replica is not None else None
             )
-        if min_lsn and store.last_lsn < min_lsn:
-            wait_budget = min(max(0.0, timeout_s), 2.0)
-            if not store.wait_for_lsn(min_lsn, wait_budget):
-                live_add("replica.stale_reads_shed")
-                raise StaleReadError(
-                    "behind-min-lsn",
-                    min_lsn=min_lsn,
-                    as_of_lsn=store.last_lsn,
-                    stale_s=stale_s,
-                    primary_url=self._primary_url,
-                )
-        if role != "primary" and (
+        reason = None
+        if min_lsn and store.last_lsn < min_lsn and not store.wait_for_lsn(
+            min_lsn, min(max(0.0, timeout_s), 2.0)
+        ):
+            reason = "behind-min-lsn"
+        elif role != "primary" and (
             stale_s is None or stale_s > self._max_stale_s
         ):
+            reason = "fenced" if role == "fenced" else "replication-stalled"
+        if reason is not None:
             live_add("replica.stale_reads_shed")
             raise StaleReadError(
-                "fenced" if role == "fenced" else "replication-stalled",
+                reason,
                 min_lsn=min_lsn,
                 as_of_lsn=store.last_lsn,
                 stale_s=stale_s,
@@ -824,52 +752,14 @@ class CQAService:
             headers["X-Stale-S"] = f"{stale_s:.3f}"
         return body, headers
 
-    def _stale_response(self, rid: str, exc: StaleReadError) -> Handled:
-        body: Dict[str, object] = {
-            "error": "stale-read",
-            "reason": exc.reason,
-            "request_id": rid,
-            "as_of_lsn": exc.as_of_lsn,
-            "retry_after_s": round(exc.retry_after_s, 3),
-        }
-        if exc.min_lsn is not None:
-            body["min_lsn"] = exc.min_lsn
-        if exc.stale_s is not None:
-            body["stale_s"] = round(exc.stale_s, 3)
-        if exc.primary_url:
-            body["primary_url"] = exc.primary_url
-        return (
-            503,
-            body,
-            {"Retry-After": str(max(1, int(round(exc.retry_after_s))))},
-        )
-
-    def _shed_response(
-        self, rid: str, started: float, exc: ShedError
+    def _refused(
+        self, rid: str, started: float, refusal: Refusal
     ) -> Handled:
-        live_add("serve.requests.shed")
-        live_observe(
-            "serve.latency_ms", (self._clock() - started) * 1000.0
-        )
-        retry_after = max(0.1, exc.retry_after_s)
-        return (
-            exc.status,
-            {
-                "error": "shed",
-                "reason": exc.reason,
-                "retry_after_s": round(retry_after, 3),
-                "request_id": rid,
-            },
-            {"Retry-After": str(max(1, int(round(retry_after))))},
-        )
-
-    def _payload_error(
-        self, rid: str, started: float, exc: PayloadError
-    ) -> Handled:
-        return self._finish(
-            rid, started, "error",
-            (400, {"error": str(exc), "request_id": rid}, _NO_HEADERS),
-        )
+        return self._finish(rid, started, refusal.outcome, (
+            refusal.status,
+            {**refusal.body, "request_id": rid},
+            refusal.headers,
+        ))
 
     def _finish(
         self, rid: str, started: float, outcome: str, handled: Handled
@@ -877,12 +767,14 @@ class CQAService:
         elapsed_ms = (self._clock() - started) * 1000.0
         live_add(f"serve.requests.{outcome}")
         live_observe("serve.latency_ms", elapsed_ms)
-        emit_event(
-            "serve.response",
-            outcome=outcome,
-            status=handled[0],
-            elapsed_ms=elapsed_ms,
-        )
+        if outcome != "shed":
+            # Admission logs a shed as its own ``serve.shed`` event.
+            emit_event(
+                "serve.response",
+                outcome=outcome,
+                status=handled[0],
+                elapsed_ms=elapsed_ms,
+            )
         return handled
 
     def _run_cqa(
@@ -1015,7 +907,7 @@ class CQAService:
     ) -> Handled:
         db, constraints, _ = self._resolve_instance(payload, view)
         semantics = str(payload.get("semantics", "s"))
-        limit = _int_field(payload, "limit", 1)
+        limit = int_field(payload, "limit", 1)
         started = self._clock()
         budget = Budget(timeout=timeout_s, max_results=limit)
         with use_budget(budget):
@@ -1109,6 +1001,7 @@ class CQAService:
             self.store.install_state(specs, lsn, epoch)
             self._replace_registry(databases)
 
+    @_handler("store", "recovered")
     def handle_replica_pull(
         self, payload: Dict[str, object]
     ) -> Handled:
@@ -1121,16 +1014,8 @@ class CQAService:
         successor was promoted: we fence ourselves before answering
         (split-brain guard — the 409 is the demotion).
         """
-        gate = self._no_store() or (
-            self._not_ready() if self._phase == "recovering" else None
-        )
-        if gate is not None:
-            return gate
         store = self.store
-        try:
-            req_epoch = _int_field(payload, "epoch", 0) or 0
-        except PayloadError as exc:
-            return self._bad_request(str(exc))
+        req_epoch = int_field(payload, "epoch", 0) or 0
         if req_epoch > store.epoch:
             store.fence(req_epoch)
             self._role = "fenced"
@@ -1138,36 +1023,24 @@ class CQAService:
             emit_event(
                 "replica.fence", epoch=req_epoch, reason="higher-epoch-pull"
             )
-            return (
-                409,
-                {
-                    "error": "fenced",
-                    "epoch": req_epoch,
-                    "own_epoch": store.epoch,
-                },
-                _NO_HEADERS,
-            )
+            raise Refusal(409, {
+                "error": "fenced",
+                "epoch": req_epoch,
+                "own_epoch": store.epoch,
+            })
         if self._role != "primary":
+            fenced = self._role == "fenced"
             body: Dict[str, object] = {
-                "error": "fenced" if self._role == "fenced" else "not-primary",
+                "error": "fenced" if fenced else "not-primary",
                 "role": self._role,
                 "epoch": store.epoch,
             }
             if self._primary_url:
                 body["primary_url"] = self._primary_url
-            return (
-                409 if self._role == "fenced" else 403,
-                body,
-                _NO_HEADERS,
-            )
-        try:
-            from_lsn = _int_field(payload, "from_lsn", 0, required=True)
-        except PayloadError as exc:
-            return self._bad_request(str(exc))
-        try:
-            wait_s = min(max(0.0, float(payload.get("wait_s") or 0.0)), 5.0)
-        except (TypeError, ValueError):
-            return self._bad_request("'wait_s' must be a number")
+            raise Refusal(409 if fenced else 403, body)
+        from_lsn = int_field(payload, "from_lsn", 0, required=True)
+        wait_s = min(max(0.0, number_field(payload, "wait_s") or 0.0), 5.0)
+        follower = string_field(payload, "follower") or "anon"
         # A lower-epoch puller may hold writes this lineage never had (a
         # fenced ex-primary rejoining): a bootstrap replaces them.
         same_epoch = req_epoch == store.epoch
@@ -1190,7 +1063,6 @@ class CQAService:
                 "last_lsn": store.last_lsn,
                 "epoch": store.epoch,
             }
-        follower = str(payload.get("follower") or "anon")
         lag = max(0, store.last_lsn - from_lsn)
         with self._lock:
             self._followers[follower] = {
@@ -1203,6 +1075,7 @@ class CQAService:
         live_gauge(f"replica.follower.lag.{follower}", lag)
         return 200, body, _NO_HEADERS
 
+    @_handler("store", "recovered")
     def handle_replica_promote(
         self, payload: Optional[Dict[str, object]] = None
     ) -> Handled:
@@ -1214,9 +1087,6 @@ class CQAService:
         primary's epoch is stale and every surviving node will fence
         it on contact.
         """
-        gate = self._no_store()
-        if gate is not None:
-            return gate
         store = self.store
         if self._role == "primary":
             return (
@@ -1230,11 +1100,7 @@ class CQAService:
                 _NO_HEADERS,
             )
         if self._role == "fenced":
-            return (
-                409,
-                {"error": "fenced", "epoch": store.fenced},
-                _NO_HEADERS,
-            )
+            raise Refusal(409, {"error": "fenced", "epoch": store.fenced})
         started = self._clock()
         self._phase = "catching-up"
         replica = self._replica
@@ -1248,11 +1114,14 @@ class CQAService:
             residual_lag = replica.lag()
         try:
             epoch = store.bump_epoch()
-        except StoreWriteError as exc:
-            # The claim never became durable: stay a follower (the
-            # pull loop is restarted by the operator's retry).
+        except StoreWriteError:
+            # The claim never became durable: stay a follower, pulling
+            # again.  A failed log refuses every write, a retried
+            # promotion's included, until a restart recovers it.
             self._phase = "ready"
-            return self._store_unavailable(exc)
+            if replica is not None:
+                replica.start()
+            raise
         self._replica = None
         self._role = "primary"
         self._primary_url = None
@@ -1280,31 +1149,22 @@ class CQAService:
             _NO_HEADERS,
         )
 
+    @_handler("store", "recovered")
     def handle_replica_fence(
         self, payload: Dict[str, object]
     ) -> Handled:
         """POST /v1/replica/fence — operator/peer demotion by epoch."""
-        gate = self._no_store()
-        if gate is not None:
-            return gate
         store = self.store
-        try:
-            epoch = _int_field(payload, "epoch", 1, required=True)
-        except PayloadError as exc:
-            return self._bad_request(str(exc))
+        epoch = int_field(payload, "epoch", 1, required=True)
         if not store.fence(epoch):
-            return (
-                409,
-                {
-                    "error": "stale-epoch",
-                    "epoch": store.epoch,
-                    "detail": (
-                        f"own epoch {store.epoch} >= {epoch}; "
-                        "refusing to fence the highest-epoch node"
-                    ),
-                },
-                _NO_HEADERS,
-            )
+            raise Refusal(409, {
+                "error": "stale-epoch",
+                "epoch": store.epoch,
+                "detail": (
+                    f"own epoch {store.epoch} >= {epoch}; "
+                    "refusing to fence the highest-epoch node"
+                ),
+            })
         if self._replica is not None:
             self._replica.stop()
             self._replica = None
@@ -1354,6 +1214,7 @@ class CQAService:
                 doc["followers"] = followers
         return doc
 
+    @_handler()
     def handle_replica_status(self) -> Handled:
         return 200, self.replication(), _NO_HEADERS
 
@@ -1367,14 +1228,13 @@ class CQAService:
 
     # -- introspection endpoints, outside admission -------------------
 
+    @_handler("ready")
     def handle_report(self, name: str) -> Handled:
         """GET /v1/db/<name>/report — inconsistency measures, computed
         under the admission policy's ``default_timeout_s``: a report
         that runs out of it answers 503 ``budget-exhausted``."""
         with self._lock:
-            found = self._databases.get(name)
-        if found is None:
-            return 404, {"error": f"no database {name!r}"}, _NO_HEADERS
+            found = self._registered(name)
         timeout_s = self.admission.policy.default_timeout_s
         try:
             with use_budget(Budget(timeout=timeout_s, strict=True)):
@@ -1382,7 +1242,7 @@ class CQAService:
                     found.db, found.constraints
                 )
         except BudgetExceededError as exc:
-            return 503, {
+            raise Refusal(503, {
                 "error": "budget-exhausted",
                 "reason": str(exc.reason),
                 "budget_s": timeout_s,
@@ -1390,7 +1250,7 @@ class CQAService:
                     f"the report on {name!r} did not finish within "
                     f"its {timeout_s:g}s budget"
                 ),
-            }, _NO_HEADERS
+            }) from exc
         ratio = report.violation_ratio
         return (
             200,
@@ -1407,6 +1267,7 @@ class CQAService:
             _NO_HEADERS,
         )
 
+    @_handler()
     def health(self) -> Handled:
         """Liveness *and* readiness: 503 with the phase while it is
         anything but ``ready`` — ``recovering``/``catching-up`` because
@@ -1435,8 +1296,26 @@ class CQAService:
         body["tenants"] = self.admission.stats()
         return 200, body, _NO_HEADERS
 
-    def _bad_request(self, message: str) -> Handled:
-        return 400, {"error": message}, _NO_HEADERS
+    @_handler()
+    def handle_status(self) -> Handled:
+        """GET /status — the live plane's status document with the
+        phase and role, and the operator's durability dashboard:
+        snapshot age, WAL length, last-compaction stats, replication."""
+        if live_installed():
+            doc = dict(live_plane().status())
+        else:
+            doc = {"schema": None, "note": "live telemetry not installed"}
+        doc["phase"] = self._phase
+        doc["role"] = self._role
+        if self.store is not None:
+            doc["store"] = self.store.stats()
+            doc["replication"] = self.replication()
+        return 200, doc, _NO_HEADERS
+
+    @_handler()
+    def handle_metrics(self) -> Handled:
+        """GET /metrics — the status document as Prometheus text."""
+        return 200, prometheus_text(self.handle_status()[1]), _NO_HEADERS
 
     def close(self) -> None:
         """Stop replication, drain the pool, close the store; idempotent."""

@@ -20,9 +20,14 @@ spec → in-memory translation both layers share:
 
 Values inside rows must be JSON-native (strings, numbers, booleans,
 None); :func:`require_json_scalars` is the one check, which
-:func:`spec_of_instance` and the mutate handler apply rather than let
+:func:`spec_of_instance` and :func:`delta_field` apply rather than let
 a non-serializable value corrupt a WAL record at append time, or an
 unhashable one reach an instance.
+
+The payload readers are here too, and every one raises
+:class:`PayloadError`, the 400 case of :class:`Refusal`: the one
+exception a handler raises for a request it refuses, which carries the
+response that says so.
 
 The way back out is here too: :func:`render_rows` sorts a set of
 answer rows (:func:`sorted_rows`) and encodes them once, the NULL
@@ -33,6 +38,7 @@ splices into a response verbatim.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence as SequenceABC
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -44,20 +50,48 @@ from ..relational.schema import RelationSchema, Schema
 
 __all__ = [
     "PayloadError",
+    "Refusal",
     "RenderedRows",
+    "delta_field",
+    "int_field",
+    "number_field",
     "parse_constraints",
     "parse_database",
     "render_rows",
     "require_json_scalars",
     "sorted_rows",
     "spec_of_instance",
+    "string_field",
 ]
 
 _JSON_VALUE_TYPES = (str, int, float, bool, type(None))
 
 
-class PayloadError(ReproError):
+class Refusal(ReproError):
+    """A request the service refuses, with the response that says so:
+    an HTTP status, a JSON body whose ``error`` names the refusal, and
+    headers.  A budgeted request counts it as ``serve.requests.`` +
+    :attr:`outcome`."""
+
+    outcome = "error"
+
+    def __init__(
+        self,
+        status: int,
+        body: Dict[str, object],
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        super().__init__(body["error"])
+        self.status = status
+        self.body = body
+        self.headers = {} if headers is None else headers
+
+
+class PayloadError(Refusal):
     """The request payload is malformed; maps to HTTP 400."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(400, {"error": message})
 
 
 def require_json_scalars(values: Sequence[object], where: str) -> None:
@@ -71,15 +105,94 @@ def require_json_scalars(values: Sequence[object], where: str) -> None:
             )
 
 
-def parse_constraints(spec: Optional[Dict[str, List[str]]]) -> List:
-    """Parse a ``{"fd": [...], "ind": [...], "dc": [...]}`` block."""
+def int_field(
+    payload: Dict[str, object], name: str, minimum: int,
+    required: bool = False,
+) -> Optional[int]:
+    """The payload's integer *name*, at least *minimum*; None when it
+    is absent and not *required*.  JSON ``true`` and ``false`` are not
+    integers, though Python's bool is an int."""
+    value = payload.get(name)
+    if value is None and not required:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < minimum
+    ):
+        sign = "positive" if minimum > 0 else "non-negative"
+        raise PayloadError(f"'{name}' must be a {sign} integer")
+    return value
+
+
+def number_field(payload: Dict[str, object], name: str) -> Optional[float]:
+    """The payload's number *name*: absent, or a number that a float
+    holds (not NaN, not an integer past float range, not a boolean)."""
+    value = payload.get(name)
+    if value is None:
+        return None
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if math.isnan(number):
+        raise PayloadError(f"'{name}' must be a number")
+    return number
+
+
+def string_field(payload: Dict[str, object], name: str) -> Optional[str]:
+    """The payload's string *name*; None when it is absent."""
+    value = payload.get(name)
+    if value is not None and not isinstance(value, str):
+        raise PayloadError(f"'{name}' must be a string")
+    return value
+
+
+def delta_field(payload: Dict[str, object], name: str) -> List[list]:
+    """The payload's *name* facts as WAL entries, ``[relation, value,
+    ...]`` (copies)."""
+    entries = payload.get(name) or []
+    if not isinstance(entries, list):
+        raise PayloadError(f"'{name}' must be a list of fact lists")
+    out: List[list] = []
+    for index, entry in enumerate(entries):
+        if (
+            not isinstance(entry, list)
+            or not entry
+            or not isinstance(entry[0], str)
+        ):
+            raise PayloadError(
+                f"every '{name}' entry must be [\"Relation\", value, ...]"
+            )
+        require_json_scalars(entry[1:], f"'{name}' entry {index}")
+        out.append(list(entry))
+    return out
+
+
+def parse_constraints(block: object) -> List:
+    """Parse a ``{"fd": [...], "ind": [...], "dc": [...]}`` block; an
+    absent or empty block, or kind, holds no constraints."""
+    if not block:
+        return []
+    if not isinstance(block, dict):
+        raise PayloadError("'constraints' must be an object")
     constraints: List = []
-    for text in (spec or {}).get("fd", []):
-        constraints.append(parse_fd(text))
-    for text in (spec or {}).get("ind", []):
-        constraints.append(parse_inclusion(text))
-    for text in (spec or {}).get("dc", []):
-        constraints.append(parse_denial(text))
+    for kind, parse in (
+        ("fd", parse_fd), ("ind", parse_inclusion), ("dc", parse_denial)
+    ):
+        texts = block.get(kind) or []
+        if not isinstance(texts, list) or not all(
+            isinstance(text, str) for text in texts
+        ):
+            raise PayloadError(
+                f"'constraints.{kind}' must be a list of strings"
+            )
+        try:
+            constraints.extend(parse(text) for text in texts)
+        except ReproError as exc:
+            raise PayloadError(str(exc)) from exc
     return constraints
 
 
@@ -100,13 +213,20 @@ def parse_database(spec: Dict[str, object]) -> Database:
         if not isinstance(columns, list) or not columns:
             raise PayloadError(f"relation {name!r} needs 'columns'")
         key = rel.get("key")
-        rel_schemas.append(
-            RelationSchema(
-                name,
-                tuple(str(c) for c in columns),
-                tuple(str(k) for k in key) if key else None,
+        if key and isinstance(key, (int, float)):
+            raise PayloadError(
+                f"relation {name!r}: 'key' must be a list of column names"
             )
-        )
+        try:
+            rel_schemas.append(
+                RelationSchema(
+                    name,
+                    tuple(str(c) for c in columns),
+                    tuple(str(k) for k in key) if key else None,
+                )
+            )
+        except ReproError as exc:
+            raise PayloadError(str(exc)) from exc
         rel_rows = rel.get("rows", [])
         if not isinstance(rel_rows, list):
             raise PayloadError(f"relation {name!r}: 'rows' must be a list")
@@ -119,8 +239,8 @@ def parse_database(spec: Dict[str, object]) -> Database:
         rows[name] = [tuple(row) for row in rel_rows]
     try:
         return Database.from_dict(rows, schema=Schema.of(*rel_schemas))
-    except ReproError:
-        raise
+    except ReproError as exc:
+        raise PayloadError(str(exc)) from exc
     except Exception as exc:
         raise PayloadError(f"cannot build database: {exc}")
 

@@ -100,6 +100,44 @@ class TestParseProgram:
         assert len(solve(rp.program)) == 3
 
 
+class TestTokensAndErrors:
+    def test_every_token_kind(self):
+        program = parse_asp_program("""
+            p('a b', "c", -3, -2.5).  % every kind of constant
+            q | r :- p(X, Y, Z, W), X <> Y, Z < 0, W <= -2.5, Z >= -3,
+                     Z > -4, Z = -3, X != Y, not s.
+            :- q, r.
+            :~ q. [2@3]
+            :~ r. [4]
+        """)
+        fact, rule, constraint = program.rules
+        assert fact.head[0].terms == ("a b", "c", -3, -2.5)
+        assert rule.head == (atom("q"), atom("r"))
+        assert rule.negative == (atom("s"),)
+        assert [c.op for c in rule.builtins] == [
+            "!=", "<", "<=", ">=", ">", "=", "!="
+        ]
+        assert constraint.is_constraint
+        assert [
+            (wc.positive, wc.weight, wc.level)
+            for wc in program.weak_constraints
+        ] == [((atom("q"),), 2, 3), ((atom("r"),), 4, 1)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("p(a) :- q(a) ???", "cannot tokenize ' ???'"),
+        ("p(a) :-", "unexpected end of input in 'p(a) :-'"),
+        ("p(a) q(a).", "expected ':-', found 'q' in 'p(a) q(a).'"),
+        ("5(a).", "bad predicate name '5'"),
+        ("p :- 3 3.", "expected a comparison operator, found '3'"),
+        ("p. q.", "trailing input after rule in 'p. q.'"),
+        (":~ p. [1@1]", "use parse_asp_program for weak constraints"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(GroundingError) as raised:
+            parse_asp_rule(text)
+        assert str(raised.value) == message
+
+
 class TestSolverInternals:
     def test_program_clauses_shape(self):
         p = parse_asp_program("seed. a | b :- seed, not c.")

@@ -108,3 +108,45 @@ class TestParseConstraints:
         assert consistent_answers(scenario.db, (fd,), q) == {
             ("smith",), ("stowe",), ("page",),
         }
+
+
+class TestTokensAndErrors:
+    def test_every_token_kind(self):
+        q = parse_query(
+            "Q(X) :- R(X, 'a b', \"c\", -3, -2.5, 7, 0.5, low), "
+            "X >= 1, X <= 9, X < 10, X > -1, X = X, X <> 2, X != 3"
+        )
+        assert q.atoms[0].terms == (
+            Var("X"), "a b", "c", -3, -2.5, 7, 0.5, "low"
+        )
+        assert [c.op for c in q.conditions] == [
+            ">=", "<=", "<", ">", "=", "!=", "!="
+        ]
+        assert [c.right for c in q.conditions] == [1, 9, 10, -1, Var("X"), 2, 3]
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_query, "Q(X) :- R(X) & S(X)", "cannot tokenize ' & S(X)'"),
+        (parse_query, "Q(X) :-", "unexpected end of input in 'Q(X) :-'"),
+        (parse_query, "Q(X) R(X)",
+         "expected ':-', found 'R' in 'Q(X) R(X)'"),
+        (parse_query, "5(X) :- R(X)", "bad predicate name '5'"),
+        (parse_query, "Q(X) :- R(X), 3 3",
+         "expected a comparison operator, found '3'"),
+        (parse_query, "Q(5) :- R(X)",
+         "head argument 5 is not a variable in 'Q(5) :- R(X)'"),
+        (parse_query, "Q(X) :- R(X) extra",
+         "trailing input after body in 'Q(X) :- R(X) extra'"),
+        (parse_denial, ":- R(X) S(X)", "trailing input in ':- R(X) S(X)'"),
+        (parse_fd, "R: A -> B C", "trailing input in 'R: A -> B C'"),
+        (parse_fd, "R A -> B", "expected ':', found 'A' in 'R A -> B'"),
+        (parse_inclusion, "R[A] <= S[B] T",
+         "trailing input in 'R[A] <= S[B] T'"),
+        (parse_inclusion, "R[A] <= S[B",
+         "unexpected end of input in 'R[A] <= S[B'"),
+    ])
+    def test_error_messages(self, parse, text, message):
+        # /v1/cqa answers these as its 400 body, after "cannot parse
+        # query: ".
+        with pytest.raises(QueryError) as raised:
+            parse(text)
+        assert str(raised.value) == message
