@@ -74,6 +74,16 @@ class _AspParser(TokenCursor):
             break
         return tuple(positive), tuple(negative), tuple(builtins)
 
+    def integer(self, what: str) -> int:
+        """A weak constraint's integer *what* (its weight or level)."""
+        token = self.take()
+        if not re.fullmatch(r"-?\d+", token):
+            raise self._error(
+                f"expected an integer {what}, found {token!r} in "
+                f"{self._text!r}"
+            )
+        return int(token)
+
     def statement(self) -> object:
         if self.peek() == ":~":
             self.take(":~")
@@ -82,10 +92,10 @@ class _AspParser(TokenCursor):
             weight, level = 1, 1
             if self.peek() == "[":
                 self.take("[")
-                weight = int(self.take())
+                weight = self.integer("weight")
                 if self.peek() == "@":
                     self.take("@")
-                    level = int(self.take())
+                    level = self.integer("level")
                 self.take("]")
             return WeakConstraint(
                 positive, negative, builtins, weight=weight, level=level

@@ -204,7 +204,7 @@ class ConflictHypergraph:
         Two tids are adjacent when some edge holds both.  No edge
         crosses components, so a repair chooses its kept tuples in each
         component independently of the others (Example 4.1;
-        :mod:`repro.cqa.local`).  Ordered by smallest tid, so the order
+        :mod:`repro.repairs.product`).  Ordered by smallest tid, so the order
         never depends on set iteration order (``PYTHONHASHSEED``).
         """
         parent: dict = {}

@@ -9,7 +9,8 @@ approximations are provided:
   Every core answer holds in every repair (the core is contained in each
   one), so core answers ⊆ Cons(Q, D, Σ);
 * a complete **over-approximation**: intersect answers over a bounded
-  sample of repairs.  Certain answers survive every intersection, so
+  sample of repairs, each built from greedy kept sets of the conflict
+  components.  Certain answers survive every intersection, so
   Cons(Q, D, Σ) ⊆ the sampled intersection.
 
 The gap between the two brackets the exact answer set, and benchmark B2
@@ -18,13 +19,15 @@ measures how tight the brackets are on random workloads.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence
+from typing import FrozenSet, Sequence
 
 from ..constraints.base import IntegrityConstraint, denial_class_only
 from ..constraints.conflicts import ConflictHypergraph
 from ..errors import ConstraintError, RepairError
+from ..observability import add
 from ..relational.database import Database, Row
-from ..repairs.srepairs import s_repairs
+from ..repairs.product import ComponentProduct
+from .certain import intersect_answers
 
 
 def certain_core(
@@ -57,21 +60,16 @@ def overapproximate_answers(
     constraints: Sequence[IntegrityConstraint],
     query,
     sample_size: int = 8,
-    max_steps: Optional[int] = None,
 ) -> FrozenSet[Row]:
-    """Complete over-approximation: intersect over *sample_size* repairs."""
-    repairs = s_repairs(
-        db, constraints, limit=sample_size, max_steps=max_steps
-    )
-    if not repairs:
-        raise RepairError("no repairs found to sample")
-    result: Optional[FrozenSet[Row]] = None
-    for r in repairs:
-        answers = frozenset(query.answers(r.instance))
-        result = answers if result is None else (result & answers)
-        if not result:
-            break
-    return result if result is not None else frozenset()
+    """Complete over-approximation: intersect over *sample_size*
+    S-repairs, the *i*-th keeping each conflict component's greedy kept
+    set from its *i*-th tid (no search)."""
+    if sample_size < 1:
+        raise RepairError("no repairs to sample")
+    product = ComponentProduct(db, constraints)
+    sample = [product.greedy_repair(i) for i in range(sample_size)]
+    add("repairs.s_emitted", len(sample))
+    return intersect_answers(query, sample)
 
 
 def approximation_gap(

@@ -9,7 +9,7 @@ against it, and benchmark B2 contrasts their costs.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from ..constraints.base import IntegrityConstraint, denial_class_only
 from ..errors import BudgetExceededError, RepairError
@@ -141,20 +141,7 @@ def consistent_answers_partial(
                     )
                 add("cqa.repairs_intersected", len(repairs.value))
                 if repairs.complete:
-                    result: Optional[FrozenSet[Row]] = None
-                    for repair in repairs.value:
-                        budget_checkpoint()
-                        answers = frozenset(
-                            query.answers(repair.instance)
-                        )
-                        result = (
-                            answers
-                            if result is None
-                            else (result & answers)
-                        )
-                        if not result:
-                            break
-                    value = result if result is not None else frozenset()
+                    value = intersect_answers(query, repairs.value)
                     return Partial.done(value, budget)
                 exhausted = repairs.exhausted
                 prefix = repairs.value
@@ -175,17 +162,7 @@ def consistent_answers_partial(
                 # Prefix intersection: an over-approximation bracket.
                 # (Not valid for "c": certified C-repairs may lie
                 # outside a best-so-far prefix.)
-                upper: Optional[FrozenSet[Row]] = None
-                for repair in prefix:
-                    answers = frozenset(query.answers(repair.instance))
-                    upper = (
-                        answers if upper is None else (upper & answers)
-                    )
-                    if not upper:
-                        break
-                detail["upper_bound"] = (
-                    upper if upper is not None else frozenset()
-                )
+                detail["upper_bound"] = intersect_answers(query, prefix)
             if denial_class_only(constraints):
                 from .approximation import underapproximate_answers
 
@@ -195,6 +172,20 @@ def consistent_answers_partial(
                 value = frozenset()
                 detail["fallback"] = "empty"
             return Partial.truncated(value, exhausted, budget, **detail)
+
+
+def intersect_answers(query, repairs: Iterable[Repair]) -> FrozenSet[Row]:
+    """The answers of *query* in every repair of *repairs* (none when
+    there is none), one budget checkpoint per repair, stopping once no
+    answer is left."""
+    result: Optional[FrozenSet[Row]] = None
+    for repair in repairs:
+        budget_checkpoint()
+        answers = frozenset(query.answers(repair.instance))
+        result = answers if result is None else result & answers
+        if not result:
+            break
+    return result if result is not None else frozenset()
 
 
 def is_consistently_true(

@@ -1,12 +1,9 @@
 """Component-local consistent query answering (Sections 3.3 and 4.1).
 
-Under denial-class constraints no conflict crosses a connected
-component of the conflict hypergraph (Example 4.1, Figure 1).  So an
-S-repair is the conflict-free tuples plus one maximal independent set
-per component, each component choosing on its own.  A C-repair is the
-same with a *maximum* independent set per component: the components'
-deletion counts add up, so the total is least exactly when each part
-is.  :mod:`repro.repairs.counting` relies on the same product.
+Under denial-class constraints the repairs are a product of
+per-component choices (:mod:`repro.repairs.product`): an S-repair keeps
+the conflict-free tuples plus one maximal independent set per conflict
+component, and a C-repair one *maximum* independent set per component.
 
 A monotone query's candidate answer ā ∈ Q(D) holds in a repair exactly
 when the repair keeps one of ā's witnesses whole.  Whether ā is certain
@@ -25,16 +22,15 @@ process (``obs replay``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..constraints.base import IntegrityConstraint
-from ..constraints.conflicts import ConflictHypergraph
 from ..logic.evaluation import Evaluator
 from ..logic.formulas import is_var
 from ..logic.queries import UnionQuery
 from ..observability import annotate, span
 from ..relational.database import Database, Row
-from ..repairs.crepairs import minimum_hitting_sets_branch_and_bound
+from ..repairs.product import ComponentProduct
 from ..runtime import checkpoint as budget_checkpoint
 
 #: A witness in the search: its conflicting tids keyed by the search
@@ -57,56 +53,19 @@ def consistent_answers_local(
     :class:`~repro.errors.BudgetExceededError` rather than returning a
     partial set.
     """
-    if semantics not in ("s", "c", "delete-only"):
-        raise ValueError(f"unknown repair semantics {semantics!r}")
     with span("cqa.local", semantics=semantics):
-        graph = ConflictHypergraph.of(db, constraints)
-        components = graph.components()
-        component_of = {
-            tid: index
-            for index, members in enumerate(components)
-            for tid in members
-        }
-        edges_of: List[List[FrozenSet[str]]] = [[] for _ in components]
-        for edge in graph.edges:
-            edges_of[component_of[next(iter(edge))]].append(edge)
-        memo: Dict[int, Tuple[FrozenSet[str], ...]] = {}
-
-        def kept_sets(index: int) -> Tuple[FrozenSet[str], ...]:
-            options = memo.get(index)
-            if options is None:
-                options = memo[index] = _kept_sets(
-                    ConflictHypergraph(
-                        components[index], frozenset(edges_of[index])
-                    ),
-                    semantics,
-                )
-            return options
-
-        candidates = _candidates(db, query, component_of)
+        product = ComponentProduct(db, constraints, semantics)
+        candidates = _candidates(db, query, product.component_of)
         answers = set()
         for row, parts in candidates.items():
-            if _NONE in parts or _certain(parts, component_of, kept_sets):
+            if _NONE in parts or _certain(parts, product):
                 answers.add(row)
         annotate(
             candidates=len(candidates),
             certain=len(answers),
-            components_searched=len(memo),
+            components_searched=product.solved,
         )
         return frozenset(answers)
-
-
-def _kept_sets(
-    component: ConflictHypergraph, semantics: str
-) -> Tuple[FrozenSet[str], ...]:
-    """The tids one component keeps, per repair of the component."""
-    if semantics == "c":
-        hitting = minimum_hitting_sets_branch_and_bound(component)
-    else:
-        hitting = component.minimal_hitting_sets_partial().unwrap(
-            strict=True
-        )
-    return tuple(component.nodes - deleted for deleted in hitting)
 
 
 def _candidates(
@@ -138,11 +97,7 @@ def _candidates(
     return {row: list(parts) for row, parts in found.items()}
 
 
-def _certain(
-    parts: List[FrozenSet[str]],
-    component_of: Dict[str, int],
-    kept_sets: Callable[[int], Tuple[FrozenSet[str], ...]],
-) -> bool:
+def _certain(parts: List[FrozenSet[str]], product: ComponentProduct) -> bool:
     """Does every choice of kept sets over the touched components keep
     some witness's conflicting tids whole?
 
@@ -153,6 +108,7 @@ def _certain(
     it keeps that witness.  A branch with no witness left is a
     counterexample, and the candidate is not certain.
     """
+    component_of = product.component_of
     # Witnesses touching fewest components first name the search
     # order, so a candidate with a witness inside one component closes
     # every branch at the first step.
@@ -180,7 +136,7 @@ def _certain(
     depth = 0
     while depth >= 0:
         if depth == len(options):
-            options.append(kept_sets(order[depth]))
+            options.append(product.kept_sets(order[depth]))
         choice[depth] += 1
         if choice[depth] == len(options[depth]):
             choice[depth] = -1

@@ -24,7 +24,7 @@ recorded envelopes whose ladder holds it replay through it.
 
 Every *exact* rung either returns a complete answer or fails; only the
 final ``certain-core`` rung returns a sound under-approximation
-(bracketed from above when a repair sample is affordable), which is why
+(bracketed from above by a sample of greedy S-repairs), which is why
 a dispatcher that exhausts the ladder degrades to INCOMPLETE instead of
 ever returning a wrong answer.
 """
@@ -47,7 +47,6 @@ from ..cqa.sqlgen import answers_via_sql
 from ..errors import (
     BudgetExceededError,
     NotRewritableError,
-    RepairError,
     ReproError,
 )
 from ..logic.queries import ConjunctiveQuery, UnionQuery
@@ -440,10 +439,10 @@ class CertainCoreEngine(Engine):
 
     A sound under-approximation for monotone queries: the core (tuples
     in no conflict) is contained in every repair, so its answers are
-    certain under all three semantics.  Under "s" and "delete-only",
-    when a small repair sample is affordable, the answer also carries
-    an ``upper_bound`` over-approximation, bracketing the exact set.
-    Never complete.
+    certain under all three semantics.  Under "s" and "delete-only" the
+    answer also carries an ``upper_bound`` over-approximation from a
+    sample of greedy S-repairs, bracketing the exact set.  Never
+    complete.
     """
 
     name = "certain-core"
@@ -451,8 +450,6 @@ class CertainCoreEngine(Engine):
 
     #: repairs sampled for the over-approximation bracket (0 disables)
     sample_size = 4
-    #: step cap for the bracket sample, so the salvage rung stays cheap
-    sample_max_steps = 50_000
 
     def check(self, request: CQARequest) -> None:
         if not denial_class_only(request.constraints):
@@ -470,8 +467,8 @@ class CertainCoreEngine(Engine):
 
     def run(self, request: CQARequest) -> EngineAnswer:
         # The salvage rung typically runs after the request budget is
-        # spent; mask it so the (polynomial) core computation and the
-        # bounded sample cannot be re-cancelled on every checkpoint.
+        # spent; mask it so the core and the sample, both polynomial,
+        # cannot be re-cancelled on every checkpoint.
         with suspend_budget():
             lower = underapproximate_answers(
                 request.db, request.constraints, request.query
@@ -480,16 +477,12 @@ class CertainCoreEngine(Engine):
             # The sample holds S-repairs, and an S-repair need not be a
             # C-repair: under "c" their intersection bounds nothing.
             if self.sample_size and request.semantics != "c":
-                try:
-                    detail["upper_bound"] = overapproximate_answers(
-                        request.db,
-                        request.constraints,
-                        request.query,
-                        sample_size=self.sample_size,
-                        max_steps=self.sample_max_steps,
-                    )
-                except (BudgetExceededError, RepairError):
-                    pass  # the bracket is best-effort
+                detail["upper_bound"] = overapproximate_answers(
+                    request.db,
+                    request.constraints,
+                    request.query,
+                    sample_size=self.sample_size,
+                )
             return EngineAnswer(lower, False, detail)
 
 

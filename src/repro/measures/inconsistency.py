@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 from ..constraints.base import IntegrityConstraint, denial_class_only
 from ..constraints.conflicts import ConflictHypergraph
 from ..relational.database import Database
-from ..repairs.crepairs import c_repairs, repair_distance
+from ..repairs.crepairs import repair_distance
 from ..repairs.srepairs import delete_only_repairs
 
 
@@ -37,16 +37,16 @@ def g3_measure(
     """``1 - max{|D'| : D' ⊆ D consistent} / |D|`` (Kivinen–Mannila g3).
 
     For denial-class constraints this equals the cardinality-repair
-    measure (C-repairs are maximum consistent subinstances).
+    measure up to rounding: the largest consistent subinstance keeps
+    all but the C-repair distance of the facts.
     """
     if len(db) == 0:
         return 0.0
-    repairs = (
-        c_repairs(db, constraints)
-        if denial_class_only(constraints)
-        else delete_only_repairs(db, constraints)
-    )
-    best = max(len(r.instance) for r in repairs)
+    if denial_class_only(constraints):
+        best = len(db) - repair_distance(db, constraints)
+    else:
+        repairs = delete_only_repairs(db, constraints)
+        best = max(len(r.instance) for r in repairs)
     return 1.0 - best / len(db)
 
 
@@ -57,7 +57,7 @@ def violation_ratio(
     """Fraction of tuples participating in at least one violation."""
     if len(db) == 0:
         return 0.0
-    graph = ConflictHypergraph.build(db, constraints)
+    graph = ConflictHypergraph.of(db, constraints)
     return len(graph.conflicting_tids()) / len(db)
 
 
@@ -92,20 +92,22 @@ class InconsistencyReport:
         db: Database,
         constraints: Sequence[IntegrityConstraint],
     ) -> "InconsistencyReport":
+        """The measures of *db*: under denial-class constraints from one
+        C-repair distance, with tgds each from its own repairs."""
         from ..constraints.base import ViolationSummary
 
         summary = ViolationSummary.of(db, constraints)
+        size = len(db)
+        distance = repair_distance(db, constraints)
+        if denial_class_only(constraints):
+            cardinality = distance / size if size else 0.0
+            g3 = 1.0 - (size - distance) / size if size else 0.0
+            ratio = violation_ratio(db, constraints)
+        else:
+            cardinality = cardinality_repair_measure(db, constraints)
+            g3, ratio = g3_measure(db, constraints), float("nan")
         return InconsistencyReport(
-            size=len(db),
-            repair_distance=repair_distance(db, constraints),
-            cardinality_measure=cardinality_repair_measure(db, constraints),
-            g3=g3_measure(db, constraints),
-            violation_ratio=(
-                violation_ratio(db, constraints)
-                if denial_class_only(constraints)
-                else float("nan")
-            ),
-            per_constraint=summary.per_constraint,
+            size, distance, cardinality, g3, ratio, summary.per_constraint
         )
 
     def render(self) -> str:

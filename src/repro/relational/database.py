@@ -305,8 +305,9 @@ class Database:
         return self._schema
 
     def facts(self) -> FrozenSet[Fact]:
-        """All facts, as a frozen set (value identity)."""
-        return frozenset(self._facts.values())
+        """All facts, as a frozen set: the tid index's keys, whose
+        stored hashes spare a ``Fact.__hash__`` call per fact."""
+        return frozenset(self._tid_of)
 
     def facts_with_tids(self) -> Dict[str, Fact]:
         """Mapping tid -> fact (a copy)."""

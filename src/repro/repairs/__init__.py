@@ -13,12 +13,7 @@ from .counting import (
     count_repairs_per_group,
     count_s_repairs,
 )
-from .crepairs import (
-    c_repairs,
-    c_repairs_partial,
-    minimum_hitting_sets_branch_and_bound,
-    repair_distance,
-)
+from .crepairs import c_repairs, c_repairs_partial, repair_distance
 from .incremental import IncrementalRepairer
 from .nullrepairs import null_tuple_repairs
 from .prioritized import (
@@ -28,6 +23,7 @@ from .prioritized import (
     prioritized_consistent_answers,
 )
 from .optimal import one_c_repair, one_s_repair
+from .product import ComponentProduct, minimum_hitting_sets_branch_and_bound
 from .srepairs import (
     delete_only_repairs,
     delete_only_repairs_partial,
@@ -51,6 +47,7 @@ __all__ = [
     "count_s_repairs",
     "c_repairs",
     "c_repairs_partial",
+    "ComponentProduct",
     "minimum_hitting_sets_branch_and_bound",
     "repair_distance",
     "IncrementalRepairer",

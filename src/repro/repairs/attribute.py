@@ -23,20 +23,13 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..constraints.base import IntegrityConstraint, all_satisfied
-from ..constraints.conflicts import _LimitReached, _is_minimal_hitting_set
+from ..constraints.conflicts import ConflictHypergraph
 from ..constraints.denial import DenialConstraint
-from ..errors import BudgetExceededError, RepairError
+from ..errors import RepairError
 from ..logic.evaluation import witnesses
 from ..relational.database import Database
 from ..relational.nulls import NULL
-from ..runtime import (
-    Budget,
-    BudgetExhaustion,
-    Partial,
-    resolve_budget,
-    use_budget,
-)
-from ..runtime import checkpoint as budget_checkpoint
+from ..runtime import Budget, Partial, resolve_budget, use_budget
 
 Position = Tuple[str, int]  # (tid, attribute position)
 
@@ -105,11 +98,11 @@ def attribute_repairs_partial(
     """
     budget = resolve_budget(budget)
     with use_budget(budget):
-        candidate_sets = _violation_candidates(db, constraints)
-        if candidate_sets is None:
+        candidates = _violation_candidates(db, constraints)
+        if candidates is None:
             return Partial.done([], budget)
-        hitting = _minimal_hitting_sets(
-            candidate_sets, limit=limit, budget=budget
+        hitting = candidates.minimal_hitting_sets_partial(
+            limit=limit, budget=budget
         )
     out: List[AttributeRepair] = []
     for changes in hitting.value:
@@ -144,10 +137,12 @@ def c_attribute_repairs(
 def _violation_candidates(
     db: Database,
     constraints: Sequence[IntegrityConstraint],
-) -> Optional[List[FrozenSet[Position]]]:
-    """Candidate change positions per violation; None when some violation
-    has no candidate (no attribute repair exists)."""
-    candidate_sets: List[FrozenSet[Position]] = []
+) -> Optional[ConflictHypergraph]:
+    """The hypergraph over positions whose edges are the violations'
+    candidate-position sets (one per fact set, however many bindings
+    reach it); None when some violation has no candidate (no attribute
+    repair exists)."""
+    candidate_sets: Set[FrozenSet[Position]] = set()
     for ic in constraints:
         if not isinstance(ic, DenialConstraint):
             raise RepairError(
@@ -165,65 +160,10 @@ def _violation_candidates(
                     positions.add((tid, pos))
             if not positions:
                 return None
-            candidate_sets.append(frozenset(positions))
-    # Deduplicate identical candidate sets (same fact set via two bindings).
-    return sorted(set(candidate_sets), key=sorted)
-
-
-def _minimal_hitting_sets(
-    sets: List[FrozenSet[Position]],
-    limit: Optional[int] = None,
-    budget: Optional[Budget] = None,
-) -> "Partial[List[FrozenSet[Position]]]":
-    """Minimal hitting sets of the candidate-position family.
-
-    Same anytime scheme as
-    :meth:`~repro.constraints.conflicts.ConflictHypergraph.minimal_hitting_sets_partial`:
-    completed sets are verified against the *full* family with the
-    private-edge check, so ``limit`` and budget truncation both yield
-    sound prefixes — unlike the historical ``4 * limit``
-    over-enumeration, which silently capped the candidate pool and
-    could miss minimal sets entirely.
-    """
-    if not sets:
-        return Partial.done([frozenset()], budget)
-    candidates: Set[FrozenSet[Position]] = set()
-    found: List[FrozenSet[Position]] = []
-
-    def branch(chosen: Set[Position], remaining) -> None:
-        budget_checkpoint()
-        uncovered = [s for s in remaining if not (s & chosen)]
-        if not uncovered:
-            hitting = frozenset(chosen)
-            if hitting not in candidates:
-                candidates.add(hitting)
-                if _is_minimal_hitting_set(hitting, sets):
-                    if budget is not None:
-                        budget.count_result()
-                    found.append(hitting)
-                    if limit is not None and len(found) >= limit:
-                        raise _LimitReached
-            return
-        target = min(uncovered, key=len)
-        for position in sorted(target):
-            chosen.add(position)
-            if not any(r <= chosen for r in candidates):
-                branch(chosen, uncovered)
-            chosen.remove(position)
-
-    exhausted: Optional[BudgetExhaustion] = None
-    try:
-        branch(set(), sets)
-    except _LimitReached:
-        exhausted = BudgetExhaustion.COUNT
-    except BudgetExceededError as exc:
-        if budget is not None and budget.strict:
-            raise
-        exhausted = BudgetExhaustion(exc.reason)
-    minimal = sorted(found, key=lambda s: (len(s), sorted(s)))
-    if exhausted is None:
-        return Partial.done(minimal, budget)
-    return Partial.truncated(minimal, exhausted, budget)
+            candidate_sets.add(frozenset(positions))
+    return ConflictHypergraph(
+        frozenset().union(*candidate_sets), frozenset(candidate_sets)
+    )
 
 
 def _apply_changes(db: Database, changes) -> Database:

@@ -10,6 +10,7 @@ available.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Iterable, List, Sequence
 
 from ..constraints.base import IntegrityConstraint, all_satisfied
@@ -26,16 +27,17 @@ class Repair:
     @property
     def deleted(self) -> FrozenSet[Fact]:
         """Facts of the original missing from the repair."""
-        return self.original.facts() - self.instance.facts()
+        return frozenset(f for f in self.diff if f in self.original)
 
     @property
     def inserted(self) -> FrozenSet[Fact]:
         """Facts of the repair missing from the original."""
-        return self.instance.facts() - self.original.facts()
+        return frozenset(f for f in self.diff if f not in self.original)
 
-    @property
+    @cached_property
     def diff(self) -> FrozenSet[Fact]:
-        """The symmetric difference ``D Δ D'``."""
+        """The symmetric difference ``D Δ D'``, computed once: sorting,
+        sizing and rendering a repair all read it."""
         return self.original.symmetric_difference(self.instance)
 
     @property

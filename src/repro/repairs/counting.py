@@ -3,8 +3,11 @@
 Counting S-repairs is #P-hard in general, but for a single functional
 dependency the count has a closed form: conflicts partition the relation
 into independent groups and the repair count is the product of per-group
-counts.  The generic path counts by enumerating minimal hitting sets of
-the conflict hypergraph; benchmark B1 contrasts the two.
+counts.  Under other denial-class constraints the count is the product
+of the conflict components' counts of minimal hitting sets
+(:meth:`~repro.repairs.product.ComponentProduct.count`), exponential in
+the largest component, not in the number of components.  With tgds the
+count enumerates; benchmark B1 contrasts closed form and enumeration.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..constraints.base import IntegrityConstraint, denial_class_only
-from ..constraints.conflicts import ConflictHypergraph
 from ..constraints.fd import FunctionalDependency
 from ..observability import add, span
 from ..relational.database import Database
 from ..relational.nulls import is_null
+from .product import ComponentProduct
 from .srepairs import s_repairs
 
 
@@ -28,7 +31,8 @@ def count_s_repairs(
     """The number of S-repairs of *db* under *constraints*.
 
     Uses the closed form when the constraint set is a single FD, the
-    conflict hypergraph otherwise, and full enumeration for tgds.
+    component product for other denial-class constraints, and full
+    enumeration for tgds.
     """
     if len(constraints) == 1 and isinstance(
         constraints[0], FunctionalDependency
@@ -36,8 +40,7 @@ def count_s_repairs(
         return count_fd_repairs(db, constraints[0])
     if denial_class_only(constraints):
         with span("repairs.count", method="hypergraph"):
-            graph = ConflictHypergraph.build(db, constraints)
-            count = len(graph.minimal_hitting_sets())
+            count = ComponentProduct(db, constraints).count()
             add("repairs.counted", count)
             return count
     with span("repairs.count", method="enumerate"):
@@ -67,10 +70,9 @@ def count_fd_repairs(db: Database, fd: FunctionalDependency) -> int:
             if any(is_null(v) for v in rhs):
                 # With NULLs on the right-hand side the conflict relation
                 # is no longer an equivalence on rhs classes; fall back to
-                # the hypergraph count, which handles SQL null semantics
-                # exactly.
-                graph = ConflictHypergraph.build(db, (fd,))
-                count = len(graph.minimal_hitting_sets())
+                # the component product, which handles SQL null
+                # semantics exactly.
+                count = ComponentProduct(db, (fd,)).count()
                 add("repairs.counted", count)
                 return count
             groups.setdefault(key, set()).add(rhs)

@@ -24,7 +24,7 @@ from ..constraints.conflicts import ConflictHypergraph
 from ..errors import RepairError
 from ..relational.database import Database, Fact
 from .base import Repair, sort_repairs
-from .crepairs import minimum_hitting_sets_branch_and_bound
+from .product import ComponentProduct
 
 
 class IncrementalRepairer:
@@ -77,12 +77,11 @@ class IncrementalRepairer:
         return sort_repairs(repairs)
 
     def c_repairs(self) -> List[Repair]:
-        """C-repairs of the current instance from the maintained graph."""
-        repairs = [
-            Repair(self._db, self._db.delete_tids(h))
-            for h in minimum_hitting_sets_branch_and_bound(self._graph)
-        ]
-        return sort_repairs(repairs)
+        """C-repairs of the current instance: the component product of
+        the maintained graph."""
+        return sort_repairs(
+            ComponentProduct(self._db, self._constraints, "c").repairs()
+        )
 
     def is_consistent(self) -> bool:
         """True when the maintained graph has no edges."""

@@ -1,27 +1,22 @@
-"""Computing one (good) repair without enumerating all of them.
+"""Computing one repair without enumerating all of them.
 
 Livshits, Kimelfeld & Roy [85] study computing a single optimal repair;
 the paper lists "computing a particular repair" among the core algorithmic
 problems (Section 3.2).  For denial-class constraints one S-repair is
-computable in polynomial time: greedily delete from violations, then grow
-back deleted tuples while consistency allows, guaranteeing maximality.
+computable in polynomial time: one greedy pass per conflict component
+keeps each tuple that completes no conflict
+(:meth:`~repro.repairs.product.ComponentProduct.greedy_kept`).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..constraints.base import (
-    IntegrityConstraint,
-    all_satisfied,
-    all_violations,
-    denial_class_only,
-)
-from ..constraints.conflicts import ConflictHypergraph
+from ..constraints.base import IntegrityConstraint, denial_class_only
 from ..errors import RepairError
 from ..relational.database import Database
 from .base import Repair
-from .crepairs import minimum_hitting_sets_branch_and_bound
+from .product import ComponentProduct
 from .srepairs import s_repairs
 
 
@@ -32,11 +27,12 @@ def one_s_repair(
 ) -> Repair:
     """Compute a single S-repair.
 
-    Polynomial for denial-class constraints (greedy delete + grow-back);
-    falls back to taking the first enumerated repair otherwise.
+    Polynomial for denial-class constraints (the greedy kept sets of the
+    conflict components); falls back to taking the first enumerated
+    repair otherwise.
     """
     if denial_class_only(constraints):
-        return _greedy_denial_repair(db, constraints)
+        return ComponentProduct(db, constraints).greedy_repair()
     repairs = s_repairs(db, constraints, limit=1, max_steps=max_steps)
     if not repairs:
         raise RepairError("no repair found within the search bound")
@@ -48,41 +44,12 @@ def one_c_repair(
     constraints: Sequence[IntegrityConstraint],
     max_steps: Optional[int] = None,
 ) -> Repair:
-    """Compute a single C-repair (branch-and-bound for denial ICs)."""
+    """Compute a single C-repair: for denial ICs, the first of the
+    component product's minimum kept sets, built alone."""
     if denial_class_only(constraints):
-        graph = ConflictHypergraph.build(db, constraints)
-        hitting_sets = minimum_hitting_sets_branch_and_bound(graph)
-        return Repair(db, db.delete_tids(hitting_sets[0]))
+        return next(ComponentProduct(db, constraints, "c").repairs())
     repairs = s_repairs(db, constraints, max_steps=max_steps)
     if not repairs:
         raise RepairError("no repair found within the search bound")
     best = min(repairs, key=lambda r: (r.size, sorted(map(repr, r.diff))))
     return best
-
-
-def _greedy_denial_repair(
-    db: Database,
-    constraints: Sequence[IntegrityConstraint],
-) -> Repair:
-    """Greedy delete + grow-back: always yields an S-repair.
-
-    Deleting the highest-degree conflicting tuple first tends to give a
-    small (though not necessarily minimum) difference.
-    """
-    current = db
-    while True:
-        violations = all_violations(current, constraints)
-        if not violations:
-            break
-        degree: dict = {}
-        for v in violations:
-            for f in v.facts:
-                degree[f] = degree.get(f, 0) + 1
-        target = max(sorted(degree, key=repr), key=lambda f: degree[f])
-        current = current.delete([target])
-    # Grow back: re-add deleted tuples that no longer cause violations.
-    for fact in sorted(db.facts() - current.facts(), key=repr):
-        candidate = current.insert([fact])
-        if all_satisfied(candidate, constraints):
-            current = candidate
-    return Repair(db, current)

@@ -163,12 +163,10 @@ def _hypergraph_repairs(
     exhausted: Optional[BudgetExhaustion] = None
     repairs: List[Repair] = []
     try:
-        # Unbudgeted, reuse the graph a reader kept on the version
-        # (certain-core's sample, after the rung read it).  Otherwise
-        # build one, as before, and keep nothing: a step budget then
-        # buys the same prefix whatever was read before, a ladder rung
-        # spends its slice as it did, and enumeration's own counters
-        # (one build per enumeration) do not move.
+        # Unbudgeted, reuse the graph a reader kept on the version.
+        # Otherwise build one and keep nothing: a step budget then buys
+        # the same prefix whatever was read before, and a ladder rung
+        # spends its slice as it did.
         graph = None if budget is not None else (
             ConflictHypergraph.kept(db, constraints)
         )

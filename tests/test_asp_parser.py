@@ -137,6 +137,19 @@ class TestTokensAndErrors:
             parse_asp_rule(text)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        (":~ p. [a@1]", "expected an integer weight, found 'a' in "
+         "':~ p. [a@1]'"),
+        (":~ p. [1@b]", "expected an integer level, found 'b' in "
+         "':~ p. [1@b]'"),
+    ])
+    def test_weak_constraint_weights_are_integers(self, text, message):
+        """A weight or level that is not an integer is the syntax's
+        error, not a bare ``ValueError`` from ``int()``."""
+        with pytest.raises(GroundingError) as raised:
+            parse_asp_program(text)
+        assert str(raised.value) == message
+
 
 class TestSolverInternals:
     def test_program_clauses_shape(self):

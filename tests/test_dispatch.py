@@ -517,6 +517,17 @@ def _keyed_join(keys, violating, seed=1):
     return db, (parse_fd("R: A -> B"), parse_fd("S: B -> C"))
 
 
+def _path(tuples):
+    """*tuples* facts of ``R(A, B)`` under ``R: A -> B`` and
+    ``R: B -> A``, each conflicting with the next: ``(a0, b0)``,
+    ``(a0, b1)``, ``(a1, b1)``, ...  One conflict component, a path, so
+    no per-component split makes it small."""
+    rows = [(f"a{i // 2}", f"b{(i + 1) // 2}") for i in range(tuples)]
+    schema = Schema.of(RelationSchema("R", ("A", "B")))
+    db = Database.from_dict({"R": rows}, schema=schema)
+    return db, (parse_fd("R: A -> B"), parse_fd("R: B -> A"))
+
+
 class TestCertainCoreAtScale:
     def test_the_salvage_rung_answers_a_thousand_disjoint_conflicts(
         self, monkeypatch
@@ -551,6 +562,20 @@ class TestCertainCoreAtScale:
             if upper is not None:
                 assert cons <= upper
         assert len(builds) == 1  # the version's one graph
+
+    def test_the_bracket_sample_searches_no_hitting_set(self):
+        """The sample keeps greedy kept sets: one pass per component,
+        no hitting-set search (a sample of the whole graph's first
+        minimal hitting sets took longer than ``local``'s exact
+        answer)."""
+        db, constraints = _keyed_join(5500, 550)
+        query = parse_query("Q(X, Z) :- R(X, Y), S(Y, Z)")
+        dispatcher = Dispatcher(DispatchPolicy(ladder=("certain-core",)))
+        with collect() as collector:
+            result = dispatcher.dispatch(db, constraints, query)
+        assert not result.complete and "upper_bound" in result.detail
+        assert collector.counter("conflicts.hitting_set_branches") == 0
+        assert collector.counter("repairs.s_emitted") == 4
 
 
 class TestJoinSqlAtScale:

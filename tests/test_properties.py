@@ -412,9 +412,8 @@ def _rescanned_greedy_size(edges):
 def _recursive_minimum_hitting_sets(graph):
     """``minimum_hitting_sets_branch_and_bound`` as it was, one
     recursion level per covered edge: the reference for the
-    explicit-stack search.  Raises the budget's error with the
-    solutions found so far as ``best_so_far``."""
-    from repro.errors import BudgetExceededError
+    explicit-stack search.  Budget exhaustion raises the budget's
+    error."""
     from repro.observability import add
     from repro.runtime import checkpoint
 
@@ -446,11 +445,7 @@ def _recursive_minimum_hitting_sets(graph):
             branch(chosen, uncovered)
             chosen.remove(vertex)
 
-    try:
-        branch(set(), edges)
-    except BudgetExceededError as exc:
-        exc.best_so_far = sorted(solutions, key=sorted)
-        raise
+    branch(set(), edges)
     return sorted(solutions, key=sorted)
 
 
@@ -462,7 +457,7 @@ def _recursive_minimum_hitting_sets(graph):
 def test_branch_and_bound_searches_like_the_recursion(edges, steps):
     """Same minimum hitting sets in the same order, the same branch
     and prune counts, and, under a step budget, the same checkpoint
-    that stops it with the same solutions found so far."""
+    that stops it (the counts at the stop)."""
     from repro.errors import BudgetExceededError
     from repro.observability import collect
     from repro.repairs import minimum_hitting_sets_branch_and_bound
@@ -477,8 +472,8 @@ def test_branch_and_bound_searches_like_the_recursion(edges, steps):
             with use_budget(Budget(max_steps=steps) if steps else None):
                 try:
                     outcome = search(graph)
-                except BudgetExceededError as exc:
-                    outcome = ("stopped", set(exc.best_so_far))
+                except BudgetExceededError:
+                    outcome = "stopped"
             return outcome, [
                 collector.counter(name)
                 for name in ("repairs.bb_branches", "repairs.bb_pruned")
@@ -491,7 +486,7 @@ def test_branch_and_bound_searches_like_the_recursion(edges, steps):
 @given(st.lists(st.frozensets(_TIDS, min_size=1, max_size=4), max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_greedy_bound_is_the_rescanned_one(edges):
-    from repro.repairs.crepairs import _greedy_hitting_size
+    from repro.repairs.product import _greedy_hitting_size
 
     edges = sorted(set(edges), key=lambda e: (len(e), sorted(e)))
     assert _greedy_hitting_size(edges) == _rescanned_greedy_size(edges)

@@ -965,7 +965,7 @@ class TestHttpBoundary:
 class TestConflictsAtScale:
     """1,100 disjoint key conflicts, so 2^1100 C-repairs: more than any
     budget enumerates, and deeper than the interpreter's recursion
-    limit."""
+    limit; and one component no budget solves, a long path."""
 
     @pytest.fixture(scope="class")
     def big(self):
@@ -1016,20 +1016,88 @@ class TestConflictsAtScale:
                     constraints,
                 )
 
-    def test_a_report_past_its_budget_is_a_typed_503(self, big):
+    def test_a_report_answers_a_thousand_disjoint_conflicts(self, big):
+        """The distance is the sum of the per-component minima;
+        enumerating the 2^1100 C-repairs instead runs past the 5 s
+        default."""
+        service = CQAService()
+        service.register_instance("big", *big)
+        with _ServerHarness(service, ServerConfig(port=0)) as server:
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=60.0
+            )
+            try:
+                started = time.monotonic()
+                conn.request("GET", "/v1/db/big/report")
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                took = time.monotonic() - started
+            finally:
+                conn.close()
+        assert response.status == 200, body
+        assert took < 5.0
+        assert body["size"] == 12100 and body["repair_distance"] == 1100
+        # 1 - kept / |D| and distance / |D| round differently.
+        assert body["g3"] == pytest.approx(body["cardinality_measure"])
+        assert body["violation_ratio"] == pytest.approx(2200 / 12100)
+
+    def test_a_budgeted_read_of_one_long_path_brackets_cons(self):
+        """26 tuples in one component: neither ``local`` nor
+        ``enumerate`` lists an S-repair of it within 0.5 s, so
+        certain-core answers, and its sample of greedy kept sets costs
+        no search (a sample of the whole graph's first minimal hitting
+        sets outlives 100 s)."""
+        from .test_dispatch import _path
+
+        service = CQAService()
+        service.register_instance("path", *_path(26))
+        started = time.monotonic()
+        status, body, _ = service.handle_cqa({
+            "db": "path", "query": "Q(X) :- R(X, Y)", "timeout_s": 0.5,
+        })
+        assert status == 200, body
+        assert time.monotonic() - started < 5.0
+        assert body["complete"] is False
+        # The S-repairs of a path are its maximal independent sets:
+        # consecutive kept tuples 2 or 3 apart, from the first or
+        # second tuple to the last or second to last.  Tuple i has
+        # A = a{i // 2}.
+        repairs = []
+
+        def walk(kept):
+            if kept[-1] >= 26 - 2:
+                repairs.append(kept)
+            for step in (2, 3):
+                if kept[-1] + step < 26:
+                    walk(kept + [kept[-1] + step])
+
+        walk([0])
+        walk([1])
+        cons = set.intersection(
+            *({f"a{i // 2}" for i in kept} for kept in repairs)
+        )
+        assert cons == {"a0", "a12"}
+        assert {row[0] for row in body["answers"]} <= cons
+        assert cons <= {row[0] for row in body["upper_bound"]}
+
+    def test_a_report_past_its_budget_is_a_typed_503(self):
+        """One component, a 40-tuple path: its branch-and-bound alone
+        outlives the 0.5 s budget."""
+        from .test_dispatch import _path
+
         service = CQAService(
             admission=AdmissionController(
                 TenantPolicy(default_timeout_s=0.5)
             )
         )
-        service.register_instance("big", *big)
+        service.register_instance("path", *_path(40))
         service.register_db("emp", EMPLOYEE_SPEC)
         with _ServerHarness(service, ServerConfig(port=0)) as server:
             conn = http.client.HTTPConnection(
                 "127.0.0.1", server.port, timeout=60.0
             )
             try:
-                conn.request("GET", "/v1/db/big/report")
+                conn.request("GET", "/v1/db/path/report")
                 response = conn.getresponse()
                 body = json.loads(response.read())
                 assert response.status == 503, body
@@ -1037,7 +1105,7 @@ class TestConflictsAtScale:
                     "error": "budget-exhausted",
                     "reason": "deadline",
                     "budget_s": 0.5,
-                    "detail": "the report on 'big' did not finish "
+                    "detail": "the report on 'path' did not finish "
                     "within its 0.5s budget",
                 }
                 assert response.getheader("Connection") != "close"
