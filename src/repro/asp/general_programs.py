@@ -29,7 +29,7 @@ theorem).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..constraints.base import IntegrityConstraint
 from ..constraints.denial import DenialConstraint
@@ -45,6 +45,7 @@ from ..relational.database import Database, Fact
 from ..relational.nulls import NULL
 from ..repairs.base import Repair, minimal_repairs, sort_repairs
 from .reasoning import AnswerSet, Solver
+from .repair_programs import null_guards
 from .syntax import AspProgram, AspRule, WeakConstraint, asp_fact
 
 
@@ -175,24 +176,8 @@ class GeneralRepairProgram:
         head = tuple(
             Atom(_del(a.predicate), a.terms) for a in dc.atoms
         )
-        # Guard join/compared variables against NULL: the grounder treats
-        # NULL as an ordinary constant, but under SQL semantics a NULL
-        # (e.g. in a null-padded inserted tuple) never satisfies a join.
-        counts: Dict[Var, int] = {}
-        for a in dc.atoms:
-            for t in a.terms:
-                if is_var(t):
-                    counts[t] = counts.get(t, 0) + 1
-        compared = set()
-        for c in dc.conditions:
-            for t in (c.left, c.right):
-                if is_var(t):
-                    compared.add(t)
-        guards = tuple(
-            Comparison("!=", v, NULL)
-            for v in sorted(counts, key=lambda w: w.name)
-            if counts[v] > 1 or v in compared
-        )
+        # A NULL, e.g. in a null-padded inserted tuple, fires nothing.
+        guards = null_guards(dc)
         return AspRule(head, body, (), tuple(dc.conditions) + guards)
 
     def _ind_rules(

@@ -18,16 +18,17 @@ query rules on the ``s``-annotated atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..constraints.base import IntegrityConstraint
 from ..constraints.cfd import ConditionalFunctionalDependency
 from ..constraints.denial import DenialConstraint
 from ..constraints.fd import FunctionalDependency
 from ..errors import SolverError
-from ..logic.formulas import Atom, Var
+from ..logic.formulas import Atom, Comparison, Var, is_var
 from ..logic.queries import ConjunctiveQuery
 from ..relational.database import Database, Fact
+from ..relational.nulls import NULL
 from ..repairs.base import Repair
 from .reasoning import AnswerSet, Solver
 from .syntax import AspProgram, AspRule, WeakConstraint, asp_fact
@@ -64,6 +65,27 @@ def relevant_relations(
                 relevant |= group
                 changed = True
     return frozenset(relevant)
+
+
+def null_guards(dc: DenialConstraint) -> Tuple[Comparison, ...]:
+    """``v != NULL`` for each variable of *dc* that joins (occurs twice
+    or more in its atoms) or is compared: the grounder treats NULL as
+    an ordinary constant, but under SQL semantics a NULL never
+    satisfies a join or a comparison (Section 4), so no violation
+    fires through one."""
+    counts: Dict[Var, int] = {}
+    for a in dc.atoms:
+        for t in a.terms:
+            if is_var(t):
+                counts[t] = counts.get(t, 0) + 1
+    compared = {
+        t for c in dc.conditions for t in (c.left, c.right) if is_var(t)
+    }
+    return tuple(
+        Comparison("!=", v, NULL)
+        for v in sorted(counts, key=lambda w: w.name)
+        if counts[v] > 1 or v in compared
+    )
 
 
 def primed(predicate: str) -> str:
@@ -141,9 +163,8 @@ class RepairProgram:
                     (tid_var,) + tuple(a.terms) + (DELETED,),
                 )
             )
-        return AspRule(
-            tuple(head), tuple(body), (), tuple(dc.conditions)
-        )
+        conditions = tuple(dc.conditions) + null_guards(dc)
+        return AspRule(tuple(head), tuple(body), (), conditions)
 
     def _inertia_rule(self, relation: str) -> AspRule:
         arity = self.db.schema.relation(relation).arity

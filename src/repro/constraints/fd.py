@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from ..errors import ConstraintError
+from ..errors import ConstraintError, SplitDeclinedError
 from ..logic.formulas import Atom, Comparison, Var
 from ..relational.database import Database, Fact, Row, row_sort_key
 from ..relational.nulls import is_null
@@ -49,6 +49,26 @@ class FunctionalDependency(IntegrityConstraint):
         rel = db.schema.relation(self.relation)
         return rel.positions(self.lhs), rel.positions(self.rhs)
 
+    @staticmethod
+    def _grouped(
+        rows: Iterable[Row], lhs_pos: Tuple[int, ...]
+    ) -> Tuple[Dict[object, Row], Dict[object, List[Row]]]:
+        """One pass: each lhs value's first row, and the rows of each
+        value held by two or more (a NaN groups by identity)."""
+        key_of = itemgetter(*lhs_pos)
+        first: Dict[object, Row] = {}
+        shared: Dict[object, List[Row]] = {}
+        for values in rows:
+            key = key_of(values)
+            seen = first.setdefault(key, values)
+            if seen is not values:
+                group = shared.get(key)
+                if group is None:
+                    shared[key] = [seen, values]
+                else:
+                    group.append(values)
+        return first, shared
+
     def violations(self, db: Database) -> List[Violation]:
         """Pairs of facts agreeing on lhs but differing on some rhs value.
 
@@ -58,18 +78,7 @@ class FunctionalDependency(IntegrityConstraint):
         sorted scan meets each group first.
         """
         lhs_pos, rhs_pos = self._positions(db)
-        key_of = itemgetter(*lhs_pos)
-        first: Dict[object, Row] = {}
-        shared: Dict[object, List[Row]] = {}
-        for values in db.stored_rows(self.relation):
-            key = key_of(values)
-            seen = first.setdefault(key, values)
-            if seen is not values:
-                group = shared.get(key)
-                if group is None:
-                    shared[key] = [seen, values]
-                else:
-                    group.append(values)
+        _, shared = self._grouped(db.stored_rows(self.relation), lhs_pos)
         groups = sorted(
             (
                 sorted(rows, key=row_sort_key)
@@ -86,6 +95,48 @@ class FunctionalDependency(IntegrityConstraint):
                 if self._conflicting(f1, f2, rhs_pos):
                     out.append(Violation(self.name, frozenset((f1, f2))))
         return out
+
+    def split(
+        self, db: Database
+    ) -> Tuple[List[Row], Dict[Row, List[List[Row]]]]:
+        """The rows every S-repair keeps, and per other lhs value (a
+        tuple) the alternatives each S-repair keeps one of, all in
+        :meth:`Database.relation` order, so sums over them do not
+        depend on the order the facts came in.
+
+        A row with NULL in its lhs, or an all-NULL rhs, conflicts with
+        nothing.  The other rows of an lhs value form classes by rhs (a
+        NaN row alone) that conflict exactly when they differ, unless a
+        NULL beside a value in a wide rhs agrees with two rows that
+        disagree: :class:`SplitDeclinedError` names it.
+        """
+        lhs_pos, rhs_pos = self._positions(db)
+        first, shared = self._grouped(db.relation(self.relation), lhs_pos)
+        kept, groups = [], {}
+        for key, row in first.items():
+            rows = shared.get(key, (row,))
+            lhs = key if len(lhs_pos) > 1 else (key,)
+            if any(map(is_null, lhs)):
+                kept += rows
+                continue
+            classes: Dict[object, List[Row]] = {}
+            partial = None
+            for values in rows:
+                rhs = tuple(values[p] for p in rhs_pos)
+                nulls = sum(map(is_null, rhs))
+                if nulls == len(rhs):
+                    kept.append(values)
+                    continue
+                partial = values if nulls else partial
+                label = rhs if all(v == v for v in rhs) else id(values)
+                classes.setdefault(label, []).append(values)
+            if partial is not None and len(classes) > 1:
+                raise SplitDeclinedError(
+                    f"{self!r}: {partial!r} holds a NULL beside a value, so "
+                    f"the conflicts of group {lhs!r} form no alternatives"
+                )
+            groups[lhs] = list(classes.values()) or [[]]  # all-NULL rhs
+        return kept, groups
 
     @staticmethod
     def _conflicting(f1: Fact, f2: Fact, rhs_pos: Tuple[int, ...]) -> bool:

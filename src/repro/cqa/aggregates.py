@@ -16,7 +16,7 @@ enumeration in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..constraints.base import IntegrityConstraint
 from ..constraints.fd import FunctionalDependency
@@ -115,130 +115,105 @@ def range_consistent_answer(
 
 
 def _fd_groups(
-    db: Database, fd: FunctionalDependency, attribute: Optional[str]
-) -> Tuple[List[List[float]], List[float]]:
-    """Split the aggregated column by repair choice.
-
-    Returns (choice groups, fixed values): each S-repair keeps, per lhs
-    group, exactly one rhs class; *choice groups* lists, per conflicting
-    lhs group, the aggregate-relevant values of each rhs class;
-    *fixed values* come from unconflicted tuples.
+    db: Database, fd: FunctionalDependency, attribute: Optional[str],
+    sign: float = 1.0,
+) -> List[List[List[float]]]:
+    """The aggregated column, times *sign*, split by repair choice
+    (:meth:`~repro.constraints.fd.FunctionalDependency.split`): per
+    group, the values of each alternative, one of which every S-repair
+    keeps.  The first group is the rows every repair keeps, as one
+    alternative; ``attribute=None`` gives a 1 per row.
+    :class:`~repro.errors.SplitDeclinedError` where the split declines.
     """
+    kept, split = fd.split(db)
     rel = db.schema.relation(fd.relation)
-    lhs_pos = rel.positions(fd.lhs)
-    rhs_pos = rel.positions(fd.rhs)
-    target = rel.position(attribute) if attribute is not None else None
-    by_key: Dict[Tuple, Dict[Tuple, List[float]]] = {}
-    fixed: List[float] = []
+    at = None if attribute is None else rel.position(attribute)
 
-    def value_of(row) -> Optional[float]:
-        if target is None:
-            return 1.0  # COUNT(*)
-        v = row[target]
-        return None if is_null(v) else float(v)
+    def values(rows) -> List[float]:
+        if at is None:
+            return [1.0] * len(rows)
+        return [sign * float(r[at]) for r in rows if not is_null(r[at])]
 
-    for row in db.relation(fd.relation):
-        key = tuple(row[p] for p in lhs_pos)
-        v = value_of(row)
-        if any(is_null(x) for x in key):
-            # NULL keys conflict with nothing; the tuple is in every
-            # repair and contributes a fixed value.
-            if v is not None:
-                fixed.append(v)
-            continue
-        rhs = tuple(row[p] for p in rhs_pos)
-        bucket = by_key.setdefault(key, {})
-        bucket.setdefault(rhs, [])
-        if v is not None:
-            bucket[rhs].append(v)
-    groups: List[List[List[float]]] = []
-    for bucket in by_key.values():
-        if len(bucket) == 1:
-            (only,) = bucket.values()
-            fixed.extend(only)
+    fixed = values(kept)
+    groups = [[fixed]]
+    for alternatives in split.values():
+        if len(alternatives) == 1:
+            fixed += values(alternatives[0])
         else:
-            groups.append(list(bucket.values()))
-    return groups, fixed
+            groups.append([values(rows) for rows in alternatives])
+    return groups
+
+
+def _sum_bounds(
+    groups: List[List[List[float]]],
+) -> Tuple[Optional[float], Optional[float]]:
+    """SUM's (glb, lub) over the repairs that keep a value: groups
+    choose independently, so a bound adds up their extreme choices,
+    and where those keep no value (no SUM, as in the enumeration) it
+    moves the group that costs it least onto an alternative with one."""
+    sums = [[sum(c) for c in choices] for choices in groups]
+
+    def bound(pick) -> Optional[float]:
+        moves = [
+            pick(s for s, c in zip(group, choices) if c) - pick(group)
+            for group, choices in zip(sums, groups)
+            if any(choices)
+        ]
+        if not moves:
+            return None
+        return float(sums[0][0] + sum(map(pick, sums[1:])) + pick(moves))
+
+    return bound(min), bound(max)
 
 
 def fd_range_count_star(
     db: Database, fd: FunctionalDependency
 ) -> AggregateRange:
-    """COUNT(*) range under one FD, in polynomial time."""
-    groups, fixed = _fd_groups(db, fd, None)
-    base = len(fixed)
-    glb = base + sum(min(len(c) for c in choices) for choices in groups)
-    lub = base + sum(max(len(c) for c in choices) for choices in groups)
-    return AggregateRange(float(glb), float(lub))
+    """COUNT(*) range under one FD, in polynomial time: SUM's over a
+    1 per row, and 0 on an empty relation."""
+    glb, lub = _sum_bounds(_fd_groups(db, fd, None))
+    return AggregateRange(glb or 0.0, lub or 0.0)
 
 
 def fd_range_sum(
     db: Database, fd: FunctionalDependency, attribute: str
 ) -> AggregateRange:
-    """SUM(attribute) range under one FD, in polynomial time.
+    """SUM(attribute) range under one FD, in polynomial time."""
+    return AggregateRange(*_sum_bounds(_fd_groups(db, fd, attribute)))
 
-    Each lhs group contributes independently, so the bounds add up from
-    the per-group extreme choices.
-    """
-    groups, fixed = _fd_groups(db, fd, attribute)
-    base = sum(fixed)
-    glb = base + sum(
-        min(sum(c) for c in choices) for choices in groups
-    )
-    lub = base + sum(
-        max(sum(c) for c in choices) for choices in groups
-    )
-    return AggregateRange(float(glb), float(lub))
+
+def _min_bounds(
+    groups: List[List[List[float]]],
+) -> Tuple[Optional[float], Optional[float]]:
+    """MIN's (glb, lub) over the repairs that keep a value: glb is the
+    least value kept anywhere; lub takes per group the alternative with
+    the largest minimum, or one with no value, which MIN skips, and
+    failing all else the group whose best such minimum is largest."""
+    glb, lub, skippable = [], [], []
+    for choices in groups:
+        mins = [min(c) for c in choices if c]
+        if mins:
+            glb.append(min(mins))
+            full = len(mins) == len(choices)
+            (lub if full else skippable).append(max(mins))
+    if not glb:
+        return None, None
+    return float(min(glb)), float(min(lub) if lub else max(skippable))
 
 
 def fd_range_min(
     db: Database, fd: FunctionalDependency, attribute: str
 ) -> AggregateRange:
-    """MIN(attribute) range under one FD, in polynomial time.
-
-    lub: make the minimum as large as possible — per group pick the
-    choice with the largest class-minimum; glb: the overall smallest
-    achievable value.
-    """
-    groups, fixed = _fd_groups(db, fd, attribute)
-    candidates_lub: List[float] = list(fixed)
-    candidates_glb: List[float] = list(fixed)
-    for choices in groups:
-        nonempty = [c for c in choices if c]
-        if len(nonempty) != len(choices):
-            # Some class has no non-null value: MIN can avoid this group
-            # entirely, so it only constrains the glb via its smallest.
-            if nonempty:
-                candidates_glb.append(min(min(c) for c in nonempty))
-            continue
-        candidates_lub.append(max(min(c) for c in nonempty))
-        candidates_glb.append(min(min(c) for c in nonempty))
-    if not candidates_glb:
-        return AggregateRange(None, None)
-    return AggregateRange(
-        float(min(candidates_glb)), float(min(candidates_lub))
-        if candidates_lub else None,
-    )
+    """MIN(attribute) range under one FD, in polynomial time."""
+    return AggregateRange(*_min_bounds(_fd_groups(db, fd, attribute)))
 
 
 def fd_range_max(
     db: Database, fd: FunctionalDependency, attribute: str
 ) -> AggregateRange:
-    """MAX(attribute) range under one FD, in polynomial time."""
-    groups, fixed = _fd_groups(db, fd, attribute)
-    candidates_glb: List[float] = list(fixed)
-    candidates_lub: List[float] = list(fixed)
-    for choices in groups:
-        nonempty = [c for c in choices if c]
-        if len(nonempty) != len(choices):
-            if nonempty:
-                candidates_lub.append(max(max(c) for c in nonempty))
-            continue
-        candidates_glb.append(min(max(c) for c in nonempty))
-        candidates_lub.append(max(max(c) for c in nonempty))
-    if not candidates_lub:
+    """MAX(attribute) range under one FD: MIN's over the negated
+    column, negated."""
+    glb, lub = _min_bounds(_fd_groups(db, fd, attribute, -1.0))
+    if glb is None:
         return AggregateRange(None, None)
-    return AggregateRange(
-        float(max(candidates_glb)) if candidates_glb else None,
-        float(max(candidates_lub)),
-    )
+    return AggregateRange(-lub, -glb)

@@ -19,7 +19,10 @@ into pipeline-wide latency.  Each engine therefore sits behind a
 The clock is injectable so tests (and deterministic experiments) can
 drive state transitions without sleeping.  Applicability rejections
 (:class:`~repro.errors.NotRewritableError`) never reach the breaker —
-an engine that correctly reports "not my query class" is healthy.
+an engine that correctly reports "not my query class" is healthy — and
+neither does a request whose own budget ran out
+(:class:`~repro.errors.BudgetExceededError`): one request's deadline
+says nothing about the engine every request shares.
 
 Breakers are shared across the serving layer's request threads, so all
 state transitions sit behind a per-breaker lock.  The contract that
@@ -204,6 +207,13 @@ class CircuitBreaker:
             if self._state is not BreakerState.CLOSED:
                 self._set_state(BreakerState.CLOSED)
                 self._opened_at = None
+
+    def release(self) -> None:
+        """An attempt ended with no verdict on the engine (its request's
+        own budget ran out, or it was inapplicable or saturated): free
+        the half-open probe slot, count nothing."""
+        with self._lock:
+            self._probe_inflight = False
 
     def record_failure(self) -> None:
         """A request failed: count it; trip or re-open as needed."""

@@ -14,8 +14,11 @@ ladder top down.  Each rung is guarded three ways before it runs:
    over the exact rungs still ahead, so one slow engine cannot starve
    every rung below it.
 
-Exact rungs either return a complete answer or fail; a failure trips
-the breaker bookkeeping and the dispatcher *falls through*.  Only the
+Exact rungs either return a complete answer or fail, and the
+dispatcher *falls through*.  A failure that another request could hit
+too (a SQLite or worker fault, a crash, a watchdog kill) charges the
+breaker; a rung that runs out of its request's own budget does not,
+so one tenant's deadlines cannot skip an engine for all.  Only the
 final certain-core rung may answer incompletely — a sound
 under-approximation, never a wrong answer.  Every result carries a
 :class:`Provenance` record (winning engine, what each rung did and
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..constraints.conflicts import ConflictHypergraph
-from ..errors import NotRewritableError, ReproError
+from ..errors import BudgetExceededError, NotRewritableError, ReproError
 from ..observability import add, annotate, span
 from ..observability.flight.recorder import (
     flight_begin,
@@ -476,15 +479,23 @@ class Dispatcher:
         except _INAPPLICABLE as exc:
             # check() passed but run() found a deeper class issue;
             # the engine is healthy, so no breaker penalty.
+            breaker.release()
             status, reason = "inapplicable", str(exc)
         except PoolSaturatedError as exc:
             # Every warm worker is busy: the engine is healthy, so no
             # breaker penalty — fall through (typically to the
             # in-process anytime bracket) and let admission control
             # relieve the pressure.
+            breaker.release()
             status, reason = "saturated", str(exc)
         except Exception as exc:  # noqa: BLE001 — rung firewall
-            breaker.record_failure()
+            if isinstance(exc, BudgetExceededError):
+                # The request's own budget (its slice of the deadline,
+                # its steps) ran out: the rung fails, the engine is
+                # not at fault, so no breaker penalty.
+                breaker.release()
+            else:
+                breaker.record_failure()
             add("dispatch.rung_failures")
             add("dispatch.fallbacks")
             status, reason = "failed", f"{type(exc).__name__}: {exc}"

@@ -21,6 +21,12 @@ class ConstraintError(ReproError):
     """An integrity constraint is malformed or unsupported by an operation."""
 
 
+class SplitDeclinedError(ConstraintError):
+    """An FD's conflicts do not split into a repair's alternatives: a
+    NULL beside a value in a right-hand side of two or more attributes
+    agrees with two rows that disagree."""
+
+
 class RepairError(ReproError):
     """A repair computation cannot proceed (e.g. cyclic tgds without bound)."""
 

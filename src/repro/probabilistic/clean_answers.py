@@ -2,8 +2,11 @@
 
 Andritsos, Fuxman & Miller weaken certain answers probabilistically: a
 key-violating instance induces a distribution over its repairs (worlds),
-each world keeping one tuple per key group; tuples may carry weights
-(source reliability), defaulting to uniform within their group.  The
+each world keeping one alternative per key group (the tuples of one
+right-hand side; a tuple with NULL in its key or as its whole
+right-hand side conflicts with nothing and is in every world); tuples
+may carry weights (source reliability), defaulting to uniform within
+their group, and an alternative weighs what its tuples weigh.  The
 *clean answer* probability of a row is the total probability of the
 worlds where it is an answer — certain answers are exactly the rows with
 probability 1, and "true in most repairs" (the paper's suggested
@@ -21,6 +24,7 @@ Two evaluation paths:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -55,50 +59,46 @@ class DirtyDatabase:
     def weight(self, f: Fact) -> float:
         return float(self.weights.get(f, 1.0))
 
-    def groups(self) -> List[List[Tuple[Fact, float]]]:
-        """Key groups with normalized per-tuple choice probabilities.
-
-        Tuples whose key contains NULL never conflict; they form
-        singleton groups with probability 1.
+    def groups(self) -> List[List[Tuple[Tuple[Fact, ...], float]]]:
+        """The repair choices, each a list of (facts, probability): the
+        facts every world keeps, with probability 1, then per key group
+        with a conflict its alternatives (``key.split``), weighted by
+        their facts, in ``repr`` order; ``SplitDeclinedError`` where
+        the split declines.
         """
-        rel = self.db.schema.relation(self.key.relation)
-        lhs_pos = rel.positions(self.key.lhs)
-        buckets: Dict[Tuple, List[Fact]] = {}
-        singletons: List[List[Tuple[Fact, float]]] = []
-        for f in sorted(self.db.facts(), key=repr):
-            if f.relation != self.key.relation:
-                singletons.append([(f, 1.0)])
+        kept, split = self.key.split(self.db)
+        relation = self.key.relation
+        fixed = [f for f in self.db.facts() if f.relation != relation]
+        fixed += (Fact(relation, row) for row in kept)
+        choices = []
+        for rows in split.values():
+            alternatives = sorted(
+                (sorted((Fact(relation, r) for r in alt), key=repr)
+                 for alt in rows),
+                key=lambda facts: list(map(repr, facts)),
+            )
+            if len(alternatives) == 1:
+                fixed += alternatives[0]
                 continue
-            key_vals = tuple(f.values[p] for p in lhs_pos)
-            if any(is_null(v) for v in key_vals):
-                singletons.append([(f, 1.0)])
-                continue
-            buckets.setdefault(key_vals, []).append(f)
-        groups: List[List[Tuple[Fact, float]]] = list(singletons)
-        for facts in buckets.values():
-            total = sum(self.weight(f) for f in facts)
-            groups.append([(f, self.weight(f) / total) for f in facts])
-        return groups
+            weights = [sum(map(self.weight, facts)) for facts in alternatives]
+            total = sum(weights)
+            choices.append([
+                (tuple(facts), w / total)
+                for facts, w in zip(alternatives, weights)
+            ])
+        choices.sort(key=lambda group: repr(group[0][0][0]))
+        return [[(tuple(fixed), 1.0)], *choices]
 
 
 def world_probabilities(
     dirty: DirtyDatabase,
 ) -> List[Tuple[Database, float]]:
     """All repair worlds with their probabilities (sums to 1)."""
-    groups = dirty.groups()
-    choice_groups = [g for g in groups if len(g) > 1]
-    fixed = [f for g in groups if len(g) == 1 for f, _ in g]
     worlds: List[Tuple[Database, float]] = []
-    for combo in itertools.product(*choice_groups) if choice_groups else [()]:
-        probability = 1.0
-        kept = list(fixed)
-        for f, p in combo:
-            probability *= p
-            kept.append(f)
-        world = dirty.db.delete(
-            [f for f in dirty.db.facts() if f not in set(kept)]
-        )
-        worlds.append((world, probability))
+    for combo in itertools.product(*dirty.groups()):
+        kept = {f for facts, _ in combo for f in facts}
+        world = dirty.db.delete([f for f in dirty.db if f not in kept])
+        worlds.append((world, math.prod(p for _, p in combo)))
     return worlds
 
 
@@ -144,36 +144,35 @@ def clean_answers_single_atom(
         raise QueryError(
             "the query atom must range over the keyed relation"
         )
-    groups = dirty.groups()
     support: Dict[Row, Dict[int, float]] = {}
-    for g_index, group in enumerate(groups):
-        for f, p in group:
-            if f.relation != atom_.predicate:
-                continue
-            row = _project(atom_, f, query)
-            if row is None:
-                continue
-            bucket = support.setdefault(row, {})
-            bucket[g_index] = bucket.get(g_index, 0.0) + p
+    for g_index, group in enumerate(dirty.groups()):
+        for facts, p in group:
+            rows = {
+                _project(atom_, f, query)
+                for f in facts if f.relation == atom_.predicate
+            }
+            rows.discard(None)
+            for row in rows:
+                bucket = support.setdefault(row, {})
+                bucket[g_index] = bucket.get(g_index, 0.0) + p
     out: List[Tuple[Row, float]] = []
     for row, per_group in support.items():
-        miss = 1.0
-        for p in per_group.values():
-            miss *= 1.0 - min(p, 1.0)
-        probability = 1.0 - miss
-        if probability >= threshold - 1e-12:
-            out.append((row, probability))
+        miss = math.prod(1.0 - min(p, 1.0) for p in per_group.values())
+        if 1.0 - miss >= threshold - 1e-12:
+            out.append((row, 1.0 - miss))
     out.sort(key=lambda item: (-item[1], repr(item[0])))
     return out
 
 
 def _project(atom_, f: Fact, query: ConjunctiveQuery) -> Optional[Row]:
-    """Head projection of fact *f* under the atom pattern, or None."""
+    """Head projection of fact *f* under the atom pattern, or None.
+    A repeated variable is a join, which a NULL never satisfies."""
     binding = {}
     for term, value in zip(atom_.terms, f.values):
         if is_var(term):
-            if term in binding and binding[term] != value:
-                return None
+            if term in binding:
+                if is_null(value) or binding[term] != value:
+                    return None
             binding[term] = value
         elif term != value:
             return None

@@ -83,12 +83,22 @@ class KeptSqlite:
         """Move to the instance after deleting *deleted*, then inserting
         *inserted* (``Database.delete`` then ``insert``, so tids and
         ``next_tid`` follow), and the connection with it when one is
-        built (:func:`apply_step`).  The memo empties, built
-        connection or not, so every statement runs again on the new
-        version.  On an exception nothing is advanced."""
-        db = self.db.delete(deleted).insert(inserted)
+        built, by the instance's own delta (:func:`apply_step`): the
+        stored facts that left, and the facts that joined.  A fact
+        deleted and inserted again as an equal value of another type
+        is both.  The memo empties, built connection or not, so every
+        statement runs again on the new version.  On an exception
+        nothing is advanced."""
+        old = self.db
+        left = [
+            old.fact_by_tid(old.tid_of(f))
+            for f in dict.fromkeys(deleted) if f in old
+        ]
+        rest = old.delete(left)
+        joined = [f for f in dict.fromkeys(inserted) if f not in rest]
+        db = rest.insert(joined)
         if self.conn is not None:
-            apply_step(self.conn, self.db, deleted, inserted)
+            apply_step(self.conn, old.schema, left, joined)
         self.db = db
         self._memo.clear()
         self._memo_rows = 0
@@ -208,40 +218,40 @@ def _insert_sql(rel: RelationSchema) -> str:
 
 def apply_step(
     conn: sqlite3.Connection,
-    db: Database,
-    deleted: Sequence[Fact],
-    inserted: Sequence[Fact],
+    schema: Schema,
+    left: Sequence[Fact],
+    joined: Sequence[Fact],
 ) -> None:
-    """Bring *conn*, a materialization of *db*, to the instance after
-    deleting *deleted*, then inserting *inserted*, in one transaction.
-
-    Set semantics, as in ``Database.delete``/``insert``: only facts
-    that leave *db* lose their row and only facts that join it gain
-    one, so deleting an absent fact or inserting a present one changes
-    nothing.  Values convert as in :func:`to_sqlite`.  On an exception
-    the transaction rolls back.
+    """Bring *conn*, a materialization of an instance over *schema*,
+    one step on in one transaction: each fact of *left*, as the
+    instance stores it, loses its row, then each fact of *joined*
+    gains one.  The caller names the instance's own delta
+    (:meth:`KeptSqlite.advance`), so the work is the delta's.  Values
+    convert as in :func:`to_sqlite`.  On an exception the transaction
+    rolls back.
     """
-    staying = set(inserted)
-    left = dict.fromkeys(f for f in deleted if f in db and f not in staying)
-    joined = dict.fromkeys(f for f in inserted if f not in db)
     with conn:  # commits, or rolls back on an exception
         for f in left:
             (params,) = _sql_rows([f.values])
             table = _quote_identifier(f.relation)
+            # IS equates 1 and 1.0, which two facts may hold apart;
+            # typeof tells their rows apart.
             match = " AND ".join(
-                f"{_quote_identifier(a)} IS ?"
-                for a in db.schema.relation(f.relation).attributes
+                f"{column} IS ? AND typeof({column}) = typeof(?)"
+                for column in map(
+                    _quote_identifier, schema.relation(f.relation).attributes
+                )
             )
             # One row, even where two facts convert to the same row
             # (the NULL marker and None both become SQL NULL).
             conn.execute(
                 f"DELETE FROM {table} WHERE rowid = "
                 f"(SELECT rowid FROM {table} WHERE {match} LIMIT 1)",
-                params,
+                [value for value in params for _ in range(2)],
             )
         for f in joined:
             (params,) = _sql_rows([f.values])
-            conn.execute(_insert_sql(db.schema.relation(f.relation)), params)
+            conn.execute(_insert_sql(schema.relation(f.relation)), params)
 
 
 def run_sql(db: Database, sql: str) -> List[Row]:

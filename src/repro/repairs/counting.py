@@ -12,13 +12,14 @@ count enumerates; benchmark B1 contrasts closed form and enumeration.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 from ..constraints.base import IntegrityConstraint, denial_class_only
 from ..constraints.fd import FunctionalDependency
+from ..errors import SplitDeclinedError
 from ..observability import add, span
 from ..relational.database import Database
-from ..relational.nulls import is_null
 from .product import ComponentProduct
 from .srepairs import s_repairs
 
@@ -50,35 +51,14 @@ def count_s_repairs(
 
 
 def count_fd_repairs(db: Database, fd: FunctionalDependency) -> int:
-    """Closed-form S-repair count for one FD ``lhs → rhs``.
-
-    Tuples sharing an lhs value split into classes by their rhs value;
-    an S-repair keeps exactly one rhs class per lhs group (tuples that
-    agree on lhs *and* rhs never conflict).  The repair count is the
-    product over lhs groups of the number of distinct rhs classes.
-    """
+    """Closed-form S-repair count for one FD: the product over lhs
+    groups of their alternatives (``fd.split``), or where the split
+    declines, the component product's count."""
     with span("repairs.count", method="closed-form"):
-        rel = db.schema.relation(fd.relation)
-        lhs_pos = rel.positions(fd.lhs)
-        rhs_pos = rel.positions(fd.rhs)
-        groups: Dict[Tuple, set] = {}
-        for values in db.relation(fd.relation):
-            key = tuple(values[p] for p in lhs_pos)
-            if any(is_null(v) for v in key):
-                continue
-            rhs = tuple(values[p] for p in rhs_pos)
-            if any(is_null(v) for v in rhs):
-                # With NULLs on the right-hand side the conflict relation
-                # is no longer an equivalence on rhs classes; fall back to
-                # the component product, which handles SQL null
-                # semantics exactly.
-                count = ComponentProduct(db, (fd,)).count()
-                add("repairs.counted", count)
-                return count
-            groups.setdefault(key, set()).add(rhs)
-        count = 1
-        for rhs_classes in groups.values():
-            count *= max(1, len(rhs_classes))
+        try:
+            count = math.prod(map(len, fd.split(db)[1].values()))
+        except SplitDeclinedError:
+            count = ComponentProduct(db, (fd,)).count()
         add("repairs.counted", count)
         return count
 
@@ -86,19 +66,11 @@ def count_fd_repairs(db: Database, fd: FunctionalDependency) -> int:
 def count_repairs_per_group(
     db: Database, fd: FunctionalDependency
 ) -> List[Tuple[Tuple, int]]:
-    """Per-lhs-group repair choice counts (diagnostic view of the above)."""
-    rel = db.schema.relation(fd.relation)
-    lhs_pos = rel.positions(fd.lhs)
-    rhs_pos = rel.positions(fd.rhs)
-    groups: Dict[Tuple, set] = {}
-    for values in db.relation(fd.relation):
-        key = tuple(values[p] for p in lhs_pos)
-        if any(is_null(v) for v in key):
-            continue
-        groups.setdefault(key, set()).add(
-            tuple(values[p] for p in rhs_pos)
-        )
+    """Per-lhs-group repair choice counts (diagnostic view of the
+    above); :class:`~repro.errors.SplitDeclinedError` where the split
+    declines."""
+    groups = fd.split(db)[1]
     return sorted(
-        ((key, len(classes)) for key, classes in groups.items()),
+        ((key, len(alternatives)) for key, alternatives in groups.items()),
         key=lambda item: repr(item[0]),
     )

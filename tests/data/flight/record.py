@@ -9,7 +9,11 @@ The committed ones were recorded by the tree just before the dispatch
 ladder began building one record per rung (commit 161feb2), so
 ``tests/test_flight.py::TestReplayCompatibility`` shows that envelopes
 recorded by that tree still replay, and still get the same decision
-trail, on the current one.  The set covers the default ladder and the
+trail, on the current one.  One was recorded again, by the tree that
+stopped charging a breaker for a rung that ran out of its request's own
+budget: in ``flight_r000018_*`` the third starved failure of ``local``
+and ``enumerate`` tripped their breakers at 161feb2, and trips none
+since.  The set covers the default ladder and the
 ``("local", "enumerate", "certain-core")`` ladder under the
 transient-sqlite and step-starvation fault plans of the CI chaos drive,
 one refused request and one shadow-sampled request.

@@ -322,6 +322,44 @@ class TestRepairProgramCQA:
         assert len(rp.answer_sets()) == 2
 
 
+class TestRepairProgramNulls:
+    """A NULL never satisfies a join or a comparison (Section 4): the
+    repair program's violation rules guard their joined and compared
+    variables against it, as the general repair program's do."""
+
+    def test_a_null_right_hand_side_rivals_nothing(self):
+        from repro.asp import GeneralRepairProgram
+        from repro.constraints import FunctionalDependency
+        from repro.cqa import consistent_answers
+        from repro.logic.parser import parse_query
+        from repro.relational import Database, RelationSchema, Schema
+        from repro.relational.nulls import NULL
+
+        db = Database.from_dict(
+            {"R": [("a", 1), ("a", NULL)]},
+            schema=Schema.of(RelationSchema("R", ("A", "B"))),
+        )
+        fd = FunctionalDependency("R", ("A",), ("B",))
+        query = parse_query("Q(X, Y) :- R(X, Y)")
+        both = {("a", 1), ("a", NULL)}
+        assert RepairProgram(db, (fd,)).consistent_answers(query) == both
+        assert consistent_answers(db, (fd,), query) == both
+        general = GeneralRepairProgram(db, (fd,))
+        assert general.consistent_answers(query) == both
+
+    def test_a_null_key_joins_nothing(self):
+        from repro.constraints import FunctionalDependency
+        from repro.relational import Database, RelationSchema, Schema
+        from repro.relational.nulls import NULL
+
+        db = Database.from_dict(
+            {"R": [(NULL, 1), (NULL, 2)]},
+            schema=Schema.of(RelationSchema("R", ("A", "B"))),
+        )
+        fd = FunctionalDependency("R", ("A",), ("B",))
+        assert len(RepairProgram(db, (fd,)).repairs()) == 1
+
+
 class TestConsExSlicing:
     """Magic-set-style relevance slicing (ConsEx [43])."""
 

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the extension modules."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.constraints import ConflictHypergraph, DenialConstraint, FunctionalDependency
 from repro.cqa import (
@@ -11,7 +11,8 @@ from repro.cqa import (
     fd_range_sum,
     range_consistent_answer,
 )
-from repro.logic import atom, cq, vars_
+from repro.errors import SplitDeclinedError
+from repro.logic import Var, atom, cq, vars_
 from repro.probabilistic import (
     DirtyDatabase,
     clean_answers,
@@ -19,9 +20,11 @@ from repro.probabilistic import (
     world_probabilities,
 )
 from repro.relational import Database, RelationSchema, Schema
+from repro.relational.nulls import NULL, is_null
 from repro.repairs import (
     IncrementalRepairer,
     PriorityRelation,
+    count_fd_repairs,
     globally_optimal_repairs,
     pareto_optimal_repairs,
     s_repairs,
@@ -31,83 +34,148 @@ X, Y = vars_("x y")
 
 _KV_SCHEMA = Schema.of(RelationSchema("R", ("K", "V"), key=("K",)))
 FD = FunctionalDependency("R", ("K",), ("V",), name="key")
+_KVW_SCHEMA = Schema.of(RelationSchema("R", ("K", "V", "W"), key=("K",)))
+FD_WIDE = FunctionalDependency("R", ("K",), ("V", "W"), name="key")
+
+
+def _or_null(values):
+    return st.one_of(values, st.just(NULL))
 
 
 @st.composite
 def numeric_kv_databases(draw):
     rows = draw(st.lists(
         st.tuples(
-            st.sampled_from(["k0", "k1", "k2"]),
-            st.integers(min_value=-20, max_value=20),
+            _or_null(st.sampled_from(["k0", "k1", "k2"])),
+            _or_null(st.integers(min_value=-20, max_value=20)),
         ),
         min_size=1, max_size=7, unique=True,
     ))
     return Database.from_dict({"R": rows}, schema=_KV_SCHEMA)
 
 
-@given(numeric_kv_databases())
-@settings(max_examples=40, deadline=None)
-def test_aggregate_closed_forms_match_enumeration(db):
+@st.composite
+def wide_kvw_databases(draw):
+    """A two-attribute right-hand side, where a NULL beside a value
+    agrees with two rows that disagree: the split may decline."""
+    rows = draw(st.lists(
+        st.tuples(
+            _or_null(st.sampled_from(["k0", "k1"])),
+            _or_null(st.integers(min_value=-3, max_value=3)),
+            _or_null(st.integers(min_value=-3, max_value=3)),
+        ),
+        min_size=1, max_size=6, unique=True,
+    ))
+    return Database.from_dict({"R": rows}, schema=_KVW_SCHEMA)
+
+
+#: (instance, its FD): one right-hand-side attribute or two.
+instances = st.one_of(
+    numeric_kv_databases().map(lambda db: (db, FD)),
+    wide_kvw_databases().map(lambda db: (db, FD_WIDE)),
+)
+
+
+def _shortcut(fd, call):
+    """*call*'s answer, or None where the FD's split declined, which
+    only a right-hand side of two or more attributes may do."""
+    try:
+        return call()
+    except SplitDeclinedError as exc:
+        assert len(fd.rhs) > 1 and "NULL" in str(exc)
+        return None
+
+
+def _rows_query(db, repeat=False):
+    """``Q(X, Y) :- R(X, Y, ...)`` over all of R's attributes, or with
+    *repeat* the self-join ``Q(X) :- R(X, X, ...)``, which a NULL
+    never satisfies."""
+    arity = db.schema.relation("R").arity
+    rest = [Var(f"u{i}") for i in range(arity - 2)]
+    if repeat:
+        return cq([X], [atom("R", X, X, *rest)], name="equal")
+    return cq([X, Y], [atom("R", X, Y, *rest)], name="rows")
+
+
+@given(instances)
+@settings(max_examples=60, deadline=None)
+# No repair keeps a value: SUM is NULL, not 0.
+@example(instance=(
+    Database.from_dict({"R": [("k0", NULL)]}, schema=_KV_SCHEMA), FD
+))
+def test_aggregate_closed_forms_match_enumeration(instance):
+    db, fd = instance
     pairs = [
-        (fd_range_sum(db, FD, "V"),
-         range_consistent_answer(db, (FD,), AggregateQuery("R", "sum", "V"))),
-        (fd_range_count_star(db, FD),
-         range_consistent_answer(db, (FD,), AggregateQuery("R", "count"))),
-        (fd_range_min(db, FD, "V"),
-         range_consistent_answer(db, (FD,), AggregateQuery("R", "min", "V"))),
-        (fd_range_max(db, FD, "V"),
-         range_consistent_answer(db, (FD,), AggregateQuery("R", "max", "V"))),
+        (lambda: fd_range_sum(db, fd, "V"), AggregateQuery("R", "sum", "V")),
+        (lambda: fd_range_count_star(db, fd), AggregateQuery("R", "count")),
+        (lambda: fd_range_min(db, fd, "V"), AggregateQuery("R", "min", "V")),
+        (lambda: fd_range_max(db, fd, "V"), AggregateQuery("R", "max", "V")),
     ]
-    for fast, exact in pairs:
-        assert (fast.glb, fast.lub) == (exact.glb, exact.lub)
+    for call, query in pairs:
+        fast = _shortcut(fd, call)
+        if fast is not None:
+            exact = range_consistent_answer(db, (fd,), query)
+            assert (fast.glb, fast.lub) == (exact.glb, exact.lub)
 
 
-@given(numeric_kv_databases())
+@given(instances)
 @settings(max_examples=40, deadline=None)
-def test_aggregate_range_brackets_every_repair(db):
+def test_aggregate_range_brackets_every_repair(instance):
+    db, fd = instance
     for function, attribute in (("sum", "V"), ("min", "V"), ("max", "V")):
         query = AggregateQuery("R", function, attribute)
-        bracket = range_consistent_answer(db, (FD,), query)
-        for r in s_repairs(db, (FD,)):
+        bracket = range_consistent_answer(db, (fd,), query)
+        for r in s_repairs(db, (fd,)):
             value = query.evaluate(r.instance)
             if value is not None:
                 assert bracket.glb <= value <= bracket.lub
 
 
-@given(numeric_kv_databases())
-@settings(max_examples=30, deadline=None)
-def test_world_probabilities_sum_to_one(db):
-    dirty = DirtyDatabase(db, FD)
-    worlds = world_probabilities(dirty)
+@given(instances)
+@settings(max_examples=40, deadline=None)
+def test_world_probabilities_sum_to_one(instance):
+    db, fd = instance
+    worlds = _shortcut(fd, lambda: world_probabilities(DirtyDatabase(db, fd)))
+    if worlds is None:
+        return
     assert abs(sum(p for _, p in worlds) - 1.0) < 1e-9
     srepair_sets = {
-        r.instance.facts() for r in s_repairs(db, (FD,))
+        r.instance.facts() for r in s_repairs(db, (fd,))
     }
     assert {w.facts() for w, _ in worlds} == srepair_sets
+    assert len(worlds) == len(srepair_sets) == count_fd_repairs(db, fd)
 
 
-@given(numeric_kv_databases())
+@given(instances)
+@settings(max_examples=40, deadline=None)
+def test_clean_answer_paths_agree(instance):
+    db, fd = instance
+    dirty = DirtyDatabase(db, fd)
+    for q in (_rows_query(db), _rows_query(db, repeat=True)):
+        exact = _shortcut(fd, lambda: dict(clean_answers(dirty, q)))
+        fast = _shortcut(
+            fd, lambda: dict(clean_answers_single_atom(dirty, q))
+        )
+        assert (exact is None) == (fast is None)
+        if exact is None:
+            return
+        assert set(exact) == set(fast)
+        for row in exact:
+            assert abs(exact[row] - fast[row]) < 1e-9
+
+
+@given(instances)
 @settings(max_examples=30, deadline=None)
-def test_clean_answer_paths_agree(db):
-    dirty = DirtyDatabase(db, FD)
-    q = cq([X, Y], [atom("R", X, Y)], name="rows")
-    exact = dict(clean_answers(dirty, q))
-    fast = dict(clean_answers_single_atom(dirty, q))
-    assert set(exact) == set(fast)
-    for row in exact:
-        assert abs(exact[row] - fast[row]) < 1e-9
-
-
-@given(numeric_kv_databases())
-@settings(max_examples=30, deadline=None)
-def test_certain_answers_have_probability_one(db):
+def test_certain_answers_have_probability_one(instance):
     from repro.cqa import consistent_answers
 
-    dirty = DirtyDatabase(db, FD)
-    q = cq([X, Y], [atom("R", X, Y)], name="rows")
-    certain = consistent_answers(db, (FD,), q)
-    probs = dict(clean_answers(dirty, q))
-    for row in certain:
+    db, fd = instance
+    dirty = DirtyDatabase(db, fd)
+    q = _rows_query(db)
+    probs = _shortcut(fd, lambda: dict(clean_answers(dirty, q)))
+    if probs is None:
+        return
+    for row in consistent_answers(db, (fd,), q):
         assert abs(probs[row] - 1.0) < 1e-9
 
 
@@ -115,7 +183,7 @@ def test_certain_answers_have_probability_one(db):
 @settings(max_examples=25, deadline=None)
 def test_preferred_repair_containments(db):
     priority = PriorityRelation.from_score(
-        db, lambda f: float(f.values[1])
+        db, lambda f: 0.0 if is_null(f.values[1]) else float(f.values[1])
     )
     s_diffs = {r.diff for r in s_repairs(db, (FD,))}
     pareto = {r.diff for r in pareto_optimal_repairs(db, (FD,), priority)}

@@ -10,11 +10,14 @@ attribute repairs must equal what the whole conflict graph gives, and
 every repair the product builds must be an S-repair.
 """
 
+import math
+
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints import ConflictHypergraph
 from repro.constraints.conflicts import _is_minimal_hitting_set
 from repro.cqa import consistent_answers, overapproximate_answers
+from repro.errors import SplitDeclinedError
 from repro.logic import atom, cq, vars_
 from repro.logic.parser import parse_denial, parse_fd
 from repro.relational import Database, RelationSchema, Schema
@@ -27,6 +30,7 @@ from repro.repairs import (
     c_repairs,
     c_repairs_partial,
     count_fd_repairs,
+    count_repairs_per_group,
     count_s_repairs,
     is_c_repair,
     is_s_repair,
@@ -137,15 +141,26 @@ def test_every_sampled_repair_is_an_s_repair(db, start):
             st.sampled_from(["w0", "w1"]),
         ),
         max_size=6, unique=True,
-    )
+    ),
+    st.sampled_from(["T: K -> V, W", "T: K -> V"]),
 )
-def test_the_null_fallback_counts_like_the_whole_graph(rows):
-    """A NULL right-hand side leaves the closed form for the product."""
+def test_the_null_fallback_counts_like_the_whole_graph(rows, spec):
+    """A NULL beside a value in a two-attribute right-hand side leaves
+    the closed form for the product; a NULL as the one right-hand-side
+    value keeps its row in every repair.  Wherever the FD's split
+    answers, the per-group counts multiply to the count."""
     schema = Schema.of(RelationSchema("T", ("K", "V", "W")))
     db = Database.from_dict({"T": rows}, schema=schema)
-    fd = parse_fd("T: K -> V, W")
+    fd = parse_fd(spec)
     graph = ConflictHypergraph.build(db, (fd,))
-    assert count_fd_repairs(db, fd) == len(graph.minimal_hitting_sets())
+    count = count_fd_repairs(db, fd)
+    assert count == len(graph.minimal_hitting_sets())
+    try:
+        per_group = count_repairs_per_group(db, fd)
+    except SplitDeclinedError:
+        assert len(fd.rhs) > 1
+    else:
+        assert math.prod(n for _, n in per_group) == count
 
 
 # ----------------------------------------------------------------------

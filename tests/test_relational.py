@@ -285,7 +285,9 @@ class TestSQLKeyIndexes:
 
         db = Database.from_dict({}, schema=Schema.of(self.KEYED))
         conn = to_sqlite(db)
-        apply_step(conn, db, [], [fact("R", f"a{i}", "b") for i in range(3)])
+        apply_step(
+            conn, db.schema, [], [fact("R", f"a{i}", "b") for i in range(3)]
+        )
         assert _index_names(conn, "R") == ["R key"]
         lookup = 'SELECT "B" FROM "R" WHERE "A" = ?'
         (step,) = conn.execute("EXPLAIN QUERY PLAN " + lookup, ("a1",))

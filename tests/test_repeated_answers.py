@@ -15,7 +15,7 @@ its worker does not list as warm.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.dispatch import (
     CQARequest,
@@ -141,6 +141,17 @@ def test_every_body_is_in_process_fm_sql(shared_pool):
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(st.lists(st.tuples(_VALUES, _VALUES), max_size=6), _OPS)
+    # A kept connection that missed a type change: 1.0 left, 1 joined.
+    @example(
+        rows=[("a", None), (1.0, None)],
+        ops=[
+            ("read", PROJECTION),
+            ("read", PROJECTION),
+            ("write", [["R", 1, None]], [["R", 1, None]]),
+            ("read", PROJECTION),
+            ("read", PROJECTION),
+        ],
+    )
     def run(rows, ops):
         service.register_instance("d", _r_instance(rows, audit=1), R_KEY)
         for op in ops:

@@ -419,6 +419,46 @@ class TestServiceHandlers:
 # ----------------------------------------------------------------------
 
 
+    def test_one_tenants_deadlines_leave_anothers_engine_closed(self):
+        """A rung that runs out of its request's own deadline charges no
+        breaker: after tenant t1's self-joins on an 8,000-fact instance
+        spend their 50 ms and degrade, tenant t2's read of a 4-fact
+        instance is still answered exactly by ``local``."""
+        from repro.logic.parser import parse_fd
+        from repro.relational import Database, RelationSchema, Schema
+
+        schema = Schema.of(
+            RelationSchema("Employee", ("Name", "Salary"), key=("Name",))
+        )
+        key = [parse_fd("Employee: Name -> Salary")]
+        rows = [(f"e{i // 2}", f"s{i * 7 % 1000}") for i in range(8000)]
+        small = [("a", "1"), ("a", "2"), ("b", "2"), ("c", "3")]
+        svc = CQAService()
+        for name, facts in (("big", rows), ("small", small)):
+            svc.register_instance(
+                name,
+                Database.from_dict({"Employee": facts}, schema=schema),
+                key,
+            )
+        self_join = "Q(X) :- Employee(X, Y), Employee(Z, Y)"
+        for _ in range(3):
+            status, body, _ = svc.handle_cqa({
+                "db": "big", "query": self_join, "tenant": "t1",
+                "timeout_s": 0.05,
+            })
+            assert status == 200 and not body["complete"], body
+        breakers = svc.dispatcher.breakers
+        assert [breakers[n].failures for n in ("local", "enumerate")] == [
+            0, 0
+        ]
+        status, body, _ = svc.handle_cqa(
+            {"db": "small", "query": self_join, "tenant": "t2"}
+        )
+        assert status == 200
+        assert body["complete"] and body["engine"] == "local", body
+        assert body["answers"] == [["a"], ["b"], ["c"]]
+
+
 class _SaturatedPool:
     """Quacks like a WorkerPool with every worker busy."""
 

@@ -22,7 +22,7 @@ import threading
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.cqa import consistent_answers_fm, fuxman_miller_rewrite
 from repro.cqa.certain import consistent_answers
@@ -51,7 +51,6 @@ from repro.relational.database import Database, fact
 from repro.relational.nulls import NULL, LabeledNull, is_null
 from repro.relational.sqlbridge import (
     KeptSqlite,
-    apply_step,
     keeping,
     run_sql,
     to_sqlite,
@@ -703,31 +702,53 @@ def _bare(db):
     return conn
 
 
+def _typed(rows):
+    """*rows* as a multiset of values with their types: 1, 1.0 and True
+    are equal but each its own answer."""
+    return Counter(tuple((type(v), v) for v in row) for row in rows)
+
+
+#: A fact deleted and inserted again as an equal value of another type.
+_RETYPED = ([fact("R", "a", None), fact("R", 1.0, None)],
+            [fact("R", 1, None)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     _MIXED_FACTS,
     st.lists(st.tuples(_MIXED_FACTS, _MIXED_FACTS), max_size=4),
     st.sampled_from(_FM_QUERIES),
 )
+@example(_RETYPED[0], [(_RETYPED[1], _RETYPED[1])], PROJECTION)
+# SQLite's IS equates the keys 1 and 1.0: the delete must find 1.0's row.
+@example(
+    [fact("R", 1, None), fact("R", 1.0, NULL)],
+    [([fact("R", 1, NULL)], [])],
+    PROJECTION,
+)
 def test_an_indexed_advanced_connection_answers_as_bare_tables(
     facts, steps, query
 ):
-    """fm-sql's statements return the same rows through the key
-    indexes, also after ``apply_step`` advanced the connection, as on
-    tables with no index: SQLite against SQLite, so the NULL semantics
-    both share are not under test here."""
-    db = Database.from_facts(facts, schema=_KEYED)
-    sql = query_to_sql(
-        fuxman_miller_rewrite(parse_query(query), _KEYS, db), _KEYED
-    )
-    indexed = to_sqlite(db)
-    for deleted, inserted in steps:
-        apply_step(indexed, db, deleted, inserted)
-        db = db.delete(deleted).insert(inserted)
-    reference = _bare(db)
-    assert Counter(indexed.execute(sql).fetchall()) == Counter(
-        reference.execute(sql).fetchall()
-    )
+    """fm-sql's statements return the same rows, each value with its
+    type, through the key indexes, also after ``KeptSqlite.advance``
+    moved the connection, as on tables with no index loaded from the
+    same version: SQLite against SQLite, so the NULL semantics both
+    share are not under test here."""
+    kept = KeptSqlite(Database.from_facts(facts, schema=_KEYED))
+    kept.conn = to_sqlite(kept.db)
+    try:
+        sql = query_to_sql(
+            fuxman_miller_rewrite(parse_query(query), _KEYS, kept.db),
+            _KEYED,
+        )
+        for deleted, inserted in steps:
+            kept.advance(deleted, inserted)
+        reference = _bare(kept.db)
+        assert _typed(kept.conn.execute(sql).fetchall()) == _typed(
+            reference.execute(sql).fetchall()
+        )
+    finally:
+        kept.close()
 
 
 # ----------------------------------------------------------------------
@@ -764,6 +785,9 @@ _SQL = {
         max_size=4,
     ),
 )
+@example(
+    _RETYPED[0], [PROJECTION], [(_RETYPED[1], _RETYPED[1], [PROJECTION])]
+)
 def test_a_memoized_answer_equals_a_fresh_load(facts, first, steps):
     """A kept instance, advanced by random steps, runs fm-sql's
     statements repeatedly between them: every ``run_sql`` through
@@ -779,7 +803,7 @@ def test_a_memoized_answer_equals_a_fresh_load(facts, first, steps):
                     rows = run_sql(kept.db, _SQL[query])
                 with keeping(None):
                     fresh = run_sql(kept.db, _SQL[query])
-                assert Counter(rows) == Counter(fresh)
+                assert _typed(rows) == _typed(fresh)
                 assert _memo_rows(kept) <= len(kept.db)
     finally:
         kept.close()
