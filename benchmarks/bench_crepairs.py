@@ -12,6 +12,8 @@ import pytest
 import _benchlib  # noqa: F401  (sys.path bootstrap for direct runs)
 
 from repro.constraints import ConflictHypergraph
+from repro.logic.parser import parse_fd
+from repro.relational import Database, RelationSchema, Schema
 from repro.repairs import (
     c_repairs,
     minimum_hitting_sets_branch_and_bound,
@@ -59,6 +61,29 @@ def test_minimum_hitting_sets(benchmark, k):
     graph = ConflictHypergraph.build(scenario.db, scenario.constraints)
     sets = benchmark(minimum_hitting_sets_branch_and_bound, graph)
     assert all(len(s) == k for s in sets)
+
+
+def _path_graph(tuples):
+    """One conflict component, a path: *tuples* facts of ``R(A, B)``
+    under ``R: A -> B`` and ``R: B -> A``, each conflicting with the
+    next, so no per-component split makes the search small."""
+    rows = [(f"a{i // 2}", f"b{(i + 1) // 2}") for i in range(tuples)]
+    db = Database.from_dict(
+        {"R": rows}, schema=Schema.of(RelationSchema("R", ("A", "B")))
+    )
+    fds = (parse_fd("R: A -> B"), parse_fd("R: B -> A"))
+    return ConflictHypergraph.build(db, fds)
+
+
+@pytest.mark.parametrize("search", ["minimal", "minimum"])
+def test_one_long_component(benchmark, search):
+    graph = _path_graph(24)
+    if search == "minimal":
+        sets = benchmark(graph.minimal_hitting_sets)
+        assert len(sets) == 816
+    else:
+        sets = benchmark(minimum_hitting_sets_branch_and_bound, graph)
+        assert len(sets) == 13 and all(len(s) == 12 for s in sets)
 
 
 if __name__ == "__main__":

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Callable,
+    Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -39,10 +41,6 @@ from .base import IntegrityConstraint, all_violations, denial_class_only
 from .cfd import ConditionalFunctionalDependency
 from .denial import DenialConstraint
 from .fd import FunctionalDependency
-
-
-class _LimitReached(Exception):
-    """Internal: the requested number of minimal sets was found."""
 
 
 @dataclass(frozen=True)
@@ -279,9 +277,8 @@ class ConflictHypergraph:
         """All inclusion-minimal hitting sets of the hyperedges.
 
         These are exactly the deletion sets of S-repairs.  *limit*
-        bounds the number of sets returned — and, unlike the historical
-        post-hoc slice, stops the search as soon as that many minimal
-        sets are verified, so bounded calls do bounded work.  Deadline
+        bounds the number of sets returned and stops the search as soon
+        as that many are found, so bounded calls do bounded work.  Deadline
         or step exhaustion of an ambient budget raises
         :class:`~repro.errors.BudgetExceededError`; use
         :meth:`minimal_hitting_sets_partial` for the anytime prefix.
@@ -294,69 +291,51 @@ class ConflictHypergraph:
         limit: Optional[int] = None,
         budget: Optional[Budget] = None,
     ) -> "Partial[List[FrozenSet[str]]]":
-        """Anytime enumeration of the inclusion-minimal hitting sets.
+        """Anytime enumeration of the inclusion-minimal hitting sets,
+        sorted by ``(size, sorted members)``: :meth:`_built` of the
+        sets themselves."""
+        partial = self._built(lambda hitting: hitting, limit, budget)
+        return partial.map(
+            lambda found: sorted(found, key=lambda s: (len(s), sorted(s)))
+        )
 
-        Enumeration branches on the vertices of an uncovered edge.
-        Every emitted set passes an exact local minimality check (each
-        vertex has a private uncovered edge), so the prefix returned on
-        budget exhaustion is *sound*: each element is a true minimal
-        hitting set of the full edge set, never a superset that a
-        deeper branch would have shrunk.
-        """
+    def _built(
+        self,
+        build: Callable[[FrozenSet[str]], object],
+        limit: Optional[int] = None,
+        budget: Optional[Budget] = None,
+    ) -> "Partial[list]":
+        """*build* of each minimal hitting set as :func:`hitting_sets`
+        finds it, under *budget*: when it runs out, a sound prefix of
+        what was built by then (a repair costs more to build than its
+        set to find); the first *limit* when one is given."""
         edges = sorted(self.edges, key=lambda e: (len(e), sorted(e)))
         budget = resolve_budget(budget)
         if not edges:
-            return Partial.done([frozenset()], budget)
-        # ``candidates`` keeps every completed hitting set (minimal or
-        # not) for superset pruning; ``found`` holds the verified
-        # minimal ones, in discovery order.
-        candidates: Set[FrozenSet[str]] = set()
-        found: List[FrozenSet[str]] = []
-        chosen: Set[str] = set()
-
-        def branch(remaining: List[FrozenSet[str]]) -> Optional[list]:
-            """Enter a branch: skip it when *chosen* holds a candidate
-            (it could yield only supersets), emit *chosen* if it covers
-            *remaining*, else return the frame that tries each vertex of
-            its smallest uncovered edge: ``[uncovered, vertices, next]``."""
-            if any(c <= chosen for c in candidates):
-                add("conflicts.superset_pruned")
-                return None
-            add("conflicts.hitting_set_branches")
-            budget_checkpoint()
-            uncovered = [e for e in remaining if not (e & chosen)]
-            if not uncovered:
-                hitting = frozenset(chosen)
-                if hitting not in candidates:
-                    candidates.add(hitting)
-                    if _is_minimal_hitting_set(hitting, edges):
-                        if budget is not None:
-                            budget.count_result()
-                        found.append(hitting)
-                        if limit is not None and len(found) >= limit:
-                            raise _LimitReached
-                return None
-            return [uncovered, sorted(min(uncovered, key=len)), 0]
-
+            return Partial.done([build(frozenset())], budget)
+        found: list = []
         exhausted: Optional[BudgetExhaustion] = None
         with span("conflicts.minimal_hitting_sets"):
             with use_budget(budget):
                 try:
-                    hitting_set_search(branch, edges, chosen)
-                except _LimitReached:
-                    exhausted = BudgetExhaustion.COUNT
+                    for hitting in hitting_sets(edges):
+                        if budget is not None:
+                            budget.count_result()
+                        found.append(build(hitting))
+                        if limit is not None and len(found) >= limit:
+                            exhausted = BudgetExhaustion.COUNT
+                            break
                 except BudgetExceededError as exc:
                     if budget is not None and budget.strict:
                         raise
                     exhausted = BudgetExhaustion(exc.reason)
-            minimal = sorted(found, key=lambda s: (len(s), sorted(s)))
-            add("conflicts.minimal_hitting_sets", len(minimal))
-            annotate(edges=len(edges), hitting_sets=len(minimal))
+            add("conflicts.minimal_hitting_sets", len(found))
+            annotate(edges=len(edges), hitting_sets=len(found))
             if exhausted is None:
-                return Partial.done(minimal, budget)
+                return Partial.done(found, budget)
             add("conflicts.hitting_sets_truncated")
             annotate(truncated=exhausted.value)
-            return Partial.truncated(minimal, exhausted, budget)
+            return Partial.truncated(found, exhausted, budget)
 
     def minimum_hitting_sets(self) -> List[FrozenSet[str]]:
         """All hitting sets of minimum cardinality (C-repair deletions)."""
@@ -414,36 +393,84 @@ class ConflictHypergraph:
         return "\n".join(lines)
 
 
-def hitting_set_search(
-    branch: Callable[[List[FrozenSet[str]]], Optional[list]],
-    edges: List[FrozenSet[str]],
-    chosen: Set[str],
-) -> None:
-    """Depth-first search for hitting sets of *edges* over an explicit
-    stack, one frame per covered edge, so a graph of many disjoint
-    conflicts cannot exhaust the interpreter's recursion limit.
+def hitting_sets(
+    edges: Sequence[FrozenSet[str]], bound: Optional[int] = None
+) -> Iterator[FrozenSet[str]]:
+    """Each minimal hitting set of *edges* (sorted by ``(size, sorted
+    members)``) once, depth first over an explicit stack.  A node
+    (``conflicts.hitting_set_branches``) branches on the vertices of its
+    first, so smallest, uncovered edge in sorted order, the *i*-th
+    branch excluding the earlier ones from its subtree; it is pruned
+    once a chosen vertex has no private edge (one only it covers),
+    which more vertices never give back, so every leaf is minimal.
 
-    ``branch(remaining)`` enters the branch of the vertices in *chosen*,
-    with *remaining* the edges its parent left uncovered.  It returns
-    None for a leaf or a pruned branch, else the frame ``[uncovered,
-    vertices, 0]`` whose vertices are tried in turn: each joins *chosen*
-    for its subtree and leaves it once the subtree is done.
+    Under a *bound*, nodes count in ``repairs.bb_branches``, a node
+    whose sets would be larger is pruned (``repairs.bb_pruned``), and
+    each set found lowers the bound to its size: the sets never grow,
+    and those of the last size are the minimum hitting sets.
     """
-    frame = branch(edges)
-    stack = [] if frame is None else [frame]
-    while stack:
-        frame = stack[-1]
-        uncovered, vertices, i = frame
-        if i:
-            chosen.remove(vertices[i - 1])
-        if i == len(vertices):
-            stack.pop()
-            continue
-        frame[2] = i + 1
-        chosen.add(vertices[i])
-        frame = branch(uncovered)
-        if frame is not None:
-            stack.append(frame)
+    edges_of: Dict[str, List[int]] = {}
+    for index, edge in enumerate(edges):
+        for vertex in edge:
+            edges_of.setdefault(vertex, []).append(index)
+    hits = [0] * len(edges)
+    private: Dict[str, int] = {}  # chosen vertex -> edges only it hits
+    excluded: Set[str] = set()
+    branches = "conflicts.hitting_set_branches" if bound is None else (
+        "repairs.bb_branches"
+    )
+
+    def choose(vertex: str) -> bool:
+        """Choose *vertex*: False once a chosen vertex has none left."""
+        own, alive = 0, True
+        for index in edges_of[vertex]:
+            hits[index] += 1
+            if hits[index] == 1:
+                own += 1
+            elif hits[index] == 2:
+                other = next(u for u in edges[index] if u in private)
+                private[other] -= 1
+                alive = alive and private[other] > 0
+        private[vertex] = own
+        return alive
+
+    def unchoose(vertex: str) -> None:
+        del private[vertex]
+        for index in edges_of[vertex]:
+            hits[index] -= 1
+            if hits[index] == 1:
+                private[next(u for u in edges[index] if u in private)] += 1
+
+    stack: List[list] = []  # frames [first uncovered, vertices, next]
+    start = 0
+    while True:
+        add(branches)  # enter the node of ``private``
+        budget_checkpoint()
+        while start < len(edges) and hits[start]:
+            start += 1
+        if start == len(edges):
+            yield frozenset(private)
+            if bound is not None:
+                bound = len(private)
+        elif bound is not None and len(private) >= bound:
+            add("repairs.bb_pruned")
+        else:
+            stack.append([start, sorted(edges[start] - excluded), 0])
+        while stack:
+            frame = stack[-1]
+            start, vertices, i = frame
+            if i:
+                unchoose(vertices[i - 1])
+                excluded.add(vertices[i - 1])
+            if i == len(vertices):
+                excluded.difference_update(vertices)
+                stack.pop()
+            else:
+                frame[2] = i + 1
+                if choose(vertices[i]):
+                    break
+        else:
+            return
 
 
 def _relations(ic: IntegrityConstraint) -> Optional[FrozenSet[str]]:
@@ -510,12 +537,9 @@ def _dc_edges(
 def _is_minimal_hitting_set(
     hitting: FrozenSet[str], edges: Sequence[FrozenSet[str]]
 ) -> bool:
-    """Exact local minimality: every vertex owns a private edge.
-
-    *hitting* is assumed to cover every edge.  It is inclusion-minimal
-    iff each of its vertices is the sole cover of some edge — a check
-    that needs no knowledge of the other hitting sets, which is what
-    makes budget-truncated prefixes sound.
+    """Is *hitting*, which covers every edge, inclusion-minimal: is
+    each of its vertices the sole cover of some edge?  The property
+    tests check the search's leaves, minimal by construction, with it.
     """
     needed = {v: False for v in hitting}
     for edge in edges:

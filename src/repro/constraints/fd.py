@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConstraintError, SplitDeclinedError
 from ..logic.formulas import Atom, Comparison, Var
@@ -106,9 +106,11 @@ class FunctionalDependency(IntegrityConstraint):
 
         A row with NULL in its lhs, or an all-NULL rhs, conflicts with
         nothing.  The other rows of an lhs value form classes by rhs (a
-        NaN row alone) that conflict exactly when they differ, unless a
-        NULL beside a value in a wide rhs agrees with two rows that
-        disagree: :class:`SplitDeclinedError` names it.
+        NaN row alone) that conflict exactly when they differ.  Where a
+        NULL beside a value in a wide rhs meets two such classes, the
+        classes are those of "does not conflict" instead; where that
+        relation is not transitive, a row agreeing with two rows that
+        conflict, :class:`SplitDeclinedError` names the NULL's row.
         """
         lhs_pos, rhs_pos = self._positions(db)
         first, shared = self._grouped(db.relation(self.relation), lhs_pos)
@@ -120,7 +122,7 @@ class FunctionalDependency(IntegrityConstraint):
                 kept += rows
                 continue
             classes: Dict[object, List[Row]] = {}
-            partial = None
+            partial, rivals = None, []
             for values in rows:
                 rhs = tuple(values[p] for p in rhs_pos)
                 nulls = sum(map(is_null, rhs))
@@ -128,15 +130,39 @@ class FunctionalDependency(IntegrityConstraint):
                     kept.append(values)
                     continue
                 partial = values if nulls else partial
+                rivals.append(values)
                 label = rhs if all(v == v for v in rhs) else id(values)
                 classes.setdefault(label, []).append(values)
+            alternatives = list(classes.values()) or [[]]  # all-NULL rhs
             if partial is not None and len(classes) > 1:
-                raise SplitDeclinedError(
-                    f"{self!r}: {partial!r} holds a NULL beside a value, so "
-                    f"the conflicts of group {lhs!r} form no alternatives"
-                )
-            groups[lhs] = list(classes.values()) or [[]]  # all-NULL rhs
+                alternatives = self._agreeing(rivals, rhs_pos)
+                if alternatives is None:
+                    raise SplitDeclinedError(
+                        f"{self!r}: {partial!r} holds a NULL beside a "
+                        f"value, and the conflicts of group {lhs!r} form "
+                        "no alternatives"
+                    )
+            groups[lhs] = alternatives
         return kept, groups
+
+    def _agreeing(
+        self, rows: List[Row], rhs_pos: Tuple[int, ...]
+    ) -> Optional[List[List[Row]]]:
+        """The classes of one lhs value's *rows* under "does not
+        conflict", in order, or None where that relation is not
+        transitive: then the sets of rows that two rows agree with
+        overlap without being equal."""
+        facts = [Fact(self.relation, values) for values in rows]
+        classes = dict.fromkeys(
+            tuple(
+                g.values for g in facts
+                if g is f or not self._conflicting(f, g, rhs_pos)
+            )
+            for f in facts
+        )
+        if sum(map(len, classes)) != len(rows):
+            return None
+        return [list(members) for members in classes]
 
     @staticmethod
     def _conflicting(f1: Fact, f2: Fact, rhs_pos: Tuple[int, ...]) -> bool:

@@ -48,6 +48,7 @@ from ..errors import (
     BudgetExceededError,
     NotRewritableError,
     ReproError,
+    UnstorableValueError,
 )
 from ..logic.queries import ConjunctiveQuery, UnionQuery
 from ..logic.substitution import apply_to_term, unify_atoms
@@ -197,7 +198,8 @@ class FuxmanMillerSqlEngine(Engine):
     tuple per key group, so all S-repairs share one cardinality and the
     "s", "c", and "delete-only" semantics coincide — the rewriting is
     complete for all three.  SQLite materialization can fail transiently
-    or wedge inside the C extension, hence ``isolatable``.
+    or wedge inside the C extension, hence ``isolatable``.  An instance
+    holding a value SQLite cannot store makes it inapplicable.
     """
 
     name = "fm-sql"
@@ -213,7 +215,11 @@ class FuxmanMillerSqlEngine(Engine):
         rewritten = fuxman_miller_rewrite(
             request.query, request.constraints, request.db
         )
-        return EngineAnswer(answers_via_sql(request.db, rewritten), True)
+        try:
+            answers = answers_via_sql(request.db, rewritten)
+        except UnstorableValueError as exc:
+            raise EngineInapplicableError(str(exc)) from exc
+        return EngineAnswer(answers, True)
 
 
 class FORewriteMemEngine(Engine):

@@ -55,7 +55,9 @@ name decides the job's kind:
 A worker that cannot resolve a job without an instance, or cannot
 advance it, answers a ``protocol`` frame, which is a
 :class:`WorkerCrashError`: the worker is retired, never trusted for a
-stale answer.  ``pool.warm.hits``, ``pool.warm.deltas`` and
+stale answer.  A step holding a value SQLite cannot store is no such
+disagreement: the worker drops the entry and answers ``inapplicable``.
+``pool.warm.hits``, ``pool.warm.deltas`` and
 ``pool.warm.misses`` count the three kinds of keyed jobs, and
 ``pool.warm.reused`` the statements that workers answered from their
 warm entry's memo (every result frame says how many, ``reused``).

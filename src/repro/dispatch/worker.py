@@ -77,6 +77,7 @@ from ..errors import (
     BudgetExceededError,
     NotRewritableError,
     ReproError,
+    UnstorableValueError,
 )
 from ..observability import add
 from ..observability.flight.recorder import flight_installed
@@ -443,7 +444,9 @@ def serve_loop(stdin=None, stdout=None) -> int:
     and re-keying it to the job's key.  A version the worker does not
     hold is a protocol error, answered with ``kind: "protocol"``, never
     guessed; so is a failed advance, which rolls back and drops the
-    entry.  Any failed run drops the name's entry.  Displaced entries
+    entry, but for a step holding a value SQLite cannot store, which
+    answers ``kind: "inapplicable"`` as fm-sql would on that version.
+    Any failed run drops the name's entry.  Displaced entries
     are freed only after the result frame is written.
 
     An entry also remembers the rows of each SQL statement that
@@ -513,6 +516,12 @@ def serve_loop(stdin=None, stdout=None) -> int:
             if request.db is None:
                 try:
                     kept = warm.resolve(key, job.get("steps") or ())
+                except UnstorableValueError as exc:
+                    # The entry is gone: fm-sql cannot serve this version.
+                    from .engines import EngineInapplicableError
+
+                    reply(_marshal_error(EngineInapplicableError(str(exc))))
+                    continue
                 except Exception as exc:
                     reply({
                         "ok": False,

@@ -80,6 +80,11 @@ class BudgetExceededError(ReproError):
         self.budget = budget
 
 
+class UnstorableValueError(ReproError):
+    """An instance holds a value SQLite cannot store: a string with a
+    lone surrogate, or an integer outside 64 bits."""
+
+
 class TransientBackendError(ReproError):
     """A backend failure that is expected to succeed on retry.
 

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..errors import UnstorableValueError
 from ..observability import add, span
 from ..runtime.faults import sqlite_attempt
 from ..runtime.retry import retry_transient
@@ -149,7 +150,8 @@ def to_sqlite(db: Database) -> sqlite3.Connection:
         if not rows:
             continue
         prepared = _sql_rows(rows)
-        cursor.executemany(_insert_sql(rel), prepared)
+        with _binding():
+            cursor.executemany(_insert_sql(rel), prepared)
         materialized += len(prepared)
     # After loading, so each index is built once from sorted keys
     # rather than grown row by row; empty relations get theirs too.
@@ -211,6 +213,19 @@ def _sql_rows(rows: Iterable[Row]) -> List[Tuple]:
     return prepared
 
 
+@contextmanager
+def _binding() -> Iterator[None]:
+    """Bind values to SQLite: one it cannot store (a lone surrogate, an
+    integer outside 64 bits) raises :class:`UnstorableValueError`, so
+    the instance is one fm-sql cannot serve, not a fault of its own."""
+    try:
+        yield
+    except (UnicodeEncodeError, OverflowError) as exc:
+        raise UnstorableValueError(
+            f"SQLite cannot store a value of the instance: {exc}"
+        ) from exc
+
+
 def _insert_sql(rel: RelationSchema) -> str:
     placeholders = ", ".join("?" * rel.arity)
     return f"INSERT INTO {_quote_identifier(rel.name)} VALUES ({placeholders})"
@@ -227,10 +242,10 @@ def apply_step(
     instance stores it, loses its row, then each fact of *joined*
     gains one.  The caller names the instance's own delta
     (:meth:`KeptSqlite.advance`), so the work is the delta's.  Values
-    convert as in :func:`to_sqlite`.  On an exception the transaction
-    rolls back.
+    convert and bind as in :func:`to_sqlite`.  On an exception the
+    transaction rolls back.
     """
-    with conn:  # commits, or rolls back on an exception
+    with _binding(), conn:  # commits, or rolls back on an exception
         for f in left:
             (params,) = _sql_rows([f.values])
             table = _quote_identifier(f.relation)

@@ -92,20 +92,12 @@ def attribute_repairs_partial(
 ) -> "Partial[List[AttributeRepair]]":
     """Anytime attribute-repair enumeration: a sound prefix.
 
-    Every change set in the value passed the exact local-minimality
-    check against the full violation family, so truncation never leaks
-    a non-minimal repair.
+    Every change set is a minimal hitting set of the full violation
+    family, and each repair is built as the search finds its set, so
+    truncation never leaks a non-minimal repair.
     """
-    budget = resolve_budget(budget)
-    with use_budget(budget):
-        candidates = _violation_candidates(db, constraints)
-        if candidates is None:
-            return Partial.done([], budget)
-        hitting = candidates.minimal_hitting_sets_partial(
-            limit=limit, budget=budget
-        )
-    out: List[AttributeRepair] = []
-    for changes in hitting.value:
+
+    def repair(changes: FrozenSet[Position]) -> AttributeRepair:
         instance = _apply_changes(db, changes)
         # Nulling is monotone for DCs, so this holds by construction;
         # assert defensively because downstream causality relies on it.
@@ -114,9 +106,17 @@ def attribute_repairs_partial(
                 f"internal error: change set {sorted(changes)} did not "
                 "restore consistency"
             )
-        out.append(AttributeRepair(db, frozenset(changes), instance))
-    out.sort(key=lambda r: (r.size, r.change_labels()))
-    return hitting.map(lambda _: out)
+        return AttributeRepair(db, frozenset(changes), instance)
+
+    budget = resolve_budget(budget)
+    with use_budget(budget):
+        candidates = _violation_candidates(db, constraints)
+        if candidates is None:
+            return Partial.done([], budget)
+        partial = candidates._built(repair, limit, budget)
+    return partial.map(
+        lambda out: sorted(out, key=lambda r: (r.size, r.change_labels()))
+    )
 
 
 def c_attribute_repairs(

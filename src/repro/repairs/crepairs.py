@@ -6,8 +6,8 @@ other three S-repairs delete two, so only the latter are C-repairs.
 
 For denial-class constraints the C-repairs are the product, over the
 conflict components, of each component's *minimum* hitting-set
-complements (:mod:`repro.repairs.product`), each computed with a
-dedicated branch-and-bound that prunes on the best size found so far —
+complements (:mod:`repro.repairs.product`), each computed by the
+minimal-hitting-set search under a bound, the best size found so far —
 typically far cheaper than enumerating all S-repairs first (the ablation
 pair of benchmark B3).
 """

@@ -22,15 +22,13 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Optional,
     Sequence,
     Set,
     Tuple,
 )
 
 from ..constraints.base import IntegrityConstraint
-from ..constraints.conflicts import ConflictHypergraph, hitting_set_search
-from ..observability import add
+from ..constraints.conflicts import ConflictHypergraph, hitting_sets
 from ..relational.database import Database
 from ..runtime import checkpoint as budget_checkpoint
 from .base import Repair
@@ -45,7 +43,7 @@ class ComponentProduct:
     Under ``"s"`` and ``"delete-only"`` (the same repairs under denial
     constraints) the kept sets are the complements of the minimal
     hitting sets, under ``"c"`` of the minimum ones.  Components come in
-    smallest-tid order and kept sets in the searches' sorted order, so a
+    smallest-tid order and kept sets in the search's sorted order, so a
     walk of the product never depends on ``PYTHONHASHSEED``.
     """
 
@@ -164,44 +162,17 @@ class ComponentProduct:
 def minimum_hitting_sets_branch_and_bound(
     graph: ConflictHypergraph,
 ) -> List[frozenset]:
-    """All minimum-cardinality hitting sets of the hypergraph's edges.
-
-    Depth-first branch-and-bound: branch on the vertices of an uncovered
-    edge, prune branches whose size reaches the best complete solution
-    found so far.  A greedy pass seeds the initial bound.  Budget
+    """All minimum-cardinality hitting sets of the hypergraph's edges,
+    in sorted order: the minimal-hitting-set search
+    (:func:`~repro.constraints.conflicts.hitting_sets`) under a size
+    bound that a greedy pass seeds and each set found lowers.  Budget
     exhaustion raises :class:`~repro.errors.BudgetExceededError`.
     """
     edges = sorted(graph.edges, key=lambda e: (len(e), sorted(e)))
     if not edges:
         return [frozenset()]
-
-    best_size = _greedy_hitting_size(edges)
-    solutions: Set[frozenset] = set()
-    chosen: Set[str] = set()
-
-    def branch(remaining: List[frozenset]) -> Optional[list]:
-        """Enter a branch: record *chosen* if it covers *remaining*, or
-        prune it, else return the frame that tries each vertex of its
-        smallest uncovered edge: ``[uncovered, vertices, next]``."""
-        nonlocal best_size
-        add("repairs.bb_branches")
-        budget_checkpoint()
-        uncovered = [e for e in remaining if not (e & chosen)]
-        if not uncovered:
-            size = len(chosen)
-            if size < best_size:
-                best_size = size
-                solutions.clear()
-            if size == best_size:
-                solutions.add(frozenset(chosen))
-            return None
-        if len(chosen) + 1 > best_size:
-            add("repairs.bb_pruned")
-            return None
-        return [uncovered, sorted(min(uncovered, key=len)), 0]
-
-    hitting_set_search(branch, edges, chosen)
-    return sorted(solutions, key=sorted)
+    found = list(hitting_sets(edges, bound=_greedy_hitting_size(edges)))
+    return sorted((s for s in found if len(s) == len(found[-1])), key=sorted)
 
 
 def _greedy_hitting_size(edges: List[frozenset]) -> int:

@@ -29,7 +29,7 @@ a fully enumerated list.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Set
+from typing import FrozenSet, List, Optional, Sequence, Set
 
 from ..constraints.base import (
     IntegrityConstraint,
@@ -160,8 +160,10 @@ def _hypergraph_repairs(
     limit: Optional[int],
     budget: Optional[Budget],
 ) -> "Partial[List[Repair]]":
-    exhausted: Optional[BudgetExhaustion] = None
-    repairs: List[Repair] = []
+    def repair(deletion: FrozenSet[str]) -> Repair:
+        budget_checkpoint()
+        return Repair(db, db.delete_tids(deletion))
+
     try:
         # Unbudgeted, reuse the graph a reader kept on the version.
         # Otherwise build one and keep nothing: a step budget then buys
@@ -172,28 +174,13 @@ def _hypergraph_repairs(
         )
         if graph is None:
             graph = ConflictHypergraph.build(db, constraints)
+        partial = graph._built(repair, limit, budget)
     except BudgetExceededError as exc:
         if budget is not None and budget.strict:
             raise
         # Exhausted before any hitting set existed: empty sound prefix.
         return Partial.truncated([], BudgetExhaustion(exc.reason), budget)
-    hitting = graph.minimal_hitting_sets_partial(limit=limit, budget=budget)
-    exhausted = hitting.exhausted
-    try:
-        for deletion in hitting.value:
-            if exhausted is None:
-                # Once exhausted, converting the already-found sets is
-                # bounded salvage work; checkpointing would re-raise.
-                budget_checkpoint()
-            repairs.append(Repair(db, db.delete_tids(deletion)))
-    except BudgetExceededError as exc:
-        if budget is not None and budget.strict:
-            raise
-        exhausted = BudgetExhaustion(exc.reason)
-    repairs = sort_repairs(repairs)
-    if exhausted is None:
-        return Partial.done(repairs, budget)
-    return Partial.truncated(repairs, exhausted, budget)
+    return partial.map(sort_repairs)
 
 
 # ----------------------------------------------------------------------

@@ -528,6 +528,38 @@ def _path(tuples):
     return db, (parse_fd("R: A -> B"), parse_fd("R: B -> A"))
 
 
+class TestOneLongComponent:
+    """``_path(24)``: one component of 24 tuples with 816 S-repairs.
+    The hitting-set search prunes a branch once a chosen tuple has no
+    private conflict, so it follows no branch that can only end
+    non-minimal."""
+
+    def test_the_first_minimal_and_the_minimum_sets_come_within_a_second(
+        self,
+    ):
+        from repro.repairs import minimum_hitting_sets_branch_and_bound
+
+        db, constraints = _path(24)
+        graph = ConflictHypergraph.build(db, constraints)
+        first = graph.minimal_hitting_sets_partial(
+            limit=1, budget=Budget(timeout=1.0)
+        )
+        assert len(first.value) == 1
+        assert not first.hit_resource_limit
+        with use_budget(Budget(timeout=1.0, strict=True)):
+            minimum = minimum_hitting_sets_branch_and_bound(graph)
+        assert len(minimum) == 13 and {len(s) for s in minimum} == {12}
+
+    def test_a_default_ladder_read_is_answered_by_local(self):
+        db, constraints = _path(24)
+        result = Dispatcher().dispatch(
+            db, constraints, parse_query("Q(X) :- R(X, Y)"),
+            budget=Budget(timeout=5.0),
+        )
+        assert result.complete and result.provenance.engine == "local"
+        assert result.answers == {("a0",), ("a11",)}
+
+
 class TestCertainCoreAtScale:
     def test_the_salvage_rung_answers_a_thousand_disjoint_conflicts(
         self, monkeypatch

@@ -81,9 +81,44 @@ class TestSplit:
         assert kept == [("a", NULL, NULL)]
         assert len(groups[("a",)]) == 2
 
+    @pytest.mark.parametrize("rows", [
+        [("a", 1, NULL), ("a", 1, 2)],
+        [("a", 1, NULL), ("a", NULL, 2), ("a", 3, 4)],
+    ])
+    def test_a_null_beside_a_value_splits_by_what_does_not_conflict(
+        self, rows
+    ):
+        """No two rows that agree with a third conflict, so the
+        classes of "does not conflict" are the S-repairs."""
+        db = _db(ABC, rows)
+        repairs = s_repairs(db, (A_BC,))
+        kept, groups = A_BC.split(db)
+        assert kept == []
+        assert {frozenset(alt) for alt in groups[("a",)]} == {
+            frozenset(r.instance.relation("R")) for r in repairs
+        }
+        assert count_fd_repairs(db, A_BC) == len(repairs)
+        assert count_repairs_per_group(db, A_BC) == [(("a",), len(repairs))]
+        for shortcut, function in (
+            (fd_range_sum, "sum"), (fd_range_min, "min"),
+            (fd_range_max, "max"),
+        ):
+            fast = shortcut(db, A_BC, "C")
+            exact = range_consistent_answer(
+                db, (A_BC,), AggregateQuery("R", function, "C")
+            )
+            assert (fast.glb, fast.lub) == (exact.glb, exact.lub)
+        assert len(world_probabilities(DirtyDatabase(db, A_BC))) == len(
+            repairs
+        )
+
     def test_a_null_beside_a_value_declines_naming_its_row(self):
-        db = _db(ABC, [("a", 1, NULL), ("a", NULL, 2), ("a", 3, 4)])
-        with pytest.raises(SplitDeclinedError, match="NULL"):
+        """(a, 1, NULL) agrees with (a, 1, 2) and (a, 1, 3), which
+        conflict: "does not conflict" is not transitive."""
+        db = _db(ABC, [("a", 1, NULL), ("a", 1, 2), ("a", 1, 3)])
+        with pytest.raises(
+            SplitDeclinedError, match=r"\('a', 1, NULL\) holds a NULL"
+        ):
             A_BC.split(db)
         # The count falls back to the component product.
         assert count_fd_repairs(db, A_BC) == len(s_repairs(db, (A_BC,)))

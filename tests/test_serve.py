@@ -458,6 +458,41 @@ class TestServiceHandlers:
         assert body["complete"] and body["engine"] == "local", body
         assert body["answers"] == [["a"], ["b"], ["c"]]
 
+    def test_values_sqlite_cannot_store_leave_fm_sql_closed(self):
+        """An instance holding a value SQLite cannot store makes fm-sql
+        inapplicable, not failed: after three reads each of a tenant
+        holding a lone surrogate and one holding 2**70, all answered
+        exactly by fo-mem, another tenant's read is still fm-sql's."""
+        svc = CQAService()
+        for name, value in (
+            ("surrogate", "\ud800"), ("big", 2 ** 70), ("clean", "3"),
+        ):
+            rows = [["a", "1"], ["a", value], ["b", "2"]]
+            status, _, _ = svc.register_db(name, {
+                "relations": {
+                    "R": {"columns": ["A", "B"], "key": ["A"], "rows": rows}
+                },
+                "constraints": {"fd": ["R: A -> B"]},
+            })
+            assert status == 200
+        query = "Q(X) :- R(X, Y)"
+        for name in ("surrogate", "big"):
+            for _ in range(3):
+                status, body, _ = svc.handle_cqa(
+                    {"db": name, "query": query, "tenant": name}
+                )
+                assert status == 200 and body["complete"], body
+                assert body["engine"] == "fo-mem", body
+                assert body["answers"] == [["a"], ["b"]]
+        breaker = svc.dispatcher.breakers["fm-sql"]
+        assert breaker.failures == 0 and str(breaker.state()) == "closed"
+        status, body, _ = svc.handle_cqa(
+            {"db": "clean", "query": query, "tenant": "clean"}
+        )
+        assert status == 200 and body["complete"], body
+        assert body["engine"] == "fm-sql", body
+        assert body["answers"] == [["a"], ["b"]]
+
 
 class _SaturatedPool:
     """Quacks like a WorkerPool with every worker busy."""
@@ -1082,15 +1117,14 @@ class TestConflictsAtScale:
         assert body["violation_ratio"] == pytest.approx(2200 / 12100)
 
     def test_a_budgeted_read_of_one_long_path_brackets_cons(self):
-        """26 tuples in one component: neither ``local`` nor
-        ``enumerate`` lists an S-repair of it within 0.5 s, so
-        certain-core answers, and its sample of greedy kept sets costs
-        no search (a sample of the whole graph's first minimal hitting
-        sets outlives 100 s)."""
+        """40 tuples in one component: neither ``local``, which lists
+        its 73,396 kept sets, nor ``enumerate`` answers within 0.5 s,
+        so certain-core answers, and its sample of greedy kept sets
+        costs no search."""
         from .test_dispatch import _path
 
         service = CQAService()
-        service.register_instance("path", *_path(26))
+        service.register_instance("path", *_path(40))
         started = time.monotonic()
         status, body, _ = service.handle_cqa({
             "db": "path", "query": "Q(X) :- R(X, Y)", "timeout_s": 0.5,
@@ -1105,10 +1139,10 @@ class TestConflictsAtScale:
         repairs = []
 
         def walk(kept):
-            if kept[-1] >= 26 - 2:
+            if kept[-1] >= 40 - 2:
                 repairs.append(kept)
             for step in (2, 3):
-                if kept[-1] + step < 26:
+                if kept[-1] + step < 40:
                     walk(kept + [kept[-1] + step])
 
         walk([0])
@@ -1116,13 +1150,24 @@ class TestConflictsAtScale:
         cons = set.intersection(
             *({f"a{i // 2}" for i in kept} for kept in repairs)
         )
-        assert cons == {"a0", "a12"}
+        assert cons == {"a0", "a19"}
         assert {row[0] for row in body["answers"]} <= cons
         assert cons <= {row[0] for row in body["upper_bound"]}
 
+    def test_five_s_repairs_of_one_long_path_come_within_budget(self):
+        from .test_dispatch import _path
+
+        service = CQAService()
+        service.register_instance("path", *_path(24))
+        status, body, _ = service.handle_repairs({
+            "db": "path", "semantics": "s", "limit": 5, "timeout_s": 2,
+        })
+        assert status == 200, body
+        assert len(body["repairs"]) == 5
+
     def test_a_report_past_its_budget_is_a_typed_503(self):
-        """One component, a 40-tuple path: its branch-and-bound alone
-        outlives the 0.5 s budget."""
+        """One component, a 60-tuple path: its minimum-hitting-set
+        search alone outlives the 0.5 s budget (about 6M branches)."""
         from .test_dispatch import _path
 
         service = CQAService(
@@ -1130,7 +1175,7 @@ class TestConflictsAtScale:
                 TenantPolicy(default_timeout_s=0.5)
             )
         )
-        service.register_instance("path", *_path(40))
+        service.register_instance("path", *_path(60))
         service.register_db("emp", EMPLOYEE_SPEC)
         with _ServerHarness(service, ServerConfig(port=0)) as server:
             conn = http.client.HTTPConnection(

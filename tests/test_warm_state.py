@@ -618,6 +618,33 @@ def test_a_failed_advance_rolls_back_and_drops_the_entry():
     assert after["kind"] == "protocol" and after["warm"] == []
 
 
+def test_a_value_sqlite_cannot_store_is_inapplicable_not_a_crash():
+    """A write that inserts a lone surrogate into a warm instance: the
+    delta job's advance drops the entry and answers that fm-sql is
+    inapplicable, so the worker stays, fm-sql's breaker is not charged
+    and fo-mem answers exactly."""
+    pool = WorkerPool(PoolConfig(size=1, max_requests=None)).start()
+    try:
+        assert pool.wait_ready(timeout_s=30.0)
+        service = _service(pool)
+        assert service.register_db("n", _spec(R_FACTS))[0] == 200
+        assert _read(service, "n")["engine"] == "fm-sql"
+        status, _, _ = service.handle_mutate(
+            "n", {"insert": [["R", "a3", "\ud800"]]}
+        )
+        assert status == 200
+        with collect() as collector:
+            body = _read(service, "n")
+        assert collector.counter("pool.warm.deltas") == 1
+        assert body["complete"] and body["engine"] == "fo-mem", body
+        assert body["answers"] == _reference(service, "n")
+        assert ["a3"] in body["answers"]
+        assert pool.stats()["recycles"] == 0
+        assert service.dispatcher.breakers["fm-sql"].failures == 0
+    finally:
+        pool.drain()
+
+
 def _rows(conn, table):
     return Counter(conn.execute(f'SELECT * FROM "{table}"').fetchall())
 
