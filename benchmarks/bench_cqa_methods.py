@@ -5,6 +5,9 @@ repair class costs time exponential in the violation count, while the
 Fuxman–Miller FO rewriting answers the same queries in polynomial time.
 The series below shows "who wins, by roughly what factor, and where the
 crossover falls": enumeration is competitive only while repairs are few.
+Outside the Fuxman–Miller class no rewriting applies; there the
+component-local search (the ``local`` rung) answers a self-join at the
+cost of its conflict components.
 """
 
 import pytest
@@ -19,12 +22,16 @@ from repro.cqa import (
     overapproximate_answers,
     underapproximate_answers,
 )
+from repro.cqa.local import consistent_answers_local
 from repro.logic import atom, cq, vars_
 from repro.workloads import employee_key_violations
 
-X, Y = vars_("x y")
+X, Y, Z = vars_("x y z")
 NAMES = cq([X], [atom("Employee", X, Y)], name="names")
 FULL = cq([X, Y], [atom("Employee", X, Y)], name="full")
+SELF_JOIN = cq(
+    [X], [atom("Employee", X, Y), atom("Employee", Z, Y)], name="self-join"
+)
 
 
 def _scenario(k):
@@ -58,6 +65,19 @@ def test_sql_rewriting(benchmark, k):
     )
     expected = consistent_answers(scenario.db, scenario.constraints, FULL)
     answers = benchmark(answers_via_sql, scenario.db, rewritten)
+    assert answers == expected
+
+
+@pytest.mark.parametrize("k", [2, 6, 10])
+def test_local(benchmark, k):
+    scenario = _scenario(k)
+    expected = consistent_answers(
+        scenario.db, scenario.constraints, SELF_JOIN
+    )
+    answers = benchmark(
+        consistent_answers_local, scenario.db, scenario.constraints,
+        SELF_JOIN,
+    )
     assert answers == expected
 
 

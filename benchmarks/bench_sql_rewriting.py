@@ -45,10 +45,10 @@ def test_sqlite_evaluation_warm(benchmark, n):
     """Query-only cost on a pre-materialized connection."""
     scenario = random_fd_instance(n, n // 2, 3, seed=2)
     rewritten = _rewritten(scenario)
-    sql = query_to_sql(rewritten, scenario.db.schema)
+    sql, params = query_to_sql(rewritten, scenario.db.schema)
     conn = to_sqlite(scenario.db)
     try:
-        rows = benchmark(run_sql_on_connection, conn, sql)
+        rows = benchmark(run_sql_on_connection, conn, sql, params)
     finally:
         conn.close()
     assert frozenset(rows) == rewritten.answers(scenario.db)
@@ -56,10 +56,10 @@ def test_sqlite_evaluation_warm(benchmark, n):
 
 def test_sql_generation_cost(benchmark):
     scenario = random_fd_instance(40, 20, 3, seed=2)
-    sql = benchmark(
+    sql, params = benchmark(
         query_to_sql, _rewritten(scenario), scenario.db.schema
     )
-    assert "NOT" in sql
+    assert "NOT" in sql and params == ()
 
 
 if __name__ == "__main__":

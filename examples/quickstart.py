@@ -79,7 +79,10 @@ def main() -> None:
     # 3. The generated SQL matches the paper's Example 3.4.
     rewritten = fuxman_miller_rewrite(full, (kc,), db)
     print("\nGenerated SQL for the rewritten Q1:")
-    print("  " + query_to_sql(rewritten, db.schema))
+    sql, params = query_to_sql(rewritten, db.schema)
+    print("  " + sql)
+    if params:
+        print(f"  bound to {list(params)}")
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ from typing import (
 )
 
 from ..errors import BudgetExceededError, ConstraintError
-from ..logic.evaluation import Evaluator, _match_fact
-from ..logic.formulas import conj, is_var
+from ..logic.evaluation import Evaluator
+from ..logic.formulas import And
 from ..observability import add, annotate, span
 from ..relational.database import Database, Fact, Lineage
 from ..runtime import (
@@ -509,27 +509,23 @@ def _dc_edges(
 ) -> Set[FrozenSet[str]]:
     """The violations of *dc* in *db* that hold one of the *new* facts:
     the body evaluated with one atom bound to a new fact, for every
-    atom the fact matches.  Each binding names its facts as
+    atom the fact matches.  The atom is matched by evaluating it over
+    an instance of the new facts alone; each binding then names the
+    rows the other atoms matched, as
     :func:`~repro.logic.evaluation.witnesses` does."""
     evaluator = Evaluator(db)
+    anchors = Evaluator(Database.from_facts([f for _, f in new], db.schema))
     out: Set[FrozenSet[str]] = set()
     for index, anchor in enumerate(dc.atoms):
         rest = dc.atoms[:index] + dc.atoms[index + 1:]
-        body = conj(rest + dc.conditions)
-        for tid, f in new:
-            if f.relation != anchor.predicate:
-                continue
-            binding = _match_fact(anchor, f.values, {})
-            if binding is None:
-                continue
-            for extended in evaluator.bindings(body, binding):
+        body = And(rest + dc.conditions)
+        for binding, (row,) in anchors.matches(anchor):
+            tid = db.tid_of_row(anchor.predicate, row)
+            for _, rows in evaluator.matches(body, binding):
                 budget_checkpoint()
                 edge = {tid}
-                for a in rest:
-                    values = tuple(
-                        extended[t] if is_var(t) else t for t in a.terms
-                    )
-                    edge.add(db.tid_of(Fact(a.predicate, values)))
+                for a, matched in zip(rest, rows):
+                    edge.add(db.tid_of_row(a.predicate, matched))
                 out.add(frozenset(edge))
     return out
 

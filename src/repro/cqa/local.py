@@ -26,7 +26,6 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..constraints.base import IntegrityConstraint
 from ..logic.evaluation import Evaluator
-from ..logic.formulas import is_var
 from ..logic.queries import UnionQuery
 from ..observability import annotate, span
 from ..relational.database import Database, Row
@@ -83,14 +82,12 @@ def _candidates(
     evaluator = Evaluator(db)
     found: Dict[Row, Dict[FrozenSet[str], None]] = {}
     for disjunct in disjuncts:
-        for binding in evaluator.bindings(disjunct.body()):
+        for binding, rows in evaluator.matches(disjunct.body()):
             budget_checkpoint()
             row = tuple(binding[v] for v in disjunct.head)
             tids = (
-                db.tid_of_row(a.predicate, tuple(
-                    binding[t] if is_var(t) else t for t in a.terms
-                ))
-                for a in disjunct.atoms
+                db.tid_of_row(a.predicate, matched)
+                for a, matched in zip(disjunct.atoms, rows)
             )
             part = frozenset(tid for tid in tids if tid in component_of)
             found.setdefault(row, {})[part] = None

@@ -10,6 +10,11 @@ negated existential subformulas, disjunctive residues) into SQLite SQL.
 Two-valued semantics are preserved under NULLs: every comparison is
 wrapped in ``IFNULL(..., 0)`` so that SQL's three-valued unknown collapses
 to false *before* any negation, exactly like the in-memory evaluator.
+
+A query constant is bound, not written into the text: the statement holds
+one numbered placeholder per constant, and :func:`run_sql` binds the
+constants as it binds stored values, so a float matches exactly and a
+value SQLite cannot hold is refused the same way.
 """
 
 from __future__ import annotations
@@ -44,20 +49,6 @@ def _quote_identifier(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def _literal(value: object) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    if is_null(value):
-        return "NULL"
-    if is_labeled_null(value):
-        raise RewritingError("labeled nulls cannot appear in SQL queries")
-    raise RewritingError(f"cannot render {value!r} as an SQL literal")
-
-
 class _Scope:
     """Variable-to-column mapping with access to enclosing scopes."""
 
@@ -83,6 +74,8 @@ class _SqlCompiler:
     def __init__(self, schema: Schema) -> None:
         self._schema = schema
         self._alias_counter = 0
+        #: The constants the placeholders ``?1``, ``?2``, ... bind.
+        self.params: List[object] = []
 
     def compile(self, query: Query) -> str:
         scope = _Scope()
@@ -117,6 +110,16 @@ class _SqlCompiler:
     def _fresh_alias(self) -> str:
         self._alias_counter += 1
         return f"t{self._alias_counter}"
+
+    def _literal(self, value: object) -> str:
+        if is_null(value):
+            return "NULL"
+        if is_labeled_null(value):
+            raise RewritingError("labeled nulls cannot appear in SQL queries")
+        if not isinstance(value, (int, float, str)):
+            raise RewritingError(f"cannot bind {value!r} in an SQL query")
+        self.params.append(value)
+        return f"?{len(self.params)}"
 
     def _compile_conjunction(
         self, formula: Formula, scope: _Scope
@@ -178,7 +181,7 @@ class _SqlCompiler:
             elif is_null(term):
                 conditions.append("0")  # NULL constants never match
             else:
-                conditions.append(f"{column} = {_literal(term)}")
+                conditions.append(f"{column} = {self._literal(term)}")
         return f"{_quote_identifier(a.predicate)} AS {alias}"
 
     def _term_sql(self, term: object, scope: _Scope) -> str:
@@ -190,7 +193,7 @@ class _SqlCompiler:
                     "the query is unsafe for SQL compilation"
                 )
             return column
-        return _literal(term)
+        return self._literal(term)
 
     def _compile_condition(self, formula: Formula, scope: _Scope) -> str:
         if isinstance(formula, Comparison):
@@ -237,22 +240,24 @@ class _SqlCompiler:
         return sql + ")"
 
 
-def query_to_sql(query, schema: Schema) -> str:
-    """Compile a Query or ConjunctiveQuery to a SQLite SELECT statement."""
+def query_to_sql(query, schema: Schema) -> Tuple[str, Tuple[object, ...]]:
+    """Compile a Query or ConjunctiveQuery to a SQLite SELECT statement
+    and the constants its placeholders bind, in placeholder order."""
     if isinstance(query, ConjunctiveQuery):
         query = query.to_query()
     with span("cqa.sqlgen", query=query.name):
-        sql = _SqlCompiler(schema).compile(query)
+        compiler = _SqlCompiler(schema)
+        sql = compiler.compile(query)
         add("cqa.sql_generated", 1)
         annotate(sql_chars=len(sql))
-        return sql
+        return sql, tuple(compiler.params)
 
 
 def answers_via_sql(db: Database, query) -> frozenset:
     """Evaluate *query* by compiling to SQL and running on SQLite."""
     with span("cqa.sql"):
-        sql = query_to_sql(query, db.schema)
-        rows = run_sql(db, sql)
+        sql, params = query_to_sql(query, db.schema)
+        rows = run_sql(db, sql, params)
         add("cqa.sql_statements", 1)
         add("cqa.sql_rows", len(rows))
         if not query.head:

@@ -303,8 +303,8 @@ def ex34_sql_rewriting() -> ExperimentResult:
     rewritten = fuxman_miller_rewrite(
         scenario.queries["Q1"], scenario.constraints, scenario.db
     )
-    sql = query_to_sql(rewritten, scenario.db.schema)
-    rows = run_sql(scenario.db, sql)
+    sql, params = query_to_sql(rewritten, scenario.db.schema)
+    rows = run_sql(scenario.db, sql, params)
     got = frozenset(rows)
     return ExperimentResult(
         "EX3.4",

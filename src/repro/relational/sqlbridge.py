@@ -13,7 +13,16 @@ from __future__ import annotations
 import sqlite3
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import UnstorableValueError
 from ..observability import add, span
@@ -46,22 +55,23 @@ class KeptSqlite:
         self.db = db
         self.conn: Optional[sqlite3.Connection] = None
         self.reused = 0
-        # SQL text -> its rows; insertion order is recency order.
-        self._memo: Dict[str, Tuple[Row, ...]] = {}
+        # statement key (:func:`_statement_key`) -> its rows; insertion
+        # order is recency order.
+        self._memo: Dict[Hashable, Tuple[Row, ...]] = {}
         self._memo_rows = 0
 
-    def recall(self, sql: str) -> Optional[List[Row]]:
-        """The rows *sql* returned on this version, as a new list, or
-        ``None`` when the memo does not hold it."""
-        rows = self._memo.pop(sql, None)
+    def recall(self, statement: Hashable) -> Optional[List[Row]]:
+        """The rows *statement* returned on this version, as a new list,
+        or ``None`` when the memo does not hold it."""
+        rows = self._memo.pop(statement, None)
         if rows is None:
             return None
-        self._memo[sql] = rows
+        self._memo[statement] = rows
         self.reused += 1
         return list(rows)
 
-    def remember(self, sql: str, rows: Sequence[Row]) -> None:
-        """Keep *rows*, which *sql* returned on this version after
+    def remember(self, statement: Hashable, rows: Sequence[Row]) -> None:
+        """Keep *rows*, which *statement* returned on this version after
         :meth:`recall` missed it.
 
         The memo holds at most as many rows as the instance holds
@@ -73,7 +83,7 @@ class KeptSqlite:
         if cost > bound:
             return
         memo = self._memo
-        memo[sql] = tuple(rows)
+        memo[statement] = tuple(rows)
         self._memo_rows += cost
         while self._memo_rows > bound:
             self._memo_rows -= len(memo.pop(next(iter(memo)))) or 1
@@ -198,26 +208,42 @@ def _key_indexes(schema: Schema) -> List[str]:
 
 
 def _sql_rows(rows: Iterable[Row]) -> List[Tuple]:
-    """*rows* as SQLite parameters: NULL markers become SQL NULL;
-    labeled nulls are rejected."""
+    """*rows* as SQLite parameters (:func:`_sql_value`); a row of
+    strings and integers binds as it stands."""
     prepared = []
     for row in rows:
-        converted = []
         for value in row:
-            if is_labeled_null(value):
-                raise ValueError(
-                    "labeled nulls cannot be materialized into SQLite"
-                )
-            converted.append(None if is_null(value) else value)
-        prepared.append(tuple(converted))
+            kind = type(value)
+            if kind is not str and kind is not int:
+                prepared.append(tuple(map(_sql_value, row)))
+                break
+        else:
+            prepared.append(row)
     return prepared
+
+
+def _sql_value(value: object) -> object:
+    """*value* as SQLite binds it: the NULL marker becomes SQL NULL and
+    a labeled null is rejected.  A value SQLite would hand back as
+    another — a bool (an integer there) or a NaN (NULL there) — raises
+    :class:`UnstorableValueError`, like one it cannot store at all."""
+    if is_null(value):
+        return None
+    if is_labeled_null(value):
+        raise ValueError("labeled nulls cannot be materialized into SQLite")
+    if isinstance(value, bool) or value != value:
+        raise UnstorableValueError(
+            f"SQLite would not give back {value!r} as it was stored"
+        )
+    return value
 
 
 @contextmanager
 def _binding() -> Iterator[None]:
     """Bind values to SQLite: one it cannot store (a lone surrogate, an
     integer outside 64 bits) raises :class:`UnstorableValueError`, so
-    the instance is one fm-sql cannot serve, not a fault of its own."""
+    the instance or query is one fm-sql cannot serve, not a fault of
+    its own."""
     try:
         yield
     except (UnicodeEncodeError, OverflowError) as exc:
@@ -269,11 +295,16 @@ def apply_step(
             conn.execute(_insert_sql(schema.relation(f.relation)), params)
 
 
-def run_sql(db: Database, sql: str) -> List[Row]:
-    """Run *sql* against a materialization of *db*; return its rows.
+def run_sql(
+    db: Database, sql: str, params: Sequence[object] = ()
+) -> List[Row]:
+    """Run *sql* against a materialization of *db*, its placeholders
+    bound to *params*; return its rows.
 
     Each distinct row comes back once, in no promised order, with SQL
-    NULLs mapped back to the NULL marker (:func:`_answer_rows`).
+    NULLs mapped back to the NULL marker (:func:`_answer_rows`).  The
+    parameters bind as stored values do: one SQLite cannot hold as it
+    is raises :class:`UnstorableValueError`.
 
     Transient backend failures (``sqlite3.OperationalError`` and the
     fault harness's injected :class:`~repro.errors.TransientBackendError`)
@@ -293,11 +324,13 @@ def run_sql(db: Database, sql: str) -> List[Row]:
     kept instance empties the memo.
     """
     with span("sql.run"):
+        (params,) = _sql_rows([tuple(params)])
         kept = _KEPT.get()
         if kept is not None and kept.db is not db:
             kept = None
         if kept is not None:
-            rows = kept.recall(sql)
+            statement = _statement_key(sql, params)
+            rows = kept.recall(statement)
             if rows is not None:
                 return rows
 
@@ -306,10 +339,10 @@ def run_sql(db: Database, sql: str) -> List[Row]:
             if kept is not None:
                 if kept.conn is None:
                     kept.conn = to_sqlite(db)
-                return kept.conn.execute(sql).fetchall()
+                return _execute(kept.conn, sql, params)
             conn = to_sqlite(db)
             try:
-                return conn.execute(sql).fetchall()
+                return _execute(conn, sql, params)
             finally:
                 conn.close()
 
@@ -318,22 +351,42 @@ def run_sql(db: Database, sql: str) -> List[Row]:
         add("sql.rows_fetched", len(raw))
         rows = _answer_rows(raw)
         if kept is not None:
-            kept.remember(sql, rows)
+            kept.remember(statement, rows)
         return rows
 
 
+def _statement_key(sql: str, params: Sequence[object]) -> Hashable:
+    """A statement as the answer memo keys it: its text, with each
+    parameter's type and repr when it has any, so 1, 1.0 and True, or
+    0.0 and -0.0, are different statements."""
+    if not params:
+        return sql
+    return (sql,) + tuple((type(v), repr(v)) for v in params)
+
+
+def _execute(
+    conn: sqlite3.Connection, sql: str, params: Sequence[object]
+) -> List[Tuple]:
+    with _binding():
+        cursor = conn.execute(sql, params)
+    return cursor.fetchall()
+
+
 def run_sql_on_connection(
-    conn: sqlite3.Connection, sql: str
+    conn: sqlite3.Connection, sql: str, params: Sequence[object] = ()
 ) -> List[Row]:
-    """Run *sql* on an existing connection (for benchmark reuse); rows
-    as :func:`run_sql` returns them.
+    """Run *sql*, its placeholders bound to *params*, on an existing
+    connection (for benchmark reuse); rows as :func:`run_sql` returns
+    them.
 
     Read-only statements are safe to retry on the live connection, so
     transient failures get the same backoff treatment as :func:`run_sql`.
     """
+    (params,) = _sql_rows([tuple(params)])
+
     def attempt() -> List[Tuple]:
         sqlite_attempt()
-        return conn.execute(sql).fetchall()
+        return _execute(conn, sql, params)
 
     return _answer_rows(retry_transient(attempt))
 

@@ -115,8 +115,8 @@ class TestExample34:
             self.scenario.constraints,
             self.scenario.db,
         )
-        sql = query_to_sql(rewritten, self.scenario.db.schema)
-        assert "NOT" in sql and "EXISTS" in sql
+        sql, params = query_to_sql(rewritten, self.scenario.db.schema)
+        assert "NOT" in sql and "EXISTS" in sql and params == ()
         answers = answers_via_sql(self.scenario.db, rewritten)
         assert answers == {("smith", "3K"), ("stowe", "7K")}
 
@@ -337,7 +337,7 @@ class TestSQLGeneration:
     def test_simple_cq_sql(self):
         scenario = supply_articles()
         q = scenario.queries["Q_rewritten"]
-        sql = query_to_sql(q, scenario.db.schema)
+        sql, _ = query_to_sql(q, scenario.db.schema)
         assert sql.startswith("SELECT DISTINCT")
         assert answers_via_sql(scenario.db, q) == {("I1",), ("I2",)}
 

@@ -624,7 +624,7 @@ class TestJoinSqlAtScale:
         rewritten = fuxman_miller_rewrite(
             parse_query("Q(X, Z) :- R(X, Y), S(Y, Z)"), constraints, db
         )
-        sql = query_to_sql(rewritten, db.schema)
+        sql, params = query_to_sql(rewritten, db.schema)
         budget = self.INSTRUCTIONS_PER_FACT * len(db)
         step = 1000
         spent = 0
@@ -638,7 +638,7 @@ class TestJoinSqlAtScale:
         try:
             conn.set_progress_handler(progress, step)
             try:
-                rows = conn.execute(sql).fetchall()
+                rows = conn.execute(sql, params).fetchall()
             except sqlite3.OperationalError:
                 pytest.fail(f"the join ran past {budget} VM instructions")
         finally:

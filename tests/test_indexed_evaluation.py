@@ -1,13 +1,15 @@
-"""The indexed evaluator against a plain sorted scan, and the state an
+"""The evaluator against a standalone reference, and the state an
 instance keeps beside its facts: sorted rows, row indexes, its hash.
 
-``Evaluator._eval_atom`` probes :meth:`Database.rows_where` with the
-positions the planner has bound.  The reference here is the evaluator
-it replaced: every atom, for every partial binding, scans the relation
-sorted afresh.  Both must yield the same bindings in the same order,
-over values that join in unusual ways: ``1``, ``1.0`` and ``True`` join
-each other, ``None`` joins itself, NULL and NaN join nothing (not even
-themselves), and labeled nulls join by label.
+The evaluator plans each conjunction once per set of bound variables
+and probes :meth:`Database.rows_where` with the positions the plan has
+bound.  The reference here is the interpreter it replaced, kept apart
+from the code under test: for every partial binding it picks the next
+conjunct afresh, and every atom scans its relation sorted afresh.  Both
+must yield the same bindings in the same order, over values that join
+in unusual ways: ``1``, ``1.0`` and ``True`` join each other, ``None``
+joins itself, NULL and NaN join nothing (not even themselves), and
+labeled nulls join by label.
 """
 
 import pickle
@@ -16,11 +18,24 @@ import threading
 
 from hypothesis import given, settings, strategies as st
 
-from repro.logic.evaluation import Evaluator, _match_fact
-from repro.logic.formulas import And, Atom, Exists, Not, Var, neq
+from repro.errors import QueryError
+from repro.logic.evaluation import Evaluator, _compare
+from repro.logic.formulas import (
+    And,
+    Atom,
+    Comparison,
+    Exists,
+    Forall,
+    IsNull,
+    Not,
+    Or,
+    Var,
+    is_var,
+    neq,
+)
 from repro.relational import Database, Fact, RelationSchema, Schema
 from repro.relational.database import MERGE_RATIO, row_sort_key
-from repro.relational.nulls import NULL, LabeledNull
+from repro.relational.nulls import NULL, LabeledNull, is_null
 
 NAN = float("nan")  # one shared object, as json.loads returns one
 
@@ -34,17 +49,172 @@ _SCHEMA = Schema.of(
 _ARITY = {"R": 2, "S": 1}
 
 
-class _ScanEvaluator(Evaluator):
-    """The evaluator before the index: a full scan of the freshly
-    sorted relation per atom and per binding."""
+def _joinable(left, right):
+    if is_null(left) or is_null(right):
+        return False
+    return left == right
 
-    def _eval_atom(self, a, binding):
-        for values in sorted(
-            self._db.stored_rows(a.predicate), key=row_sort_key
-        ):
-            extended = _match_fact(a, values, binding)
-            if extended is not None:
-                yield extended
+
+def _match_fact(pattern, values, binding):
+    local = dict(binding)
+    for term, value in zip(pattern.terms, values):
+        if is_var(term):
+            if term in local:
+                if not _joinable(local[term], value):
+                    return None
+            else:
+                local[term] = value
+        elif not _joinable(term, value):
+            return None
+    return local
+
+
+class _Reference:
+    """The interpreter before plans and indexes: the next conjunct
+    picked afresh for every partial binding, and a full scan of the
+    freshly sorted relation per atom and per binding."""
+
+    def __init__(self, db):
+        self._db = db
+        self._domain = None
+
+    def _active_domain(self):
+        if self._domain is None:
+            self._domain = sorted(self._db.active_domain(), key=repr)
+        return self._domain
+
+    def bindings(self, formula, binding=None):
+        yield from self._eval(formula, {} if binding is None else binding)
+
+    def holds(self, formula, binding):
+        for _ in self._eval(formula, binding):
+            return True
+        return False
+
+    def _eval(self, formula, binding):
+        if isinstance(formula, Atom):
+            for values in sorted(
+                self._db.stored_rows(formula.predicate), key=row_sort_key
+            ):
+                extended = _match_fact(formula, values, binding)
+                if extended is not None:
+                    yield extended
+        elif isinstance(formula, Comparison):
+            free = [
+                v for v in (formula.left, formula.right)
+                if is_var(v) and v not in binding
+            ]
+            if free:
+                yield from self._enumerate_then(formula, free, binding)
+                return
+            left = binding[formula.left] if is_var(formula.left) \
+                else formula.left
+            right = binding[formula.right] if is_var(formula.right) \
+                else formula.right
+            if _compare(formula.op, left, right):
+                yield binding
+        elif isinstance(formula, IsNull):
+            if is_var(formula.term) and formula.term not in binding:
+                yield from self._enumerate_then(
+                    formula, [formula.term], binding
+                )
+                return
+            value = binding[formula.term] if is_var(formula.term) \
+                else formula.term
+            if is_null(value):
+                yield binding
+        elif isinstance(formula, And):
+            yield from self._eval_and(list(formula.parts), binding)
+        elif isinstance(formula, Or):
+            for part in formula.parts:
+                yield from self._eval(part, binding)
+        elif isinstance(formula, Not):
+            unbound = [
+                v for v in formula.free_variables() if v not in binding
+            ]
+            if unbound:
+                yield from self._enumerate_then(formula, unbound, binding)
+                return
+            if not self.holds(formula.inner, binding):
+                yield binding
+        elif isinstance(formula, Exists):
+            yield from self._eval_exists(formula, binding)
+        elif isinstance(formula, Forall):
+            yield from self._eval(Not(Exists(
+                formula.variables, Not(formula.inner)
+            )), binding)
+        else:
+            raise QueryError(f"cannot evaluate {type(formula).__name__}")
+
+    def _eval_exists(self, f, binding):
+        outer = {v: binding[v] for v in f.variables if v in binding}
+        inner = {v: val for v, val in binding.items() if v not in f.variables}
+        seen = set()
+        for result in self._eval(f.inner, inner):
+            projected = {
+                v: val for v, val in result.items() if v not in f.variables
+            }
+            projected.update(outer)
+            key = tuple(sorted(
+                (v.name, repr(val)) for v, val in projected.items()
+            ))
+            if key not in seen:
+                seen.add(key)
+                yield projected
+
+    def _eval_and(self, parts, binding):
+        if not parts:
+            yield binding
+            return
+        index = self._pick_conjunct(parts, binding)
+        if index is None:
+            unbound = sorted(
+                {
+                    v for p in parts for v in p.free_variables()
+                    if v not in binding
+                },
+                key=lambda v: v.name,
+            )
+            if not unbound:
+                raise QueryError(f"conjunction cannot be evaluated: {parts}")
+            for value in self._active_domain():
+                extended = dict(binding)
+                extended[unbound[0]] = value
+                yield from self._eval_and(parts, extended)
+            return
+        rest = parts[:index] + parts[index + 1:]
+        for extended in self._eval(parts[index], binding):
+            yield from self._eval_and(rest, extended)
+
+    @staticmethod
+    def _pick_conjunct(parts, binding):
+        best_atom, best_bound, generative = None, -1, None
+        for i, part in enumerate(parts):
+            if isinstance(part, (Comparison, IsNull, Not, Forall)):
+                if all(v in binding for v in part.free_variables()):
+                    return i
+            elif isinstance(part, Atom):
+                bound = sum(
+                    1 for t in part.terms if not is_var(t) or t in binding
+                )
+                if bound > best_bound:
+                    best_bound, best_atom = bound, i
+            elif isinstance(part, (Exists, Or, And)):
+                if generative is None:
+                    generative = i
+        return best_atom if best_atom is not None else generative
+
+    def _enumerate_then(self, formula, unbound, binding):
+        def recurse(i, current):
+            if i == len(unbound):
+                yield from self._eval(formula, current)
+                return
+            for value in self._active_domain():
+                extended = dict(current)
+                extended[unbound[i]] = value
+                yield from recurse(i + 1, extended)
+
+        yield from recurse(0, binding)
 
 
 def _exact(bindings):
@@ -84,11 +254,17 @@ def _atoms(draw):
 
 @st.composite
 def _formulas(draw, depth=2):
-    """A conjunction of atoms, with at most one nested sub-formula
-    under Exists and/or Not, and an optional inequality."""
+    """A conjunction of atoms, possibly one of them twice, with at most
+    one nested sub-formula — a disjunction of two, under Exists and/or
+    Not — and optional filters: an inequality and an IS NULL, the
+    conjuncts in any order."""
     parts = draw(st.lists(_atoms(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        parts.append(draw(st.sampled_from(parts)))
     if depth > 0 and draw(st.booleans()):
         inner = draw(_formulas(depth=depth - 1))
+        if draw(st.booleans()):
+            inner = Or((inner, draw(_formulas(depth=depth - 1))))
         free = sorted(inner.free_variables(), key=lambda v: v.name)
         if free and draw(st.booleans()):
             inner = Exists(tuple(draw(st.lists(
@@ -99,22 +275,93 @@ def _formulas(draw, depth=2):
         parts.append(inner)
     if draw(st.booleans()):
         parts.append(neq(draw(st.sampled_from(_VARS)), draw(_term)))
+    if draw(st.booleans()):
+        parts.append(IsNull(draw(_term)))
+    parts = draw(st.permutations(parts))
     return And(tuple(parts)) if len(parts) > 1 else parts[0]
 
 
-def _assert_same(db, formula):
-    indexed = _exact(Evaluator(db).bindings(formula))
-    scanned = _exact(_ScanEvaluator(db).bindings(formula))
-    assert indexed == scanned, formula
+#: An initial binding, as a caller that anchors an atom passes one.
+_initial = st.dictionaries(st.sampled_from(_VARS), _value, max_size=2)
+
+
+def _atoms_of(formula):
+    parts = formula.parts if isinstance(formula, And) else (formula,)
+    return [p for p in parts if isinstance(p, Atom)]
+
+
+def _assert_same(db, formula, binding=None):
+    expected = _exact(_Reference(db).bindings(formula, dict(binding or {})))
+    got = _exact(Evaluator(db).bindings(formula, dict(binding or {})))
+    assert got == expected, formula
+    matched = list(Evaluator(db).matches(formula, dict(binding or {})))
+    assert _exact(b for b, _ in matched) == expected, formula
+    atoms = _atoms_of(formula)
+    for extended, rows in matched:
+        # Each atom's own row, stored in its relation, equal to the
+        # atom under the binding.
+        assert len(rows) == len(atoms)
+        for a, row in zip(atoms, rows):
+            assert any(r is row for r in db.relation(a.predicate))
+            for term, value in zip(a.terms, row):
+                wanted = extended[term] if is_var(term) else term
+                assert value is wanted or _joinable(value, wanted), (a, row)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_facts(), _formulas())
-def test_indexed_bindings_equal_the_sorted_scan_in_order(facts, formula):
+@given(_facts(), _formulas(), _initial)
+def test_indexed_bindings_equal_the_sorted_scan_in_order(
+    facts, formula, binding
+):
     db = Database.from_facts(facts, _SCHEMA)
-    _assert_same(db, formula)
+    _assert_same(db, formula, binding)
     # Again on the filled memo.
-    _assert_same(db, formula)
+    _assert_same(db, formula, binding)
+
+
+def test_a_repeated_atom_records_a_row_for_each_occurrence():
+    X, Y = _VARS[:2]
+    db = Database.from_facts(
+        [Fact("R", ("a", "a")), Fact("R", ("a", "b")), Fact("R", (1, True))],
+        _SCHEMA,
+    )
+    twice = Atom("R", (X, X))
+    got = list(Evaluator(db).matches(And((twice, twice))))
+    assert [rows for _, rows in got] == [
+        ((1, True), (1, True)), (("a", "a"), ("a", "a")),
+    ]
+    # The stored row, not the atom under the binding: True, not 1.
+    pair = And((Atom("R", (X, Y)), Atom("R", (Y, X)), neq(X, Y)))
+    assert list(Evaluator(db).matches(pair)) == []
+    assert [rows for _, rows in Evaluator(db).matches(
+        And((Atom("R", (X, Y)), Atom("R", (Y, Y))))
+    )] == [((1, True), (1, True)), (("a", "a"), ("a", "a"))]
+    assert [type(rows[0][1]) for _, rows in Evaluator(db).matches(
+        Atom("R", (1, Y))
+    )] == [bool]
+
+
+def test_nested_conjunctions_are_planned_once_per_call():
+    """A ``NOT EXISTS`` conjunction is reached through its parent's plan:
+    one plan lookup per call, however many bindings reach it, and the
+    same plan for another instance."""
+    from repro.logic.evaluation import _plan
+
+    X, Y, Z = _VARS
+    formula = And((
+        Atom("R", (X, Y)),
+        Not(Exists((Z,), And((Atom("R", (X, Z)), neq(Z, Y))))),
+    ))
+    facts = [Fact("R", (f"k{i % 5}", i)) for i in range(20)]
+    for facts_of in (facts, facts[:12]):
+        db = Database.from_facts(facts_of, _SCHEMA)
+        before = _plan.cache_info()
+        got = list(Evaluator(db).bindings(formula))
+        after = _plan.cache_info()
+        assert got == list(_Reference(db).bindings(formula))
+        assert (after.hits + after.misses) - (
+            before.hits + before.misses
+        ) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -319,9 +566,9 @@ class TestConcurrentMemo:
         facts += [Fact("S", (i,)) for i in range(0, 5, 2)]
         extra = [Fact("S", (1,))]
         reference = Database.from_facts(facts, _SCHEMA)
-        expected = _exact(_ScanEvaluator(reference).bindings(formula))
+        expected = _exact(_Reference(reference).bindings(formula))
         expected_derived = _exact(
-            _ScanEvaluator(reference.insert(extra)).bindings(formula)
+            _Reference(reference.insert(extra)).bindings(formula)
         )
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

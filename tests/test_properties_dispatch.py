@@ -34,6 +34,7 @@ from repro.dispatch import (
     get_engine,
 )
 from repro.errors import NotRewritableError
+from repro.logic import atom, cq, vars_
 from repro.logic.parser import parse_denial, parse_fd, parse_query
 from repro.logic.queries import UnionQuery
 from repro.relational import NULL, Database, RelationSchema, Schema
@@ -226,3 +227,95 @@ def test_local_rung_is_exact_with_null_markers(
     )
     assert answer.complete
     assert answer.answers == ref
+
+
+def _typed(rows):
+    """Answers as comparable data that tells True from 1 and a string
+    from a bool: set ``==`` equates ``0`` and ``False``."""
+    return sorted(
+        tuple((type(v).__name__, repr(v)) for v in row) for row in rows
+    )
+
+
+_BOOLEANS = st.sampled_from(["a", "b", True, False])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _rows(_BOOLEANS, 5),
+    _rows(_BOOLEANS, 4),
+    st.sampled_from(sorted(_CONSTRAINT_SETS)),
+    st.sampled_from(sorted(_TWO_QUERIES)),
+    _SEMANTICS,
+)
+def test_exact_engines_keep_booleans(r_rows, s_rows, cname, qname, semantics):
+    """SQLite would answer a stored bool as an integer: every exact
+    engine that runs answers Cons with each value's type, and fm-sql
+    declines an instance holding a bool."""
+    db = _two(r_rows, s_rows)
+    constraints = _CONSTRAINT_SETS[cname]
+    query = _TWO_QUERIES[qname]
+    ref = _typed(consistent_answers(db, constraints, query, semantics=semantics))
+    request = CQARequest(db, constraints, query, semantics)
+    for name, engine in ENGINES.items():
+        if not engine.exact:
+            continue
+        try:
+            engine.check(request)
+            answer = engine.run(request)
+        except (NotRewritableError, EngineInapplicableError):
+            continue
+        assert answer.complete
+        assert _typed(answer.answers) == ref, (name, cname, qname, semantics)
+    result = dispatch_cqa(db, constraints, query, semantics=semantics)
+    if result.complete:
+        assert _typed(result.answers) == ref, (
+            result.provenance.engine, cname, qname, semantics
+        )
+
+
+_FLOATS = st.floats(allow_nan=False, width=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), _FLOATS),
+             max_size=5),
+    _FLOATS,
+    st.booleans(),
+)
+def test_fm_sql_matches_float_constants_as_fo_mem_does(rows, constant, stored):
+    """A float query constant is bound, not printed: fm-sql matches
+    exactly the rows fo-mem matches, including a constant drawn from
+    the stored values."""
+    if stored and rows:
+        constant = rows[0][1]
+    db = Database.from_dict({"R": rows, "S": []}, schema=_TWO)
+    constraints = _CONSTRAINT_SETS["keys"]
+    (x,) = vars_("X")
+    query = cq([x], [atom("R", x, constant)])
+    request = CQARequest(db, constraints, query, "s")
+    answers = {}
+    for name in ("fm-sql", "fo-mem"):
+        engine = get_engine(name)
+        engine.check(request)
+        answers[name] = _typed(engine.run(request).answers)
+    assert answers["fm-sql"] == answers["fo-mem"]
+    assert answers["fo-mem"] == _typed(
+        consistent_answers(db, constraints, query)
+    )
+
+
+def test_a_nan_key_comes_back_as_nan():
+    """SQLite would store a NaN as NULL: fm-sql declines the instance,
+    and the ladder answers the NaN itself, not the NULL marker."""
+    nan = float("nan")
+    db = Database.from_dict({"R": [(nan, "x"), ("b", "y")], "S": []},
+                            schema=_TWO)
+    result = dispatch_cqa(
+        db, _CONSTRAINT_SETS["keys"], parse_query("Q(X) :- R(X, Y)")
+    )
+    assert result.complete and result.provenance.engine == "fo-mem"
+    assert sorted(result.answers, key=repr) == [("b",), (nan,)]
+    (got,) = [row[0] for row in result.answers if row != ("b",)]
+    assert got is nan

@@ -96,20 +96,22 @@ def shared_pool():
 
 # -- the differential --------------------------------------------------
 
+# No bools: SQLite would give one back as an integer, so a version
+# holding one is fo-mem's, not fm-sql's
+# (tests/test_warm_state.py::test_a_bool_written_to_a_warm_instance_is_answered_by_the_next_rung).
 _VALUES = st.one_of(
     st.sampled_from(["a", "b", "é", "日本", ""]),
     st.text(max_size=2),
     st.integers(-2, 2),
     st.sampled_from([0.0, -0.0, 1.0, 2.5]),
-    st.booleans(),
     st.none(),
     st.just(NULL),
 )
 # A mutate payload carries JSON values only.  These collide often:
-# 1 == 1.0 == True and 0 == 0.0 == False, each with its own JSON, so a
-# write that deletes one and inserts another leaves an equal answer.
+# 1 == 1.0 and 0 == 0.0, each with its own JSON, so a write that
+# deletes one and inserts another leaves an equal answer.
 _JSON_VALUES = st.sampled_from(
-    ["a", "é", "日本", "1", 1, 1.0, True, 0, 0.0, False, None]
+    ["a", "é", "日本", "1", 1, 1.0, 0, 0.0, None]
 )
 _FACTS = st.lists(
     st.tuples(_JSON_VALUES, st.sampled_from(["x", "y", 1, None])).map(

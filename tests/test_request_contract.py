@@ -544,6 +544,16 @@ DELTAS = {
     "pull-wait-string": _bad("'wait_s' must be a number"),
     "pull-wait-bool": _bad("'wait_s' must be a number"),
     "pull-follower-shape": _bad("'follower' must be a string"),
+    # SQLite would store the NaN key as NULL, and fm-sql answered
+    # [[null], ["a"]]: it now declines the instance, so this fm-sql-only
+    # ladder refuses the read, as it refuses the self-join.
+    "cqa-nan": [503, "Service Unavailable", _JSON, {
+        "detail": "no engine could produce a sound answer (semantics=s): "
+                  "fm-sql: inapplicable: SQLite would not give back nan "
+                  "as it was stored",
+        "error": "unavailable",
+        "request_id": "*",
+    }],
 }
 
 

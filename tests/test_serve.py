@@ -493,6 +493,45 @@ class TestServiceHandlers:
         assert body["engine"] == "fm-sql", body
         assert body["answers"] == [["a"], ["b"]]
 
+    def test_query_constants_bind_exactly(self):
+        """fm-sql binds a query's constants instead of writing them into
+        the SQL: a float matches the stored one to the last bit, and a
+        constant SQLite cannot hold — an integer past 64 bits, a lone
+        surrogate — makes fm-sql inapplicable, charging no breaker.
+        Every read answers Cons."""
+        svc = _probe_constants(CQAService())
+        breaker = svc.dispatcher.breakers["fm-sql"]
+        assert breaker.failures == 0 and str(breaker.state()) == "closed"
+
+
+#: fm-sql probes of query constants: the rows of R (keyed on A), the
+#: query, Cons, and the rung that answers.
+CONSTANT_PROBES = (
+    ([["a", -5.561424542183802], ["b", 1]],
+     "Q(X) :- R(X, -5.561424542183802)", [["a"]], "fm-sql"),
+    ([["a", float(2 ** 70)], ["b", 1]],
+     "Q(X) :- R(X, 1180591620717411303425)", [], "fo-mem"),
+    ([["a", "x"], ["b", 1]], 'Q(X) :- R(X, "\ud800")', [], "fo-mem"),
+)
+
+
+def _probe_constants(svc):
+    """Register and read each of :data:`CONSTANT_PROBES` on *svc*."""
+    for i, (rows, query, cons, engine) in enumerate(CONSTANT_PROBES):
+        name = f"probe{i}"
+        status, _, _ = svc.register_db(name, {
+            "relations": {
+                "R": {"columns": ["A", "B"], "key": ["A"], "rows": rows}
+            },
+            "constraints": {"fd": ["R: A -> B"]},
+        })
+        assert status == 200
+        status, body, _ = svc.handle_cqa({"db": name, "query": query})
+        assert status == 200 and body["complete"], body
+        assert body["answers"] == cons, (query, body)
+        assert body["engine"] == engine, (query, body)
+    return svc
+
 
 class _SaturatedPool:
     """Quacks like a WorkerPool with every worker busy."""

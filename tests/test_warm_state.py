@@ -44,6 +44,7 @@ from repro.dispatch.worker import (
     serve_loop,
     write_frame,
 )
+from repro.errors import UnstorableValueError
 from repro.logic.parser import parse_fd, parse_query
 from repro.observability import collect
 from repro.relational import RelationSchema, Schema
@@ -57,6 +58,8 @@ from repro.relational.sqlbridge import (
 )
 from repro.runtime import FaultPlan, inject
 from repro.serve.service import DELTA_STEPS, CQAService
+
+from .test_serve import _probe_constants
 
 PROJECTION = "Q(X) :- R(X, Y)"
 JOIN = "Q(X, Z) :- R(X, Y), S(Y, Z)"
@@ -645,6 +648,72 @@ def test_a_value_sqlite_cannot_store_is_inapplicable_not_a_crash():
         pool.drain()
 
 
+def test_a_bool_written_to_a_warm_instance_is_answered_by_the_next_rung():
+    """SQLite would give ``true`` back as 1: a write that inserts one
+    into a warm instance makes the delta job's advance refuse it, and
+    fo-mem answers with the bool kept, with no recycle and no charge
+    to fm-sql's breaker."""
+    pool = WorkerPool(PoolConfig(size=1, max_requests=None)).start()
+    try:
+        assert pool.wait_ready(timeout_s=30.0)
+        service = _service(pool)
+        assert service.register_db("n", _spec(R_FACTS))[0] == 200
+        assert _read(service, "n")["engine"] == "fm-sql"
+        status, _, _ = service.handle_mutate(
+            "n", {"insert": [["R", "a3", True]]}
+        )
+        assert status == 200
+        with collect() as collector:
+            body = _read(service, "n", "Q(X, Y) :- R(X, Y)")
+        assert collector.counter("pool.warm.deltas") == 1
+        assert body["complete"] and body["engine"] == "fo-mem", body
+        assert body["answers"] == [["a3", True]]
+        assert isinstance(body["answers"][0][1], bool)
+        assert pool.stats()["recycles"] == 0
+        assert service.dispatcher.breakers["fm-sql"].failures == 0
+    finally:
+        pool.drain()
+
+
+def test_query_constants_bind_exactly_over_the_pool():
+    """The probes of ``test_query_constants_bind_exactly`` through a
+    one-worker pool: each answers Cons, and the worker's refusal of a
+    constant SQLite cannot hold charges fm-sql's breaker nothing."""
+    pool = WorkerPool(PoolConfig(size=1, max_requests=None)).start()
+    try:
+        assert pool.wait_ready(timeout_s=30.0)
+        service = _probe_constants(_service(pool))
+        assert pool.stats()["recycles"] == 0
+        assert service.dispatcher.breakers["fm-sql"].failures == 0
+    finally:
+        pool.drain()
+
+
+def test_a_value_sqlite_would_change_is_refused_on_load_and_advance():
+    """SQLite stores a bool as an integer and a NaN as NULL: an instance
+    holding one is not loaded, a step that would add one leaves the
+    kept instance and its connection where they were, and a NaN
+    constant is not bound."""
+    for value in (True, False, float("nan")):
+        db = Database.from_facts([fact("R", "a", value)], schema=_KEYED)
+        with pytest.raises(UnstorableValueError):
+            to_sqlite(db)
+        kept = KeptSqlite(
+            Database.from_facts([fact("R", "a", "b")], schema=_KEYED)
+        )
+        kept.conn = to_sqlite(kept.db)
+        try:
+            before = kept.db
+            with pytest.raises(UnstorableValueError):
+                kept.advance([], [fact("R", "c", value)])
+            assert kept.db is before
+            assert _rows(kept.conn, "R") == Counter([("a", "b")])
+        finally:
+            kept.close()
+        with pytest.raises(UnstorableValueError):
+            run_sql(before, 'SELECT "A" FROM "R" WHERE "B" = ?1', [value])
+
+
 def _rows(conn, table):
     return Counter(conn.execute(f'SELECT * FROM "{table}"').fetchall())
 
@@ -687,9 +756,11 @@ def test_an_advanced_connection_equals_a_fresh_load(mutation):
 # Differential: an indexed, advanced connection answers as bare tables
 # ----------------------------------------------------------------------
 
-#: 1, 1.0 and True are one value to SQLite and to Python; the NULL
-#: marker and None both load as SQL NULL.
-_MIXED = st.sampled_from([1, 1.0, True, "1", "a", NULL, None])
+#: 1 and 1.0 are one value to SQLite and to Python; the NULL marker
+#: and None both load as SQL NULL.  A bool or a NaN, which SQLite would
+#: give back as another value, is not loaded at all
+#: (``test_a_value_sqlite_would_change_is_refused_on_load_and_advance``).
+_MIXED = st.sampled_from([1, 1.0, "1", "a", NULL, None])
 _MIXED_FACTS = st.lists(
     st.tuples(st.sampled_from(["R", "S"]), _MIXED, _MIXED).map(
         lambda t: fact(*t)
@@ -764,10 +835,7 @@ def test_an_indexed_advanced_connection_answers_as_bare_tables(
     kept = KeptSqlite(Database.from_facts(facts, schema=_KEYED))
     kept.conn = to_sqlite(kept.db)
     try:
-        sql = query_to_sql(
-            fuxman_miller_rewrite(parse_query(query), _KEYS, kept.db),
-            _KEYED,
-        )
+        sql = _sql_text(query, kept.db)
         for deleted, inserted in steps:
             kept.advance(deleted, inserted)
         reference = _bare(kept.db)
@@ -788,13 +856,18 @@ def _memo_rows(kept):
     return sum(len(rows) or 1 for rows in kept._memo.values())  # noqa: SLF001
 
 
-_SQL = {
-    query: query_to_sql(
-        fuxman_miller_rewrite(
-            parse_query(query), _KEYS, Database.from_facts([], schema=_KEYED)
-        ),
-        _KEYED,
+def _sql_text(query, db):
+    """fm-sql's statement for *query*; these queries hold no constant,
+    so it binds no parameter."""
+    sql, params = query_to_sql(
+        fuxman_miller_rewrite(parse_query(query), _KEYS, db), _KEYED
     )
+    assert params == ()
+    return sql
+
+
+_SQL = {
+    query: _sql_text(query, Database.from_facts([], schema=_KEYED))
     for query in _FM_QUERIES
 }
 
