@@ -6,13 +6,21 @@ SQLite, and compare cost and results with the in-memory safe-range
 evaluator on growing instances.
 """
 
+import itertools
+
 import pytest
 
 import _benchlib  # noqa: F401  (sys.path bootstrap for direct runs)
 
 from repro.cqa import answers_via_sql, fuxman_miller_rewrite, query_to_sql
 from repro.logic import atom, cq, vars_
-from repro.relational.sqlbridge import run_sql_on_connection, to_sqlite
+from repro.relational import Database, RelationSchema, Schema, fact
+from repro.relational.sqlbridge import (
+    KeptSqlite,
+    keeping,
+    run_sql_on_connection,
+    to_sqlite,
+)
 from repro.workloads import random_fd_instance
 
 X, Y = vars_("x y")
@@ -52,6 +60,38 @@ def test_sqlite_evaluation_warm(benchmark, n):
     finally:
         conn.close()
     assert frozenset(rows) == rewritten.answers(scenario.db)
+
+
+@pytest.mark.parametrize("step", ["untouched", "touched"])
+def test_kept_read_after_a_step(benchmark, step):
+    """A warm worker's read after a write: a kept instance advances by
+    one fresh fact, in a relation the rewriting does not read
+    (``untouched``) or in R (``touched``), then answers the rewriting
+    under ``keeping``.  Only after a touched step does its statement
+    run again (``sql.statements``)."""
+    scenario = random_fd_instance(60, 30, 3, seed=2)
+    schema = Schema.of(
+        scenario.db.schema.relation("R"), RelationSchema("T", ("K", "V"))
+    )
+    kept = KeptSqlite(Database.from_facts(scenario.db, schema=schema))
+    rewritten = _rewritten(scenario)
+    relation = "T" if step == "untouched" else "R"
+    fresh = itertools.count()
+
+    def read():
+        kept.advance((), [fact(relation, f"n{next(fresh)}", "v0")])
+        with keeping(kept):
+            return kept.db, answers_via_sql(kept.db, rewritten)
+
+    try:
+        with keeping(kept):  # the connection and the memo
+            answers_via_sql(kept.db, rewritten)
+        db, answers = benchmark(read)
+        assert answers == rewritten.answers(db)
+        db, answers = read()
+        assert answers == rewritten.answers(db)
+    finally:
+        kept.close()
 
 
 def test_sql_generation_cost(benchmark):

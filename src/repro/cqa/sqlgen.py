@@ -255,9 +255,14 @@ def query_to_sql(query, schema: Schema) -> Tuple[str, Tuple[object, ...]]:
 
 def answers_via_sql(db: Database, query) -> frozenset:
     """Evaluate *query* by compiling to SQL and running on SQLite."""
+    if isinstance(query, ConjunctiveQuery):
+        query = query.to_query()
     with span("cqa.sql"):
         sql, params = query_to_sql(query, db.schema)
-        rows = run_sql(db, sql, params)
+        # The statement reads one table per atom, those under NOT
+        # EXISTS included, and no other.
+        reads = {a.predicate for a in query.body.atoms()}
+        rows = run_sql(db, sql, params, reads)
         add("cqa.sql_statements", 1)
         add("cqa.sql_rows", len(rows))
         if not query.head:

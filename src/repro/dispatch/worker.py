@@ -38,10 +38,11 @@ Two entry points share one job/result schema:
   instead come with the mutation ``steps`` since that version (a
   *delta* job), and the worker advances its instance and SQLite
   connection in place (see :func:`serve_loop`).  A warm entry answers
-  a statement it already ran on its version from memory; ``reused``
-  in the response frame counts those.  A keyed reply whose answer set
-  equals the one the name's previous reply kept carries no rows, only
-  ``answers_kept: "same"``, and the parent answers with its own copy.
+  a statement it already ran from memory while no step has touched a
+  relation the statement reads; ``reused`` in the response frame
+  counts those.  A keyed reply whose answer set equals the one the
+  name's previous reply kept carries no rows, only ``answers_kept:
+  "same"``, and the parent answers with its own copy.
 * **one-shot** (:func:`child_main`, argument-less ``python -m
   repro.dispatch.worker``) — one job on stdin, one result on stdout,
   process exits; callable in-process for tests.
@@ -301,7 +302,7 @@ class _WarmInstances:
     """A loop worker's warm state: per registered database name, the
     latest version a job carried, decoded, with its SQLite
     materialization (built by the first statement that needs it), the
-    memo of that version's answers, and the answer set of the name's
+    memo of its statements' answers, and the answer set of the name's
     last successful reply when a repeat of it may go by reference
     (:meth:`keep_answers`)."""
 
@@ -450,10 +451,11 @@ def serve_loop(stdin=None, stdout=None) -> int:
     are freed only after the result frame is written.
 
     An entry also remembers the rows of each SQL statement that
-    succeeded on its version (:class:`~repro.relational.sqlbridge.KeptSqlite`),
-    so a key-only job repeating a statement gets its rows without
-    running SQLite; a delta job's advance empties that memo first.
-    Every job is still sent, run and answered.
+    succeeded on it (:class:`~repro.relational.sqlbridge.KeptSqlite`),
+    so a job repeating a statement gets its rows without running
+    SQLite; a delta job's advance first drops the statements that read
+    a relation its steps touched.  Every job is still sent, run and
+    answered.
 
     **Repeated answers.**  An entry also keeps the answer set of the
     name's last successful reply, when it has no more rows than the

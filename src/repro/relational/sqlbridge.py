@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import (
     Dict,
+    FrozenSet,
     Hashable,
     Iterable,
     Iterator,
@@ -44,9 +45,12 @@ class KeptSqlite:
 
     Inside :func:`keeping`, :func:`run_sql` on ``db`` runs on ``conn``,
     materializing it on first use, instead of on a fresh copy per
-    statement, and answers a statement it already ran on this version
-    from the memo (:meth:`recall`).  ``reused`` counts those answers.
-    The owner closes it.
+    statement, and answers a statement it already ran from the memo
+    (:meth:`recall`).  ``reused`` counts those answers.  Each memo
+    entry holds the relations its statement reads, and an entry's rows
+    are its statement's rows on the current version: no step since it
+    was kept touched a relation it reads (:meth:`advance`).  The owner
+    closes it.
     """
 
     __slots__ = ("db", "conn", "reused", "_memo", "_memo_rows")
@@ -55,38 +59,47 @@ class KeptSqlite:
         self.db = db
         self.conn: Optional[sqlite3.Connection] = None
         self.reused = 0
-        # statement key (:func:`_statement_key`) -> its rows; insertion
-        # order is recency order.
-        self._memo: Dict[Hashable, Tuple[Row, ...]] = {}
+        # statement key (:func:`_statement_key`) -> the relations it
+        # reads and its rows; insertion order is recency order.
+        self._memo: Dict[
+            Hashable, Tuple[FrozenSet[str], Tuple[Row, ...]]
+        ] = {}
         self._memo_rows = 0
 
     def recall(self, statement: Hashable) -> Optional[List[Row]]:
-        """The rows *statement* returned on this version, as a new list,
+        """The rows *statement* returns on this version, as a new list,
         or ``None`` when the memo does not hold it."""
-        rows = self._memo.pop(statement, None)
-        if rows is None:
+        entry = self._memo.pop(statement, None)
+        if entry is None:
             return None
-        self._memo[statement] = rows
+        self._memo[statement] = entry
         self.reused += 1
-        return list(rows)
+        return list(entry[1])
 
-    def remember(self, statement: Hashable, rows: Sequence[Row]) -> None:
-        """Keep *rows*, which *statement* returned on this version after
-        :meth:`recall` missed it.
+    def remember(
+        self, statement: Hashable, reads: Iterable[str], rows: Sequence[Row]
+    ) -> None:
+        """Keep *rows*, which *statement*, reading the relations
+        *reads*, returned on this version after :meth:`recall` missed
+        it.
 
         The memo holds at most as many rows as the instance holds
         facts, each statement counting at least one: the least
         recently used statements go first, and a statement over that
         bound on its own is not kept."""
-        bound = len(self.db)
         cost = len(rows) or 1
-        if cost > bound:
+        if cost > len(self.db):
             return
-        memo = self._memo
-        memo[statement] = tuple(rows)
+        self._memo[statement] = (frozenset(reads), tuple(rows))
         self._memo_rows += cost
-        while self._memo_rows > bound:
-            self._memo_rows -= len(memo.pop(next(iter(memo)))) or 1
+        self._trim()
+
+    def _trim(self) -> None:
+        """Drop the least recently used statements until the memo is
+        within the instance's bound."""
+        memo = self._memo
+        while self._memo_rows > len(self.db):
+            self._memo_rows -= len(memo.pop(next(iter(memo)))[1]) or 1
 
     def advance(
         self, deleted: Sequence[Fact], inserted: Sequence[Fact]
@@ -97,9 +110,11 @@ class KeptSqlite:
         built, by the instance's own delta (:func:`apply_step`): the
         stored facts that left, and the facts that joined.  A fact
         deleted and inserted again as an equal value of another type
-        is both.  The memo empties, built connection or not, so every
-        statement runs again on the new version.  On an exception
-        nothing is advanced."""
+        is both.  The memo drops every statement that reads a relation
+        of that delta, built connection or not, and keeps the others in
+        recency order, trimmed to the new instance's bound
+        (:meth:`remember`); a step that changes nothing keeps it whole.
+        On an exception nothing is advanced."""
         old = self.db
         left = [
             old.fact_by_tid(old.tid_of(f))
@@ -111,8 +126,12 @@ class KeptSqlite:
         if self.conn is not None:
             apply_step(self.conn, old.schema, left, joined)
         self.db = db
-        self._memo.clear()
-        self._memo_rows = 0
+        touched = {f.relation for f in left + joined}
+        for statement, (reads, rows) in list(self._memo.items()):
+            if not touched.isdisjoint(reads):
+                del self._memo[statement]
+                self._memo_rows -= len(rows) or 1
+        self._trim()
 
     def close(self) -> None:
         if self.conn is not None:
@@ -296,10 +315,14 @@ def apply_step(
 
 
 def run_sql(
-    db: Database, sql: str, params: Sequence[object] = ()
+    db: Database,
+    sql: str,
+    params: Sequence[object] = (),
+    reads: Optional[Iterable[str]] = None,
 ) -> List[Row]:
     """Run *sql* against a materialization of *db*, its placeholders
-    bound to *params*; return its rows.
+    bound to *params*; return its rows.  *reads* names the relations
+    *sql* reads (None: every relation of *db*'s schema).
 
     Each distinct row comes back once, in no promised order, with SQL
     NULLs mapped back to the NULL marker (:func:`_answer_rows`).  The
@@ -318,10 +341,10 @@ def run_sql(
     one transaction, and a failed one drops the connection.
 
     A statement that succeeded on the kept instance is remembered
-    with its rows, and the same statement on the same version comes
-    back from that memo as a new list, with no attempt, execution or
-    conversion: on one version the rows cannot change.  Advancing the
-    kept instance empties the memo.
+    with its rows and *reads*, and the same statement comes back from
+    that memo as a new list, with no attempt, execution or conversion,
+    until a step of the kept instance touches a relation it reads: its
+    rows are a function of those relations alone.
     """
     with span("sql.run"):
         (params,) = _sql_rows([tuple(params)])
@@ -351,7 +374,9 @@ def run_sql(
         add("sql.rows_fetched", len(raw))
         rows = _answer_rows(raw)
         if kept is not None:
-            kept.remember(statement, rows)
+            kept.remember(
+                statement, db.schema.names() if reads is None else reads, rows
+            )
         return rows
 
 

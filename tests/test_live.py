@@ -791,31 +791,36 @@ class TestLiveOverhead:
     def test_live_overhead_under_five_percent(self):
         """Op-count budget, mirroring the disabled-collector test:
         (live ops per workload x per-op enabled cost) < 5% of the
-        workload's wall time.  Holds by construction — live hooks sit
-        at request/rung granularity, never in per-tuple loops."""
+        workload's wall time, the workload being the work whose ops
+        are counted: a repair enumeration and a dispatch.  Holds by
+        construction — live hooks sit at request/rung granularity,
+        never in per-tuple loops.  Each time is the least of a few
+        runs, so other work on the host inflates neither side."""
         from repro.repairs import s_repairs
 
         scenario = employee_key_violations(5, 6, 2, seed=7)
-        wall = min(
-            _timed(
-                lambda: s_repairs(scenario.db, scenario.constraints)
-            )
-            for _ in range(3)
-        )
-
-        # Live ops emitted by the repair workload (hot path: zero) plus
-        # a dispatch on top, which is where the live hooks live.
         dispatch_scenario = employee()
-        with live() as plane:
+
+        def repair():
             s_repairs(scenario.db, scenario.constraints)
-            hot_loop_ops = (
-                plane.registry.op_count + plane.events.stats()["emitted"]
-            )
+
+        def dispatch():
             Dispatcher().dispatch(
                 dispatch_scenario.db,
                 dispatch_scenario.constraints,
                 dispatch_scenario.queries["Q2"],
             )
+
+        wall = min(_timed(lambda: (repair(), dispatch())) for _ in range(3))
+
+        # Live ops emitted by the repair workload (hot path: zero) plus
+        # a dispatch on top, which is where the live hooks live.
+        with live() as plane:
+            repair()
+            hot_loop_ops = (
+                plane.registry.op_count + plane.events.stats()["emitted"]
+            )
+            dispatch()
             total_ops = (
                 plane.registry.op_count + plane.events.stats()["emitted"]
             )
@@ -826,19 +831,22 @@ class TestLiveOverhead:
         # Per-op enabled costs, amortised over tight loops.
         loops = 5000
         bench = MetricsRegistry(window_s=60.0, buckets=60)
-        # A full collection of the test process's heap must not land
-        # inside a loop and be charged to the plane.
-        gc.collect()
-        t0 = time.perf_counter()
-        for _ in range(loops):
-            bench.add("x")
-        add_cost = (time.perf_counter() - t0) / loops
         log = EventLog()
-        gc.collect()
-        t0 = time.perf_counter()
-        for _ in range(loops):
-            log.emit("rung.attempt", engine="x")
-        emit_cost = (time.perf_counter() - t0) / loops
+
+        def per_op(op):
+            # A full collection of the test process's heap must not land
+            # inside a loop and be charged to the plane.
+            gc.collect()
+            t0 = time.perf_counter()
+            for _ in range(loops):
+                op()
+            return (time.perf_counter() - t0) / loops
+
+        add_cost = min(per_op(lambda: bench.add("x")) for _ in range(3))
+        emit_cost = min(
+            per_op(lambda: log.emit("rung.attempt", engine="x"))
+            for _ in range(3)
+        )
 
         budget = total_ops * max(add_cost, emit_cost)
         assert budget < 0.05 * wall, (

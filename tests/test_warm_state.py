@@ -251,7 +251,8 @@ def test_repeat_reads_hit_one_worker_and_a_write_costs_one_delta(
         assert collector.counter("pool.warm.misses") == 1
         assert collector.counter("pool.warm.deltas") == 1
         assert collector.counter("pool.warm.hits") == 7
-        # The delta's advance emptied the memo: SQLite ran again.
+        # The delta's advance dropped the statement that reads R:
+        # SQLite ran again.
         assert collector.counter("pool.warm.reused") == 7
         # Its answer set is new: it crossed with its rows.
         assert collector.counter("pool.answers.repeated") == 7
@@ -262,6 +263,43 @@ def test_repeat_reads_hit_one_worker_and_a_write_costs_one_delta(
         assert collector.counter("pool.warm.hits") == 8
         assert collector.counter("pool.warm.reused") == 8
         assert collector.counter("pool.answers.repeated") == 8
+
+
+def test_a_read_after_a_write_to_a_relation_it_does_not_read_is_reused():
+    """On one worker, after one read each of the projection (which
+    reads R) and the join (R and S): a write to a third relation that
+    no query reads leaves both answers in the memo, a write to S only
+    the projection's, and a write to R neither.  Every answer is
+    Cons."""
+    pool = WorkerPool(PoolConfig(size=1, max_requests=None)).start()
+    try:
+        assert pool.wait_ready(timeout_s=30.0)
+        service = _service(pool)
+        spec = _spec(R_FACTS + S_FACTS)
+        spec["relations"]["T"] = {"columns": ["D"], "rows": [["d0"]]}
+        assert service.register_db("t", spec)[0] == 200
+        for query in (PROJECTION, JOIN):
+            assert _read(service, "t", query)["answers"] == _reference(
+                service, "t", query
+            )
+        writes = [
+            (["T", "d1"], 2),
+            (["S", "b2", "c0"], 1),
+            (["R", "a2", "b2"], 0),
+        ]
+        for write, reused in writes:
+            status, _, _ = service.handle_mutate("t", {"insert": [write]})
+            assert status == 200
+            with collect() as collector:
+                for query in (PROJECTION, JOIN):
+                    body = _read(service, "t", query)
+                    assert body["complete"] and body["engine"] == "fm-sql"
+                    assert body["answers"] == _reference(service, "t", query)
+                assert collector.counter("pool.warm.deltas") == 1
+                assert collector.counter("pool.warm.hits") == 1
+                assert collector.counter("pool.warm.reused") == reused, write
+    finally:
+        pool.drain()
 
 
 def test_each_block_of_writes_and_reads_costs_one_delta(
@@ -761,12 +799,18 @@ def test_an_advanced_connection_equals_a_fresh_load(mutation):
 #: give back as another value, is not loaded at all
 #: (``test_a_value_sqlite_would_change_is_refused_on_load_and_advance``).
 _MIXED = st.sampled_from([1, 1.0, "1", "a", NULL, None])
-_MIXED_FACTS = st.lists(
-    st.tuples(st.sampled_from(["R", "S"]), _MIXED, _MIXED).map(
-        lambda t: fact(*t)
-    ),
-    max_size=8,
-)
+
+
+def _facts_of(relations):
+    return st.lists(
+        st.tuples(st.sampled_from(relations), _MIXED, _MIXED).map(
+            lambda t: fact(*t)
+        ),
+        max_size=8,
+    )
+
+
+_MIXED_FACTS = _facts_of(["R", "S"])
 _KEYED = Schema.of(
     RelationSchema("R", ("A", "B"), key=("A",)),
     RelationSchema("S", ("B", "C"), key=("B",)),
@@ -835,7 +879,7 @@ def test_an_indexed_advanced_connection_answers_as_bare_tables(
     kept = KeptSqlite(Database.from_facts(facts, schema=_KEYED))
     kept.conn = to_sqlite(kept.db)
     try:
-        sql = _sql_text(query, kept.db)
+        sql, _ = _sql_text(query, kept.db)
         for deleted, inserted in steps:
             kept.advance(deleted, inserted)
         reference = _bare(kept.db)
@@ -853,17 +897,19 @@ def test_an_indexed_advanced_connection_answers_as_bare_tables(
 
 def _memo_rows(kept):
     """The rows the memo holds, each statement counting at least one."""
-    return sum(len(rows) or 1 for rows in kept._memo.values())  # noqa: SLF001
+    return sum(
+        len(rows) or 1 for _, rows in kept._memo.values()  # noqa: SLF001
+    )
 
 
 def _sql_text(query, db):
-    """fm-sql's statement for *query*; these queries hold no constant,
-    so it binds no parameter."""
-    sql, params = query_to_sql(
-        fuxman_miller_rewrite(parse_query(query), _KEYS, db), _KEYED
-    )
+    """fm-sql's statement for *query* and the relations it reads, the
+    predicates of the rewriting's atoms, as ``answers_via_sql`` passes
+    them; these queries hold no constant, so it binds no parameter."""
+    rewritten = fuxman_miller_rewrite(parse_query(query), _KEYS, db)
+    sql, params = query_to_sql(rewritten, _KEYED)
     assert params == ()
-    return sql
+    return sql, {a.predicate for a in rewritten.body.atoms()}
 
 
 _SQL = {
@@ -872,37 +918,59 @@ _SQL = {
 }
 
 
+#: A step's deletes and inserts, all on R, all on S, or on both.
+_STEP = st.sampled_from([("R",), ("S",), ("R", "S")]).flatmap(
+    lambda relations: st.tuples(_facts_of(relations), _facts_of(relations))
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     _MIXED_FACTS,
     st.lists(st.sampled_from(_FM_QUERIES), min_size=1, max_size=8),
     st.lists(
         st.tuples(
-            _MIXED_FACTS,
-            _MIXED_FACTS,
+            _STEP,
             st.lists(st.sampled_from(_FM_QUERIES), min_size=1, max_size=8),
-        ),
+        ).map(lambda t: (*t[0], t[1])),
         max_size=4,
     ),
 )
 @example(
     _RETYPED[0], [PROJECTION], [(_RETYPED[1], _RETYPED[1], [PROJECTION])]
 )
+# A step on S changes the join's rows but not the projection's.
+@example(
+    [fact("R", "a", "b"), fact("R", "c", "d"), fact("S", "e", "f")],
+    [JOIN, PROJECTION],
+    [((), [fact("S", "b", "c")], [JOIN, PROJECTION])],
+)
+# A step on S shrinks the instance below the rows of two statements
+# that read only R.
+@example(
+    [fact("R", k, "x") for k in (1, "1", "a")]
+    + [fact("S", k, "y") for k in "xyz"],
+    [PROJECTION, "Q(X, Y) :- R(X, Y)"],
+    [([fact("S", "x", "y")], (), [PROJECTION])],
+)
 def test_a_memoized_answer_equals_a_fresh_load(facts, first, steps):
-    """A kept instance, advanced by random steps, runs fm-sql's
-    statements repeatedly between them: every ``run_sql`` through
-    its memo returns the rows that a fresh, unkept load of the same
-    version returns, and the memo never holds more rows than the
-    instance holds facts."""
+    """A kept instance, advanced by random steps, each on R, on S or
+    on both, runs fm-sql's statements with the relations they read
+    repeatedly between them: every ``run_sql`` through its memo returns
+    the rows that a fresh, unkept load of the same version returns, and
+    the memo never holds more rows than the instance holds facts, after
+    an advance as after a statement."""
     kept = KeptSqlite(Database.from_facts(facts, schema=_KEYED))
     try:
         for deleted, inserted, queries in [((), (), first), *steps]:
             kept.advance(deleted, inserted)
+            assert _memo_rows(kept) <= len(kept.db)
             for query in queries:
+                sql, reads = _SQL[query]
                 with keeping(kept):
-                    rows = run_sql(kept.db, _SQL[query])
+                    rows = run_sql(kept.db, sql, reads=reads)
                 with keeping(None):
-                    fresh = run_sql(kept.db, _SQL[query])
+                    fresh = run_sql(kept.db, sql)
                 assert _typed(rows) == _typed(fresh)
                 assert _memo_rows(kept) <= len(kept.db)
     finally:
@@ -914,7 +982,7 @@ def test_nothing_is_memoized_outside_keeping():
         [fact("R", "a", "b"), fact("S", "b", "c")], schema=_KEYED
     )
     kept = KeptSqlite(db)
-    sql = _SQL[JOIN]
+    sql, _ = _SQL[JOIN]
     assert run_sql(db, sql) == [("a", "c")]
     # Under keeping, a statement on another instance, even an equal one,
     # is not the kept instance's either.
@@ -934,7 +1002,7 @@ def test_nothing_is_memoized_outside_keeping():
 def test_a_statement_that_raised_is_not_kept():
     db = Database.from_facts([fact("R", "a", "b")], schema=_KEYED)
     kept = KeptSqlite(db)
-    sql = _SQL[PROJECTION]
+    sql, _ = _SQL[PROJECTION]
     with keeping(kept):
         with inject(FaultPlan(sqlite_failure_rate=1.0)) as plan:
             with pytest.raises(Exception, match="injected transient"):
@@ -951,7 +1019,9 @@ def test_a_statement_that_raised_is_not_kept():
 def test_the_memo_is_bounded_by_its_instance():
     """Five facts bound the memo to five rows: the least recently used
     statement goes first, one larger than the bound is not kept, and
-    no list handed out reaches the memo."""
+    no list handed out reaches the memo.  A step drops the statements
+    that read a relation it touched, keeps the others, and trims them
+    to the new instance's bound."""
     db = Database.from_facts(
         [fact("R", f"a{i}", "b") for i in range(5)], schema=_KEYED
     )
@@ -981,7 +1051,35 @@ def test_the_memo_is_bounded_by_its_instance():
         assert len(run_sql(db, pairs)) == 25
         assert list(kept._memo) == [none, one]  # noqa: SLF001
         assert _memo_rows(kept) == 2 <= len(db)
-        # Advancing empties the memo, also with no connection built.
-        kept.close()
-        kept.advance((), ())
-        assert kept.conn is None and _memo_rows(kept) == 0
+        # A statement stating no relations reads every one; this one
+        # reads only S.
+        s_only = 'SELECT "C" FROM "S"'
+        assert run_sql(db, s_only, reads=["S"]) == []
+        assert list(kept._memo) == [none, one, s_only]  # noqa: SLF001
+    # The steps below run with no connection built.
+    kept.close()
+    # An empty step keeps every entry.
+    kept.advance((), ())
+    assert list(kept._memo) == [none, one, s_only]  # noqa: SLF001
+    # A step on R drops the statements that read R, and keeps S's.
+    kept.advance((), [fact("R", "a5", "b")])
+    assert kept.conn is None and kept.reused == 3
+    assert list(kept._memo) == [s_only]  # noqa: SLF001
+    with keeping(kept):
+        assert run_sql(kept.db, s_only, reads=["S"]) == []
+        assert kept.reused == 4
+    # Seven facts, and seven rows of two statements that read only R,
+    # `one` the least recently used.
+    kept.advance((), [fact("S", "b", "c")])
+    assert list(kept._memo) == []  # noqa: SLF001
+    with keeping(kept):
+        assert len(run_sql(kept.db, every, reads=["R"])) == 6
+        assert run_sql(kept.db, one, reads=["R"]) == [("a0",)]
+        assert len(run_sql(kept.db, every, reads=["R"])) == 6
+    assert list(kept._memo) == [one, every]  # noqa: SLF001
+    kept.close()
+    # Deleting the S fact keeps both, but six facts bound them to six
+    # rows: the least recently used goes.
+    kept.advance([fact("S", "b", "c")], ())
+    assert len(kept.db) == 6 and list(kept._memo) == [every]  # noqa: SLF001
+    assert _memo_rows(kept) == 6
