@@ -17,9 +17,11 @@ from repro.relational import Database, RelationSchema, Schema
 from repro.repairs import (
     c_repairs,
     minimum_hitting_sets_branch_and_bound,
+    c_repairs_partial,
     one_c_repair,
     repair_distance,
     s_repairs,
+    s_repairs_partial,
 )
 from repro.workloads import employee_key_violations, random_rs_instance
 
@@ -84,6 +86,18 @@ def test_one_long_component(benchmark, search):
     else:
         sets = benchmark(minimum_hitting_sets_branch_and_bound, graph)
         assert len(sets) == 13 and all(len(s) == 12 for s in sets)
+
+
+@pytest.mark.parametrize("semantics", ["s", "c"])
+def test_first_repairs_of_many_components(benchmark, semantics):
+    """The first 50 repairs of 1,000 disjoint key conflicts, each
+    deleting 1,000 of 12,000 facts: what building, keying and ordering
+    one repair costs, beside a search that finds each in a few steps."""
+    scenario = employee_key_violations(10000, 1000, seed=3)
+    finder = s_repairs_partial if semantics == "s" else c_repairs_partial
+    partial = benchmark(finder, scenario.db, scenario.constraints, limit=50)
+    assert len(partial.value) == 50
+    assert all(r.size == 1000 for r in partial.value)
 
 
 if __name__ == "__main__":

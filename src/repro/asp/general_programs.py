@@ -253,21 +253,9 @@ class GeneralRepairProgram:
         validated input it is a no-op (see tests), matching the classical
         correspondence theorems.
         """
-        out: List[Repair] = []
-        seen = set()
-        for answer_set in self.answer_sets():
-            kept: List[Fact] = []
-            for relation in self.db.schema.names():
-                for a in answer_set.with_predicate(_fin(relation)):
-                    kept.append(Fact(relation, tuple(a.terms)))
-            instance = self.db.delete(
-                [f for f in self.db.facts() if f not in set(kept)]
-            ).insert([f for f in kept if f not in self.db])
-            key = instance.facts()
-            if key not in seen:
-                seen.add(key)
-                out.append(Repair(self.db, instance))
-        return sort_repairs(minimal_repairs(out))
+        return sort_repairs(
+            minimal_repairs(self._read_repairs(self.answer_sets()))
+        )
 
     def c_repairs(self) -> List[Repair]:
         """C-repairs from the weak-constraint-optimal stable models.
@@ -280,21 +268,30 @@ class GeneralRepairProgram:
                 "compile with include_weak_constraints=True to get "
                 "C-repairs"
             )
-        out: List[Repair] = []
-        seen = set()
-        for answer_set in self.solver.optimal_answer_sets():
-            kept: List[Fact] = []
-            for relation in self.db.schema.names():
-                for a in answer_set.with_predicate(_fin(relation)):
-                    kept.append(Fact(relation, tuple(a.terms)))
-            instance = self.db.delete(
-                [f for f in self.db.facts() if f not in set(kept)]
-            ).insert([f for f in kept if f not in self.db])
-            key = instance.facts()
-            if key not in seen:
-                seen.add(key)
-                out.append(Repair(self.db, instance))
-        return sort_repairs(out)
+        return sort_repairs(
+            self._read_repairs(self.solver.optimal_answer_sets())
+        )
+
+    def _read_repairs(self, answer_sets: List[AnswerSet]) -> List[Repair]:
+        """The repair of each stable model, once per difference: it
+        deletes the original facts that are not final and inserts the
+        final facts that are not original."""
+        original = self.db.facts_with_tids()
+        repairs = []
+        for answer_set in answer_sets:
+            final = {
+                Fact(relation, tuple(a.terms))
+                for relation in self.db.schema.names()
+                for a in answer_set.with_predicate(_fin(relation))
+            }
+            repairs.append(Repair(
+                self.db,
+                frozenset(
+                    tid for tid, f in original.items() if f not in final
+                ),
+                frozenset(f for f in final if f not in self.db),
+            ))
+        return list(dict.fromkeys(repairs))
 
     def stable_model_count(self) -> int:
         """Number of stable models (before the read-off minimal filter)."""

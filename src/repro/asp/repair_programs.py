@@ -18,7 +18,7 @@ query rules on the ``s``-annotated atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from ..constraints.base import IntegrityConstraint
 from ..constraints.cfd import ConditionalFunctionalDependency
@@ -27,7 +27,7 @@ from ..constraints.fd import FunctionalDependency
 from ..errors import SolverError
 from ..logic.formulas import Atom, Comparison, Var, is_var
 from ..logic.queries import ConjunctiveQuery
-from ..relational.database import Database, Fact
+from ..relational.database import Database
 from ..relational.nulls import NULL
 from ..repairs.base import Repair
 from .reasoning import AnswerSet, Solver
@@ -67,19 +67,22 @@ def relevant_relations(
     return frozenset(relevant)
 
 
-def null_guards(dc: DenialConstraint) -> Tuple[Comparison, ...]:
-    """``v != NULL`` for each variable of *dc* that joins (occurs twice
+def null_guards(
+    body: Union[DenialConstraint, ConjunctiveQuery]
+) -> Tuple[Comparison, ...]:
+    """``v != NULL`` for each variable of *body* (a denial constraint or
+    a query: its ``atoms`` and ``conditions``) that joins (occurs twice
     or more in its atoms) or is compared: the grounder treats NULL as
     an ordinary constant, but under SQL semantics a NULL never
     satisfies a join or a comparison (Section 4), so no violation
-    fires through one."""
+    fires and no answer is derived through one."""
     counts: Dict[Var, int] = {}
-    for a in dc.atoms:
+    for a in body.atoms:
         for t in a.terms:
             if is_var(t):
                 counts[t] = counts.get(t, 0) + 1
     compared = {
-        t for c in dc.conditions for t in (c.left, c.right) if is_var(t)
+        t for c in body.conditions for t in (c.left, c.right) if is_var(t)
     }
     return tuple(
         Comparison("!=", v, NULL)
@@ -246,15 +249,15 @@ class RepairProgram:
         ]
 
     def _read_repair(self, answer_set: AnswerSet) -> Repair:
-        kept: List[Fact] = []
-        for relation in self.db.schema.names():
-            for a in answer_set.with_predicate(primed(relation)):
-                if a.terms[-1] == STAYS:
-                    kept.append(Fact(relation, tuple(a.terms[1:-1])))
-        instance = self.db.delete(
-            [f for f in self.db.facts() if f not in set(kept)]
-        )
-        return Repair(self.db, instance)
+        """The repair of a stable model: it deletes every tid the model
+        does not keep (``s``-annotated)."""
+        kept = {
+            a.terms[0]
+            for relation in self.db.schema.names()
+            for a in answer_set.with_predicate(primed(relation))
+            if a.terms[-1] == STAYS
+        }
+        return Repair(self.db, self.db.tids() - kept)
 
     # ------------------------------------------------------------------
     # CQA on top of the program (cautious reasoning over query rules)
@@ -263,7 +266,8 @@ class RepairProgram:
     def query_rule(
         self, query: ConjunctiveQuery, answer_predicate: str = "Ans"
     ) -> AspRule:
-        """The query rule over ``s``-annotated atoms."""
+        """The query rule over ``s``-annotated atoms, guarded against
+        NULL as the violation rules are (:func:`null_guards`)."""
         body: List[Atom] = []
         for i, a in enumerate(query.atoms):
             tid_var = Var(f"qt{i}_")
@@ -274,7 +278,10 @@ class RepairProgram:
                 )
             )
         head = Atom(answer_predicate, tuple(query.head))
-        return AspRule((head,), tuple(body), (), tuple(query.conditions))
+        return AspRule(
+            (head,), tuple(body), (),
+            tuple(query.conditions) + null_guards(query),
+        )
 
     def restricted_to_query(
         self, query: ConjunctiveQuery

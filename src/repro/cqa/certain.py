@@ -27,6 +27,7 @@ from ..runtime import (
     Budget,
     BudgetExhaustion,
     Partial,
+    current_budget,
     resolve_budget,
     suspend_budget,
     use_budget,
@@ -95,14 +96,21 @@ def consistent_answers(
 
     Under an active execution budget, exhaustion raises
     :class:`~repro.errors.BudgetExceededError` — an exact answer set
-    cannot be produced from a repair prefix.  Use
-    :func:`consistent_answers_partial` for the anytime
-    under-approximation.
+    cannot be produced from a repair prefix, so none of the prefix's
+    brackets is built.  Use :func:`consistent_answers_partial` for the
+    anytime under-approximation.
     """
-    partial = consistent_answers_partial(
-        db, constraints, query, semantics=semantics, max_steps=max_steps
-    )
-    return partial.unwrap(strict=not partial.complete)
+    with span("cqa.enumerate", semantics=semantics):
+        answers, exhausted, _ = _enumerated(
+            db, constraints, query, semantics, max_steps, current_budget()
+        )
+    if exhausted is not None:
+        raise BudgetExceededError(
+            exhausted,
+            f"repair enumeration was cut short ({exhausted}): an exact "
+            "answer needs every repair",
+        )
+    return answers
 
 
 def consistent_answers_partial(
@@ -127,28 +135,11 @@ def consistent_answers_partial(
     """
     budget = resolve_budget(budget)
     with span("cqa.enumerate", semantics=semantics):
-        exhausted: Optional[BudgetExhaustion] = None
-        prefix: Sequence[Repair] = ()
-        with use_budget(budget):
-            try:
-                repairs = repairs_for_semantics_partial(
-                    db, constraints, semantics, max_steps, budget=budget
-                )
-                if repairs.complete and not repairs.value:
-                    raise RepairError(
-                        "no repairs found: cannot intersect over an "
-                        "empty repair class"
-                    )
-                add("cqa.repairs_intersected", len(repairs.value))
-                if repairs.complete:
-                    value = intersect_answers(query, repairs.value)
-                    return Partial.done(value, budget)
-                exhausted = repairs.exhausted
-                prefix = repairs.value
-            except BudgetExceededError as exc:
-                if budget is not None and budget.strict:
-                    raise
-                exhausted = BudgetExhaustion(exc.reason)
+        answers, exhausted, prefix = _enumerated(
+            db, constraints, query, semantics, max_steps, budget
+        )
+        if exhausted is None:
+            return Partial.done(answers, budget)
         # Graceful degradation: the intersection over a repair *prefix*
         # over-approximates the certain answers, so it cannot be
         # returned as the value.  Fall back to the sound certain-core
@@ -172,6 +163,40 @@ def consistent_answers_partial(
                 value = frozenset()
                 detail["fallback"] = "empty"
             return Partial.truncated(value, exhausted, budget, **detail)
+
+
+def _enumerated(
+    db: Database,
+    constraints: Sequence[IntegrityConstraint],
+    query,
+    semantics: str,
+    max_steps: Optional[int],
+    budget: Optional[Budget],
+) -> Tuple[
+    Optional[FrozenSet[Row]], Optional[BudgetExhaustion], Sequence[Repair]
+]:
+    """``(Cons, None, ())`` over the repairs enumerated under *budget*;
+    when the budget cuts the run short, ``(None, reason, prefix)`` with
+    the repairs built before it, which only a caller that brackets
+    reads."""
+    with use_budget(budget):
+        try:
+            repairs = repairs_for_semantics_partial(
+                db, constraints, semantics, max_steps, budget=budget
+            )
+            if repairs.complete and not repairs.value:
+                raise RepairError(
+                    "no repairs found: cannot intersect over an "
+                    "empty repair class"
+                )
+            add("cqa.repairs_intersected", len(repairs.value))
+            if repairs.complete:
+                return intersect_answers(query, repairs.value), None, ()
+            return None, repairs.exhausted, repairs.value
+        except BudgetExceededError as exc:
+            if budget is not None and budget.strict:
+                raise
+            return None, BudgetExhaustion(exc.reason), ()
 
 
 def intersect_answers(query, repairs: Iterable[Repair]) -> FrozenSet[Row]:

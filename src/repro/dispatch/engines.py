@@ -39,7 +39,7 @@ from ..cqa.approximation import (
     overapproximate_answers,
     underapproximate_answers,
 )
-from ..cqa.certain import consistent_answers_partial
+from ..cqa.certain import consistent_answers
 from ..cqa.fuxman_miller import fuxman_miller_rewrite
 from ..cqa.local import consistent_answers_local
 from ..cqa.rewriting import Clause, constraint_clauses, fo_rewrite
@@ -411,8 +411,8 @@ class EnumerateEngine(Engine):
 
     Always applicable — this is the definition of ``Cons(Q, D, Σ)``.
     Runs under the ambient (per-rung) budget; if the enumeration cannot
-    finish inside it, the rung *fails* with the budget error instead of
-    silently returning the internal fallback, leaving the sound-bracket
+    finish inside it, the rung *fails* with the budget error, building
+    no bracket from the repairs it saw, and leaves the sound-bracket
     duty to the final rung.
     """
 
@@ -425,19 +425,21 @@ class EnumerateEngine(Engine):
             )
 
     def run(self, request: CQARequest) -> EngineAnswer:
-        partial = consistent_answers_partial(
-            request.db,
-            request.constraints,
-            request.query,
-            semantics=request.semantics,
-        )
-        if not partial.complete:
-            raise BudgetExceededError(
-                partial.exhausted,
-                "repair enumeration did not finish inside the rung "
-                f"budget ({partial.exhausted})",
+        try:
+            answers = consistent_answers(
+                request.db,
+                request.constraints,
+                request.query,
+                semantics=request.semantics,
             )
-        return EngineAnswer(frozenset(partial.value), True)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                exc.reason,
+                "repair enumeration did not finish inside the rung "
+                f"budget ({exc.reason})",
+                budget=exc.budget,
+            ) from None
+        return EngineAnswer(frozenset(answers), True)
 
 
 class CertainCoreEngine(Engine):

@@ -86,6 +86,7 @@ def c_repairs_partial(
                 try:
                     product = ComponentProduct(db, constraints, "c")
                     for repair in itertools.islice(product.repairs(), limit):
+                        repair.sort_key  # keyed now, inside the budget
                         repairs.append(repair)
                     if limit is not None and product.count() > limit:
                         exhausted = BudgetExhaustion.COUNT

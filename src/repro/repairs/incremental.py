@@ -70,11 +70,10 @@ class IncrementalRepairer:
 
     def s_repairs(self, limit: Optional[int] = None) -> List[Repair]:
         """S-repairs of the current instance from the maintained graph."""
-        repairs = [
-            Repair(self._db, self._db.delete_tids(h))
-            for h in self._graph.minimal_hitting_sets(limit=limit)
-        ]
-        return sort_repairs(repairs)
+        return sort_repairs(
+            Repair(self._db, hitting)
+            for hitting in self._graph.minimal_hitting_sets(limit=limit)
+        )
 
     def c_repairs(self) -> List[Repair]:
         """C-repairs of the current instance: the component product of

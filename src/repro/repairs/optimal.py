@@ -10,6 +10,7 @@ keeps each tuple that completes no conflict
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from ..constraints.base import IntegrityConstraint, denial_class_only
@@ -51,5 +52,4 @@ def one_c_repair(
     repairs = s_repairs(db, constraints, max_steps=max_steps)
     if not repairs:
         raise RepairError("no repair found within the search bound")
-    best = min(repairs, key=lambda r: (r.size, sorted(map(repr, r.diff))))
-    return best
+    return min(repairs, key=attrgetter("sort_key"))

@@ -30,6 +30,7 @@ from typing import (
 from ..constraints.base import IntegrityConstraint
 from ..constraints.conflicts import ConflictHypergraph, hitting_sets
 from ..relational.database import Database
+from ..runtime import check_deadline
 from ..runtime import checkpoint as budget_checkpoint
 from .base import Repair
 
@@ -128,19 +129,21 @@ class ComponentProduct:
 
     def repair(self, kept: Iterable[FrozenSet[str]]) -> Repair:
         """The repair keeping the *i*-th kept set of component *i* and
-        every conflict-free tuple."""
-        deleted: Set[str] = set()
-        for members, chosen in zip(self.members, kept):
-            deleted |= members - chosen
-        return Repair(self.db, self.db.delete_tids(deleted))
+        every conflict-free tuple: it deletes the rest of each
+        component."""
+        return Repair(self.db, frozenset().union(*(
+            members - chosen for members, chosen in zip(self.members, kept)
+        )))
 
     def repairs(self) -> Iterator[Repair]:
         """Every repair, in product order, each built only when asked
-        for, after one budget checkpoint; every component is solved
-        before the first."""
+        for, after one budget checkpoint and one read of the deadline
+        (:func:`~repro.runtime.check_deadline`); every component is
+        solved before the first."""
         choices = [self.kept_sets(i) for i in range(len(self))]
         for kept in itertools.product(*choices):
             budget_checkpoint()
+            check_deadline()
             yield self.repair(kept)
 
     def greedy_repair(self, start: int = 0) -> Repair:

@@ -43,6 +43,7 @@ from ..runtime import (
     Budget,
     BudgetExhaustion,
     Partial,
+    check_deadline,
     resolve_budget,
     use_budget,
 )
@@ -162,7 +163,10 @@ def _hypergraph_repairs(
 ) -> "Partial[List[Repair]]":
     def repair(deletion: FrozenSet[str]) -> Repair:
         budget_checkpoint()
-        return Repair(db, db.delete_tids(deletion))
+        check_deadline()
+        built = Repair(db, deletion)
+        built.sort_key  # keyed now, inside the budget
+        return built
 
     try:
         # Unbudgeted, reuse the graph a reader kept on the version.
@@ -217,10 +221,16 @@ def _search_repairs(
             budget_checkpoint()
             violations = all_violations(current, constraints)
             if not violations:
-                repair = Repair(db, current)
-                if not any(r.diff <= repair.diff for r in emitted):
+                diff = current.symmetric_difference(db)
+                if not any(r.diff <= diff for r in emitted):
                     if budget is not None:
                         budget.count_result()
+                    repair = Repair(
+                        db,
+                        frozenset(db.tid_of(f) for f in diff if f in db),
+                        frozenset(f for f in diff if f not in db),
+                    )
+                    repair.sort_key  # keyed now, inside the budget
                     emitted.append(repair)
                     if limit is not None and len(emitted) >= limit:
                         exhausted = (

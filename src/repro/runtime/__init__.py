@@ -26,6 +26,7 @@ from ..errors import BudgetExceededError, TransientBackendError
 from .budget import (
     Budget,
     BudgetExhaustion,
+    check_deadline,
     checkpoint,
     count_result,
     current_budget,
@@ -45,6 +46,7 @@ __all__ = [
     "Partial",
     "FaultPlan",
     "TRANSIENT_ERRORS",
+    "check_deadline",
     "checkpoint",
     "count_result",
     "current_budget",

@@ -42,6 +42,7 @@ from ..observability.live import emit_event
 __all__ = [
     "Budget",
     "BudgetExhaustion",
+    "check_deadline",
     "checkpoint",
     "count_result",
     "current_budget",
@@ -182,6 +183,23 @@ class Budget:
             if self._deadline is not None and self._clock() > self._deadline:
                 self._exhaust(BudgetExhaustion.DEADLINE)
 
+    def check_deadline(self) -> None:
+        """Read the clock now, whatever the stride, and raise once the
+        deadline has passed; consume no step and call no fault hook.
+
+        A loop whose every step is costly (one repair built) calls it
+        once per step beside its checkpoint, so it overruns its deadline
+        by one step, not by a stride of them, while a step budget buys
+        the same prefix as without it.
+        """
+        if self.exhausted is not None:
+            self._raise(self.exhausted)
+        if self.timeout is None:
+            return
+        self.start()
+        if self._clock() > self._deadline:
+            self._exhaust(BudgetExhaustion.DEADLINE)
+
     def count_result(self, n: int = 1) -> None:
         """Reserve room for *n* more results; raise when the cap is hit.
 
@@ -312,6 +330,15 @@ def checkpoint(n: int = 1) -> None:
         top = stack[-1]
         if top is not None:
             top.checkpoint(n)
+
+
+def check_deadline() -> None:
+    """Read the ambient budget's deadline now (no-op when none)."""
+    stack = getattr(_local, "stack", None)
+    if stack:
+        top = stack[-1]
+        if top is not None:
+            top.check_deadline()
 
 
 def count_result(n: int = 1) -> None:

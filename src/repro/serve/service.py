@@ -223,21 +223,44 @@ class _Renderings:
             self._rows -= len(rendering) or 1
 
 
-def _serialize_repair(repair) -> Dict[str, List[List[object]]]:
-    def facts(fact_set) -> List[List[object]]:
-        # A repair may insert NULL (an inclusion dependency's witness):
-        # JSON writes it as null, as it does in an answer.
-        return [
-            [None if is_null(value) else value for value in row]
-            for row in sorted_rows(
-                (fact.relation, *fact.values) for fact in fact_set
-            )
-        ]
-
-    return {
-        "deleted": facts(repair.deleted),
-        "inserted": facts(repair.inserted),
+def _serialize_repairs(repairs) -> List[Dict[str, List[List[object]]]]:
+    """Each repair's deleted and inserted facts as JSON rows, in
+    :func:`sorted_rows` order.  Every fact the response names gets its
+    row and its rank in that order once, and a repair lists its facts
+    by rank: the rows and order that sorting each repair's own give."""
+    if not repairs:
+        return []
+    fact_by_tid = repairs[0].original.fact_by_tid
+    # Each fact the response names, keyed by its tid, or by itself when
+    # inserted.
+    facts = {
+        tid: fact_by_tid(tid)
+        for tid in frozenset().union(*(r.deleted_tids for r in repairs))
     }
+    facts.update(
+        (f, f) for f in frozenset().union(*(r.inserted for r in repairs))
+    )
+    row_of = {key: (f.relation, *f.values) for key, f in facts.items()}
+    ordered = sorted_rows(row_of.values())
+    rank = {row: index for index, row in enumerate(ordered)}
+    rank_of = {key: rank[row] for key, row in row_of.items()}
+    # A repair may insert NULL (an inclusion dependency's witness):
+    # JSON writes it as null, as it does in an answer.
+    json_rows = [
+        [None if is_null(value) else value for value in row]
+        for row in ordered
+    ]
+
+    def listed(keys) -> List[List[object]]:
+        return [json_rows[i] for i in sorted(map(rank_of.__getitem__, keys))]
+
+    return [
+        {
+            "deleted": listed(repair.deleted_tids),
+            "inserted": listed(repair.inserted),
+        }
+        for repair in repairs
+    ]
 
 
 def _handler(*gates: str):
@@ -926,9 +949,7 @@ class CQAService:
                 )
         outcome = "ok" if partial.complete else "degraded"
         body = {
-            "repairs": [
-                _serialize_repair(repair) for repair in partial.value
-            ],
+            "repairs": _serialize_repairs(partial.value),
             "complete": partial.complete,
             "semantics": semantics,
             "elapsed_ms": round(

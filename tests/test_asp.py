@@ -359,6 +359,29 @@ class TestRepairProgramNulls:
         fd = FunctionalDependency("R", ("A",), ("B",))
         assert len(RepairProgram(db, (fd,)).repairs()) == 1
 
+    def test_a_null_joins_nothing_in_the_query_rule(self):
+        """R(a, NULL) and S(NULL, c), each keyed and consistent: the
+        join meets on NULL, so no repair answers it."""
+        from repro.cqa import consistent_answers
+        from repro.logic.parser import parse_fd, parse_query
+        from repro.relational import Database, RelationSchema, Schema
+        from repro.relational.nulls import NULL
+
+        db = Database.from_dict(
+            {"R": [("a", NULL)], "S": [(NULL, "c")]},
+            schema=Schema.of(
+                RelationSchema("R", ("A", "B")),
+                RelationSchema("S", ("B", "C")),
+            ),
+        )
+        keys = (parse_fd("R: A -> B"), parse_fd("S: B -> C"))
+        query = parse_query("Q(X, Z) :- R(X, Y), S(Y, Z)")
+        assert consistent_answers(db, keys, query) == frozenset()
+        for weak, semantics in ((False, "s"), (True, "c")):
+            program = RepairProgram(db, keys, include_weak_constraints=weak)
+            assert program.consistent_answers(query, semantics) == set()
+            assert program.possible_answers(query) == set()
+
 
 class TestConsExSlicing:
     """Magic-set-style relevance slicing (ConsEx [43])."""

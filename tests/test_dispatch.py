@@ -34,6 +34,7 @@ from repro.dispatch import (
 )
 from repro.dispatch.worker import WorkerTimeoutError
 from repro.errors import (
+    BudgetExceededError,
     NotRewritableError,
     ReproError,
     RewritingError,
@@ -332,6 +333,37 @@ class TestFallback:
             o for o in result.provenance.rungs if o.status == "failed"
         ]
         assert {o.engine for o in failed} == {"asp", "enumerate"}
+
+    def test_a_cut_enumerate_rung_builds_no_bracket(self, monkeypatch):
+        """The rung raises on a repair prefix: intersecting the prefix
+        and the certain core would only be thrown away (the final rung
+        brackets)."""
+        import repro.cqa.approximation
+        import repro.cqa.certain
+
+        calls = []
+        for module, name in (
+            (repro.cqa.certain, "intersect_answers"),
+            (repro.cqa.approximation, "underapproximate_answers"),
+        ):
+            real = getattr(module, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        scenario = employee_key_violations(3, 6, 2, seed=4)
+        request = CQARequest(
+            scenario.db, scenario.constraints, scenario.queries["all"]
+        )
+        with use_budget(Budget(max_steps=20)):
+            with pytest.raises(BudgetExceededError) as info:
+                get_engine("enumerate").run(request)
+        assert "did not finish inside the rung budget (steps)" in str(
+            info.value
+        )
+        assert calls == []
 
     def test_unservable_request_raises_dispatch_error(self):
         # A BCQ on non-key constraints with a rewriting-only ladder:

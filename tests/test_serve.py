@@ -1087,11 +1087,46 @@ class TestConflictsAtScale:
 
         return _keyed_join(5500, 550)
 
+    @staticmethod
+    def _assert_certified_per_component(db, constraints, repairs, is_repair):
+        """No edge crosses a conflict component, so a subinstance is a
+        repair when it keeps every fact outside the components and its
+        part of each component is a repair of that component.
+        ``is_c_repair`` on the whole instance would enumerate all 2^1100
+        C-repairs to learn the distance.  Each component's repairs are
+        certified once, as the sets of facts they delete."""
+        import itertools
+
+        from repro.constraints import ConflictHypergraph
+        from repro.relational import Database, fact
+
+        components = [
+            frozenset(db.fact_by_tid(tid) for tid in component)
+            for component in ConflictHypergraph.build(
+                db, constraints
+            ).components()
+        ]
+        assert len(components) == 1100
+        certified = []
+        for component in components:
+            whole = Database.from_facts(sorted(component, key=repr), db.schema)
+            certified.append({
+                frozenset(deleted)
+                for size in range(len(component) + 1)
+                for deleted in itertools.combinations(whole, size)
+                if is_repair(whole, whole.delete(deleted), constraints)
+            })
+        conflicting = frozenset().union(*components)
+        for repair in repairs:
+            assert repair["inserted"] == []
+            deleted = {fact(*row) for row in repair["deleted"]}
+            assert deleted <= conflicting
+            for component, allowed in zip(components, certified):
+                assert deleted & component in allowed
+
     def test_c_repairs_answer_certified_repairs_within_the_timeout(
         self, big
     ):
-        from repro.constraints import ConflictHypergraph
-        from repro.relational import Database, fact
         from repro.repairs import is_c_repair
 
         db, constraints = big
@@ -1103,32 +1138,32 @@ class TestConflictsAtScale:
         assert status == 200, body
         assert body["complete"] is False and body["outcome"] == "degraded"
         assert 1 <= len(body["repairs"]) <= 2
-        # No edge crosses a conflict component, so a subinstance is a
-        # C-repair when it keeps every fact outside the components and
-        # its part of each component is a C-repair of that component.
-        # is_c_repair on the whole instance would enumerate all 2^1100
-        # C-repairs to learn the distance.
-        components = [
-            [db.fact_by_tid(tid) for tid in sorted(component)]
-            for component in ConflictHypergraph.build(
-                db, constraints
-            ).components()
-        ]
-        assert len(components) == 1100
-        conflicting = {f for component in components for f in component}
-        for repair in body["repairs"]:
-            assert repair["inserted"] == []
-            deleted = {fact(*row) for row in repair["deleted"]}
-            assert deleted <= conflicting
-            for component in components:
-                assert is_c_repair(
-                    Database.from_facts(component, db.schema),
-                    Database.from_facts(
-                        [f for f in component if f not in deleted],
-                        db.schema,
-                    ),
-                    constraints,
-                )
+        self._assert_certified_per_component(
+            db, constraints, body["repairs"], is_c_repair
+        )
+
+    @pytest.mark.parametrize("semantics", ["s", "c"])
+    def test_unbounded_repairs_answer_certified_repairs_at_the_deadline(
+        self, big, semantics
+    ):
+        """No ``limit``: the request builds repairs until its deadline
+        and returns them, each a set of 1,100 deleted tids until it is
+        rendered, never a 12,100-fact instance."""
+        from repro.repairs import is_c_repair, is_s_repair
+
+        db, constraints = big
+        service = CQAService()
+        service.register_instance("big", db, constraints)
+        status, body, _ = service.handle_repairs({
+            "db": "big", "semantics": semantics, "timeout_s": 0.5,
+        })
+        assert status == 200, body
+        assert body["complete"] is False and body["outcome"] == "degraded"
+        assert len(body["repairs"]) >= 1
+        self._assert_certified_per_component(
+            db, constraints, body["repairs"],
+            is_c_repair if semantics == "c" else is_s_repair,
+        )
 
     def test_a_report_answers_a_thousand_disjoint_conflicts(self, big):
         """The distance is the sum of the per-component minima;
